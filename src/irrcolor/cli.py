@@ -20,6 +20,7 @@ import random
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from importlib.resources import files as resource_files
 from itertools import product
 from typing import Optional
@@ -38,10 +39,9 @@ from .errors import FormatError, ParameterError, SearchCancelled, SizeCapError
 from .graphs import (
     Graph,
     bipartition,
-    bits,
     connectivity_profile,
     format_edge_list,
-    from_edge_list,
+    mask_from,
     parse_edge_list,
     parse_graph6,
     to_graph6,
@@ -55,98 +55,34 @@ from .irredundance import (
     maximal_irredundant_sets,
     minimal_dominating_sets,
 )
+from .invariants import REGISTRY
 from .oracle import DEFAULT_SIZE_CAP, irc_partition_exists, oracle_invariant
 
 SCHEMA = "irrcolor-report/1"
-
-ALL_INVARIANTS = (
-    "chi",
-    "ir",
-    "gamma",
-    "chi_i",
-    "chi_gamma",
-    "chi_d",
-    "chi_gd",
-    "irc_colorable",
-    "chi_irc",
-)
 DEFAULT_INVARIANTS = ("chi", "ir", "gamma", "chi_i", "chi_gamma", "irc_colorable")
-
-# per-invariant size caps for the exponential solvers
-CAPS = {
-    "chi": 60,
-    "ir": 20,
-    "gamma": 20,
-    "chi_i": 16,
-    "chi_gamma": 16,
-    "chi_d": 12,
-    "chi_gd": 12,
-    "irc_colorable": 12,
-    "chi_irc": 10,
-}
 CONJECTURE_CAP = 40
-
-
-def _set_witness(mask) -> list[int]:
-    return list(bits(mask))
 
 
 def _compute_invariant(g: Graph, name: str, token=None):
     """Returns (status, value, witness); status in ok / absent / skipped(cap)."""
-    if name in ("ir", "chi_i", "chi_gamma", "chi_d") and g.n < 1:
+    row = REGISTRY[name]
+    if g.n < row.min_n:
         return "absent", None, None
-    if name == "chi_gd" and g.n < 2:
-        return "absent", None, None
-    if g.n > CAPS[name]:
-        if name == "irc_colorable":
-            from .irc import _cheap_obstruction
-
-            if _cheap_obstruction(g):
-                return "ok", False, None
-        return "skipped(cap)", None, None
-    if name == "chi":
-        k, col = chromatic_number(g, token)
-        return "ok", k, {"coloring": list(col.color_of)}
-    if name == "ir":
-        k, witness = ir_number(g, token)
-        return "ok", k, {"set": _set_witness(witness)}
-    if name == "gamma":
-        k, witness = gamma_number(g, token)
-        return "ok", k, {"set": _set_witness(witness)}
-    if name == "chi_i":
-        k, cert = irredundance_chromatic_number(g, token)
-        return "ok", k, {
-            "coloring": list(cert.coloring.color_of),
-            "set": _set_witness(cert.rainbow_set),
-        }
-    if name == "chi_gamma":
-        k, cert = gamma_chromatic_number(g, token)
-        return "ok", k, {
-            "coloring": list(cert.coloring.color_of),
-            "set": _set_witness(cert.rainbow_set),
-        }
-    if name == "chi_d":
-        k, col = dominator_chromatic_number(g, token)
-        return "ok", k, {"coloring": list(col.color_of)}
-    if name == "chi_gd":
-        res = global_dominator_chromatic_number(g, token)
-        if res is None:
+    if g.n > row.cap:
+        result = row.above_cap(g, token) if row.above_cap else None
+        if result is None:
+            return "skipped(cap)", None, None
+    else:
+        result = row.solve(g, token)
+        if result is None:
             return "absent", None, None
-        return "ok", res[0], {"coloring": list(res[1].color_of)}
-    if name == "irc_colorable":
-        col = irc_colorability(g, token)
-        witness = {"coloring": list(col.color_of)} if col is not None else None
-        return "ok", col is not None, witness
-    if name == "chi_irc":
-        res = irc_chromatic_number(g, token)
-        if res is None:
-            return "absent", None, None
-        return "ok", res[0], {"coloring": list(res[1].color_of)}
-    raise ParameterError(f"unknown invariant {name!r}")
+    value, witness = result
+    return "ok", value, None if witness is None else row.encode(witness)
 
 
-def _graph_record(idx: int, g: Graph, names, token=None, witnesses=False) -> dict:
-    record = {
+def _record(idx: int, g: Graph) -> dict:
+    """A report record for graph ``idx`` with no cells yet."""
+    return {
         "id": idx,
         "n": g.n,
         "m": g.m,
@@ -154,6 +90,14 @@ def _graph_record(idx: int, g: Graph, names, token=None, witnesses=False) -> dic
         "invariants": {},
         "timings": {},
     }
+
+
+def _violation(check: str, record: dict, detail: str) -> dict:
+    return {"check": check, "graph": record["id"], "graph6": record["graph6"], "detail": detail}
+
+
+def _graph_record(idx: int, g: Graph, names, token=None, witnesses=False) -> dict:
+    record = _record(idx, g)
     if witnesses:
         record["witnesses"] = {}
     for name in names:
@@ -169,9 +113,30 @@ def _graph_record(idx: int, g: Graph, names, token=None, witnesses=False) -> dic
     return record
 
 
-def _worker_invariants(payload):
-    idx, g6, names, witnesses = payload
-    return _graph_record(idx, parse_graph6(g6), names, witnesses=witnesses)
+def _map_graphs(fn, graphs: list[Graph], jobs: int) -> list:
+    """``fn(idx, g)`` for each input graph, in input order; in a pool of
+    ``jobs`` worker processes when there are several graphs."""
+    if jobs > 1 and len(graphs) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, range(len(graphs)), graphs))
+    return [fn(i, g) for i, g in enumerate(graphs)]
+
+
+def _report(command: str, records: list[dict], violations: list[dict], **fields) -> dict:
+    skipped = sum(
+        1
+        for rec in records
+        for cell in rec["invariants"].values()
+        if cell["status"].startswith("skipped")
+    )
+    return {
+        "schema": SCHEMA,
+        "command": command,
+        **fields,
+        "graphs": records,
+        "violations": violations,
+        "summary": {"graphs": len(records), "violations": len(violations), "skipped": skipped},
+    }
 
 
 # --- input handling -----------------------------------------------------------
@@ -236,80 +201,53 @@ def cmd_invariants(args) -> int:
         return 64
     names = DEFAULT_INVARIANTS if not args.invariants else tuple(args.invariants.split(","))
     for name in names:
-        if name not in ALL_INVARIANTS:
+        if name not in REGISTRY:
             print(f"parameter error: unknown invariant {name!r}", file=sys.stderr)
             return 65
     token = Deadline(args.budget_seconds) if args.budget_seconds else None
-    if args.jobs > 1 and len(graphs) > 1:
-        payloads = [
-            (i, to_graph6(g).decode("ascii"), names, args.witnesses)
-            for i, g in enumerate(graphs)
-        ]
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(_worker_invariants, payloads))
-    else:
-        records = [
-            _graph_record(i, g, names, token, witnesses=args.witnesses)
-            for i, g in enumerate(graphs)
-        ]
-    skipped = sum(
-        1
-        for rec in records
-        for cell in rec["invariants"].values()
-        if cell["status"].startswith("skipped")
-    )
-    report = {
-        "schema": SCHEMA,
-        "command": "invariants",
-        "graphs": records,
-        "violations": [],
-        "summary": {"graphs": len(records), "violations": 0, "skipped": skipped},
-    }
-    _emit(report, args.json)
+    record = partial(_graph_record, names=names, token=token, witnesses=args.witnesses)
+    _emit(_report("invariants", _map_graphs(record, graphs, args.jobs), []), args.json)
     return 0
 
 
 # --- gen command ----------------------------------------------------------------
 
-_FAMILY_ARITY = {
-    "complete": 1,
-    "complete_bipartite": 2,
-    "star": 1,
-    "cycle": 1,
-    "path": 1,
-    "A": 2,
-    "H": 2,
-    "Z": 2,
-    "B": 2,
-    "cut_vertex": 1,
-    "bridge": 2,
-    "tilde": 1,
-    "bipartite_star_of_cycles": 1,
-    "fixture": 1,
+
+# the constructions with two parameters; the basic and committee kinds take
+# theirs from the tables in families
+_PAIR_FAMILIES = {
+    "A": families.gen_family_a,
+    "H": families.gen_block_h,
+    "Z": families.gen_family_z,
+    "B": families.gen_family_b,
 }
 
 
+def _family_arity(name: str) -> int:
+    if name == "fixture":
+        return 1
+    if name in _PAIR_FAMILIES:
+        return 2
+    for table in (families._BASIC, families._IRC_KINDS):
+        if name in table:
+            return table[name][1]
+    raise ParameterError(f"unknown family {name!r}")
+
+
 def _build_family(name: str, params: list[str]) -> families.FamilyInstance:
-    if name not in _FAMILY_ARITY:
-        raise ParameterError(f"unknown family {name!r}")
-    if len(params) != _FAMILY_ARITY[name]:
-        raise ParameterError(f"{name} expects {_FAMILY_ARITY[name]} parameter(s)")
+    arity = _family_arity(name)
+    if len(params) != arity:
+        raise ParameterError(f"{name} expects {arity} parameter(s)")
     if name == "fixture":
         return families.fixture(params[0])
     try:
         nums = [int(p) for p in params]
     except ValueError as exc:
         raise ParameterError(f"{name} parameters must be integers") from exc
-    if name in ("complete", "complete_bipartite", "star", "cycle", "path"):
+    if name in _PAIR_FAMILIES:
+        return _PAIR_FAMILIES[name](*nums)
+    if name in families._BASIC:
         return families.gen_basic(name, *nums)
-    if name == "A":
-        return families.gen_family_a(*nums)
-    if name == "H":
-        return families.gen_block_h(*nums)
-    if name == "Z":
-        return families.gen_family_z(*nums)
-    if name == "B":
-        return families.gen_family_b(*nums)
     return families.gen_irc_family(name, *nums)
 
 
@@ -359,45 +297,23 @@ def cmd_gen(args) -> int:
 
 def _chain_scan(idx: int, g: Graph, token, oracle_cap: int):
     record = _graph_record(idx, g, ("chi", "ir", "gamma", "chi_i", "chi_gamma", "chi_d", "chi_gd"), token)
-    inv = record["invariants"]
+    val = {name: cell["value"] for name, cell in record["invariants"].items() if cell["status"] == "ok"}
     violations = []
-
-    def val(name):
-        cell = inv[name]
-        return cell["value"] if cell["status"] == "ok" else None
-
     chain = ["chi", "chi_i", "chi_gamma", "chi_d", "chi_gd"]
     for lo, hi in zip(chain, chain[1:]):
-        a, b = val(lo), val(hi)
+        a, b = val.get(lo), val.get(hi)
         if a is not None and b is not None and a > b:
-            violations.append(
-                {
-                    "check": f"chain:{lo}<={hi}",
-                    "graph": idx,
-                    "graph6": record["graph6"],
-                    "detail": f"{lo}={a} > {hi}={b}",
-                }
-            )
-    if val("ir") is not None and val("gamma") is not None and val("ir") > val("gamma"):
-        violations.append(
-            {
-                "check": "ir<=gamma",
-                "graph": idx,
-                "graph6": record["graph6"],
-                "detail": f"ir={val('ir')} > gamma={val('gamma')}",
-            }
-        )
+            violations.append(_violation(f"chain:{lo}<={hi}", record, f"{lo}={a} > {hi}={b}"))
+    if "ir" in val and "gamma" in val and val["ir"] > val["gamma"]:
+        violations.append(_violation("ir<=gamma", record, f"ir={val['ir']} > gamma={val['gamma']}"))
     if g.n <= 16:
         for d in minimal_dominating_sets(g):
             if not is_maximal_irredundant(g, d):
-                violations.append(
-                    {
-                        "check": "minimal-dominating-is-maximal-irredundant",
-                        "graph": idx,
-                        "graph6": record["graph6"],
-                        "detail": f"set mask {d} dominates minimally but is not maximal irredundant",
-                    }
-                )
+                violations.append(_violation(
+                    "minimal-dominating-is-maximal-irredundant",
+                    record,
+                    f"set mask {d} dominates minimally but is not maximal irredundant",
+                ))
     return record, violations
 
 
@@ -408,68 +324,59 @@ def _bounds_scan(idx: int, g: Graph, token, oracle_cap: int):
     if all(inv[k]["status"] == "ok" for k in ("chi", "ir", "chi_i")):
         chi, ir, chi_i = (inv[k]["value"] for k in ("chi", "ir", "chi_i"))
         if not (max(chi, ir) <= chi_i <= chi + ir - 1):
-            violations.append(
-                {
-                    "check": "bounds:max(chi,ir)<=chi_i<=chi+ir-1",
-                    "graph": idx,
-                    "graph6": record["graph6"],
-                    "detail": f"chi={chi} ir={ir} chi_i={chi_i}",
-                }
-            )
+            violations.append(_violation(
+                "bounds:max(chi,ir)<=chi_i<=chi+ir-1", record, f"chi={chi} ir={ir} chi_i={chi_i}"
+            ))
     return record, violations
 
 
 def _conjecture_scan(idx: int, g: Graph, token, oracle_cap: int):
-    record = {
-        "id": idx,
-        "n": g.n,
-        "m": g.m,
-        "graph6": to_graph6(g).decode("ascii"),
-        "invariants": {},
-        "timings": {},
-    }
+    record = _record(idx, g)
     violations = []
     t0 = time.perf_counter()
-    if g.n > CONJECTURE_CAP:
-        record["invariants"]["conjecture"] = {"status": "skipped(cap)", "value": None}
-        record["timings"]["conjecture"] = round(time.perf_counter() - t0, 6)
-        return record, violations
-    chi, _ = chromatic_number(g, token)
-    record["invariants"]["chi"] = {"status": "ok", "value": chi}
-    verdict = None
-    if irc_with_k_colors(g, chi, token) is not None:
-        verdict = "holds"
-    elif irc_colorability(g, token) is None:
-        verdict = "not_colorable"
-    else:
-        verdict = "finding"
-        entry = {
-            "check": "conjecture:chi-color-committee-coloring-exists",
-            "graph": idx,
-            "graph6": record["graph6"],
-            "detail": f"committee-colorable but no committee coloring with chi={chi} colors found",
-        }
-        if g.n <= oracle_cap:
-            oracle_colorable = oracle_invariant(g, "irc_colorable", oracle_cap).value
-            oracle_at_chi = irc_partition_exists(g, chi, oracle_cap)
-            entry["oracle_confirmed"] = bool(oracle_colorable and not oracle_at_chi)
+    status, verdict = "skipped(cap)", None
+    if g.n <= CONJECTURE_CAP:
+        chi, _ = chromatic_number(g, token)
+        record["invariants"]["chi"] = {"status": "ok", "value": chi}
+        status = "ok"
+        if irc_with_k_colors(g, chi, token) is not None:
+            verdict = "holds"
+        elif irc_colorability(g, token) is None:
+            verdict = "not_colorable"
         else:
+            verdict = "finding"
+            entry = _violation(
+                "conjecture:chi-color-committee-coloring-exists",
+                record,
+                f"committee-colorable but no committee coloring with chi={chi} colors found",
+            )
             entry["oracle_confirmed"] = None
-        violations.append(entry)
-    record["invariants"]["conjecture"] = {"status": "ok", "value": verdict}
+            if g.n <= oracle_cap:
+                oracle_colorable = oracle_invariant(g, "irc_colorable", oracle_cap).value
+                oracle_at_chi = irc_partition_exists(g, chi, oracle_cap)
+                entry["oracle_confirmed"] = bool(oracle_colorable and not oracle_at_chi)
+            violations.append(entry)
+    record["invariants"]["conjecture"] = {"status": status, "value": verdict}
     record["timings"]["conjecture"] = round(time.perf_counter() - t0, 6)
     return record, violations
 
 
-def _characterization_scan(idx: int, g: Graph, token, oracle_cap: int):
-    record = {
-        "id": idx,
-        "n": g.n,
-        "m": g.m,
-        "graph6": to_graph6(g).decode("ascii"),
-        "invariants": {},
-        "timings": {},
+def _two_color_conditions(g: Graph, token):
+    """chi_i, the construction family, and the three conditions that should
+    agree on a bipartite non-star graph: chi_i = 2, a pair witness, and
+    membership in a family."""
+    chi_i, _ = irredundance_chromatic_number(g, token)
+    pair = find_anchor_edge(g) or find_near_twin_pair(g)
+    family = bipartite_two_family(g)
+    return chi_i, family.kind, {
+        "chi_i_is_2": chi_i == 2,
+        "pair_witness": pair is not None,
+        "family": family.kind in ("linked_stars", "dominating_edge", "near_twin"),
     }
+
+
+def _characterization_scan(idx: int, g: Graph, token, oracle_cap: int):
+    record = _record(idx, g)
     violations = []
     t0 = time.perf_counter()
     sides = bipartition(g)
@@ -479,28 +386,14 @@ def _characterization_scan(idx: int, g: Graph, token, oracle_cap: int):
         status = ("skipped", "not bipartite")
     elif is_star(g) is not None:
         status = ("skipped", "star")
-    elif g.n > CAPS["chi_i"]:
+    elif g.n > REGISTRY["chi_i"].cap:
         status = ("skipped(cap)", None)
     else:
-        chi_i, _ = irredundance_chromatic_number(g, token)
-        pair = find_anchor_edge(g) or find_near_twin_pair(g)
-        family = bipartite_two_family(g)
-        conds = {
-            "chi_i_is_2": chi_i == 2,
-            "pair_witness": pair is not None,
-            "family": family.kind in ("linked_stars", "dominating_edge", "near_twin"),
-        }
+        chi_i, kind, conds = _two_color_conditions(g, token)
         record["invariants"]["chi_i"] = {"status": "ok", "value": chi_i}
-        record["invariants"]["family"] = {"status": "ok", "value": family.kind}
+        record["invariants"]["family"] = {"status": "ok", "value": kind}
         if len(set(conds.values())) > 1:
-            violations.append(
-                {
-                    "check": "two-color-equivalence",
-                    "graph": idx,
-                    "graph6": record["graph6"],
-                    "detail": json.dumps(conds, sort_keys=True),
-                }
-            )
+            violations.append(_violation("two-color-equivalence", record, json.dumps(conds, sort_keys=True)))
             status = ("ok", "disagree")
         else:
             status = ("ok", "agree")
@@ -517,9 +410,15 @@ _SCAN_MODES = {
 }
 
 
-def _worker_scan(payload):
-    idx, g6, mode, oracle_cap = payload
-    return _SCAN_MODES[mode](idx, parse_graph6(g6), None, oracle_cap)
+def _scan_graph(idx: int, g: Graph, mode: str, token, oracle_cap: int):
+    """One graph through one scan mode; a budget overrun marks the mode
+    skipped."""
+    try:
+        return _SCAN_MODES[mode](idx, g, token, oracle_cap)
+    except SearchCancelled:
+        record = _record(idx, g)
+        record["invariants"][mode] = {"status": "skipped(budget)", "value": None}
+        return record, []
 
 
 def cmd_scan(args) -> int:
@@ -529,52 +428,13 @@ def cmd_scan(args) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return 64
     token = Deadline(args.budget_seconds) if args.budget_seconds else None
-    scan_fn = _SCAN_MODES[args.mode]
+    scan = partial(_scan_graph, mode=args.mode, token=token, oracle_cap=args.oracle_cap)
     records = []
     violations = []
-    if args.jobs > 1 and len(graphs) > 1 and token is None:
-        payloads = [
-            (i, to_graph6(g).decode("ascii"), args.mode, args.oracle_cap)
-            for i, g in enumerate(graphs)
-        ]
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for rec, viol in pool.map(_worker_scan, payloads):
-                records.append(rec)
-                violations.extend(viol)
-    else:
-        for idx, g in enumerate(graphs):
-            try:
-                rec, viol = scan_fn(idx, g, token, args.oracle_cap)
-            except SearchCancelled:
-                rec = {
-                    "id": idx,
-                    "n": g.n,
-                    "m": g.m,
-                    "graph6": to_graph6(g).decode("ascii"),
-                    "invariants": {args.mode: {"status": "skipped(budget)", "value": None}},
-                    "timings": {},
-                }
-                viol = []
-            records.append(rec)
-            violations.extend(viol)
-    report = {
-        "schema": SCHEMA,
-        "command": "scan",
-        "mode": args.mode,
-        "graphs": records,
-        "violations": violations,
-        "summary": {
-            "graphs": len(records),
-            "violations": len(violations),
-            "skipped": sum(
-                1
-                for rec in records
-                for cell in rec["invariants"].values()
-                if str(cell["status"]).startswith("skipped")
-            ),
-        },
-    }
-    _emit(report, args.json)
+    for rec, viol in _map_graphs(scan, graphs, args.jobs):
+        records.append(rec)
+        violations.extend(viol)
+    _emit(_report("scan", records, violations, mode=args.mode), args.json)
     return 2 if violations else 0
 
 
@@ -588,6 +448,11 @@ def _asset_graphs(name: str) -> list[Graph]:
 
 def _claim(claims, name, ok, detail=""):
     claims.append({"claim": name, "status": "pass" if ok else "fail", "detail": detail})
+
+
+def _claim_clean(claims, name, bad):
+    """A claim that passes when the list of violations ``bad`` is empty."""
+    _claim(claims, name, not bad, f"violations: {bad}" if bad else "")
 
 
 def _skip(claims, name, detail):
@@ -619,11 +484,10 @@ def _verify_bounds(claims, token, oracle_cap):
         chi_i, _ = irredundance_chromatic_number(g, token)
         if not (max(chi, irn) <= chi_i <= chi + irn - 1):
             bad.append(to_graph6(g).decode("ascii"))
-    _claim(
+    _claim_clean(
         claims,
         f"bounds: max(chi,ir) <= chi_i <= chi+ir-1 on {len(graphs)} connected graphs (n <= 6)",
-        not bad,
-        f"violations: {bad}" if bad else "",
+        bad,
     )
 
 
@@ -642,11 +506,10 @@ def _verify_chain(claims, token, oracle_cap):
                 seq.append(gd[0])
         if any(a > b for a, b in zip(seq, seq[1:])):
             bad.append((to_graph6(g).decode("ascii"), seq))
-    _claim(
+    _claim_clean(
         claims,
         f"chain: chi <= chi_i <= chi_gamma <= chi_d <= chi_gd on {len(graphs)} connected graphs (n <= 6)",
-        not bad,
-        f"violations: {bad}" if bad else "",
+        bad,
     )
 
 
@@ -661,11 +524,10 @@ def _verify_dominating_irredundant(claims, token, oracle_cap):
         for d in minimal_dominating_sets(g):
             if not is_maximal_irredundant(g, d):
                 bad.append((to_graph6(g).decode("ascii"), f"mds mask {d}"))
-    _claim(
+    _claim_clean(
         claims,
         f"every minimal dominating set is maximal irredundant, and ir <= gamma, on {len(graphs)} graphs",
-        not bad,
-        f"violations: {bad}" if bad else "",
+        bad,
     )
 
 
@@ -679,11 +541,7 @@ def _verify_family_a(claims, token, oracle_cap):
         ok = chi == irn == chi_i == k
         detail = f"chi={chi} ir={irn} chi_i={chi_i} claim={k}"
         if ok and g.n <= oracle_cap:
-            ok = (
-                oracle_invariant(g, "chi", oracle_cap).value == k
-                and oracle_invariant(g, "ir", oracle_cap).value == k
-                and oracle_invariant(g, "chi_i", oracle_cap).value == k
-            )
+            ok = all(oracle_invariant(g, name, oracle_cap).value == k for name in ("chi", "ir", "chi_i"))
             detail += " oracle=confirmed" if ok else " oracle=DISAGREES"
         _claim(claims, f"family A({n},{k}): chi = ir = chi_i = {k}", ok, detail)
 
@@ -704,22 +562,16 @@ def _verify_family_z(claims, token, oracle_cap):
     _claim(claims, "family Z(3,2): 14 vertices", g.n == 14, f"n={g.n}")
     chi, _ = chromatic_number(g, token)
     _claim(claims, "family Z(3,2): chi = 3", chi == 3, f"chi={chi}")
-    witness = 0
-    for i in (1, 2):
-        witness |= 1 << inst.label_index(f"v{i}")
+    vs = {i: inst.label_index(f"v{i}") for i in (1, 2)}
+    pend = {i: mask_from(inst.label_index(f"p{i}.{j}") for j in range(1, 4)) for i in (1, 2)}
     _claim(
         claims,
         "family Z(3,2): ir = 2 (size-capped verify mode)",
-        ir_verify(g, 2, witness, token),
+        ir_verify(g, 2, mask_from(vs.values()), token),
         "witness = {v1, v2}",
     )
     chi_i, _ = irredundance_chromatic_number(g, token)
     _claim(claims, "family Z(3,2): chi_i = 4", chi_i == 4, f"chi_i={chi_i}")
-    pend = {i: 0 for i in (1, 2)}
-    vs = {i: inst.label_index(f"v{i}") for i in (1, 2)}
-    for i in (1, 2):
-        for j in range(1, 4):
-            pend[i] |= 1 << inst.label_index(f"p{i}.{j}")
     bad = 0
     for s in maximal_irredundant_sets(g):
         for i in (1, 2):
@@ -755,54 +607,22 @@ def _verify_two_color(claims, token, oracle_cap):
         if g.n < 2 or is_star(g) is not None:
             continue
         tested += 1
-        chi_i, _ = irredundance_chromatic_number(g, token)
-        pair = find_anchor_edge(g) or find_near_twin_pair(g)
-        fam = bipartite_two_family(g)
-        flags = {
-            chi_i == 2,
-            pair is not None,
-            fam.kind in ("linked_stars", "dominating_edge", "near_twin"),
-        }
-        if len(flags) > 1:
+        _, _, conds = _two_color_conditions(g, token)
+        if len(set(conds.values())) > 1:
             bad.append(to_graph6(g).decode("ascii"))
-    _claim(
+    _claim_clean(
         claims,
         f"two-color equivalence (chi_i=2 <=> pair witness <=> family member) on {tested} bipartite non-star graphs (n <= 7)",
-        not bad,
-        f"violations: {bad}" if bad else "",
+        bad,
     )
-
-
-def _prufer_tree(seq: tuple[int, ...], n: int) -> Graph:
-    degree = [1] * n
-    for s in seq:
-        degree[s] += 1
-    edges = []
-    import heapq
-
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaves)
-    for s in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, s))
-        degree[s] -= 1
-        if degree[s] == 1:
-            heapq.heappush(leaves, s)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    edges.append((u, v))
-    return from_edge_list(n, edges)
 
 
 def _verify_min_degree(claims, token, oracle_cap):
     checked = 0
     bad = 0
     for n in range(2, 8):
-        if n == 2:
-            trees = [from_edge_list(2, [(0, 1)])]
-        else:
-            trees = (_prufer_tree(seq, n) for seq in product(range(n), repeat=n - 2))
-        for g in trees:
+        for seq in product(range(n), repeat=n - 2):
+            g = families._prufer_tree(seq, n)
             checked += 1
             if irc_colorability(g, token) is not None:
                 bad += 1
@@ -810,7 +630,7 @@ def _verify_min_degree(claims, token, oracle_cap):
     for _ in range(4096):
         seq = tuple(rng.randrange(8) for _ in range(6))
         checked += 1
-        if irc_colorability(_prufer_tree(seq, 8), token) is not None:
+        if irc_colorability(families._prufer_tree(seq, 8), token) is not None:
             bad += 1
     _claim(
         claims,
@@ -829,9 +649,8 @@ def _verify_cut_vertex(claims, token, oracle_cap):
     ok = prof.connected and prof.cut_vertices == 1 << hub and not prof.bridges
     _claim(claims, "cut-vertex family G(3): hub is the unique cut vertex, no bridges", ok,
            f"cut_vertices={prof.cut_vertices} bridges={prof.bridges}")
-    verdict = is_irc_coloring(g, inst.coloring, token)
     _claim(claims, "cut-vertex family G(3): 3-class coloring passes the committee check",
-           verdict.is_irc, "")
+           is_irc_coloring(g, inst.coloring, token).is_irc)
 
 
 def _verify_bridge(claims, token, oracle_cap):
@@ -841,21 +660,18 @@ def _verify_bridge(claims, token, oracle_cap):
     hub1, hub2 = 30, 61
     ok = prof.connected and (hub1, hub2) in prof.bridges
     _claim(claims, "bridge family G(3,3): the hub-hub edge is a bridge", ok, f"bridges={prof.bridges}")
-    verdict = is_irc_coloring(g, inst.coloring, token)
     _claim(claims, "bridge family G(3,3): 4-class coloring passes the committee check",
-           verdict.is_irc, "")
+           is_irc_coloring(g, inst.coloring, token).is_irc)
 
 
 def _verify_max_colors(claims, token, oracle_cap):
     inst = families.gen_tilde(3)
     g = inst.graph
     _claim(claims, "clique-core family tilde(3): 27 vertices", g.n == 27, f"n={g.n}")
-    verdict = is_irc_coloring(g, inst.coloring, token)
     _claim(
         claims,
         "clique-core family tilde(3): attached 3-coloring passes, certifying max committee colors >= 3",
-        verdict.is_irc and inst.coloring.k == 3,
-        "",
+        is_irc_coloring(g, inst.coloring, token).is_irc and inst.coloring.k == 3,
     )
 
 
@@ -863,12 +679,10 @@ def _verify_even_bipartite(claims, token, oracle_cap):
     inst = families.gen_star_of_cycles(4)
     g = inst.graph
     _claim(claims, "cycle-core family gstar(4): bipartite", bipartition(g) is not None, "")
-    verdict = is_irc_coloring(g, inst.coloring, token)
     _claim(
         claims,
         "cycle-core family gstar(4): attached 4-coloring passes, certifying max committee colors >= 4",
-        verdict.is_irc and inst.coloring.k == 4,
-        "",
+        is_irc_coloring(g, inst.coloring, token).is_irc and inst.coloring.k == 4,
     )
 
 
@@ -878,8 +692,8 @@ def _verify_epn_family(claims, token, oracle_cap):
     star = families.epn_rich_vertex(g)
     _claim(claims, "epn fixture: hub vertex with mutual double external privates found",
            star == 0, f"found={star}")
-    verdict = is_irc_coloring(g, inst.coloring, token)
-    _claim(claims, "epn fixture: 3-class coloring passes the committee check", verdict.is_irc, "")
+    _claim(claims, "epn fixture: 3-class coloring passes the committee check",
+           is_irc_coloring(g, inst.coloring, token).is_irc)
 
 
 def _verify_dominator_gamma(claims, token, oracle_cap):
@@ -897,11 +711,10 @@ def _verify_dominator_gamma(claims, token, oracle_cap):
         irc_k = irc_chromatic_number(g, token)
         if col is None or irc_k is None or irc_k[0] < gam:
             bad.append(to_graph6(g).decode("ascii"))
-    _claim(
+    _claim_clean(
         claims,
         f"chi_d = gamma implies committee-colorable with max colors >= gamma ({hits} matching graphs, min degree >= 2, n <= 6)",
-        not bad,
-        f"violations: {bad}" if bad else "",
+        bad,
     )
 
 
@@ -973,7 +786,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_inv = sub.add_parser("invariants", help="compute invariants for input graphs")
     p_inv.add_argument("input", nargs="?", default=None, help="file path or - for stdin")
     p_inv.add_argument("--format", choices=("graph6", "edgelist"), default="graph6")
-    p_inv.add_argument("--invariants", default="", help="comma list, default chi,ir,gamma,chi_i,chi_gamma,irc_colorable")
+    listed = f"comma list of {','.join(REGISTRY)}; default {','.join(DEFAULT_INVARIANTS)}"
+    p_inv.add_argument("--invariants", default="", help=listed)
     p_inv.add_argument("--json", action="store_true")
     p_inv.add_argument("--witnesses", action="store_true", help="include witness colorings/sets in the report")
     p_inv.add_argument("--jobs", type=int, default=1)

@@ -200,24 +200,10 @@ def irredundance_chromatic_number(g: Graph, token=None) -> tuple[int, RainbowCer
     if full is not None:
         # a full-degree vertex is itself a maximal irredundant singleton
         cert = RainbowCert(chi_col, 1 << full)
-        _validate_cert(g, cert, maximal_irredundant=True)
+        _validate_cert(g, cert, is_maximal_irredundant)
         return chi, cert
     irn, _ = ir_number(g, token)
-    lower = max(chi, irn)
-    candidates = sorted(maximal_irredundant_sets(g), key=lambda s: (s.bit_count(), s))
-    best: Optional[tuple[int, RainbowCert]] = None
-    for r in candidates:
-        budget.check(token)
-        if best is not None and r.bit_count() >= best[0]:
-            continue
-        k, col = chromatic_number(add_clique(g, r), token)
-        if best is None or k < best[0]:
-            best = (k, RainbowCert(col, r))
-            if k == lower:
-                break
-    assert best is not None
-    _validate_cert(g, best[1], maximal_irredundant=True)
-    return best
+    return _min_rainbow(g, max(chi, irn), maximal_irredundant_sets(g), is_maximal_irredundant, token)
 
 
 def gamma_chromatic_number(g: Graph, token=None) -> tuple[int, RainbowCert]:
@@ -230,33 +216,35 @@ def gamma_chromatic_number(g: Graph, token=None) -> tuple[int, RainbowCert]:
         raise ParameterError("needs at least one vertex")
     chi, _ = chromatic_number(g, token)
     gam, _ = gamma_number(g, token)
-    lower = max(chi, gam)
-    candidates = sorted(minimal_dominating_sets(g), key=lambda s: (s.bit_count(), s))
+    return _min_rainbow(g, max(chi, gam), minimal_dominating_sets(g), is_dominating, token)
+
+
+def _min_rainbow(g: Graph, lower: int, candidates, member, token) -> tuple[int, RainbowCert]:
+    """The fewest colors over the clique reductions of ``candidates``, tried
+    smallest first; stops early at the lower bound ``lower``.  ``member``
+    is the predicate every candidate satisfies, checked on the result."""
     best: Optional[tuple[int, RainbowCert]] = None
-    for d in candidates:
+    for s in sorted(candidates, key=lambda s: (s.bit_count(), s)):
         budget.check(token)
-        if best is not None and d.bit_count() >= best[0]:
+        if best is not None and s.bit_count() >= best[0]:
             continue
-        k, col = chromatic_number(add_clique(g, d), token)
+        k, col = chromatic_number(add_clique(g, s), token)
         if best is None or k < best[0]:
-            best = (k, RainbowCert(col, d))
+            best = (k, RainbowCert(col, s))
             if k == lower:
                 break
     assert best is not None
-    _validate_cert(g, best[1], maximal_irredundant=False)
+    _validate_cert(g, best[1], member)
     return best
 
 
-def _validate_cert(g: Graph, cert: RainbowCert, maximal_irredundant: bool) -> None:
+def _validate_cert(g: Graph, cert: RainbowCert, member) -> None:
     if not is_proper(g, cert.coloring):
         raise AssertionError("certificate coloring is not proper")
     if not is_rainbow(cert.coloring, cert.rainbow_set):
         raise AssertionError("certificate set is not rainbow")
-    if maximal_irredundant:
-        if not is_maximal_irredundant(g, cert.rainbow_set):
-            raise AssertionError("certificate set is not maximal irredundant")
-    elif not is_dominating(g, cert.rainbow_set):
-        raise AssertionError("certificate set is not dominating")
+    if not member(g, cert.rainbow_set):
+        raise AssertionError(f"certificate set fails {member.__name__}")
 
 
 # --- dominator-style colorings ------------------------------------------------
@@ -265,12 +253,49 @@ def _validate_cert(g: Graph, cert: RainbowCert, maximal_irredundant: bool) -> No
 # v anti-dominates C when N[v] and C are disjoint (own class never counts).
 
 
-def _partition_search(g: Graph, k: int, anti: bool, token=None) -> Optional[Coloring]:
+def _restricted_growth_search(g: Graph, k: int, fits, token=None) -> Optional[Coloring]:
+    """First canonical proper k-partition, in restricted-growth order, that
+    ``fits`` accepts at every placement; None when there is none.
+
+    Vertex i joins an existing class or opens the next one, and then
+    ``fits(i, created, masks)`` may reject the prefix, and with it every
+    extension.  Its call on the last vertex sees the whole partition, so it
+    is also the final test.  Shared by the dominator and committee searches.
+    """
     n = g.n
+    if not 1 <= k <= n:
+        return None
     colors = [-1] * n
     masks = [0] * k
 
-    def alive(v: int, created: int, remaining: VertexSet) -> bool:
+    def rec(i: int, created: int) -> Optional[Coloring]:
+        budget.check(token)
+        if n - i < k - created:
+            return None
+        if i == n:
+            return Coloring(tuple(colors), k)
+        for c in range(min(created + 1, k)):
+            if masks[c] & g.adj[i]:
+                continue
+            colors[i] = c
+            masks[c] |= 1 << i
+            nxt = max(created, c + 1)
+            if fits(i, nxt, masks):
+                found = rec(i + 1, nxt)
+                if found is not None:
+                    return found
+            colors[i] = -1
+            masks[c] ^= 1 << i
+        return None
+
+    return rec(0, 0)
+
+
+def _partition_search(g: Graph, k: int, anti: bool, token=None) -> Optional[Coloring]:
+    # the vertices after index i, which may still open or join a class
+    later = [(g.vertices >> (i + 1)) << (i + 1) for i in range(g.n)]
+
+    def alive(v: int, created: int, remaining: VertexSet, masks: list[int]) -> bool:
         nb = g.adj[v]
         dom_ok = False
         for c in range(created):
@@ -290,40 +315,10 @@ def _partition_search(g: Graph, k: int, anti: bool, token=None) -> Optional[Colo
                 return True
         return created < k and bool(remaining & ~closed)
 
-    def final_ok(v: int) -> bool:
-        nb = g.adj[v]
-        dom = any(m & ~nb == 0 or m == 1 << v for m in masks)
-        if not dom:
-            return False
-        if not anti:
-            return True
-        closed = nb | (1 << v)
-        return any(m & closed == 0 for m in masks)
+    def fits(i: int, created: int, masks: list[int]) -> bool:
+        return all(alive(v, created, later[i], masks) for v in range(i + 1))
 
-    def rec(i: int, created: int) -> Optional[Coloring]:
-        budget.check(token)
-        if n - i < k - created:
-            return None
-        if i == n:
-            if created == k and all(final_ok(v) for v in range(n)):
-                return Coloring(tuple(colors), k)
-            return None
-        remaining = (g.vertices >> (i + 1)) << (i + 1)
-        for c in range(min(created + 1, k)):
-            if masks[c] & g.adj[i]:
-                continue
-            colors[i] = c
-            masks[c] |= 1 << i
-            nxt = max(created, c + 1)
-            if all(alive(v, nxt, remaining) for v in range(i + 1)):
-                found = rec(i + 1, nxt)
-                if found is not None:
-                    return found
-            colors[i] = -1
-            masks[c] ^= 1 << i
-        return None
-
-    return rec(0, 0)
+    return _restricted_growth_search(g, k, fits, token)
 
 
 def dominator_chromatic_number(g: Graph, token=None) -> tuple[int, Coloring]:

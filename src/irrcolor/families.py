@@ -10,6 +10,7 @@ Fixture graphs are frozen literal edge lists.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -141,13 +142,17 @@ _BASIC = {
 }
 
 
-def gen_basic(kind: str, *params: int) -> FamilyInstance:
-    if kind not in _BASIC:
-        raise ParameterError(f"unknown basic kind {kind!r}")
-    fn, arity = _BASIC[kind]
+def _from_table(table: dict, kind: str, params: tuple[int, ...], what: str) -> FamilyInstance:
+    if kind not in table:
+        raise ParameterError(f"unknown {what} {kind!r}")
+    fn, arity = table[kind]
     if len(params) != arity:
         raise ParameterError(f"{kind} expects {arity} parameter(s)")
     return fn(*params)
+
+
+def gen_basic(kind: str, *params: int) -> FamilyInstance:
+    return _from_table(_BASIC, kind, params, "basic kind")
 
 
 # --- lower-bound family: clique corona plus extra pendants --------------------
@@ -318,14 +323,9 @@ def gen_bridge(k: int, l: int) -> FamilyInstance:
     hub1, hub2 = 10 * k, off + 10 * l
     edges.append((hub1, hub2))
     g = from_edge_list(off + right.graph.n, edges)
-    colors = []
-    for i in range(k):
-        colors += [j % 2 for j in range(10)]
-    colors.append(2)
-    for i in range(l):
-        colors += [j % 2 for j in range(10)]
-    colors.append(3)
-    col = Coloring(tuple(colors), 4)
+    # each side keeps its own classes, the right hub moving to a fourth
+    colors = left.coloring.color_of + tuple(3 if c == 2 else c for c in right.coloring.color_of)
+    col = Coloring(colors, 4)
     labels = tuple(f"L.{s}" for s in left.labels) + tuple(
         f"R.{s}" for s in right.labels
     )
@@ -395,12 +395,27 @@ _IRC_KINDS = {
 
 
 def gen_irc_family(kind: str, *params: int) -> FamilyInstance:
-    if kind not in _IRC_KINDS:
-        raise ParameterError(f"unknown kind {kind!r}")
-    fn, arity = _IRC_KINDS[kind]
-    if len(params) != arity:
-        raise ParameterError(f"{kind} expects {arity} parameter(s)")
-    return fn(*params)
+    return _from_table(_IRC_KINDS, kind, params, "kind")
+
+
+def _prufer_tree(seq: tuple[int, ...], n: int) -> Graph:
+    """The labeled tree on n >= 2 vertices with Pruefer sequence ``seq``."""
+    degree = [1] * n
+    for s in seq:
+        degree[s] += 1
+    edges = []
+    leaves = [v for v in range(n) if degree[v] == 1]
+    heapq.heapify(leaves)
+    for s in seq:
+        leaf = heapq.heappop(leaves)
+        edges.append((leaf, s))
+        degree[s] -= 1
+        if degree[s] == 1:
+            heapq.heappush(leaves, s)
+    u = heapq.heappop(leaves)
+    v = heapq.heappop(leaves)
+    edges.append((u, v))
+    return from_edge_list(n, edges)
 
 
 # --- fixtures -----------------------------------------------------------------

@@ -8,7 +8,6 @@ across threads and all operations here are pure functions.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -202,45 +201,46 @@ def odd_closed_walk(g: Graph) -> Optional[list[int]]:
 
 
 def connectivity_profile(g: Graph) -> ConnectivityProfile:
-    """Connected flag plus cut vertices and bridges (low-link search)."""
-    n = g.n
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 2 * n + 100))
-    disc = [-1] * n
-    low = [0] * n
-    parent = [-1] * n
+    """Connected flag plus cut vertices and bridges (low-link search).
+
+    The depth-first search keeps its own stack, so long paths need no deep
+    recursion.
+    """
+    disc = [-1] * g.n
+    low = [0] * g.n
     cuts = 0
     bridges: list[tuple[int, int]] = []
     timer = 0
-
-    def dfs(u: int) -> None:
-        nonlocal timer, cuts
-        disc[u] = low[u] = timer
-        timer += 1
-        children = 0
-        for v in bits(g.adj[u]):
-            if disc[v] < 0:
-                parent[v] = u
-                children += 1
-                dfs(v)
-                low[u] = min(low[u], low[v])
-                if parent[u] == -1 and children > 1:
-                    cuts_add(u)
-                if parent[u] != -1 and low[v] >= disc[u]:
-                    cuts_add(u)
-                if low[v] > disc[u]:
-                    bridges.append((min(u, v), max(u, v)))
-            elif v != parent[u]:
-                low[u] = min(low[u], disc[v])
-
-    def cuts_add(u: int) -> None:
-        nonlocal cuts
-        cuts |= 1 << u
-
     components = 0
-    for s in range(n):
-        if disc[s] < 0:
-            components += 1
-            dfs(s)
+    for root in range(g.n):
+        if disc[root] >= 0:
+            continue
+        components += 1
+        disc[root] = low[root] = timer
+        timer += 1
+        root_children = 0
+        stack = [(root, -1, bits(g.adj[root]))]  # (vertex, its parent, its unseen neighbors)
+        while stack:
+            u, parent, rest = stack[-1]
+            v = next(rest, None)
+            if v is None:
+                stack.pop()
+                if parent >= 0:
+                    low[parent] = min(low[parent], low[u])
+                    if parent != root and low[u] >= disc[parent]:
+                        cuts |= 1 << parent
+                    if low[u] > disc[parent]:
+                        bridges.append((min(parent, u), max(parent, u)))
+            elif disc[v] < 0:
+                disc[v] = low[v] = timer
+                timer += 1
+                if u == root:
+                    root_children += 1
+                stack.append((v, u, bits(g.adj[v])))
+            elif v != parent:
+                low[u] = min(low[u], disc[v])
+        if root_children > 1:
+            cuts |= 1 << root
     return ConnectivityProfile(components <= 1, cuts, tuple(sorted(bridges)))
 
 

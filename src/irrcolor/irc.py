@@ -16,10 +16,10 @@ Two necessary conditions prune everything cheap:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import budget
-from .coloring import Coloring, chromatic_number, is_proper
+from .coloring import Coloring, _restricted_growth_search, chromatic_number, is_proper
 from .errors import PreconditionError
 from .graphs import Graph, VertexSet, bits
 from .irredundance import private_neighbors
@@ -116,10 +116,11 @@ def is_irc_coloring(g: Graph, coloring: Coloring, token=None) -> IrcVerdict:
     return IrcVerdict(False, rc, victim)
 
 
-def _maximal_cliques(g: Graph):
+def _maximal_cliques(g: Graph, token=None):
     """Bron-Kerbosch with pivoting; yields clique masks."""
 
     def bk(r: int, p: int, x: int):
+        budget.check(token)
         if not p and not x:
             yield r
             return
@@ -134,6 +135,20 @@ def _maximal_cliques(g: Graph):
         yield from bk(0, g.vertices, 0)
 
 
+def _obstructions(g: Graph, token=None) -> Iterator[Obstruction]:
+    # low degree first: it costs one pass over the vertices, the cliques more
+    for v in range(g.n):
+        if g.degree(v) <= 1:
+            yield Obstruction("low_degree", v)
+    for q in _maximal_cliques(g, token):
+        if q.bit_count() < 2:
+            continue
+        for v in bits(q):
+            if private_neighbors(g, v, q) == 0:
+                yield Obstruction("clique_private", v, q)
+                break
+
+
 def irc_obstructions(g: Graph) -> list[Obstruction]:
     """Known certificates of non-colorability.
 
@@ -143,83 +158,38 @@ def irc_obstructions(g: Graph) -> list[Obstruction]:
     (private sets only shrink as the clique grows, so maximal cliques
     suffice).
     """
-    out = [Obstruction("low_degree", v) for v in range(g.n) if g.degree(v) <= 1]
-    for q in _maximal_cliques(g):
-        if q.bit_count() < 2:
-            continue
-        for v in bits(q):
-            if private_neighbors(g, v, q) == 0:
-                out.append(Obstruction("clique_private", v, q))
-                break
-    return out
+    return list(_obstructions(g))
 
 
-def _repeat_filter_data(g: Graph):
-    """For each index i, the vertices whose neighborhoods complete at i."""
-    complete_at: list[list[int]] = [[] for _ in range(g.n)]
-    for u in range(g.n):
-        if g.adj[u]:
-            complete_at[g.adj[u].bit_length() - 1].append(u)
-    return complete_at
+def _obstructed(g: Graph, token=None) -> bool:
+    """The cheap non-colorability check: the empty graph, or a first
+    obstruction."""
+    return g.n == 0 or next(_obstructions(g, token), None) is not None
 
 
 def _irc_partition_search(g: Graph, k: int, token=None) -> Optional[Coloring]:
     """First canonical proper k-partition all of whose committees are
     irredundant, or None.  Assumes minimum degree >= 2 was checked."""
-    n = g.n
-    if k < 1 or k > n:
-        return None
-    colors = [-1] * n
-    masks = [0] * k
-    complete_at = _repeat_filter_data(g)
+    # for each index i, the vertices whose neighborhoods complete at i
+    complete_at: list[list[int]] = [[] for _ in range(g.n)]
+    for u in range(g.n):
+        if g.adj[u]:
+            complete_at[g.adj[u].bit_length() - 1].append(u)
 
-    def rec(i: int, created: int) -> Optional[Coloring]:
-        budget.check(token)
-        if n - i < k - created:
-            return None
-        if i == n:
-            if created != k:
-                return None
-            if _committee_violation(g, masks, token) is None:
-                return Coloring(tuple(colors), k)
-            return None
-        for c in range(min(created + 1, k)):
-            if masks[c] & g.adj[i]:
-                continue
-            colors[i] = c
-            masks[c] |= 1 << i
-            ok = True
-            for u in complete_at[i]:
-                # every vertex needs two same-colored neighbors
-                if all((g.adj[u] & m).bit_count() <= 1 for m in masks):
-                    ok = False
-                    break
-            if ok:
-                found = rec(i + 1, max(created, c + 1))
-                if found is not None:
-                    return found
-            colors[i] = -1
-            masks[c] ^= 1 << i
-        return None
+    def fits(i: int, created: int, masks: list[int]) -> bool:
+        for u in complete_at[i]:
+            # every vertex needs two same-colored neighbors
+            if all((g.adj[u] & m).bit_count() <= 1 for m in masks):
+                return False
+        # a complete k-partition must also pass the committee check
+        return i < g.n - 1 or created < k or _committee_violation(g, masks, token) is None
 
-    return rec(0, 0)
-
-
-def _cheap_obstruction(g: Graph) -> bool:
-    if g.n == 0 or g.min_degree() <= 1:
-        return True
-    for q in _maximal_cliques(g):
-        if q.bit_count() < 2:
-            continue
-        for v in bits(q):
-            if private_neighbors(g, v, q) == 0:
-                return True
-    return False
+    return _restricted_growth_search(g, k, fits, token)
 
 
 def irc_colorability(g: Graph, token=None) -> Optional[Coloring]:
     """A witness committee-safe coloring if one exists, else None."""
-    if _cheap_obstruction(g):
+    if _obstructed(g, token):
         return None
     chi, _ = chromatic_number(g, token)
     for k in range(chi, g.n + 1):
@@ -231,7 +201,7 @@ def irc_colorability(g: Graph, token=None) -> Optional[Coloring]:
 
 def irc_with_k_colors(g: Graph, k: int, token=None) -> Optional[Coloring]:
     """A committee-safe coloring with exactly k colors, else None."""
-    if _cheap_obstruction(g):
+    if _obstructed(g, token):
         return None
     return _irc_partition_search(g, k, token)
 
@@ -243,7 +213,7 @@ def irc_chromatic_number(g: Graph, token=None) -> Optional[tuple[int, Coloring]]
     the whole vertex set, which is never irredundant then), so the search
     descends from n-1.
     """
-    if _cheap_obstruction(g):
+    if _obstructed(g, token):
         return None
     chi, _ = chromatic_number(g, token)
     for k in range(g.n - 1, chi - 1, -1):

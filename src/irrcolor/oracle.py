@@ -21,21 +21,9 @@ from typing import Iterator, Optional
 
 from .coloring import Coloring
 from .errors import ParameterError, SizeCapError
-from .graphs import Graph, VertexSet, bits
+from .graphs import Graph, VertexSet, bits, mask_from
 
 DEFAULT_SIZE_CAP = 8
-
-INVARIANT_IDS = (
-    "chi",
-    "ir",
-    "gamma",
-    "chi_i",
-    "chi_gamma",
-    "chi_d",
-    "chi_gd",
-    "irc_colorable",
-    "chi_irc",
-)
 
 
 def independent_partitions(g: Graph, k: int) -> Iterator[Coloring]:
@@ -115,164 +103,140 @@ def _check_cap(g: Graph, size_cap: int) -> None:
         raise SizeCapError(f"n={g.n} exceeds the oracle cap {size_cap}")
 
 
+def _first_partition(g: Graph, k: int, ok) -> Optional[Coloring]:
+    """The first partition into k independent classes that passes ``ok``."""
+    return next((col for col in independent_partitions(g, k) if ok(col)), None)
+
+
+def _fewest_classes(g: Graph, ok) -> OracleResult:
+    """The fewest classes of a partition passing ``ok``, with the first such
+    partition; the value is None when no partition passes."""
+    for k in range(1, g.n + 1):
+        col = _first_partition(g, k, ok)
+        if col is not None:
+            return OracleResult(k, col)
+    return OracleResult(None)
+
+
 def _oracle_chi(g: Graph) -> OracleResult:
     if g.n == 0:
         return OracleResult(0, Coloring((), 0))
-    for k in range(1, g.n + 1):
-        for col in independent_partitions(g, k):
-            return OracleResult(k, col)
-    raise AssertionError("unreachable")
+    return _fewest_classes(g, lambda col: True)
 
 
 def _oracle_ir(g: Graph) -> OracleResult:
     if g.n == 0:
         raise ParameterError("ir is undefined on the empty graph")
-    best = None
-    for mask in range(1, 1 << g.n):
-        if _max_irredundant(g, mask):
-            if best is None or mask.bit_count() < best.bit_count():
-                best = mask
+    best = min((m for m in range(1, 1 << g.n) if _max_irredundant(g, m)), key=int.bit_count)
     return OracleResult(best.bit_count(), best)
 
 
 def _oracle_gamma(g: Graph) -> OracleResult:
-    best = None
-    for mask in range(1 << g.n):
-        if _dominating(g, mask):
-            if best is None or mask.bit_count() < best.bit_count():
-                best = mask
+    best = min((m for m in range(1 << g.n) if _dominating(g, m)), key=int.bit_count)
     return OracleResult(best.bit_count(), best)
 
 
-def _oracle_chi_i(g: Graph) -> OracleResult:
+def _oracle_rainbow(g: Graph, candidates: list[VertexSet]) -> OracleResult:
+    """Fewest colors of a partition into independent classes that leaves
+    some candidate set rainbow."""
     if g.n == 0:
         raise ParameterError("undefined on the empty graph")
-    mir = [m for m in range(1, 1 << g.n) if _max_irredundant(g, m)]
     for k in range(1, g.n + 1):
         for col in independent_partitions(g, k):
-            for r in mir:
-                if _rainbow(col, r):
-                    return OracleResult(k, (col, r))
+            for s in candidates:
+                if _rainbow(col, s):
+                    return OracleResult(k, (col, s))
     raise AssertionError("unreachable: the all-singleton coloring qualifies")
 
 
+def _oracle_chi_i(g: Graph) -> OracleResult:
+    return _oracle_rainbow(g, [m for m in range(1, 1 << g.n) if _max_irredundant(g, m)])
+
+
 def _oracle_chi_gamma(g: Graph) -> OracleResult:
-    if g.n == 0:
-        raise ParameterError("undefined on the empty graph")
-    dom = [m for m in range(1 << g.n) if _dominating(g, m)]
-    for k in range(1, g.n + 1):
-        for col in independent_partitions(g, k):
-            for d in dom:
-                if _rainbow(col, d):
-                    return OracleResult(k, (col, d))
-    raise AssertionError("unreachable")
+    return _oracle_rainbow(g, [m for m in range(1 << g.n) if _dominating(g, m)])
 
 
-def _dominates_class(g: Graph, v: int, class_mask: VertexSet) -> bool:
-    return class_mask & ~g.adj[v] == 0 or class_mask == 1 << v
+def _dominator(g: Graph, col: Coloring, anti: bool) -> bool:
+    """Every vertex dominates a class (is adjacent to all of it, or is all of
+    it); with ``anti``, every vertex also has a class missing its closed
+    neighborhood."""
+    masks = col.classes()
+    for v in range(g.n):
+        if not any(m & ~g.adj[v] == 0 or m == 1 << v for m in masks):
+            return False
+        if anti and not any(m & (g.adj[v] | (1 << v)) == 0 for m in masks):
+            return False
+    return True
 
 
 def _oracle_chi_d(g: Graph) -> OracleResult:
     if g.n == 0:
         raise ParameterError("undefined on the empty graph")
-    for k in range(1, g.n + 1):
-        for col in independent_partitions(g, k):
-            masks = col.classes()
-            if all(
-                any(_dominates_class(g, v, m) for m in masks) for v in range(g.n)
-            ):
-                return OracleResult(k, col)
-    raise AssertionError("unreachable: singletons dominate themselves")
+    return _fewest_classes(g, lambda col: _dominator(g, col, anti=False))
 
 
 def _oracle_chi_gd(g: Graph) -> OracleResult:
     if g.n < 2:
         raise ParameterError("anti-domination needs a class to avoid")
-    for k in range(1, g.n + 1):
-        for col in independent_partitions(g, k):
-            masks = col.classes()
-            ok = True
-            for v in range(g.n):
-                closed = g.adj[v] | (1 << v)
-                if not any(_dominates_class(g, v, m) for m in masks):
-                    ok = False
-                    break
-                if not any(m & closed == 0 for m in masks):
-                    ok = False
-                    break
-            if ok:
-                return OracleResult(k, col)
-    return OracleResult(None)
+    return _fewest_classes(g, lambda col: _dominator(g, col, anti=True))
 
 
-def _oracle_irc(g: Graph) -> tuple[bool, Optional[int], Optional[Coloring]]:
-    if g.n == 0 or g.min_degree() <= 1:
-        return False, None, None
-    best_k = None
-    best_col = None
+def _committee_safe(g: Graph, col: Coloring) -> bool:
+    """Every committee (one member per class) is irredundant."""
+    members = [list(bits(m)) for m in col.classes()]
+    return all(_irredundant(g, mask_from(committee)) for committee in product(*members))
+
+
+def _committee_safe_partition(g: Graph, k: int) -> Optional[Coloring]:
+    """The first k-class partition whose committees are all irredundant."""
+    if g.n == 0 or g.min_degree() <= 1 or not 1 <= k <= g.n:
+        return None
+    return _first_partition(g, k, lambda col: _committee_safe(g, col))
+
+
+def _oracle_committee(g: Graph) -> dict[str, OracleResult]:
+    """irc_colorable and chi_irc from one search: the largest k with a
+    committee-safe partition, and the first such partition."""
+    best_k = best_col = None
     for k in range(1, g.n + 1):
-        for col in independent_partitions(g, k):
-            members = [list(bits(m)) for m in col.classes()]
-            good = True
-            for committee in product(*members):
-                rc = 0
-                for v in committee:
-                    rc |= 1 << v
-                if not _irredundant(g, rc):
-                    good = False
-                    break
-            if good:
-                best_k, best_col = k, col
-                break
-    return best_k is not None, best_k, best_col
+        col = _committee_safe_partition(g, k)
+        if col is not None:
+            best_k, best_col = k, col
+    return {
+        "irc_colorable": OracleResult(best_k is not None, best_col),
+        "chi_irc": OracleResult(best_k, best_col),
+    }
 
 
 def irc_partition_exists(g: Graph, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> bool:
     """Definitional check: some k-class partition has every committee
     irredundant.  Used to confirm findings from the fast conjecture scan."""
     _check_cap(g, size_cap)
-    if g.n == 0 or g.min_degree() <= 1 or not 1 <= k <= g.n:
-        return False
-    for col in independent_partitions(g, k):
-        members = [list(bits(m)) for m in col.classes()]
-        good = True
-        for committee in product(*members):
-            rc = 0
-            for v in committee:
-                rc |= 1 << v
-            if not _irredundant(g, rc):
-                good = False
-                break
-        if good:
-            return True
-    return False
+    return _committee_safe_partition(g, k) is not None
+
+
+# invariant id -> its definition
+_DEFINITIONS = {
+    "chi": _oracle_chi,
+    "ir": _oracle_ir,
+    "gamma": _oracle_gamma,
+    "chi_i": _oracle_chi_i,
+    "chi_gamma": _oracle_chi_gamma,
+    "chi_d": _oracle_chi_d,
+    "chi_gd": _oracle_chi_gd,
+    "irc_colorable": lambda g: _oracle_committee(g)["irc_colorable"],
+    "chi_irc": lambda g: _oracle_committee(g)["chi_irc"],
+}
 
 
 def oracle_invariant(g: Graph, which: str, size_cap: int = DEFAULT_SIZE_CAP) -> OracleResult:
     """Recompute one invariant by definition alone.  Raises SizeCapError when
     the graph is larger than ``size_cap``."""
     _check_cap(g, size_cap)
-    if which == "chi":
-        return _oracle_chi(g)
-    if which == "ir":
-        return _oracle_ir(g)
-    if which == "gamma":
-        return _oracle_gamma(g)
-    if which == "chi_i":
-        return _oracle_chi_i(g)
-    if which == "chi_gamma":
-        return _oracle_chi_gamma(g)
-    if which == "chi_d":
-        return _oracle_chi_d(g)
-    if which == "chi_gd":
-        return _oracle_chi_gd(g)
-    if which == "irc_colorable":
-        colorable, _, col = _oracle_irc(g)
-        return OracleResult(colorable, col)
-    if which == "chi_irc":
-        _, k, col = _oracle_irc(g)
-        return OracleResult(k, col)
-    raise ParameterError(f"unknown invariant id {which!r}")
+    if which not in _DEFINITIONS:
+        raise ParameterError(f"unknown invariant id {which!r}")
+    return _DEFINITIONS[which](g)
 
 
 @dataclass(frozen=True)
@@ -306,47 +270,14 @@ def cross_check(g: Graph, size_cap: int = DEFAULT_SIZE_CAP) -> CrossCheckReport:
     _check_cap(g, size_cap)
     if g.n == 0:
         raise ParameterError("cross-check needs at least one vertex")
-    from . import coloring as fast_col
-    from . import irc as fast_irc
-    from . import irredundance as fast_irr
+    from .invariants import REGISTRY  # the fast engines, never imported at module level
 
+    committee = _oracle_committee(g)  # one search answers both committee ids
     entries = []
-    entries.append(CrossCheckEntry("chi", fast_col.chromatic_number(g)[0], _oracle_chi(g).value))
-    entries.append(CrossCheckEntry("ir", fast_irr.ir_number(g)[0], _oracle_ir(g).value))
-    entries.append(CrossCheckEntry("gamma", fast_irr.gamma_number(g)[0], _oracle_gamma(g).value))
-    entries.append(
-        CrossCheckEntry(
-            "chi_i", fast_col.irredundance_chromatic_number(g)[0], _oracle_chi_i(g).value
-        )
-    )
-    entries.append(
-        CrossCheckEntry(
-            "chi_gamma", fast_col.gamma_chromatic_number(g)[0], _oracle_chi_gamma(g).value
-        )
-    )
-    entries.append(
-        CrossCheckEntry(
-            "chi_d", fast_col.dominator_chromatic_number(g)[0], _oracle_chi_d(g).value
-        )
-    )
-    if g.n >= 2:
-        fast_gd = fast_col.global_dominator_chromatic_number(g)
-        entries.append(
-            CrossCheckEntry(
-                "chi_gd",
-                fast_gd[0] if fast_gd is not None else None,
-                _oracle_chi_gd(g).value,
-            )
-        )
-    colorable, best_k, _ = _oracle_irc(g)
-    fast_colorable = fast_irc.irc_colorability(g)
-    entries.append(
-        CrossCheckEntry("irc_colorable", fast_colorable is not None, colorable)
-    )
-    fast_irc_k = fast_irc.irc_chromatic_number(g)
-    entries.append(
-        CrossCheckEntry(
-            "chi_irc", fast_irc_k[0] if fast_irc_k is not None else None, best_k
-        )
-    )
+    for row in REGISTRY.values():
+        if g.n < row.min_n:
+            continue
+        fast = row.solve(g, None)
+        oracle = committee[row.id] if row.id in committee else _DEFINITIONS[row.id](g)
+        entries.append(CrossCheckEntry(row.id, None if fast is None else fast[0], oracle.value))
     return CrossCheckReport(tuple(entries))

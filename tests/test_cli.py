@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 from irrcolor.cli import main
 from irrcolor.graphs import parse_graph6, to_graph6
@@ -253,3 +254,46 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert parse_graph6(proc.stdout.splitlines()[0]).n == 6
+
+
+def test_jobs_honour_budget(tmp_path, capsys):
+    # ir polls the budget before its first subset, so once the budget has
+    # run out every ir cell is skipped, in pool workers as in a serial run
+    src = tmp_path / "graphs.g6"
+    src.write_text("\n".join(to_graph6(cycle(n)).decode() for n in range(5, 9)) + "\n")
+    argv = ["invariants", str(src), "--invariants", "chi,ir", "--budget-seconds", "1e-9", "--json"]
+    for jobs in ("1", "2"):
+        code, out, _ = run_cli(capsys, argv + ["--jobs", jobs])
+        assert code == 0
+        cells = [rec["invariants"] for rec in json.loads(out)["graphs"]]
+        assert [c["ir"]["status"] for c in cells] == ["skipped(budget)"] * 4
+        assert cells[1]["chi"] == {"status": "ok", "value": 2}  # C6 needs no search
+    # scan runs in the pool under a budget too, with the serial result
+    reports = []
+    for jobs in ("1", "2"):
+        _, out, _ = run_cli(capsys, ["scan", "bounds", str(src), "--jobs", jobs, "--budget-seconds", "1e-9", "--json"])
+        reports.append(strip_timings(json.loads(out)))
+    assert reports[0] == reports[1]
+    assert reports[0]["summary"]["skipped"] > 0
+
+
+def test_irc_colorable_above_cap_respects_budget(tmp_path, capsys):
+    # n = 102, far above the irc_colorable cap: a cocktail party graph on 34
+    # vertices, whose 2^17 maximal cliques make the obstruction scan slow,
+    # with a triangle hung on each vertex
+    k = 34
+    edges = [(u, v) for u in range(k) for v in range(u + 1, k) if u % 2 or v != u + 1]
+    for v in range(k):
+        a, b = k + 2 * v, k + 2 * v + 1
+        edges += [(v, a), (v, b), (a, b)]
+    src = tmp_path / "cocktail.txt"
+    src.write_text(f"{3 * k} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    argv = ["invariants", str(src), "--format", "edgelist", "--invariants", "irc_colorable",
+            "--budget-seconds", "0.5", "--json"]
+    t0 = time.monotonic()
+    code, out, _ = run_cli(capsys, argv)
+    elapsed = time.monotonic() - t0
+    assert code == 0
+    cell = json.loads(out)["graphs"][0]["invariants"]["irc_colorable"]
+    assert cell in ({"status": "skipped(budget)", "value": None}, {"status": "ok", "value": False})
+    assert elapsed < 1.5

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -210,3 +211,33 @@ def test_edge_list_text_roundtrip():
         parse_edge_list("3 2\n0 1\n")
     with pytest.raises(FormatError):
         parse_edge_list("nonsense here\n")
+
+
+def test_connectivity_profile_matches_deletion_counts():
+    # a cut vertex or a bridge is exactly what raises the component count
+    # when deleted
+    rng = random.Random(31)
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(1, 9), rng.choice((0.2, 0.35, 0.5)))
+        prof = connectivity_profile(g)
+        base = component_count(g)
+        assert prof.connected == (base <= 1)
+        cuts = 0
+        for v in range(g.n):
+            rest, _ = induced_subgraph(g, g.vertices & ~(1 << v))
+            if component_count(rest) > base:
+                cuts |= 1 << v
+        assert prof.cut_vertices == cuts
+        bridges = tuple(
+            (u, v) for u, v in g.edges()
+            if component_count(from_edge_list(g.n, [e for e in g.edges() if e != (u, v)])) > base
+        )
+        assert prof.bridges == bridges
+
+
+def test_connectivity_profile_leaves_recursion_limit_alone():
+    limit = sys.getrecursionlimit()
+    prof = connectivity_profile(path(3000))
+    assert sys.getrecursionlimit() == limit
+    assert len(prof.bridges) == 2999
+    assert prof.connected

@@ -148,3 +148,13 @@ def test_committee_checker_matches_naive_products():
                 assert is_irc_coloring(g, col).is_irc == naive
                 checked += 1
     assert checked > 100
+
+
+def test_cheap_check_agrees_with_obstruction_list():
+    from irrcolor.irc import _obstructed
+
+    rng = random.Random(17)
+    for _ in range(40):
+        g = random_connected(rng, rng.randint(1, 8), 0.5)
+        assert _obstructed(g) == bool(irc_obstructions(g))
+    assert _obstructed(from_edge_list(0, []))
