@@ -203,7 +203,8 @@ def irredundance_chromatic_number(g: Graph, token=None) -> tuple[int, RainbowCer
         _validate_cert(g, cert, is_maximal_irredundant)
         return chi, cert
     irn, _ = ir_number(g, token)
-    return _min_rainbow(g, max(chi, irn), maximal_irredundant_sets(g), is_maximal_irredundant, token)
+    return _min_rainbow(g, max(chi, irn), maximal_irredundant_sets(g, token=token),
+                       is_maximal_irredundant, token)
 
 
 def gamma_chromatic_number(g: Graph, token=None) -> tuple[int, RainbowCert]:
@@ -216,7 +217,7 @@ def gamma_chromatic_number(g: Graph, token=None) -> tuple[int, RainbowCert]:
         raise ParameterError("needs at least one vertex")
     chi, _ = chromatic_number(g, token)
     gam, _ = gamma_number(g, token)
-    return _min_rainbow(g, max(chi, gam), minimal_dominating_sets(g), is_dominating, token)
+    return _min_rainbow(g, max(chi, gam), minimal_dominating_sets(g, token), is_dominating, token)
 
 
 def _min_rainbow(g: Graph, lower: int, candidates, member, token) -> tuple[int, RainbowCert]:

@@ -140,13 +140,29 @@ def _obstructions(g: Graph, token=None) -> Iterator[Obstruction]:
     for v in range(g.n):
         if g.degree(v) <= 1:
             yield Obstruction("low_degree", v)
-    for q in _maximal_cliques(g, token):
-        if q.bit_count() < 2:
-            continue
+
+    def clique_private(q: int) -> Optional[Obstruction]:
         for v in bits(q):
             if private_neighbors(g, v, q) == 0:
-                yield Obstruction("clique_private", v, q)
-                break
+                return Obstruction("clique_private", v, q)
+        return None
+
+    # then the simplicial cliques: when N[v] is a clique it is a maximal one,
+    # and v has no private neighbor in it, since every other member u has
+    # N[u] containing N[v]; this finds them without the clique walk
+    simplicial_cliques = set()
+    for v in range(g.n):
+        q = _closed(g, v)
+        if g.degree(v) >= 2 and q not in simplicial_cliques and all(
+            _closed(g, u) & q == q for u in bits(g.adj[v])
+        ):
+            simplicial_cliques.add(q)
+            yield clique_private(q)
+    for q in _maximal_cliques(g, token):
+        if q.bit_count() >= 2 and q not in simplicial_cliques:
+            found = clique_private(q)
+            if found is not None:
+                yield found
 
 
 def irc_obstructions(g: Graph) -> list[Obstruction]:

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -12,7 +13,7 @@ from irrcolor.irc import (
     irc_with_k_colors,
     is_irc_coloring,
 )
-from irrcolor.irredundance import is_irredundant
+from irrcolor.irredundance import is_irredundant, private_neighbors
 from irrcolor.oracle import independent_partitions, oracle_invariant
 
 from conftest import complete, cycle, path, random_connected, tree7
@@ -158,3 +159,47 @@ def test_cheap_check_agrees_with_obstruction_list():
         g = random_connected(rng, rng.randint(1, 8), 0.5)
         assert _obstructed(g) == bool(irc_obstructions(g))
     assert _obstructed(from_edge_list(0, []))
+
+
+def _cocktail_with_triangles(k: int = 34):
+    # a cocktail party graph on k vertices, with 2^(k/2) maximal cliques,
+    # and a triangle hung on each vertex
+    edges = [(u, v) for u in range(k) for v in range(u + 1, k) if u % 2 or v != u + 1]
+    for v in range(k):
+        a, b = k + 2 * v, k + 2 * v + 1
+        edges += [(v, a), (v, b), (a, b)]
+    return from_edge_list(3 * k, edges)
+
+
+def test_simplicial_obstruction_precedes_the_clique_walk():
+    from irrcolor.irc import _obstructed
+
+    g = _cocktail_with_triangles()
+    t0 = time.monotonic()
+    assert _obstructed(g)
+    assert time.monotonic() - t0 < 1.0
+
+
+def test_listed_obstructions_are_genuine_and_complete(connected_le6):
+    for g in connected_le6:
+        def is_clique(q):
+            return all(g.adj[v] | 1 << v | ~q == -1 for v in bits(q))
+
+        maximal_cliques = [
+            q for q in range(1, 1 << g.n)
+            if is_clique(q) and not any(is_clique(q | 1 << v) for v in range(g.n) if not q >> v & 1)
+        ]
+        blocked = {
+            q for q in maximal_cliques
+            if q.bit_count() >= 2 and any(private_neighbors(g, v, q) == 0 for v in bits(q))
+        }
+        listed = irc_obstructions(g)
+        cliques = [r.clique for r in listed if r.kind == "clique_private"]
+        assert len(cliques) == len(set(cliques))
+        assert set(cliques) == blocked
+        for r in listed:
+            if r.kind == "low_degree":
+                assert g.degree(r.vertex) <= 1
+            else:
+                assert r.clique >> r.vertex & 1
+                assert private_neighbors(g, r.vertex, r.clique) == 0

@@ -1,10 +1,14 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
 
-from irrcolor.errors import ParameterError, PreconditionError
-from irrcolor.graphs import bits, mask_from
+from irrcolor import irredundance
+from irrcolor.budget import Deadline
+from irrcolor.coloring import gamma_chromatic_number, irredundance_chromatic_number
+from irrcolor.errors import ParameterError, PreconditionError, SearchCancelled
+from irrcolor.graphs import bits, from_edge_list, mask_from
 from irrcolor.irredundance import (
     gamma_number,
     ir_number,
@@ -146,3 +150,88 @@ def test_gamma_matches_enumeration_and_ir_bound():
         assert gamma_number(g)[0] == best
         if g.n >= 1:
             assert ir_number(g)[0] <= gamma_number(g)[0]
+
+
+# --- the hereditary walk behind both enumerators ------------------------------
+
+
+def _definitional_maximal_irredundant(g):
+    return [s for s in range(1, 1 << g.n) if is_maximal_irredundant(g, s)]
+
+
+def _definitional_minimal_dominating(g):
+    return [
+        s for s in range(1 << g.n)
+        if is_dominating(g, s) and all(not is_dominating(g, s & ~(1 << v)) for v in bits(s))
+    ]
+
+
+def _all_graphs_up_to_4():
+    for n in range(5):
+        pairs = list(combinations(range(n), 2))
+        for chosen in range(1 << len(pairs)):
+            yield from_edge_list(n, [p for i, p in enumerate(pairs) if chosen >> i & 1])
+
+
+def test_enumerators_match_definitional_scan(connected_le6, bipartite_le7):
+    rng = random.Random(8)
+    graphs = [
+        *connected_le6,
+        *bipartite_le7,
+        *_all_graphs_up_to_4(),
+        *(random_graph(rng, n, 0.3) for n in range(8, 13)),
+    ]
+    for g in graphs:
+        mir = _definitional_maximal_irredundant(g)
+        assert list(maximal_irredundant_sets(g)) == mir
+        for cap in (1, 2, 3):
+            assert list(maximal_irredundant_sets(g, size_cap=cap)) == [
+                s for s in mir if s.bit_count() <= cap
+            ]
+        assert list(minimal_dominating_sets(g)) == _definitional_minimal_dominating(g)
+    assert list(maximal_irredundant_sets(complete(0))) == []
+    assert list(minimal_dominating_sets(complete(0))) == [0]
+
+
+def test_enumerators_call_no_set_predicate(monkeypatch):
+    # the walk tests each extension with masks; a per-subset scan would
+    # call these predicates more than 2^16 times
+    calls = []
+    for name in ("is_maximal_irredundant", "is_irredundant", "is_dominating"):
+        def counted(*args, _fn=getattr(irredundance, name), _name=name):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(irredundance, name, counted)
+    g = random_graph(random.Random(16), 16, 0.4)
+    mir = list(maximal_irredundant_sets(g))
+    mds = list(minimal_dominating_sets(g))
+    assert mir and mds
+    assert calls == []
+
+
+def _assert_cancelled_quickly(run):
+    t0 = time.monotonic()
+    with pytest.raises(SearchCancelled):
+        run(Deadline(0.05))
+    assert time.monotonic() - t0 < 0.5
+
+
+def test_enumerators_poll_the_budget():
+    # a full walk of C24 takes seconds: about 10^4 maximal irredundant sets
+    # among some 4 * 10^5 irredundant ones
+    c24 = cycle(24)
+    for enumerate_sets in (maximal_irredundant_sets, minimal_dominating_sets):
+        _assert_cancelled_quickly(lambda token: list(enumerate_sets(c24, token=token)))
+        sets = enumerate_sets(c24, token=Deadline(-1))
+        with pytest.raises(SearchCancelled):
+            next(sets)
+
+
+def test_rainbow_invariants_pass_their_budget_to_the_enumerators():
+    # chi, ir and gamma are quick on C24 with hubs joined to every cycle
+    # vertex; the candidate sets are not
+    cycle_edges = [(i, (i + 1) % 24) for i in range(24)]
+    one_hub = from_edge_list(25, cycle_edges + [(i, 24) for i in range(24)])
+    two_hubs = from_edge_list(26, cycle_edges + [(i, h) for i in range(24) for h in (24, 25)])
+    _assert_cancelled_quickly(lambda token: gamma_chromatic_number(one_hub, token))
+    _assert_cancelled_quickly(lambda token: irredundance_chromatic_number(two_hubs, token))
