@@ -25,7 +25,7 @@ from importlib.resources import files as resource_files
 from itertools import product
 from typing import Optional
 
-from . import families
+from . import budget, families
 from .budget import Deadline
 from .characterize import bipartite_two_family, find_anchor_edge, find_near_twin_pair, is_star
 from .coloring import (
@@ -282,10 +282,14 @@ def cmd_gen(args) -> int:
         payload = format_edge_list(inst.graph)
     sidecar = json.dumps(_sidecar(inst), indent=2, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(payload)
-        with open(args.out + ".json", "w", encoding="ascii") as fh:
-            fh.write(sidecar)
+        try:
+            with open(args.out, "w", encoding="ascii") as fh:
+                fh.write(payload)
+            with open(args.out + ".json", "w", encoding="ascii") as fh:
+                fh.write(sidecar)
+        except OSError as exc:
+            print(f"parameter error: {exc}", file=sys.stderr)
+            return 65
     else:
         sys.stdout.write(payload)
         sys.stdout.write(sidecar)
@@ -361,20 +365,6 @@ def _conjecture_scan(idx: int, g: Graph, token, oracle_cap: int):
     return record, violations
 
 
-def _two_color_conditions(g: Graph, token):
-    """chi_i, the construction family, and the three conditions that should
-    agree on a bipartite non-star graph: chi_i = 2, a pair witness, and
-    membership in a family."""
-    chi_i, _ = irredundance_chromatic_number(g, token)
-    pair = find_anchor_edge(g) or find_near_twin_pair(g)
-    family = bipartite_two_family(g)
-    return chi_i, family.kind, {
-        "chi_i_is_2": chi_i == 2,
-        "pair_witness": pair is not None,
-        "family": family.kind in ("linked_stars", "dominating_edge", "near_twin"),
-    }
-
-
 def _characterization_scan(idx: int, g: Graph, token, oracle_cap: int):
     record = _record(idx, g)
     violations = []
@@ -389,9 +379,16 @@ def _characterization_scan(idx: int, g: Graph, token, oracle_cap: int):
     elif g.n > REGISTRY["chi_i"].cap:
         status = ("skipped(cap)", None)
     else:
-        chi_i, kind, conds = _two_color_conditions(g, token)
+        # three conditions that should agree on a bipartite non-star graph
+        chi_i, _ = irredundance_chromatic_number(g, token)
+        family = bipartite_two_family(g)
+        conds = {
+            "chi_i_is_2": chi_i == 2,
+            "pair_witness": (find_anchor_edge(g) or find_near_twin_pair(g)) is not None,
+            "family": family.kind in ("linked_stars", "dominating_edge", "near_twin"),
+        }
         record["invariants"]["chi_i"] = {"status": "ok", "value": chi_i}
-        record["invariants"]["family"] = {"status": "ok", "value": kind}
+        record["invariants"]["family"] = {"status": "ok", "value": family.kind}
         if len(set(conds.values())) > 1:
             violations.append(_violation("two-color-equivalence", record, json.dumps(conds, sort_keys=True)))
             status = ("ok", "disagree")
@@ -475,18 +472,20 @@ def _verify_full_degree(claims, token, oracle_cap):
         )
 
 
+def _scan_asset(scan, asset: str, token, oracle_cap: int) -> tuple[int, list[str]]:
+    """Run a scan mode over a packaged asset.  Returns the number of records
+    whose cells are all ok and the graph6 strings of the violations."""
+    results = [scan(idx, g, token, oracle_cap) for idx, g in enumerate(_asset_graphs(asset))]
+    budget.check(token)  # the scans record an overrun as a skipped cell
+    tested = sum(all(c["status"] == "ok" for c in rec["invariants"].values()) for rec, _ in results)
+    return tested, [violation["graph6"] for _, found in results for violation in found]
+
+
 def _verify_bounds(claims, token, oracle_cap):
-    bad = []
-    graphs = _asset_graphs("connected_le6.g6")
-    for g in graphs:
-        chi, _ = chromatic_number(g, token)
-        irn, _ = ir_number(g, token)
-        chi_i, _ = irredundance_chromatic_number(g, token)
-        if not (max(chi, irn) <= chi_i <= chi + irn - 1):
-            bad.append(to_graph6(g).decode("ascii"))
+    tested, bad = _scan_asset(_bounds_scan, "connected_le6.g6", token, oracle_cap)
     _claim_clean(
         claims,
-        f"bounds: max(chi,ir) <= chi_i <= chi+ir-1 on {len(graphs)} connected graphs (n <= 6)",
+        f"bounds: max(chi,ir) <= chi_i <= chi+ir-1 on {tested} connected graphs (n <= 6)",
         bad,
     )
 
@@ -600,16 +599,7 @@ def _verify_realizable(claims, token, oracle_cap):
 
 
 def _verify_two_color(claims, token, oracle_cap):
-    graphs = _asset_graphs("bipartite_connected_le7.g6")
-    tested = 0
-    bad = []
-    for g in graphs:
-        if g.n < 2 or is_star(g) is not None:
-            continue
-        tested += 1
-        _, _, conds = _two_color_conditions(g, token)
-        if len(set(conds.values())) > 1:
-            bad.append(to_graph6(g).decode("ascii"))
+    tested, bad = _scan_asset(_characterization_scan, "bipartite_connected_le7.g6", token, oracle_cap)
     _claim_clean(
         claims,
         f"two-color equivalence (chi_i=2 <=> pair witness <=> family member) on {tested} bipartite non-star graphs (n <= 7)",
@@ -776,8 +766,17 @@ def cmd_verify(args) -> int:
 # --- argument parsing -----------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors with exit 65, the parameter-error code; argparse's
+    own 2 is the code for recorded findings."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(65, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="irrcolor",
         description="Exact irredundance-flavored coloring invariants for small graphs",
     )
@@ -823,6 +822,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "jobs", 1) < 1:
+        parser.error(f"--jobs must be at least 1, not {args.jobs}")
+    if not getattr(args, "budget_seconds", 0) >= 0:
+        parser.error(f"--budget-seconds must be at least 0, not {args.budget_seconds}")
     return args.fn(args)
 
 

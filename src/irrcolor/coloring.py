@@ -19,8 +19,6 @@ from . import budget
 from .errors import ParameterError
 from .graphs import Graph, VertexSet, bits
 from .irredundance import (
-    gamma_number,
-    ir_number,
     is_maximal_irredundant,
     is_dominating,
     maximal_irredundant_sets,
@@ -202,9 +200,7 @@ def irredundance_chromatic_number(g: Graph, token=None) -> tuple[int, RainbowCer
         cert = RainbowCert(chi_col, 1 << full)
         _validate_cert(g, cert, is_maximal_irredundant)
         return chi, cert
-    irn, _ = ir_number(g, token)
-    return _min_rainbow(g, max(chi, irn), maximal_irredundant_sets(g, token=token),
-                       is_maximal_irredundant, token)
+    return _min_rainbow(g, chi, maximal_irredundant_sets(g, token=token), is_maximal_irredundant, token)
 
 
 def gamma_chromatic_number(g: Graph, token=None) -> tuple[int, RainbowCert]:
@@ -216,16 +212,19 @@ def gamma_chromatic_number(g: Graph, token=None) -> tuple[int, RainbowCert]:
     if g.n < 1:
         raise ParameterError("needs at least one vertex")
     chi, _ = chromatic_number(g, token)
-    gam, _ = gamma_number(g, token)
-    return _min_rainbow(g, max(chi, gam), minimal_dominating_sets(g, token), is_dominating, token)
+    return _min_rainbow(g, chi, minimal_dominating_sets(g, token), is_dominating, token)
 
 
-def _min_rainbow(g: Graph, lower: int, candidates, member, token) -> tuple[int, RainbowCert]:
+def _min_rainbow(g: Graph, chi: int, candidates, member, token) -> tuple[int, RainbowCert]:
     """The fewest colors over the clique reductions of ``candidates``, tried
-    smallest first; stops early at the lower bound ``lower``.  ``member``
-    is the predicate every candidate satisfies, checked on the result."""
+    smallest first.  A rainbow candidate needs as many colors as it has
+    members, so the search stops early at max(chi, smallest candidate size),
+    which is max(chi, ir) or max(chi, gamma).  ``member`` is the predicate
+    every candidate satisfies, checked on the result."""
+    ordered = sorted(candidates, key=lambda s: (s.bit_count(), s))
+    lower = max(chi, ordered[0].bit_count())
     best: Optional[tuple[int, RainbowCert]] = None
-    for s in sorted(candidates, key=lambda s: (s.bit_count(), s)):
+    for s in ordered:
         budget.check(token)
         if best is not None and s.bit_count() >= best[0]:
             continue

@@ -1,20 +1,20 @@
 """Private neighborhoods, irredundant and dominating sets, and the exact
 solvers for the lower irredundance number ir(G) and domination number γ(G).
 
-Set arguments and results are vertex bitmasks.  Enumerators yield masks in
-ascending numeric order (lexicographic over the bit string read from vertex
-0 upward); the size-bounded searches inside ir/γ iterate cardinalities
-ascending so they can stop at the first hit.
+Set arguments and results are vertex bitmasks.  Every search here reads one
+walk over the irredundant sets: the enumerators yield its sets in ascending
+numeric mask order (lexicographic over the bit string read from vertex 0
+upward); ir, γ and ``ir_verify`` walk the sets up to a size cap and keep
+the smallest accepted one, ties going to ``itertools.combinations`` order.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterator, Optional
 
 from . import budget
 from .errors import ParameterError, PreconditionError
-from .graphs import Graph, VertexSet, bits, closed_neighborhood_of_set, mask_from
+from .graphs import Graph, VertexSet, bits, closed_neighborhood_of_set
 
 
 def private_neighbors(g: Graph, v: int, s: VertexSet) -> VertexSet:
@@ -110,17 +110,22 @@ def maximal_irredundant_sets(
             yield s
 
 
+def _smallest(g: Graph, token, size_cap: int, accept) -> Optional[VertexSet]:
+    """The smallest irredundant set of at most ``size_cap`` vertices that
+    ``accept(N[S], maximal)`` takes, or None.  Ties go to the lowest sorted
+    vertex list, the order of ``itertools.combinations``."""
+    walk = _irredundant_sets(g, token, size_cap)
+    hits = (s for s, covered, maximal in walk if accept(covered, maximal))
+    return min(hits, key=lambda s: (s.bit_count(), tuple(bits(s))), default=None)
+
+
 def ir_number(g: Graph, token=None) -> tuple[int, VertexSet]:
-    """Minimum cardinality of a maximal irredundant set, with a witness."""
+    """Minimum cardinality of a maximal irredundant set, with a witness.
+    Sought up to the size of a greedy cover, since ir <= gamma."""
     if g.n == 0:
         raise ParameterError("ir is undefined on the empty graph")
-    for size in range(1, g.n + 1):
-        budget.check(token)
-        for combo in combinations(range(g.n), size):
-            s = mask_from(combo)
-            if is_maximal_irredundant(g, s):
-                return size, s
-    raise AssertionError("unreachable: V(G) bounds the search")
+    s = _smallest(g, token, _greedy_dominating(g).bit_count(), lambda covered, maximal: maximal)
+    return s.bit_count(), s
 
 
 def ir_verify(g: Graph, claimed: int, witness: Optional[VertexSet] = None, token=None) -> bool:
@@ -131,18 +136,12 @@ def ir_verify(g: Graph, claimed: int, witness: Optional[VertexSet] = None, token
     when the target value is known by construction and full discovery would
     be wasteful.
     """
-    for size in range(1, claimed):
-        budget.check(token)
-        for combo in combinations(range(g.n), size):
-            if is_maximal_irredundant(g, mask_from(combo)):
-                return False
+    s = _smallest(g, token, claimed, lambda covered, maximal: maximal)
+    if s is not None and s.bit_count() < claimed:
+        return False
     if witness is not None:
         return witness.bit_count() == claimed and is_maximal_irredundant(g, witness)
-    budget.check(token)
-    return any(
-        is_maximal_irredundant(g, mask_from(combo))
-        for combo in combinations(range(g.n), claimed)
-    )
+    return s is not None
 
 
 def is_dominating(g: Graph, s: VertexSet) -> bool:
@@ -180,18 +179,11 @@ def _greedy_dominating(g: Graph) -> VertexSet:
 
 
 def gamma_number(g: Graph, token=None) -> tuple[int, VertexSet]:
-    """Minimum cardinality of a dominating set, with a witness.
-
-    Increasing-size subset search, bounded above by a greedy cover.
-    """
+    """Minimum cardinality of a dominating set, with a witness.  A smallest
+    one is minimal, so irredundant: sought below the size of a greedy cover."""
     if g.n == 0:
         return 0, 0
     greedy = _greedy_dominating(g)
-    ub = greedy.bit_count()
-    for size in range(1, ub):
-        budget.check(token)
-        for combo in combinations(range(g.n), size):
-            s = mask_from(combo)
-            if is_dominating(g, s):
-                return size, s
-    return ub, greedy
+    vertices = g.vertices
+    s = _smallest(g, token, greedy.bit_count() - 1, lambda covered, maximal: covered == vertices)
+    return (greedy.bit_count(), greedy) if s is None else (s.bit_count(), s)

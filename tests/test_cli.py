@@ -3,6 +3,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from irrcolor.cli import main
 from irrcolor.graphs import parse_graph6, to_graph6
 
@@ -164,6 +166,13 @@ def test_gen_bad_params_exit_65(capsys):
     assert code == 65
 
 
+def test_gen_unwritable_out_exits_65(tmp_path, capsys):
+    code, out, err = run_cli(capsys, ["gen", "A", "6", "3", "--out", str(tmp_path / "missing" / "x.g6")])
+    assert code == 65
+    assert out == ""
+    assert err.startswith("parameter error: ") and "No such file or directory" in err
+
+
 def test_gen_fixture(tmp_path, capsys):
     code, out, _ = run_cli(capsys, ["gen", "fixture", "tree7"])
     assert code == 0
@@ -297,3 +306,48 @@ def test_irc_colorable_above_cap_respects_budget(tmp_path, capsys):
     cell = json.loads(out)["graphs"][0]["invariants"]["irc_colorable"]
     assert cell in ({"status": "skipped(budget)", "value": None}, {"status": "ok", "value": False})
     assert elapsed < 1.5
+
+
+def _usage_error(capsys, argv):
+    # argparse's own exit code, 2, is the documented code for recorded findings
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 65
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("usage: ")
+    return out.err
+
+
+def test_usage_errors_exit_65(tmp_path, capsys):
+    src = tmp_path / "k3.g6"
+    src.write_text(to_graph6(complete(3)).decode() + "\n")
+    assert "argument --jobs: invalid int value: 'abc'" in _usage_error(capsys, ["scan", "chain", str(src), "--jobs", "abc"])
+    assert "invalid choice: 'nosuch'" in _usage_error(capsys, ["scan", "nosuch", str(src)])
+    assert "unrecognized arguments: --nosuch" in _usage_error(capsys, ["scan", "chain", str(src), "--nosuch"])
+    assert "invalid choice: 'nosuch'" in _usage_error(capsys, ["nosuch"])
+
+
+def test_jobs_below_one_and_negative_budget_exit_65(tmp_path, capsys):
+    src = tmp_path / "k3.g6"
+    src.write_text(to_graph6(complete(3)).decode() + "\n")
+    for argv in (
+        ["invariants", str(src), "--budget-seconds", "-1"],
+        ["invariants", str(src), "--budget-seconds", "nan"],
+        ["scan", "bounds", str(src), "--budget-seconds", "-0.5"],
+        ["verify", "bounds", "--budget-seconds", "-1"],
+    ):
+        assert "--budget-seconds must be at least 0" in _usage_error(capsys, argv)
+    for argv in (["invariants", str(src), "--jobs", "0"], ["scan", "chain", str(src), "--jobs", "-2"]):
+        assert "--jobs must be at least 1" in _usage_error(capsys, argv)
+    code, out, _ = run_cli(capsys, ["invariants", str(src), "--budget-seconds", "0", "--jobs", "1"])
+    assert code == 0 and "skipped" not in out.splitlines()[0]
+
+
+def test_verify_scan_scopes_skip_on_budget_overrun(capsys):
+    # bounds and two-color read the scan modes, which record an overrun as a
+    # skipped cell; the claim is skipped, not passed on the graphs that ran
+    for scope in ("bounds", "two-color"):
+        code, out, _ = run_cli(capsys, ["verify", scope, "--budget-seconds", "1e-9", "--json"])
+        assert code == 0
+        claims = json.loads(out)["claims"]
+        assert claims == [{"claim": f"{scope} (remaining checks)", "status": "skip", "detail": "budget exhausted"}]

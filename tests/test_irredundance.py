@@ -173,6 +173,24 @@ def _all_graphs_up_to_4():
             yield from_edge_list(n, [p for i, p in enumerate(pairs) if chosen >> i & 1])
 
 
+def _first_combination(g, sizes, accept):
+    """The first set in ``itertools.combinations`` order, over ``sizes``
+    ascending, that ``accept`` takes; None when there is none."""
+    for size in sizes:
+        for combo in combinations(range(g.n), size):
+            if accept(mask_from(combo)):
+                return mask_from(combo)
+    return None
+
+
+def _ir_verify_by_combinations(g, claimed, witness=None):
+    if _first_combination(g, range(1, claimed), lambda s: is_maximal_irredundant(g, s)) is not None:
+        return False
+    if witness is not None:
+        return witness.bit_count() == claimed and is_maximal_irredundant(g, witness)
+    return _first_combination(g, [claimed], lambda s: is_maximal_irredundant(g, s)) is not None
+
+
 def test_enumerators_match_definitional_scan(connected_le6, bipartite_le7):
     rng = random.Random(8)
     graphs = [
@@ -189,8 +207,29 @@ def test_enumerators_match_definitional_scan(connected_le6, bipartite_le7):
                 s for s in mir if s.bit_count() <= cap
             ]
         assert list(minimal_dominating_sets(g)) == _definitional_minimal_dominating(g)
-    assert list(maximal_irredundant_sets(complete(0))) == []
-    assert list(minimal_dominating_sets(complete(0))) == [0]
+        # gamma: the first dominating combination below a greedy cover's size,
+        # else the cover itself
+        greedy = irredundance._greedy_dominating(g)
+        first = _first_combination(g, range(greedy.bit_count()), lambda s: is_dominating(g, s))
+        gamma_set = greedy if first is None else first
+        assert gamma_number(g) == (gamma_set.bit_count(), gamma_set)
+        if g.n == 0:
+            continue
+        ir_set = _first_combination(g, range(1, g.n + 1), lambda s: is_maximal_irredundant(g, s))
+        assert ir_number(g) == (ir_set.bit_count(), ir_set)
+        for claimed in range(ir_set.bit_count() - 1, ir_set.bit_count() + 2):
+            for witness in (None, ir_set):
+                assert ir_verify(g, claimed, witness) == _ir_verify_by_combinations(g, claimed, witness)
+    null = complete(0)
+    assert list(maximal_irredundant_sets(null)) == []
+    assert list(minimal_dominating_sets(null)) == [0]
+    with pytest.raises(ParameterError):
+        ir_number(null)
+    assert gamma_number(null) == (0, 0)
+    # the empty set is maximal irredundant on the null graph, and only there
+    assert ir_verify(null, 0) is _ir_verify_by_combinations(null, 0) is True
+    assert ir_verify(null, 1) is _ir_verify_by_combinations(null, 1) is False
+    assert ir_verify(cycle(4), 0) is _ir_verify_by_combinations(cycle(4), 0) is False
 
 
 def test_enumerators_call_no_set_predicate(monkeypatch):
@@ -235,3 +274,26 @@ def test_rainbow_invariants_pass_their_budget_to_the_enumerators():
     two_hubs = from_edge_list(26, cycle_edges + [(i, h) for i in range(24) for h in (24, 25)])
     _assert_cancelled_quickly(lambda token: gamma_chromatic_number(one_hub, token))
     _assert_cancelled_quickly(lambda token: irredundance_chromatic_number(two_hubs, token))
+
+
+class _ExpiresAtPoll:
+    """A budget token whose ``expired()`` turns true at its ``limit``-th poll."""
+
+    def __init__(self, limit):
+        self.limit = limit
+        self.polls = 0
+
+    def expired(self):
+        self.polls += 1
+        return self.polls >= self.limit
+
+
+def test_ir_gamma_and_ir_verify_poll_the_budget_inside_a_size():
+    # ir(C24) = gamma(C24) = 8: a search that polled once per set size would
+    # poll at most 8 times and return
+    c24 = cycle(24)
+    for solve in (ir_number, gamma_number, lambda g, token: ir_verify(g, 8, token=token)):
+        token = _ExpiresAtPoll(50)
+        with pytest.raises(SearchCancelled):
+            solve(c24, token)
+        assert token.polls == 50
