@@ -253,42 +253,51 @@ def _validate_cert(g: Graph, cert: RainbowCert, member) -> None:
 # v anti-dominates C when N[v] and C are disjoint (own class never counts).
 
 
-def _restricted_growth_search(g: Graph, k: int, fits, token=None) -> Optional[Coloring]:
-    """First canonical proper k-partition, in restricted-growth order, that
-    ``fits`` accepts at every placement; None when there is none.
+def _restricted_growth_search(g: Graph, k: int, fits, token=None, floor: Optional[int] = None) -> Optional[Coloring]:
+    """The first canonical proper partition, in restricted-growth order, with
+    the most classes between ``floor`` and ``k`` that ``fits`` accepts at
+    every placement; None when there is none.  ``floor`` defaults to ``k``,
+    which asks for the first k-partition.
 
     Vertex i joins an existing class or opens the next one, and then
-    ``fits(i, created, masks)`` may reject the prefix, and with it every
-    extension.  Its call on the last vertex sees the whole partition, so it
-    is also the final test.  Shared by the dominator and committee searches.
+    ``fits(i, created, masks, colors)`` may reject the prefix, and with it
+    every extension.  Its call on the last vertex sees the whole partition,
+    so it is also the final test.  Each partition found raises the floor
+    above its class count, so what is left of the search only looks for
+    more classes.  Shared by the dominator and committee searches.
     """
     n = g.n
     if not 1 <= k <= n:
         return None
     colors = [-1] * n
     masks = [0] * k
+    best: Optional[Coloring] = None
+    need = k if floor is None else floor  # the fewest classes a new best has
 
-    def rec(i: int, created: int) -> Optional[Coloring]:
+    def rec(i: int, created: int) -> bool:
+        """Search below the placed prefix 0..i-1; True stops the search."""
+        nonlocal best, need
         budget.check(token)
-        if n - i < k - created:
-            return None
+        if created + n - i < need:
+            return False
         if i == n:
-            return Coloring(tuple(colors), k)
+            best = Coloring(tuple(colors), created)
+            need = created + 1
+            return need > k
         for c in range(min(created + 1, k)):
             if masks[c] & g.adj[i]:
                 continue
             colors[i] = c
             masks[c] |= 1 << i
             nxt = max(created, c + 1)
-            if fits(i, nxt, masks):
-                found = rec(i + 1, nxt)
-                if found is not None:
-                    return found
+            if fits(i, nxt, masks, colors) and rec(i + 1, nxt):
+                return True
             colors[i] = -1
             masks[c] ^= 1 << i
-        return None
+        return False
 
-    return rec(0, 0)
+    rec(0, 0)
+    return best
 
 
 def _partition_search(g: Graph, k: int, anti: bool, token=None) -> Optional[Coloring]:
@@ -315,7 +324,7 @@ def _partition_search(g: Graph, k: int, anti: bool, token=None) -> Optional[Colo
                 return True
         return created < k and bool(remaining & ~closed)
 
-    def fits(i: int, created: int, masks: list[int]) -> bool:
+    def fits(i: int, created: int, masks: list[int], colors: list[int]) -> bool:
         return all(alive(v, created, later[i], masks) for v in range(i + 1))
 
     return _restricted_growth_search(g, k, fits, token)

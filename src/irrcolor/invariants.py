@@ -65,5 +65,5 @@ REGISTRY = {row.id: row for row in (
         # an obstruction settles it at any size
         above_cap=lambda g, token: (False, None) if _obstructed(g, token) else None,
     ),
-    Invariant("chi_irc", 10, 0, lambda g, token: irc_chromatic_number(g, token), _coloring),
+    Invariant("chi_irc", 12, 0, lambda g, token: irc_chromatic_number(g, token), _coloring),
 )}

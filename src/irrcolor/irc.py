@@ -4,7 +4,9 @@ A rainbow committee picks exactly one vertex from each color class.  A
 coloring qualifies when no committee contains a member with an empty private
 neighborhood.  The verifier searches for a violating committee victim-first:
 it tries to cover N[v] with the closed neighborhoods of members drawn from
-the other classes, which is exactly what annihilates pn[v, RC].
+the other classes, which is exactly what annihilates pn[v, RC].  The
+partition searches run the same cover at every placement, so a prefix with
+a violating committee is dropped with all its extensions.
 
 Two necessary conditions prune everything cheap:
   * minimum degree at least 2 (a pendant plus its support vertex always
@@ -16,6 +18,8 @@ Two necessary conditions prune everything cheap:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import or_
 from typing import Iterator, Optional
 
 from . import budget
@@ -45,55 +49,65 @@ def _closed(g: Graph, v: int) -> int:
     return g.adj[v] | (1 << v)
 
 
+def _cover(closed: list[int], classes: list[list[int]], reach: list[int], target: int) -> Optional[list[int]]:
+    """One member from each class in ``classes`` (ascending member lists),
+    in class order, whose closed neighborhoods together cover ``target``;
+    None when there is none.
+
+    ``closed[u]`` is N[u] and ``reach[j]`` the union of N[u] over class j.
+    Members covering more of what is left are tried first, ties toward the
+    lowest index; once nothing is left, each later class gives its lowest.
+    """
+    # suffix[j]: all that classes j.. can still cover
+    suffix = list(accumulate(reversed(reach), or_, initial=0))[::-1]
+    chosen: list[int] = []
+
+    def rec(j: int, remaining: int) -> bool:
+        # what is left lies within suffix[j]
+        if not remaining:
+            chosen.extend(members[0] for members in classes[j:])
+            return True
+        rest = suffix[j + 1]
+        for u in sorted(classes[j], key=lambda u: -(closed[u] & remaining).bit_count()):
+            left = remaining & ~closed[u]
+            if not left & ~rest:
+                chosen.append(u)
+                if rec(j + 1, left):
+                    return True
+                chosen.pop()
+        return False
+
+    return chosen if not target & ~suffix[0] and rec(0, target) else None
+
+
 def _committee_violation(g: Graph, class_masks: list[int], token=None):
     """Find (victim, committee) with pn[victim, committee] empty, else None."""
     n = g.n
-    k = len(class_masks)
+    closed = [_closed(g, v) for v in range(n)]
     color_of = [0] * n
-    for c, m in enumerate(class_masks):
-        for v in bits(m):
+    class_lists = [list(bits(m)) for m in class_masks]
+    reach = [0] * len(class_masks)
+    for c, members in enumerate(class_lists):
+        for v in members:
             color_of[v] = c
+            reach[c] |= closed[v]
 
     # quick reject: a vertex whose neighbors are pairwise distinctly colored
     # is annihilated by any committee through its closed neighborhood
     for v in range(n):
         per_class = [(g.adj[v] & m).bit_count() for m in class_masks]
         if g.degree(v) >= 1 and max(per_class) <= 1:
-            rc = _closed(g, v)
+            rc = closed[v]
             for c, m in enumerate(class_masks):
                 if not rc & m:
                     rc |= (m & -m)  # lowest member fills the class
             return v, rc
 
-    class_lists = [list(bits(m)) for m in class_masks]
     order = sorted(range(n), key=lambda v: (g.degree(v), v))
     for v in order:
         budget.check(token)
-        target = _closed(g, v)
-        others = [class_lists[c] for c in range(k) if c != color_of[v]]
-
-        def cover(idx: int, remaining: int, chosen: list[int]) -> Optional[list[int]]:
-            if idx == len(others):
-                return list(chosen) if remaining == 0 else None
-            potential = 0
-            for lst in others[idx:]:
-                for u in lst:
-                    potential |= _closed(g, u)
-            if remaining & ~potential:
-                return None
-            members = sorted(
-                others[idx],
-                key=lambda u: (-(_closed(g, u) & remaining).bit_count(), u),
-            )
-            for u in members:
-                chosen.append(u)
-                found = cover(idx + 1, remaining & ~_closed(g, u), chosen)
-                if found is not None:
-                    return found
-                chosen.pop()
-            return None
-
-        picked = cover(0, target, [])
+        others = [c for c in range(len(class_masks)) if c != color_of[v]]
+        picked = _cover(closed, [class_lists[c] for c in others], [reach[c] for c in others], closed[v])
         if picked is not None:
             rc = 1 << v
             for u in picked:
@@ -183,57 +197,111 @@ def _obstructed(g: Graph, token=None) -> bool:
     return g.n == 0 or next(_obstructions(g, token), None) is not None
 
 
-def _irc_partition_search(g: Graph, k: int, token=None) -> Optional[Coloring]:
-    """First canonical proper k-partition all of whose committees are
-    irredundant, or None.  Assumes minimum degree >= 2 was checked."""
+def _committee_fits(g: Graph):
+    """The committee search's ``fits``: it rejects a prefix that already has
+    a violating committee, or a vertex whose placed neighbors all differ in
+    color.  Assumes minimum degree >= 2 was checked.
+
+    A violating committee of a prefix stays violating in every extension:
+    more members and more classes only shrink pn[v, RC].  A new one must
+    contain the vertex i just placed in class c, and its victim is i or an
+    earlier v outside c whose N[v] meets N[i] (for any other victim, i can
+    be swapped for another member of c, or dropped if it opened c, to give
+    a violating committee of the previous prefix).  The victim i is hit
+    when one member from each other class covers N[i]; a victim v when one
+    member from each class other than c and v's covers N[v] - N[i].
+    """
+    n = g.n
+    closed = [_closed(g, v) for v in range(n)]
+    prefix = list(accumulate(closed, or_, initial=0))  # prefix[v]: N[0..v-1]
     # for each index i, the vertices whose neighborhoods complete at i
-    complete_at: list[list[int]] = [[] for _ in range(g.n)]
-    for u in range(g.n):
+    complete_at: list[list[int]] = [[] for _ in range(n)]
+    for u in range(n):
         if g.adj[u]:
             complete_at[g.adj[u].bit_length() - 1].append(u)
+    # victims[i]: (v, the target a cover must reach) for each victim that
+    # placing i can hit, i itself first; listed only when the earlier
+    # vertices other than v reach the whole target
+    victims: list[list[tuple[int, int]]] = []
+    for i in range(n):
+        row = [] if closed[i] & ~prefix[i] else [(i, closed[i])]
+        between = 0  # N[v+1..i-1]
+        for v in range(i - 1, -1, -1):
+            target = closed[v] & ~closed[i]
+            if closed[v] & closed[i] and not target & ~(prefix[v] | between):
+                row.append((v, target))
+            between |= closed[v]
+        victims.append(row)
 
-    def fits(i: int, created: int, masks: list[int]) -> bool:
+    def fits(i: int, created: int, masks: list[int], colors: list[int]) -> bool:
         for u in complete_at[i]:
             # every vertex needs two same-colored neighbors
-            if all((g.adj[u] & m).bit_count() <= 1 for m in masks):
+            if all((g.adj[u] & masks[j]).bit_count() <= 1 for j in range(created)):
                 return False
-        # a complete k-partition must also pass the committee check
-        return i < g.n - 1 or created < k or _committee_violation(g, masks, token) is None
+        if not victims[i]:
+            return True
+        c = colors[i]
+        members: list[list[int]] = [[] for _ in range(created)]
+        reach = [0] * created
+        for u in range(i + 1):
+            members[colors[u]].append(u)
+            reach[colors[u]] |= closed[u]
+        reach[c] = 0  # class c is never a cover's
+        # without[j]: all that the classes other than c and j reach, which
+        # a target must lie in
+        up = list(accumulate(reach, or_, initial=0))
+        down = list(accumulate(reversed(reach), or_, initial=0))[::-1]
+        without = [up[j] | down[j + 1] for j in range(created)]
+        for v, target in victims[i]:
+            cv = colors[v]  # c for the victim i, which leaves out class c only
+            if (cv == c and v != i) or target & ~without[cv]:
+                continue
+            eligible = [j for j in range(created) if j != c and j != cv]
+            if _cover(closed, [members[j] for j in eligible], [reach[j] for j in eligible], target) is not None:
+                return False
+        return True
 
-    return _restricted_growth_search(g, k, fits, token)
+    return fits
 
 
 def irc_colorability(g: Graph, token=None) -> Optional[Coloring]:
-    """A witness committee-safe coloring if one exists, else None."""
+    """A witness committee-safe coloring if one exists, else None: the first
+    one with the fewest colors."""
     if _obstructed(g, token):
         return None
+    fits = _committee_fits(g)
     chi, _ = chromatic_number(g, token)
-    for k in range(chi, g.n + 1):
-        col = _irc_partition_search(g, k, token)
+    col = _restricted_growth_search(g, chi, fits, token)
+    if col is not None:
+        return col
+    # one search over every larger color count shows whether there is any,
+    # and the most colors the ascending loop has to try
+    most = _restricted_growth_search(g, g.n, fits, token, floor=chi + 1)
+    if most is None:
+        return None
+    for k in range(chi + 1, most.k):
+        col = _restricted_growth_search(g, k, fits, token)
         if col is not None:
             return col
-    return None
+    return most
 
 
 def irc_with_k_colors(g: Graph, k: int, token=None) -> Optional[Coloring]:
     """A committee-safe coloring with exactly k colors, else None."""
     if _obstructed(g, token):
         return None
-    return _irc_partition_search(g, k, token)
+    return _restricted_growth_search(g, k, _committee_fits(g), token)
 
 
 def irc_chromatic_number(g: Graph, token=None) -> Optional[tuple[int, Coloring]]:
     """Maximum k over committee-safe colorings; None when none exist.
 
     k = n is impossible once an edge exists (the all-singleton committee is
-    the whole vertex set, which is never irredundant then), so the search
-    descends from n-1.
+    the whole vertex set, which is never irredundant then), so one search
+    over every class count up to n-1 finds the first coloring with the most
+    colors.
     """
     if _obstructed(g, token):
         return None
-    chi, _ = chromatic_number(g, token)
-    for k in range(g.n - 1, chi - 1, -1):
-        col = _irc_partition_search(g, k, token)
-        if col is not None:
-            return k, col
-    return None
+    col = _restricted_growth_search(g, g.n - 1, _committee_fits(g), token, floor=1)
+    return None if col is None else (col.k, col)

@@ -38,6 +38,16 @@ def random_connected(rng: random.Random, n: int, p: float = 0.4) -> Graph:
             return g
 
 
+def random_bipartite(rng: random.Random, n: int, p: float) -> Graph:
+    """Connected bipartite graph with minimum degree >= 2, by rejection: the
+    committee solvers get past their obstruction checks on these."""
+    while True:
+        left = rng.randint(2, n - 2)
+        g = from_edge_list(n, [(u, v) for u in range(left) for v in range(left, n) if rng.random() < p])
+        if g.min_degree() >= 2 and component_count(g) == 1:
+            return g
+
+
 @pytest.fixture(scope="session")
 def connected_le6():
     return _asset_graphs("connected_le6.g6")

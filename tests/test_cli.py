@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 import time
@@ -8,7 +9,7 @@ import pytest
 from irrcolor.cli import main
 from irrcolor.graphs import parse_graph6, to_graph6
 
-from conftest import cycle, complete
+from conftest import complete, cycle, random_bipartite
 
 
 C4_EDGELIST = "4 4\n0 1\n1 2\n2 3\n3 0\n"
@@ -107,6 +108,15 @@ def test_invariants_size_cap_marker(tmp_path, capsys):
     inv = json.loads(out)["graphs"][0]["invariants"]
     assert inv["chi"]["value"] == 2
     assert inv["chi_i"]["status"] == "skipped(cap)"
+
+
+def test_chi_irc_runs_at_twelve_vertices(tmp_path, capsys):
+    # the cap was 10 while chi_irc restarted its search for every color count
+    src = tmp_path / "bipartite12.g6"
+    src.write_text(to_graph6(random_bipartite(random.Random(0), 12, 0.6)).decode() + "\n")
+    code, out, _ = run_cli(capsys, ["invariants", str(src), "--invariants", "chi_irc", "--json"])
+    assert code == 0
+    assert json.loads(out)["graphs"][0]["invariants"]["chi_irc"] == {"status": "ok", "value": 2}
 
 
 def test_invariants_parallel_matches_serial(tmp_path, capsys):

@@ -1,12 +1,17 @@
 import random
 import time
+from itertools import islice
 
 import pytest
 
+from irrcolor import irc
+from irrcolor.budget import Deadline
 from irrcolor.coloring import Coloring, chromatic_number
-from irrcolor.errors import PreconditionError
+from irrcolor.errors import PreconditionError, SearchCancelled
+from irrcolor.families import gen_irc_family
 from irrcolor.graphs import bits, from_edge_list
 from irrcolor.irc import (
+    _obstructed,
     irc_chromatic_number,
     irc_colorability,
     irc_obstructions,
@@ -16,7 +21,7 @@ from irrcolor.irc import (
 from irrcolor.irredundance import is_irredundant, private_neighbors
 from irrcolor.oracle import independent_partitions, oracle_invariant
 
-from conftest import complete, cycle, path, random_connected, tree7
+from conftest import complete, cycle, path, random_bipartite, random_connected, tree7
 
 
 def test_is_irc_coloring_preconditions():
@@ -203,3 +208,225 @@ def test_listed_obstructions_are_genuine_and_complete(connected_le6):
             else:
                 assert r.clique >> r.vertex & 1
                 assert private_neighbors(g, r.vertex, r.clique) == 0
+
+
+# --- the committee search against the leaf-only, per-k search it replaced ----
+
+
+def _reference_violation(g, class_masks):
+    """The old leaf verifier: (victim, committee) with pn[victim, committee]
+    empty, else None."""
+    closed = [g.adj[v] | 1 << v for v in range(g.n)]
+    color_of = [0] * g.n
+    for c, m in enumerate(class_masks):
+        for v in bits(m):
+            color_of[v] = c
+    for v in range(g.n):
+        if g.degree(v) >= 1 and all((g.adj[v] & m).bit_count() <= 1 for m in class_masks):
+            rc = closed[v]
+            for m in class_masks:
+                if not rc & m:
+                    rc |= m & -m
+            return v, rc
+    for v in sorted(range(g.n), key=lambda v: (g.degree(v), v)):
+        others = [list(bits(m)) for c, m in enumerate(class_masks) if c != color_of[v]]
+
+        def cover(idx, remaining, chosen):
+            if idx == len(others):
+                return list(chosen) if remaining == 0 else None
+            potential = 0
+            for lst in others[idx:]:
+                for u in lst:
+                    potential |= closed[u]
+            if remaining & ~potential:
+                return None
+            for u in sorted(others[idx], key=lambda u: (-(closed[u] & remaining).bit_count(), u)):
+                found = cover(idx + 1, remaining & ~closed[u], chosen + [u])
+                if found is not None:
+                    return found
+            return None
+
+        picked = cover(0, closed[v], [])
+        if picked is not None:
+            return v, sum(1 << u for u in picked) | 1 << v
+    return None
+
+
+def _reference_with_k(g, k):
+    """The first canonical proper k-partition whose committees are all
+    irredundant, checking committees at the complete partitions only."""
+    n = g.n
+    if _obstructed(g) or not 1 <= k <= n:
+        return None
+    complete_at = [[] for _ in range(n)]
+    for u in range(n):
+        complete_at[g.adj[u].bit_length() - 1].append(u)
+    colors = [-1] * n
+    masks = [0] * k
+
+    def rec(i, created):
+        if n - i < k - created:
+            return None
+        if i == n:
+            return Coloring(tuple(colors), k)
+        for c in range(min(created + 1, k)):
+            if masks[c] & g.adj[i]:
+                continue
+            colors[i] = c
+            masks[c] |= 1 << i
+            nxt = max(created, c + 1)
+            ok = all(any((g.adj[u] & m).bit_count() >= 2 for m in masks) for u in complete_at[i])
+            if ok and (i < n - 1 or nxt < k or _reference_violation(g, masks) is None):
+                found = rec(i + 1, nxt)
+                if found is not None:
+                    return found
+            colors[i] = -1
+            masks[c] ^= 1 << i
+        return None
+
+    return rec(0, 0)
+
+
+def _reference_colorability(g):
+    if _obstructed(g):
+        return None
+    chi, _ = chromatic_number(g)
+    return next(filter(None, (_reference_with_k(g, k) for k in range(chi, g.n + 1))), None)
+
+
+def _reference_chromatic_number(g):
+    if _obstructed(g):
+        return None
+    chi, _ = chromatic_number(g)
+    for k in range(g.n - 1, chi - 1, -1):
+        col = _reference_with_k(g, k)
+        if col is not None:
+            return k, col
+    return None
+
+
+def _seeded_bipartite():
+    for n in (8, 9, 10):
+        for p in (0.3, 0.6, 0.8):
+            rng = random.Random(f"differential:{n}:{p}")
+            yield from (random_bipartite(rng, n, p) for _ in range(2))
+
+
+def _assert_matches_reference(g):
+    assert irc_chromatic_number(g) == _reference_chromatic_number(g)
+    assert irc_colorability(g) == _reference_colorability(g)
+    for k in range(1, g.n + 1):
+        assert irc_with_k_colors(g, k) == _reference_with_k(g, k)
+
+
+def test_committee_search_matches_reference_on_assets(connected_le6, bipartite_le7):
+    for g in connected_le6 + bipartite_le7:
+        _assert_matches_reference(g)
+
+
+def test_committee_search_matches_reference_on_seeded_bipartite():
+    for g in _seeded_bipartite():
+        _assert_matches_reference(g)
+
+
+@pytest.mark.parametrize("kind, param", [("tilde", 3), ("cut_vertex", 3), ("bipartite_star_of_cycles", 4)])
+def test_committee_search_matches_reference_on_families(kind, param):
+    # 27 to 36 vertices: the reference's per-k search runs for seconds to
+    # minutes at k between the fewest colors + 1 and n - 8, and so does its
+    # chi_irc; the family's claimed chi_irc stands in for it
+    inst = gen_irc_family(kind, param)
+    g = inst.graph
+    fewest = _reference_colorability(g)
+    assert irc_colorability(g) == fewest
+    for k in [*range(1, fewest.k + 1), *range(g.n - 7, g.n + 1)]:
+        assert irc_with_k_colors(g, k) == _reference_with_k(g, k)
+    k, col = irc_chromatic_number(g)
+    claim = inst.claims["chi_irc"]
+    assert k == claim.value if claim.exact else k >= claim.value
+    assert is_irc_coloring(g, col).is_irc
+    if k == fewest.k:
+        assert col == fewest
+
+
+def test_verdict_names_the_same_victim_and_committee_as_before(connected_le6):
+    rng = random.Random(61)
+    graphs = connected_le6 + [random_connected(rng, rng.randint(7, 9), 0.5) for _ in range(30)]
+    for g in graphs:
+        for k in range(2, g.n + 1):
+            for col in islice(independent_partitions(g, k), 3):
+                verdict = is_irc_coloring(g, col)
+                hit = _reference_violation(g, col.classes())
+                assert (verdict.violating_vertex, verdict.violating_rc) == (hit or (None, None))
+
+
+def test_colorability_ascends_past_chi(monkeypatch):
+    # no known graph is committee-colorable only with more than chi colors
+    # (one would refute the conjecture `scan conjecture` looks for), so a
+    # fits that also rejects every partition into at most `fewest` classes
+    # stands in for one; chi = 2 and chi_irc = 4 here
+    g = gen_irc_family("bipartite_star_of_cycles", 4).graph
+    real = irc._committee_fits
+    for fewest in (2, 3):
+        def fits_above(g, fewest=fewest):
+            fits = real(g)
+            return lambda i, created, masks, colors: (
+                fits(i, created, masks, colors) and (i < g.n - 1 or created > fewest))
+
+        monkeypatch.setattr(irc, "_committee_fits", fits_above)
+        col = irc_colorability(g)
+        assert col.k == fewest + 1
+        assert col == irc_with_k_colors(g, fewest + 1)
+        assert all(irc_with_k_colors(g, k) is None for k in range(1, fewest + 1))
+
+
+class _Polls:
+    """A budget token that counts its polls and expires at the ``limit``-th."""
+
+    def __init__(self, limit=None):
+        self.limit = limit
+        self.polls = 0
+
+    def expired(self):
+        self.polls += 1
+        return self.polls == self.limit
+
+
+# (seed, polls) for random_bipartite(random.Random(seed), 11, 0.6); the
+# search that checked committees at the leaves only, one k at a time, polled
+# 8,494, 6,937 and 10,949 times on these
+_PINNED_POLLS = [(0, 223), (1, 67), (2, 61)]
+
+
+def test_chromatic_number_checks_committees_inside_one_search(monkeypatch):
+    calls = []
+
+    def spy(name):
+        real = getattr(irc, name)
+
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(irc, name, counted)
+
+    spy("_committee_violation")
+    spy("chromatic_number")
+    for seed, polls in _PINNED_POLLS:
+        token = _Polls()
+        assert irc_chromatic_number(random_bipartite(random.Random(seed), 11, 0.6), token) is not None
+        assert token.polls <= polls
+    assert calls == []
+
+
+def test_chromatic_number_polls_the_budget():
+    g = random_bipartite(random.Random(0), 11, 0.6)
+    token = _Polls(50)
+    with pytest.raises(SearchCancelled):
+        irc_chromatic_number(g, token)
+    assert token.polls == 50
+    # this graph runs for minutes without a budget
+    g = random_bipartite(random.Random("n16:0.9"), 16, 0.9)
+    t0 = time.monotonic()
+    with pytest.raises(SearchCancelled):
+        irc_chromatic_number(g, Deadline(0.5))
+    assert time.monotonic() - t0 < 1.0
