@@ -56,7 +56,7 @@ from .irredundance import (
     minimal_dominating_sets,
 )
 from .invariants import REGISTRY
-from .oracle import DEFAULT_SIZE_CAP, irc_partition_exists, oracle_invariant
+from .oracle import DEFAULT_SIZE_CAP, irc_class_counts, oracle_invariant, oracle_invariants
 
 SCHEMA = "irrcolor-report/1"
 DEFAULT_INVARIANTS = ("chi", "ir", "gamma", "chi_i", "chi_gamma", "irc_colorable")
@@ -311,7 +311,7 @@ def _chain_scan(idx: int, g: Graph, token, oracle_cap: int):
     if "ir" in val and "gamma" in val and val["ir"] > val["gamma"]:
         violations.append(_violation("ir<=gamma", record, f"ir={val['ir']} > gamma={val['gamma']}"))
     if g.n <= 16:
-        for d in minimal_dominating_sets(g):
+        for d in minimal_dominating_sets(g, token):
             if not is_maximal_irredundant(g, d):
                 violations.append(_violation(
                     "minimal-dominating-is-maximal-irredundant",
@@ -356,9 +356,8 @@ def _conjecture_scan(idx: int, g: Graph, token, oracle_cap: int):
             )
             entry["oracle_confirmed"] = None
             if g.n <= oracle_cap:
-                oracle_colorable = oracle_invariant(g, "irc_colorable", oracle_cap).value
-                oracle_at_chi = irc_partition_exists(g, chi, oracle_cap)
-                entry["oracle_confirmed"] = bool(oracle_colorable and not oracle_at_chi)
+                counts = irc_class_counts(g, oracle_cap, token)
+                entry["oracle_confirmed"] = bool(counts) and chi not in counts
             violations.append(entry)
     record["invariants"]["conjecture"] = {"status": status, "value": verdict}
     record["timings"]["conjecture"] = round(time.perf_counter() - t0, 6)
@@ -520,7 +519,7 @@ def _verify_dominating_irredundant(claims, token, oracle_cap):
         gam, _ = gamma_number(g, token)
         if irn > gam:
             bad.append((to_graph6(g).decode("ascii"), "ir>gamma"))
-        for d in minimal_dominating_sets(g):
+        for d in minimal_dominating_sets(g, token):
             if not is_maximal_irredundant(g, d):
                 bad.append((to_graph6(g).decode("ascii"), f"mds mask {d}"))
     _claim_clean(
@@ -540,7 +539,8 @@ def _verify_family_a(claims, token, oracle_cap):
         ok = chi == irn == chi_i == k
         detail = f"chi={chi} ir={irn} chi_i={chi_i} claim={k}"
         if ok and g.n <= oracle_cap:
-            ok = all(oracle_invariant(g, name, oracle_cap).value == k for name in ("chi", "ir", "chi_i"))
+            oracle = oracle_invariants(g, ("chi", "ir", "chi_i"), oracle_cap, token)
+            ok = all(result.value == k for result in oracle.values())
             detail += " oracle=confirmed" if ok else " oracle=DISAGREES"
         _claim(claims, f"family A({n},{k}): chi = ir = chi_i = {k}", ok, detail)
 
@@ -553,7 +553,7 @@ def _verify_family_z(claims, token, oracle_cap):
     chi_i, _ = irredundance_chromatic_number(g, token)
     ok = (chi, irn, chi_i) == (3, 1, 3)
     if ok and g.n <= oracle_cap:
-        ok = oracle_invariant(g, "chi_i", oracle_cap).value == 3
+        ok = oracle_invariant(g, "chi_i", oracle_cap, token).value == 3
     _claim(claims, "family Z(3,1): chi=3 ir=1 chi_i=3", ok, f"chi={chi} ir={irn} chi_i={chi_i}")
 
     inst = families.gen_family_z(3, 2)
@@ -572,7 +572,7 @@ def _verify_family_z(claims, token, oracle_cap):
     chi_i, _ = irredundance_chromatic_number(g, token)
     _claim(claims, "family Z(3,2): chi_i = 4", chi_i == 4, f"chi_i={chi_i}")
     bad = 0
-    for s in maximal_irredundant_sets(g):
+    for s in maximal_irredundant_sets(g, token=token):
         for i in (1, 2):
             if not (s >> vs[i] & 1) and (s & pend[i]) != pend[i]:
                 bad += 1
@@ -593,7 +593,7 @@ def _verify_realizable(claims, token, oracle_cap):
         ok = chi_i == k
         detail = f"chi_i={chi_i} claim={k}"
         if ok and g.n <= oracle_cap:
-            ok = oracle_invariant(g, "chi_i", oracle_cap).value == k
+            ok = oracle_invariant(g, "chi_i", oracle_cap, token).value == k
             detail += " oracle=confirmed" if ok else " oracle=DISAGREES"
         _claim(claims, f"family B({n},{k}): chi_i = {k}", ok, detail)
 

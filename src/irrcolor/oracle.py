@@ -1,10 +1,12 @@
 """Ground truth by exhaustion.
 
-Every invariant is recomputed here from its bare definition: canonical set
-partitions into independent classes (restricted-growth order), full subset
-scans for the set invariants, and naive cartesian products over class
-representatives for committee checks.  Nothing below shares solver logic
-with the fast engines; only the Graph/Coloring containers are reused.
+Every invariant is recomputed here from its bare definition.  One scan of
+all 2^n subsets tabulates N[S], and from it whether S is irredundant,
+maximal irredundant or dominating; one pass over the canonical partitions
+into independent classes (restricted-growth order, ascending class count)
+scores every coloring definition, with naive cartesian products over class
+representatives for the committee checks.  Nothing below shares solver
+logic with the fast engines; only the Graph/Coloring containers are reused.
 Deliberately slow, capped by ``size_cap`` to prevent accidental blowups.
 
 One convention is shared with the fast path by design: graphs with minimum
@@ -17,11 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Optional
+from typing import Iterable, Iterator
 
+from . import budget
 from .coloring import Coloring
 from .errors import ParameterError, SizeCapError
-from .graphs import Graph, VertexSet, bits, mask_from
+from .graphs import Graph, VertexSet, bits
 
 DEFAULT_SIZE_CAP = 8
 
@@ -54,32 +57,13 @@ def independent_partitions(g: Graph, k: int) -> Iterator[Coloring]:
     yield from rec(0, 0)
 
 
-# definitional set predicates, local on purpose
+# definitional predicates, local on purpose
 
 
-def _closed_set(g: Graph, s: VertexSet) -> VertexSet:
-    out = s
-    for v in bits(s):
-        out |= g.adj[v]
-    return out
-
-
-def _irredundant(g: Graph, s: VertexSet) -> bool:
-    for v in bits(s):
-        if not (g.adj[v] | (1 << v)) & ~_closed_set(g, s & ~(1 << v)):
-            return False
-    return True
-
-
-def _max_irredundant(g: Graph, s: VertexSet) -> bool:
-    if not _irredundant(g, s):
-        return False
-    others = ((1 << g.n) - 1) & ~s
-    return all(not _irredundant(g, s | (1 << v)) for v in bits(others))
-
-
-def _dominating(g: Graph, s: VertexSet) -> bool:
-    return _closed_set(g, s) == (1 << g.n) - 1
+def _irredundant(nbhd: list[VertexSet], closed: list[VertexSet], s: VertexSet) -> bool:
+    """Every member v of s has a vertex of N[v] outside N[s - v]; ``nbhd``
+    holds each N[v] and ``closed`` each N[S] for S numerically below s."""
+    return all(nbhd[v] & ~closed[s ^ 1 << v] for v in bits(s))
 
 
 def _rainbow(coloring: Coloring, s: VertexSet) -> bool:
@@ -90,6 +74,25 @@ def _rainbow(coloring: Coloring, s: VertexSet) -> bool:
             return False
         seen |= 1 << c
     return True
+
+
+def _dominator(g: Graph, masks: list[VertexSet], anti: bool) -> bool:
+    """Every vertex dominates a class (is adjacent to all of it, or is all of
+    it); with ``anti``, every vertex also has a class missing its closed
+    neighborhood."""
+    for v in range(g.n):
+        if not any(m & ~g.adj[v] == 0 or m == 1 << v for m in masks):
+            return False
+        if anti and not any(m & (g.adj[v] | (1 << v)) == 0 for m in masks):
+            return False
+    return True
+
+
+def _committee_safe(irr: list[bool], masks: list[VertexSet]) -> bool:
+    """Every committee (one member per class) is irredundant; ``irr`` holds
+    the verdict for every vertex set."""
+    members = [[1 << v for v in bits(m)] for m in masks]
+    return all(irr[sum(committee)] for committee in product(*members))  # distinct bits: sum = union
 
 
 @dataclass(frozen=True)
@@ -103,140 +106,130 @@ def _check_cap(g: Graph, size_cap: int) -> None:
         raise SizeCapError(f"n={g.n} exceeds the oracle cap {size_cap}")
 
 
-def _first_partition(g: Graph, k: int, ok) -> Optional[Coloring]:
-    """The first partition into k independent classes that passes ``ok``."""
-    return next((col for col in independent_partitions(g, k) if ok(col)), None)
-
-
-def _fewest_classes(g: Graph, ok) -> OracleResult:
-    """The fewest classes of a partition passing ``ok``, with the first such
-    partition; the value is None when no partition passes."""
-    for k in range(1, g.n + 1):
-        col = _first_partition(g, k, ok)
-        if col is not None:
-            return OracleResult(k, col)
-    return OracleResult(None)
-
-
-def _oracle_chi(g: Graph) -> OracleResult:
-    if g.n == 0:
-        return OracleResult(0, Coloring((), 0))
-    return _fewest_classes(g, lambda col: True)
-
-
-def _oracle_ir(g: Graph) -> OracleResult:
-    if g.n == 0:
-        raise ParameterError("ir is undefined on the empty graph")
-    best = min((m for m in range(1, 1 << g.n) if _max_irredundant(g, m)), key=int.bit_count)
-    return OracleResult(best.bit_count(), best)
-
-
-def _oracle_gamma(g: Graph) -> OracleResult:
-    best = min((m for m in range(1 << g.n) if _dominating(g, m)), key=int.bit_count)
-    return OracleResult(best.bit_count(), best)
-
-
-def _oracle_rainbow(g: Graph, candidates: list[VertexSet]) -> OracleResult:
-    """Fewest colors of a partition into independent classes that leaves
-    some candidate set rainbow."""
-    if g.n == 0:
-        raise ParameterError("undefined on the empty graph")
-    for k in range(1, g.n + 1):
-        for col in independent_partitions(g, k):
-            for s in candidates:
-                if _rainbow(col, s):
-                    return OracleResult(k, (col, s))
-    raise AssertionError("unreachable: the all-singleton coloring qualifies")
-
-
-def _oracle_chi_i(g: Graph) -> OracleResult:
-    return _oracle_rainbow(g, [m for m in range(1, 1 << g.n) if _max_irredundant(g, m)])
-
-
-def _oracle_chi_gamma(g: Graph) -> OracleResult:
-    return _oracle_rainbow(g, [m for m in range(1 << g.n) if _dominating(g, m)])
-
-
-def _dominator(g: Graph, col: Coloring, anti: bool) -> bool:
-    """Every vertex dominates a class (is adjacent to all of it, or is all of
-    it); with ``anti``, every vertex also has a class missing its closed
-    neighborhood."""
-    masks = col.classes()
-    for v in range(g.n):
-        if not any(m & ~g.adj[v] == 0 or m == 1 << v for m in masks):
-            return False
-        if anti and not any(m & (g.adj[v] | (1 << v)) == 0 for m in masks):
-            return False
-    return True
-
-
-def _oracle_chi_d(g: Graph) -> OracleResult:
-    if g.n == 0:
-        raise ParameterError("undefined on the empty graph")
-    return _fewest_classes(g, lambda col: _dominator(g, col, anti=False))
-
-
-def _oracle_chi_gd(g: Graph) -> OracleResult:
-    if g.n < 2:
-        raise ParameterError("anti-domination needs a class to avoid")
-    return _fewest_classes(g, lambda col: _dominator(g, col, anti=True))
-
-
-def _committee_safe(g: Graph, col: Coloring) -> bool:
-    """Every committee (one member per class) is irredundant."""
-    members = [list(bits(m)) for m in col.classes()]
-    return all(_irredundant(g, mask_from(committee)) for committee in product(*members))
-
-
-def _committee_safe_partition(g: Graph, k: int) -> Optional[Coloring]:
-    """The first k-class partition whose committees are all irredundant."""
-    if g.n == 0 or g.min_degree() <= 1 or not 1 <= k <= g.n:
-        return None
-    return _first_partition(g, k, lambda col: _committee_safe(g, col))
-
-
-def _oracle_committee(g: Graph) -> dict[str, OracleResult]:
-    """irc_colorable and chi_irc from one search: the largest k with a
-    committee-safe partition, and the first such partition."""
-    best_k = best_col = None
-    for k in range(1, g.n + 1):
-        col = _committee_safe_partition(g, k)
-        if col is not None:
-            best_k, best_col = k, col
-    return {
-        "irc_colorable": OracleResult(best_k is not None, best_col),
-        "chi_irc": OracleResult(best_k, best_col),
-    }
-
-
-def irc_partition_exists(g: Graph, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> bool:
-    """Definitional check: some k-class partition has every committee
-    irredundant.  Used to confirm findings from the fast conjecture scan."""
-    _check_cap(g, size_cap)
-    return _committee_safe_partition(g, k) is not None
-
-
-# invariant id -> its definition
+# invariant id -> the fewest vertices on which it is defined
 _DEFINITIONS = {
-    "chi": _oracle_chi,
-    "ir": _oracle_ir,
-    "gamma": _oracle_gamma,
-    "chi_i": _oracle_chi_i,
-    "chi_gamma": _oracle_chi_gamma,
-    "chi_d": _oracle_chi_d,
-    "chi_gd": _oracle_chi_gd,
-    "irc_colorable": lambda g: _oracle_committee(g)["irc_colorable"],
-    "chi_irc": lambda g: _oracle_committee(g)["chi_irc"],
+    "chi": 0,
+    "ir": 1,
+    "gamma": 0,
+    "chi_i": 1,
+    "chi_gamma": 1,
+    "chi_d": 1,
+    "chi_gd": 2,  # anti-domination needs a class to avoid
+    "irc_colorable": 0,
+    "chi_irc": 0,
 }
+# _score also answers "irc_class_counts": the class counts that admit a
+# committee-safe partition, with the first such partition for each
+_COMMITTEE = frozenset({"irc_colorable", "chi_irc", "irc_class_counts"})
 
 
-def oracle_invariant(g: Graph, which: str, size_cap: int = DEFAULT_SIZE_CAP) -> OracleResult:
+def _score(g: Graph, ids: Iterable[str], token=None) -> dict[str, OracleResult]:
+    """Every id in ``ids`` by definition, from one subset table and one pass
+    over the independent partitions in ascending class count.
+
+    chi, chi_i, chi_gamma, chi_d and chi_gd are decided at their first
+    passing partition, the committee ids only after the last class count;
+    the pass stops once every id is decided.  Within a class count the
+    partitions come in restricted-growth order, so each definition keeps
+    its first passing partition as the witness.  Polls ``token`` at each
+    subset and at each partition.
+    """
+    n = g.n
+    ids = tuple(ids)
+    for which in ids:
+        if n < _DEFINITIONS.get(which, 0):
+            raise ParameterError(f"{which} is undefined on {n} vertices")
+    committee = bool(_COMMITTEE.intersection(ids)) and g.min_degree() >= 2
+    out: dict[str, OracleResult] = {}
+    irr = maximal = dominating = None
+    if committee or {"ir", "gamma", "chi_i", "chi_gamma"}.intersection(ids):
+        full = (1 << n) - 1
+        nbhd = [g.adj[v] | 1 << v for v in range(n)]
+        closed = [0] * (1 << n)  # N[S], from S minus its lowest member
+        irr = [True] * (1 << n)
+        for s in range(1, 1 << n):
+            budget.check(token)
+            low = s & -s
+            closed[s] = closed[s ^ low] | nbhd[low.bit_length() - 1]
+            irr[s] = _irredundant(nbhd, closed, s)
+        maximal = [s for s in range(1, 1 << n) if irr[s] and not any(irr[s | 1 << v] for v in bits(full & ~s))]
+        dominating = [s for s in range(1 << n) if closed[s] == full]
+        # min keeps the first set of fewest members in numeric order
+        for which, family in (("ir", maximal), ("gamma", dominating)):
+            if which in ids:
+                best = min(family, key=int.bit_count)
+                out[which] = OracleResult(best.bit_count(), best)
+
+    def rainbow(col, family):
+        return next(((col, s) for s in family if _rainbow(col, s)), None)
+
+    # id -> the witness of a partition that passes, else None
+    tests = {
+        "chi": lambda col, masks: col,
+        "chi_i": lambda col, masks: rainbow(col, maximal),
+        "chi_gamma": lambda col, masks: rainbow(col, dominating),
+        "chi_d": lambda col, masks: col if _dominator(g, masks, anti=False) else None,
+        "chi_gd": lambda col, masks: col if _dominator(g, masks, anti=True) else None,
+        "committee": lambda col, masks: col if _committee_safe(irr, masks) else None,
+    }
+    pending = {which: test for which, test in tests.items() if which in ids or which == "committee" and committee}
+    hits = {which: {} for which in tests}  # id -> {class count: witness}
+    if n == 0:
+        hits["chi"][0] = Coloring((), 0)  # the one partition of no vertices
+        pending.pop("chi", None)
+    for k in range(1, n + 1):
+        if not pending:
+            break
+        open_k = dict(pending)
+        for col in independent_partitions(g, k):
+            budget.check(token)
+            masks = col.classes()
+            for which, test in list(open_k.items()):
+                witness = test(col, masks)
+                if witness is not None:
+                    hits[which][k] = witness
+                    del open_k[which]
+                    if which != "committee":
+                        del pending[which]
+            if not open_k:
+                break
+    for which in ("chi", "chi_i", "chi_gamma", "chi_d", "chi_gd"):
+        k = min(hits[which], default=None)
+        out[which] = OracleResult(k, hits[which].get(k))
+    safe = hits["committee"]
+    best = max(safe, default=None)
+    out["irc_colorable"] = OracleResult(best is not None, safe.get(best))
+    out["chi_irc"] = OracleResult(best, safe.get(best))
+    out["irc_class_counts"] = OracleResult(tuple(safe), tuple(safe.values()))
+    return {which: out[which] for which in ids}
+
+
+def oracle_invariants(
+    g: Graph, ids: Iterable[str], size_cap: int = DEFAULT_SIZE_CAP, token=None
+) -> dict[str, OracleResult]:
+    """Recompute several invariants by definition alone, in one pass.
+    Raises SizeCapError when the graph is larger than ``size_cap``."""
+    _check_cap(g, size_cap)
+    ids = tuple(ids)
+    for which in ids:
+        if which not in _DEFINITIONS:
+            raise ParameterError(f"unknown invariant id {which!r}")
+    return _score(g, ids, token)
+
+
+def oracle_invariant(g: Graph, which: str, size_cap: int = DEFAULT_SIZE_CAP, token=None) -> OracleResult:
     """Recompute one invariant by definition alone.  Raises SizeCapError when
     the graph is larger than ``size_cap``."""
+    return oracle_invariants(g, (which,), size_cap, token)[which]
+
+
+def irc_class_counts(g: Graph, size_cap: int = DEFAULT_SIZE_CAP, token=None) -> tuple[int, ...]:
+    """Definitional check: the class counts k for which some k-class
+    partition has every committee irredundant, ascending; empty when g is
+    not committee-colorable.  Used to confirm findings from the fast
+    conjecture scan."""
     _check_cap(g, size_cap)
-    if which not in _DEFINITIONS:
-        raise ParameterError(f"unknown invariant id {which!r}")
-    return _DEFINITIONS[which](g)
+    return _score(g, ("irc_class_counts",), token)["irc_class_counts"].value
 
 
 @dataclass(frozen=True)
@@ -272,12 +265,10 @@ def cross_check(g: Graph, size_cap: int = DEFAULT_SIZE_CAP) -> CrossCheckReport:
         raise ParameterError("cross-check needs at least one vertex")
     from .invariants import REGISTRY  # the fast engines, never imported at module level
 
-    committee = _oracle_committee(g)  # one search answers both committee ids
+    rows = [row for row in REGISTRY.values() if g.n >= row.min_n]
+    oracle = _score(g, [row.id for row in rows])
     entries = []
-    for row in REGISTRY.values():
-        if g.n < row.min_n:
-            continue
+    for row in rows:
         fast = row.solve(g, None)
-        oracle = committee[row.id] if row.id in committee else _DEFINITIONS[row.id](g)
-        entries.append(CrossCheckEntry(row.id, None if fast is None else fast[0], oracle.value))
+        entries.append(CrossCheckEntry(row.id, None if fast is None else fast[0], oracle[row.id].value))
     return CrossCheckReport(tuple(entries))

@@ -48,6 +48,19 @@ def random_bipartite(rng: random.Random, n: int, p: float) -> Graph:
             return g
 
 
+class Polls:
+    """A budget token that counts its polls and expires from its
+    ``limit``-th poll on; with no limit it never expires."""
+
+    def __init__(self, limit=None):
+        self.limit = limit
+        self.polls = 0
+
+    def expired(self):
+        self.polls += 1
+        return self.limit is not None and self.polls >= self.limit
+
+
 @pytest.fixture(scope="session")
 def connected_le6():
     return _asset_graphs("connected_le6.g6")

@@ -9,7 +9,7 @@ import pytest
 from irrcolor.cli import main
 from irrcolor.graphs import parse_graph6, to_graph6
 
-from conftest import complete, cycle, random_bipartite
+from conftest import Polls, complete, cycle, random_bipartite
 
 
 C4_EDGELIST = "4 4\n0 1\n1 2\n2 3\n3 0\n"
@@ -220,6 +220,33 @@ def test_scan_conjecture_smoke(tmp_path, capsys):
     assert verdicts == ["holds", "holds", "holds"]
 
 
+def test_scan_conjecture_confirms_a_finding_with_one_oracle_pass(monkeypatch):
+    from irrcolor import cli, oracle
+
+    # a fast path that misses the chi-coloring of C6 makes a finding, and
+    # the oracle, which has one, refutes it from a single committee pass
+    monkeypatch.setattr(cli, "irc_with_k_colors", lambda g, k, token=None: None)
+    calls = []
+    score = oracle._score
+    monkeypatch.setattr(oracle, "_score", lambda *args: calls.append(args[1]) or score(*args))
+    rec, violations = cli._scan_graph(0, cycle(6), "conjecture", None, oracle_cap=8)
+    assert rec["invariants"]["conjecture"]["value"] == "finding"
+    assert [v["oracle_confirmed"] for v in violations] == [False]
+    assert calls == [("irc_class_counts",)]
+
+
+def test_verify_family_a_asks_the_oracle_once_per_graph(monkeypatch):
+    from irrcolor import cli, oracle
+
+    calls = []
+    score = oracle._score
+    monkeypatch.setattr(oracle, "_score", lambda *args: calls.append(args[1]) or score(*args))
+    claims = []
+    cli._verify_family_a(claims, None, oracle_cap=8)
+    assert [c["status"] for c in claims] == ["pass"] * 3
+    assert calls == [("chi", "ir", "chi_i")] * 3
+
+
 def test_scan_characterization_smoke(tmp_path, capsys):
     src = tmp_path / "graphs.g6"
     src.write_text(
@@ -263,6 +290,19 @@ def test_budget_marks_skipped():
 
     rec = _graph_record(0, cycle(6), ("chi_i",), Deadline(0.0))
     assert rec["invariants"]["chi_i"]["status"] == "skipped(budget)"
+
+
+def test_scan_chain_walk_after_the_cells_polls_the_budget():
+    from irrcolor.cli import _graph_record, _scan_graph
+
+    g = cycle(7)
+    cells = Polls()
+    rec = _graph_record(0, g, ("chi", "ir", "gamma", "chi_i", "chi_gamma", "chi_d", "chi_gd"), cells)
+    assert all(cell["status"] == "ok" for cell in rec["invariants"].values())
+    # the budget outlasts the cells and runs out in the minimal dominating
+    # set walk that follows them
+    rec, _ = _scan_graph(0, g, "chain", Polls(cells.polls + 1), oracle_cap=8)
+    assert rec["invariants"] == {"chain": {"status": "skipped(budget)", "value": None}}
 
 
 def test_console_entry_point_runs():

@@ -21,7 +21,7 @@ from irrcolor.irc import (
 from irrcolor.irredundance import is_irredundant, private_neighbors
 from irrcolor.oracle import independent_partitions, oracle_invariant
 
-from conftest import complete, cycle, path, random_bipartite, random_connected, tree7
+from conftest import Polls, complete, cycle, path, random_bipartite, random_connected, tree7
 
 
 def test_is_irc_coloring_preconditions():
@@ -379,18 +379,6 @@ def test_colorability_ascends_past_chi(monkeypatch):
         assert all(irc_with_k_colors(g, k) is None for k in range(1, fewest + 1))
 
 
-class _Polls:
-    """A budget token that counts its polls and expires at the ``limit``-th."""
-
-    def __init__(self, limit=None):
-        self.limit = limit
-        self.polls = 0
-
-    def expired(self):
-        self.polls += 1
-        return self.polls == self.limit
-
-
 # (seed, polls) for random_bipartite(random.Random(seed), 11, 0.6); the
 # search that checked committees at the leaves only, one k at a time, polled
 # 8,494, 6,937 and 10,949 times on these
@@ -412,7 +400,7 @@ def test_chromatic_number_checks_committees_inside_one_search(monkeypatch):
     spy("_committee_violation")
     spy("chromatic_number")
     for seed, polls in _PINNED_POLLS:
-        token = _Polls()
+        token = Polls()
         assert irc_chromatic_number(random_bipartite(random.Random(seed), 11, 0.6), token) is not None
         assert token.polls <= polls
     assert calls == []
@@ -420,7 +408,7 @@ def test_chromatic_number_checks_committees_inside_one_search(monkeypatch):
 
 def test_chromatic_number_polls_the_budget():
     g = random_bipartite(random.Random(0), 11, 0.6)
-    token = _Polls(50)
+    token = Polls(50)
     with pytest.raises(SearchCancelled):
         irc_chromatic_number(g, token)
     assert token.polls == 50

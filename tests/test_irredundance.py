@@ -21,7 +21,7 @@ from irrcolor.irredundance import (
     private_neighbors,
 )
 
-from conftest import complete, cycle, random_graph, tree7
+from conftest import Polls, complete, cycle, random_graph, tree7
 
 
 def test_private_neighbors_examples():
@@ -276,24 +276,12 @@ def test_rainbow_invariants_pass_their_budget_to_the_enumerators():
     _assert_cancelled_quickly(lambda token: irredundance_chromatic_number(two_hubs, token))
 
 
-class _ExpiresAtPoll:
-    """A budget token whose ``expired()`` turns true at its ``limit``-th poll."""
-
-    def __init__(self, limit):
-        self.limit = limit
-        self.polls = 0
-
-    def expired(self):
-        self.polls += 1
-        return self.polls >= self.limit
-
-
 def test_ir_gamma_and_ir_verify_poll_the_budget_inside_a_size():
     # ir(C24) = gamma(C24) = 8: a search that polled once per set size would
     # poll at most 8 times and return
     c24 = cycle(24)
     for solve in (ir_number, gamma_number, lambda g, token: ir_verify(g, 8, token=token)):
-        token = _ExpiresAtPoll(50)
+        token = Polls(50)
         with pytest.raises(SearchCancelled):
             solve(c24, token)
         assert token.polls == 50

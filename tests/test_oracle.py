@@ -1,17 +1,23 @@
 import random
+from itertools import combinations, product
+from typing import Optional
 
 import pytest
 
-from irrcolor.errors import ParameterError, SizeCapError
-from irrcolor.graphs import from_edge_list
+from irrcolor import oracle
+from irrcolor.coloring import Coloring
+from irrcolor.errors import ParameterError, SearchCancelled, SizeCapError
+from irrcolor.graphs import Graph, bits, from_edge_list, mask_from, to_graph6
 from irrcolor.oracle import (
+    OracleResult,
     cross_check,
     independent_partitions,
-    irc_partition_exists,
+    irc_class_counts,
     oracle_invariant,
+    oracle_invariants,
 )
 
-from conftest import complete, complete_bipartite, cycle, random_connected, tree7
+from conftest import Polls, complete, complete_bipartite, cycle, random_connected, random_graph, tree7
 
 
 def bell_numbers(limit):
@@ -75,10 +81,10 @@ def test_size_cap():
     assert oracle_invariant(big, "chi", size_cap=9).value == 2
 
 
-def test_irc_partition_exists():
-    assert irc_partition_exists(cycle(4), 2)
-    assert not irc_partition_exists(cycle(4), 3)
-    assert not irc_partition_exists(cycle(5), 2)
+def test_irc_class_counts():
+    assert irc_class_counts(cycle(4)) == (2,)
+    assert irc_class_counts(cycle(5)) == ()
+    assert irc_class_counts(complete_bipartite(3, 3)) == (2,)
 
 
 def test_cross_check_examples():
@@ -97,3 +103,228 @@ def test_cross_check_random_graphs():
     for _ in range(25):
         g = random_connected(rng, rng.randint(1, 7))
         assert cross_check(g).ok
+
+
+# --- the per-definition oracle that one subset table and one partition pass
+# replaced, kept as the reference: each definition runs its own partition
+# walk and its own subset scan
+
+
+def _closed_set(g: Graph, s: int) -> int:
+    out = s
+    for v in bits(s):
+        out |= g.adj[v]
+    return out
+
+
+def _irredundant(g: Graph, s: int) -> bool:
+    for v in bits(s):
+        if not (g.adj[v] | (1 << v)) & ~_closed_set(g, s & ~(1 << v)):
+            return False
+    return True
+
+
+def _max_irredundant(g: Graph, s: int) -> bool:
+    if not _irredundant(g, s):
+        return False
+    others = ((1 << g.n) - 1) & ~s
+    return all(not _irredundant(g, s | (1 << v)) for v in bits(others))
+
+
+def _dominating(g: Graph, s: int) -> bool:
+    return _closed_set(g, s) == (1 << g.n) - 1
+
+
+def _rainbow(coloring: Coloring, s: int) -> bool:
+    seen = 0
+    for v in bits(s):
+        c = coloring.color_of[v]
+        if seen >> c & 1:
+            return False
+        seen |= 1 << c
+    return True
+
+
+def _first_partition(g: Graph, k: int, ok) -> Optional[Coloring]:
+    return next((col for col in independent_partitions(g, k) if ok(col)), None)
+
+
+def _fewest_classes(g: Graph, ok) -> OracleResult:
+    for k in range(1, g.n + 1):
+        col = _first_partition(g, k, ok)
+        if col is not None:
+            return OracleResult(k, col)
+    return OracleResult(None)
+
+
+def _oracle_chi(g: Graph) -> OracleResult:
+    if g.n == 0:
+        return OracleResult(0, Coloring((), 0))
+    return _fewest_classes(g, lambda col: True)
+
+
+def _oracle_ir(g: Graph) -> OracleResult:
+    if g.n == 0:
+        raise ParameterError("ir is undefined on the empty graph")
+    best = min((m for m in range(1, 1 << g.n) if _max_irredundant(g, m)), key=int.bit_count)
+    return OracleResult(best.bit_count(), best)
+
+
+def _oracle_gamma(g: Graph) -> OracleResult:
+    best = min((m for m in range(1 << g.n) if _dominating(g, m)), key=int.bit_count)
+    return OracleResult(best.bit_count(), best)
+
+
+def _oracle_rainbow(g: Graph, candidates: list[int]) -> OracleResult:
+    if g.n == 0:
+        raise ParameterError("undefined on the empty graph")
+    for k in range(1, g.n + 1):
+        for col in independent_partitions(g, k):
+            for s in candidates:
+                if _rainbow(col, s):
+                    return OracleResult(k, (col, s))
+    raise AssertionError("unreachable: the all-singleton coloring qualifies")
+
+
+def _oracle_chi_i(g: Graph) -> OracleResult:
+    return _oracle_rainbow(g, [m for m in range(1, 1 << g.n) if _max_irredundant(g, m)])
+
+
+def _oracle_chi_gamma(g: Graph) -> OracleResult:
+    return _oracle_rainbow(g, [m for m in range(1 << g.n) if _dominating(g, m)])
+
+
+def _dominator(g: Graph, col: Coloring, anti: bool) -> bool:
+    masks = col.classes()
+    for v in range(g.n):
+        if not any(m & ~g.adj[v] == 0 or m == 1 << v for m in masks):
+            return False
+        if anti and not any(m & (g.adj[v] | (1 << v)) == 0 for m in masks):
+            return False
+    return True
+
+
+def _oracle_chi_d(g: Graph) -> OracleResult:
+    if g.n == 0:
+        raise ParameterError("undefined on the empty graph")
+    return _fewest_classes(g, lambda col: _dominator(g, col, anti=False))
+
+
+def _oracle_chi_gd(g: Graph) -> OracleResult:
+    if g.n < 2:
+        raise ParameterError("anti-domination needs a class to avoid")
+    return _fewest_classes(g, lambda col: _dominator(g, col, anti=True))
+
+
+def _committee_safe(g: Graph, col: Coloring) -> bool:
+    members = [list(bits(m)) for m in col.classes()]
+    return all(_irredundant(g, mask_from(committee)) for committee in product(*members))
+
+
+def _committee_safe_partition(g: Graph, k: int) -> Optional[Coloring]:
+    if g.n == 0 or g.min_degree() <= 1 or not 1 <= k <= g.n:
+        return None
+    return _first_partition(g, k, lambda col: _committee_safe(g, col))
+
+
+def _oracle_committee(g: Graph) -> dict[str, OracleResult]:
+    best_k = best_col = None
+    for k in range(1, g.n + 1):
+        col = _committee_safe_partition(g, k)
+        if col is not None:
+            best_k, best_col = k, col
+    return {
+        "irc_colorable": OracleResult(best_k is not None, best_col),
+        "chi_irc": OracleResult(best_k, best_col),
+    }
+
+
+_REFERENCE = {
+    "chi": _oracle_chi,
+    "ir": _oracle_ir,
+    "gamma": _oracle_gamma,
+    "chi_i": _oracle_chi_i,
+    "chi_gamma": _oracle_chi_gamma,
+    "chi_d": _oracle_chi_d,
+    "chi_gd": _oracle_chi_gd,
+    "irc_colorable": lambda g: _oracle_committee(g)["irc_colorable"],
+    "chi_irc": lambda g: _oracle_committee(g)["chi_irc"],
+}
+
+
+def _labelled_graphs(n: int):
+    pairs = list(combinations(range(n), 2))
+    for m in range(1 << len(pairs)):
+        yield from_edge_list(n, [e for i, e in enumerate(pairs) if m >> i & 1])
+
+
+def test_reference_covers_every_oracle_id():
+    assert set(_REFERENCE) == set(oracle._DEFINITIONS)
+
+
+def test_oracle_matches_the_per_definition_reference(connected_le6, bipartite_le7):
+    graphs = [g for n in range(5) for g in _labelled_graphs(n)] + connected_le6 + bipartite_le7
+    rng = random.Random(8)
+    graphs += [random_graph(rng, 8, p) for p in (0.2, 0.4, 0.7) for _ in range(3)]
+    for g in graphs:
+        defined = []
+        for which, definition in _REFERENCE.items():
+            try:
+                expected = definition(g)
+            except ParameterError:
+                with pytest.raises(ParameterError):
+                    oracle_invariant(g, which)
+                continue
+            defined.append(which)
+            assert oracle_invariant(g, which) == expected, (to_graph6(g), which)
+        # every id from one call, as cross_check asks for them
+        joint = oracle_invariants(g, defined)
+        assert joint == {which: _REFERENCE[which](g) for which in defined}, to_graph6(g)
+        safe = {k: col for k in range(1, g.n + 1) if (col := _committee_safe_partition(g, k))}
+        assert oracle._score(g, ("irc_class_counts",))["irc_class_counts"] == OracleResult(
+            tuple(safe), tuple(safe.values())
+        )
+
+
+# (graph, independent_partitions calls, partitions yielded) in one
+# cross_check.  The per-definition reference above made (20, 68), (18, 38),
+# (16, 125) and (26, 301), and evaluated the irredundance test 301, 285, 452
+# and 1,168 times; one subset table evaluates it once per nonempty subset.
+_PINNED_COUNTS = [
+    (cycle(6), 6, 41),
+    (complete_bipartite(3, 3), 6, 25),
+    (tree7(), 4, 83),
+    (random_connected(random.Random(3), 8, 0.5), 8, 236),
+]
+
+
+def test_cross_check_walks_the_partitions_once_and_the_subsets_once(monkeypatch):
+    counts = {}
+    partitions, irredundant = oracle.independent_partitions, oracle._irredundant
+
+    def counted_partitions(g, k):
+        counts["calls"] += 1
+        for col in partitions(g, k):
+            counts["yielded"] += 1
+            yield col
+
+    def counted_irredundant(*args):
+        counts["irredundant"] += 1
+        return irredundant(*args)
+
+    monkeypatch.setattr(oracle, "independent_partitions", counted_partitions)
+    monkeypatch.setattr(oracle, "_irredundant", counted_irredundant)
+    for g, calls, yielded in _PINNED_COUNTS:
+        counts.update(calls=0, yielded=0, irredundant=0)
+        assert cross_check(g).ok
+        assert counts == {"calls": calls, "yielded": yielded, "irredundant": 2**g.n - 1}
+        assert calls <= g.n
+
+
+def test_oracle_polls_the_budget():
+    # chi_irc polls in the subset table, chi_gd (no table) in the partition pass
+    for which in ("chi_irc", "chi_gd"):
+        token = Polls(50)
+        with pytest.raises(SearchCancelled):
+            oracle_invariant(cycle(12), which, size_cap=12, token=token)
+        assert token.polls == 50
