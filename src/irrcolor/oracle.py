@@ -118,6 +118,8 @@ _DEFINITIONS = {
     "irc_colorable": 0,
     "chi_irc": 0,
 }
+# decided by the fewest classes of a passing partition
+_FEWEST = ("chi", "chi_i", "chi_gamma", "chi_d", "chi_gd")
 # _score also answers "irc_class_counts": the class counts that admit a
 # committee-safe partition, with the first such partition for each
 _COMMITTEE = frozenset({"irc_colorable", "chi_irc", "irc_class_counts"})
@@ -172,7 +174,9 @@ def _score(g: Graph, ids: Iterable[str], token=None) -> dict[str, OracleResult]:
         "chi_gd": lambda col, masks: col if _dominator(g, masks, anti=True) else None,
         "committee": lambda col, masks: col if _committee_safe(irr, masks) else None,
     }
-    pending = {which: test for which, test in tests.items() if which in ids or which == "committee" and committee}
+    pending = {which: tests[which] for which in _FEWEST if which in ids}
+    if committee:
+        pending["committee"] = tests["committee"]
     hits = {which: {} for which in tests}  # id -> {class count: witness}
     if n == 0:
         hits["chi"][0] = Coloring((), 0)  # the one partition of no vertices
@@ -193,7 +197,7 @@ def _score(g: Graph, ids: Iterable[str], token=None) -> dict[str, OracleResult]:
                         del pending[which]
             if not open_k:
                 break
-    for which in ("chi", "chi_i", "chi_gamma", "chi_d", "chi_gd"):
+    for which in _FEWEST:
         k = min(hits[which], default=None)
         out[which] = OracleResult(k, hits[which].get(k))
     safe = hits["committee"]
