@@ -220,15 +220,28 @@ def test_scan_conjecture_smoke(tmp_path, capsys):
     assert verdicts == ["holds", "holds", "holds"]
 
 
+def _oracle_calls(monkeypatch) -> list:
+    """Record the ids of every call to the oracle's scorer."""
+    from irrcolor import oracle
+
+    calls = []
+    score = oracle._score
+
+    def recorded(g, ids, token=None):
+        calls.append(ids)
+        return score(g, ids, token)
+
+    monkeypatch.setattr(oracle, "_score", recorded)
+    return calls
+
+
 def test_scan_conjecture_confirms_a_finding_with_one_oracle_pass(monkeypatch):
-    from irrcolor import cli, oracle
+    from irrcolor import cli
 
     # a fast path that misses the chi-coloring of C6 makes a finding, and
     # the oracle, which has one, refutes it from a single committee pass
     monkeypatch.setattr(cli, "irc_with_k_colors", lambda g, k, token=None: None)
-    calls = []
-    score = oracle._score
-    monkeypatch.setattr(oracle, "_score", lambda *args: calls.append(args[1]) or score(*args))
+    calls = _oracle_calls(monkeypatch)
     rec, violations = cli._scan_graph(0, cycle(6), "conjecture", None, oracle_cap=8)
     assert rec["invariants"]["conjecture"]["value"] == "finding"
     assert [v["oracle_confirmed"] for v in violations] == [False]
@@ -236,11 +249,9 @@ def test_scan_conjecture_confirms_a_finding_with_one_oracle_pass(monkeypatch):
 
 
 def test_verify_family_a_asks_the_oracle_once_per_graph(monkeypatch):
-    from irrcolor import cli, oracle
+    from irrcolor import cli
 
-    calls = []
-    score = oracle._score
-    monkeypatch.setattr(oracle, "_score", lambda *args: calls.append(args[1]) or score(*args))
+    calls = _oracle_calls(monkeypatch)
     claims = []
     cli._verify_family_a(claims, None, oracle_cap=8)
     assert [c["status"] for c in claims] == ["pass"] * 3
