@@ -356,8 +356,11 @@ def _conjecture_scan(idx: int, g: Graph, token, oracle_cap: int):
             )
             entry["oracle_confirmed"] = None
             if g.n <= oracle_cap:
-                counts = irc_class_counts(g, oracle_cap, token)
-                entry["oracle_confirmed"] = bool(counts) and chi not in counts
+                try:
+                    counts = irc_class_counts(g, oracle_cap, token)
+                    entry["oracle_confirmed"] = bool(counts) and chi not in counts
+                except SearchCancelled:
+                    pass  # the finding stands, unconfirmed
             violations.append(entry)
     record["invariants"]["conjecture"] = {"status": status, "value": verdict}
     record["timings"]["conjecture"] = round(time.perf_counter() - t0, 6)

@@ -120,29 +120,26 @@ _DEFINITIONS = {
 }
 # decided by the fewest classes of a passing partition
 _FEWEST = ("chi", "chi_i", "chi_gamma", "chi_d", "chi_gd")
-# _score also answers "irc_class_counts": the class counts that admit a
-# committee-safe partition, with the first such partition for each
-_COMMITTEE = frozenset({"irc_colorable", "chi_irc", "irc_class_counts"})
+# decided by the class counts that admit a committee-safe partition
+_COMMITTEE = frozenset({"irc_colorable", "chi_irc"})
 
 
-def _score(g: Graph, ids: Iterable[str], token=None) -> dict[str, OracleResult]:
-    """Every id in ``ids`` by definition, from one subset table and one pass
-    over the independent partitions in ascending class count.
-
-    chi, chi_i, chi_gamma, chi_d and chi_gd are decided at their first
-    passing partition, the committee ids only after the last class count;
-    the pass stops once every id is decided.  Within a class count the
-    partitions come in restricted-growth order, so each definition keeps
-    its first passing partition as the witness.  Polls ``token`` at each
-    subset and at each partition.
+def _tally(g: Graph, ids: tuple[str, ...], token=None) -> tuple[dict[str, OracleResult], dict[int, Coloring]]:
+    """Every non-committee id in ``ids`` by definition, and with a committee
+    id the first committee-safe partition at each class count, from one
+    subset table and one pass over the independent partitions in ascending
+    class count (restricted-growth order within each, so every definition
+    keeps its first passing partition as the witness).  The pass stops once
+    every id is decided; the committee check runs to the last class count.
+    Polls ``token`` at each subset and at each partition.
     """
     n = g.n
-    ids = tuple(ids)
     for which in ids:
-        if n < _DEFINITIONS.get(which, 0):
+        if n < _DEFINITIONS[which]:
             raise ParameterError(f"{which} is undefined on {n} vertices")
     committee = bool(_COMMITTEE.intersection(ids)) and g.min_degree() >= 2
     out: dict[str, OracleResult] = {}
+    safe: dict[int, Coloring] = {}
     irr = maximal = dominating = None
     if committee or {"ir", "gamma", "chi_i", "chi_gamma"}.intersection(ids):
         full = (1 << n) - 1
@@ -172,15 +169,13 @@ def _score(g: Graph, ids: Iterable[str], token=None) -> dict[str, OracleResult]:
         "chi_gamma": lambda col, masks: rainbow(col, dominating),
         "chi_d": lambda col, masks: col if _dominator(g, masks, anti=False) else None,
         "chi_gd": lambda col, masks: col if _dominator(g, masks, anti=True) else None,
-        "committee": lambda col, masks: col if _committee_safe(irr, masks) else None,
     }
     pending = {which: tests[which] for which in _FEWEST if which in ids}
+    if n == 0 and "chi" in pending:
+        out["chi"] = OracleResult(0, Coloring((), 0))  # the one partition of no vertices
+        del pending["chi"]
     if committee:
-        pending["committee"] = tests["committee"]
-    hits = {which: {} for which in tests}  # id -> {class count: witness}
-    if n == 0:
-        hits["chi"][0] = Coloring((), 0)  # the one partition of no vertices
-        pending.pop("chi", None)
+        pending["committee"] = lambda col, masks: col if _committee_safe(irr, masks) else None
     for k in range(1, n + 1):
         if not pending:
             break
@@ -189,23 +184,31 @@ def _score(g: Graph, ids: Iterable[str], token=None) -> dict[str, OracleResult]:
             budget.check(token)
             masks = col.classes()
             for which, test in list(open_k.items()):
-                witness = test(col, masks)
-                if witness is not None:
-                    hits[which][k] = witness
-                    del open_k[which]
-                    if which != "committee":
-                        del pending[which]
+                if (witness := test(col, masks)) is None:
+                    continue
+                del open_k[which]
+                if which == "committee":
+                    safe[k] = witness
+                else:
+                    out[which] = OracleResult(k, witness)
+                    del pending[which]
             if not open_k:
                 break
     for which in _FEWEST:
-        k = min(hits[which], default=None)
-        out[which] = OracleResult(k, hits[which].get(k))
-    safe = hits["committee"]
+        if which in pending:
+            out[which] = OracleResult(None)  # no partition passes
+    return out, safe
+
+
+def _score(g: Graph, ids: Iterable[str], token=None) -> dict[str, OracleResult]:
+    """Every id in ``ids`` by definition, from one ``_tally``."""
+    ids = tuple(ids)
+    out, safe = _tally(g, ids, token)
     best = max(safe, default=None)
-    out["irc_colorable"] = OracleResult(best is not None, safe.get(best))
-    out["chi_irc"] = OracleResult(best, safe.get(best))
-    out["irc_class_counts"] = OracleResult(tuple(safe), tuple(safe.values()))
-    return {which: out[which] for which in ids}
+    for which, value in (("irc_colorable", best is not None), ("chi_irc", best)):
+        if which in ids:
+            out[which] = OracleResult(value, safe.get(best))
+    return out
 
 
 def oracle_invariants(
@@ -233,7 +236,7 @@ def irc_class_counts(g: Graph, size_cap: int = DEFAULT_SIZE_CAP, token=None) -> 
     not committee-colorable.  Used to confirm findings from the fast
     conjecture scan."""
     _check_cap(g, size_cap)
-    return _score(g, ("irc_class_counts",), token)["irc_class_counts"].value
+    return tuple(_tally(g, ("chi_irc",), token)[1])
 
 
 @dataclass(frozen=True)

@@ -221,17 +221,17 @@ def test_scan_conjecture_smoke(tmp_path, capsys):
 
 
 def _oracle_calls(monkeypatch) -> list:
-    """Record the ids of every call to the oracle's scorer."""
+    """Record the ids of every pass the oracle makes."""
     from irrcolor import oracle
 
     calls = []
-    score = oracle._score
+    tally = oracle._tally
 
     def recorded(g, ids, token=None):
         calls.append(ids)
-        return score(g, ids, token)
+        return tally(g, ids, token)
 
-    monkeypatch.setattr(oracle, "_score", recorded)
+    monkeypatch.setattr(oracle, "_tally", recorded)
     return calls
 
 
@@ -245,7 +245,20 @@ def test_scan_conjecture_confirms_a_finding_with_one_oracle_pass(monkeypatch):
     rec, violations = cli._scan_graph(0, cycle(6), "conjecture", None, oracle_cap=8)
     assert rec["invariants"]["conjecture"]["value"] == "finding"
     assert [v["oracle_confirmed"] for v in violations] == [False]
-    assert calls == [("irc_class_counts",)]
+    assert calls == [("chi_irc",)]
+
+
+def test_scan_conjecture_keeps_a_finding_when_the_budget_ends_in_the_oracle(monkeypatch):
+    from irrcolor import cli
+
+    monkeypatch.setattr(cli, "irc_with_k_colors", lambda g, k, token=None: None)
+    fast = Polls()
+    cli._scan_graph(0, cycle(6), "conjecture", fast, oracle_cap=0)  # the fast path alone
+    token = Polls(fast.polls + 10)
+    rec, violations = cli._scan_graph(0, cycle(6), "conjecture", token, oracle_cap=8)
+    assert token.polls == fast.polls + 10  # cancelled inside the oracle
+    assert rec["invariants"]["conjecture"] == {"status": "ok", "value": "finding"}
+    assert [v["oracle_confirmed"] for v in violations] == [None]
 
 
 def test_verify_family_a_asks_the_oracle_once_per_graph(monkeypatch):

@@ -281,9 +281,8 @@ def test_oracle_matches_the_per_definition_reference(connected_le6, bipartite_le
         joint = oracle_invariants(g, defined)
         assert joint == {which: _REFERENCE[which](g) for which in defined}, to_graph6(g)
         safe = {k: col for k in range(1, g.n + 1) if (col := _committee_safe_partition(g, k))}
-        assert oracle._score(g, ("irc_class_counts",))["irc_class_counts"] == OracleResult(
-            tuple(safe), tuple(safe.values())
-        )
+        assert oracle._tally(g, ("chi_irc",))[1] == safe, to_graph6(g)
+        assert irc_class_counts(g) == tuple(safe)
 
 
 # (graph, independent_partitions calls, partitions yielded) in one

@@ -5,8 +5,9 @@ Runs ``perfbench/run.py --workload W --seed S --trace 0`` in a source
 checkout for every workload that BENCHMARK.json declares, one after the
 other, and appends each run's final JSON line to ``BENCH_<tag>.json`` at the
 root of this repository, with the checkout's commit, the seed and the answer
-digests the run printed.  Run it once per checkout to put two commits side
-by side in one file:
+digests the run printed.  Each run lasts run.py's default time, so one
+file never mixes runs of different lengths.  Run it once per checkout to
+put two commits side by side in one file:
 
     python3 tools/bench_trajectory.py mytag --checkout ../parent-clone
     python3 tools/bench_trajectory.py mytag
@@ -29,9 +30,8 @@ ROOT = Path(__file__).resolve().parent.parent
 DIGEST = "perfbench: answer digest "
 
 
-def run_workload(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+def run_workload(checkout: Path, workload: str, seed: int) -> dict:
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
@@ -50,7 +50,6 @@ def main(argv=None) -> int:
     parser.add_argument("tag", help="names the output file BENCH_<tag>.json")
     parser.add_argument("--checkout", type=Path, default=ROOT, help="source checkout to measure")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=spec["run_seconds"], help="timed seconds per workload")
     args = parser.parse_args(argv)
 
     commit = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=args.checkout,
@@ -58,7 +57,7 @@ def main(argv=None) -> int:
     out = ROOT / f"BENCH_{args.tag}.json"
     bench = json.loads(out.read_text(encoding="ascii")) if out.exists() else {"tag": args.tag, "runs": []}
     for w in spec["workloads"]:
-        run = dict(run_workload(args.checkout, w["name"], args.seed, args.seconds), commit=commit,
+        run = dict(run_workload(args.checkout, w["name"], args.seed), commit=commit,
                    host={"cpus": os.cpu_count(), "python": platform.python_version()})
         bench["runs"].append(run)
         out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n", encoding="ascii")
