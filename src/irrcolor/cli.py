@@ -29,7 +29,7 @@ from . import budget, families
 from .budget import Deadline
 from .characterize import bipartite_two_family, find_anchor_edge, find_near_twin_pair, is_star
 from .coloring import (
-    chromatic_number,
+    _chi,
     dominator_chromatic_number,
     gamma_chromatic_number,
     global_dominator_chromatic_number,
@@ -97,6 +97,7 @@ def _violation(check: str, record: dict, detail: str) -> dict:
 
 
 def _graph_record(idx: int, g: Graph, names, token=None, witnesses=False) -> dict:
+    token = budget.scope(token)  # the cells share chi and the set walks
     record = _record(idx, g)
     if witnesses:
         record["witnesses"] = {}
@@ -340,7 +341,7 @@ def _conjecture_scan(idx: int, g: Graph, token, oracle_cap: int):
     t0 = time.perf_counter()
     status, verdict = "skipped(cap)", None
     if g.n <= CONJECTURE_CAP:
-        chi, _ = chromatic_number(g, token)
+        chi, _ = _chi(g, token)
         record["invariants"]["chi"] = {"status": "ok", "value": chi}
         status = "ok"
         if irc_with_k_colors(g, chi, token) is not None:
@@ -413,7 +414,7 @@ def _scan_graph(idx: int, g: Graph, mode: str, token, oracle_cap: int):
     """One graph through one scan mode; a budget overrun marks the mode
     skipped."""
     try:
-        return _SCAN_MODES[mode](idx, g, token, oracle_cap)
+        return _SCAN_MODES[mode](idx, g, budget.scope(token), oracle_cap)
     except SearchCancelled:
         record = _record(idx, g)
         record["invariants"][mode] = {"status": "skipped(budget)", "value": None}
@@ -464,8 +465,9 @@ def _verify_full_degree(claims, token, oracle_cap):
     cases += [families.gen_family_b(6, 4), families.gen_family_b(5, 2), families.gen_family_b(7, 3)]
     for inst in cases:
         g = inst.graph
-        chi, _ = chromatic_number(g, token)
-        chi_i, _ = irredundance_chromatic_number(g, token)
+        scope = budget.scope(token)
+        chi, _ = _chi(g, scope)
+        chi_i, _ = irredundance_chromatic_number(g, scope)
         _claim(
             claims,
             f"full-degree: chi_i == chi on {inst.source}",
@@ -496,13 +498,14 @@ def _verify_chain(claims, token, oracle_cap):
     bad = []
     graphs = _asset_graphs("connected_le6.g6")
     for g in graphs:
-        chi, _ = chromatic_number(g, token)
-        chi_i, _ = irredundance_chromatic_number(g, token)
-        chi_g, _ = gamma_chromatic_number(g, token)
-        chi_d, _ = dominator_chromatic_number(g, token)
+        scope = budget.scope(token)
+        chi, _ = _chi(g, scope)
+        chi_i, _ = irredundance_chromatic_number(g, scope)
+        chi_g, _ = gamma_chromatic_number(g, scope)
+        chi_d, _ = dominator_chromatic_number(g, scope)
         seq = [chi, chi_i, chi_g, chi_d]
         if g.n >= 2:
-            gd = global_dominator_chromatic_number(g, token)
+            gd = global_dominator_chromatic_number(g, scope)
             if gd is not None:
                 seq.append(gd[0])
         if any(a > b for a, b in zip(seq, seq[1:])):
@@ -536,9 +539,10 @@ def _verify_family_a(claims, token, oracle_cap):
     for n, k in ((6, 3), (8, 3), (8, 4)):
         inst = families.gen_family_a(n, k)
         g = inst.graph
-        chi, _ = chromatic_number(g, token)
-        irn, _ = ir_number(g, token)
-        chi_i, _ = irredundance_chromatic_number(g, token)
+        scope = budget.scope(token)
+        chi, _ = _chi(g, scope)
+        irn, _ = ir_number(g, scope)
+        chi_i, _ = irredundance_chromatic_number(g, scope)
         ok = chi == irn == chi_i == k
         detail = f"chi={chi} ir={irn} chi_i={chi_i} claim={k}"
         if ok and g.n <= oracle_cap:
@@ -551,9 +555,10 @@ def _verify_family_a(claims, token, oracle_cap):
 def _verify_family_z(claims, token, oracle_cap):
     inst = families.gen_family_z(3, 1)
     g = inst.graph
-    chi, _ = chromatic_number(g, token)
-    irn, _ = ir_number(g, token)
-    chi_i, _ = irredundance_chromatic_number(g, token)
+    scope = budget.scope(token)
+    chi, _ = _chi(g, scope)
+    irn, _ = ir_number(g, scope)
+    chi_i, _ = irredundance_chromatic_number(g, scope)
     ok = (chi, irn, chi_i) == (3, 1, 3)
     if ok and g.n <= oracle_cap:
         ok = oracle_invariant(g, "chi_i", oracle_cap, token).value == 3
@@ -562,20 +567,21 @@ def _verify_family_z(claims, token, oracle_cap):
     inst = families.gen_family_z(3, 2)
     g = inst.graph
     _claim(claims, "family Z(3,2): 14 vertices", g.n == 14, f"n={g.n}")
-    chi, _ = chromatic_number(g, token)
+    scope = budget.scope(token)
+    chi, _ = _chi(g, scope)
     _claim(claims, "family Z(3,2): chi = 3", chi == 3, f"chi={chi}")
     vs = {i: inst.label_index(f"v{i}") for i in (1, 2)}
     pend = {i: mask_from(inst.label_index(f"p{i}.{j}") for j in range(1, 4)) for i in (1, 2)}
     _claim(
         claims,
         "family Z(3,2): ir = 2 (size-capped verify mode)",
-        ir_verify(g, 2, mask_from(vs.values()), token),
+        ir_verify(g, 2, mask_from(vs.values()), scope),
         "witness = {v1, v2}",
     )
-    chi_i, _ = irredundance_chromatic_number(g, token)
+    chi_i, _ = irredundance_chromatic_number(g, scope)
     _claim(claims, "family Z(3,2): chi_i = 4", chi_i == 4, f"chi_i={chi_i}")
     bad = 0
-    for s in maximal_irredundant_sets(g, token=token):
+    for s in maximal_irredundant_sets(g, token=scope):
         for i in (1, 2):
             if not (s >> vs[i] & 1) and (s & pend[i]) != pend[i]:
                 bad += 1
@@ -695,13 +701,14 @@ def _verify_dominator_gamma(claims, token, oracle_cap):
     hits = 0
     bad = []
     for g in graphs:
-        chi_d, _ = dominator_chromatic_number(g, token)
-        gam, _ = gamma_number(g, token)
+        scope = budget.scope(token)
+        chi_d, _ = dominator_chromatic_number(g, scope)
+        gam, _ = gamma_number(g, scope)
         if chi_d != gam:
             continue
         hits += 1
-        col = irc_colorability(g, token)
-        irc_k = irc_chromatic_number(g, token)
+        col = irc_colorability(g, scope)
+        irc_k = irc_chromatic_number(g, scope)
         if col is None or irc_k is None or irc_k[0] < gam:
             bad.append(to_graph6(g).decode("ascii"))
     _claim_clean(

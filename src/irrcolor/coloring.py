@@ -173,6 +173,11 @@ def chromatic_number(g: Graph, token=None) -> tuple[int, Coloring]:
     return best_k, Coloring(tuple(best), best_k).canonical()
 
 
+def _chi(g: Graph, token) -> tuple[int, Coloring]:
+    """``chromatic_number(g)``, computed once per ``budget.Scope``."""
+    return budget.shared(token, ("chi", g), lambda: chromatic_number(g, token))
+
+
 @dataclass(frozen=True)
 class RainbowCert:
     """A proper coloring together with the set it renders rainbow."""
@@ -193,7 +198,7 @@ def irredundance_chromatic_number(g: Graph, token=None) -> tuple[int, RainbowCer
     rainbow.  Minimizes chi over the clique reductions of the candidates."""
     if g.n < 1:
         raise ParameterError("needs at least one vertex")
-    chi, chi_col = chromatic_number(g, token)
+    chi, chi_col = _chi(g, token)
     full = _full_degree_vertex(g)
     if full is not None:
         # a full-degree vertex is itself a maximal irredundant singleton
@@ -211,7 +216,7 @@ def gamma_chromatic_number(g: Graph, token=None) -> tuple[int, RainbowCert]:
     """
     if g.n < 1:
         raise ParameterError("needs at least one vertex")
-    chi, _ = chromatic_number(g, token)
+    chi, _ = _chi(g, token)
     return _min_rainbow(g, chi, minimal_dominating_sets(g, token), is_dominating, token)
 
 
@@ -228,7 +233,7 @@ def _min_rainbow(g: Graph, chi: int, candidates, member, token) -> tuple[int, Ra
         budget.check(token)
         if best is not None and s.bit_count() >= best[0]:
             continue
-        k, col = chromatic_number(add_clique(g, s), token)
+        k, col = _chi(add_clique(g, s), token)
         if best is None or k < best[0]:
             best = (k, RainbowCert(col, s))
             if k == lower:
@@ -335,7 +340,7 @@ def dominator_chromatic_number(g: Graph, token=None) -> tuple[int, Coloring]:
     color class."""
     if g.n < 1:
         raise ParameterError("needs at least one vertex")
-    chi, _ = chromatic_number(g, token)
+    chi, _ = _chi(g, token)
     for k in range(chi, g.n + 1):
         col = _partition_search(g, k, anti=False, token=token)
         if col is not None:
@@ -353,7 +358,7 @@ def global_dominator_chromatic_number(g: Graph, token=None) -> Optional[tuple[in
         raise ParameterError("anti-domination needs a class to avoid")
     if _full_degree_vertex(g) is not None:
         return None
-    chi, _ = chromatic_number(g, token)
+    chi, _ = _chi(g, token)
     for k in range(chi, g.n + 1):
         col = _partition_search(g, k, anti=True, token=token)
         if col is not None:

@@ -6,7 +6,10 @@ is absent, the fast solver and the witness encoder.  The CLI and
 oracle keeps its own definitions.  A solver takes ``(g, token)`` and
 returns ``(value, witness)``, or None when the invariant is absent on g.
 Solvers are lambdas that look the fast engines up by module-global name, so
-a rebinding of those names (a tracer, a test double) sees every call.
+a rebinding of those names (a tracer, a test double) sees every computation,
+not every request: under a ``budget.Scope`` token a shared result (chi, the
+irredundant-set families, the committee obstruction check) is computed on
+the first request for the graph and read from the scope after that.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .coloring import (
-    chromatic_number,
+    _chi,
     dominator_chromatic_number,
     gamma_chromatic_number,
     global_dominator_chromatic_number,
@@ -53,7 +56,7 @@ def _colorable(col):
 
 
 REGISTRY = {row.id: row for row in (
-    Invariant("chi", 60, 0, lambda g, token: chromatic_number(g, token), _coloring),
+    Invariant("chi", 60, 0, lambda g, token: _chi(g, token), _coloring),
     Invariant("ir", 20, 1, lambda g, token: ir_number(g, token), _set),
     Invariant("gamma", 20, 0, lambda g, token: gamma_number(g, token), _set),
     Invariant("chi_i", 16, 1, lambda g, token: irredundance_chromatic_number(g, token), _rainbow),

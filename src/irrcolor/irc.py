@@ -264,14 +264,28 @@ def _committee_fits(g: Graph):
     return fits
 
 
+def _fits_unless_obstructed(g: Graph, token):
+    """The committee search's ``fits``, or None when a first obstruction
+    (or the empty graph) rules every coloring out; both once per
+    ``budget.Scope``."""
+    if budget.shared(token, ("obstructed", g), lambda: _obstructed(g, token)):
+        return None
+    return budget.shared(token, ("committee_fits", g), lambda: _committee_fits(g))
+
+
+def _first_with_k(g: Graph, k: int, fits, token) -> Optional[Coloring]:
+    """The first committee-safe k-partition, once per ``budget.Scope``."""
+    return budget.shared(token, ("irc_k", g, k), lambda: _restricted_growth_search(g, k, fits, token))
+
+
 def irc_colorability(g: Graph, token=None) -> Optional[Coloring]:
     """A witness committee-safe coloring if one exists, else None: the first
     one with the fewest colors."""
-    if _obstructed(g, token):
+    fits = _fits_unless_obstructed(g, token)
+    if fits is None:
         return None
-    fits = _committee_fits(g)
-    chi, _ = chromatic_number(g, token)
-    col = _restricted_growth_search(g, chi, fits, token)
+    chi, _ = budget.shared(token, ("chi", g), lambda: chromatic_number(g, token))
+    col = _first_with_k(g, chi, fits, token)
     if col is not None:
         return col
     # one search over every larger color count shows whether there is any,
@@ -288,9 +302,8 @@ def irc_colorability(g: Graph, token=None) -> Optional[Coloring]:
 
 def irc_with_k_colors(g: Graph, k: int, token=None) -> Optional[Coloring]:
     """A committee-safe coloring with exactly k colors, else None."""
-    if _obstructed(g, token):
-        return None
-    return _restricted_growth_search(g, k, _committee_fits(g), token)
+    fits = _fits_unless_obstructed(g, token)
+    return None if fits is None else _first_with_k(g, k, fits, token)
 
 
 def irc_chromatic_number(g: Graph, token=None) -> Optional[tuple[int, Coloring]]:
@@ -301,7 +314,8 @@ def irc_chromatic_number(g: Graph, token=None) -> Optional[tuple[int, Coloring]]
     over every class count up to n-1 finds the first coloring with the most
     colors.
     """
-    if _obstructed(g, token):
+    fits = _fits_unless_obstructed(g, token)
+    if fits is None:
         return None
-    col = _restricted_growth_search(g, g.n - 1, _committee_fits(g), token, floor=1)
+    col = _restricted_growth_search(g, g.n - 1, fits, token, floor=1)
     return None if col is None else (col.k, col)

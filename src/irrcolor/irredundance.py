@@ -6,6 +6,8 @@ walk over the irredundant sets: the enumerators yield its sets in ascending
 numeric mask order (lexicographic over the bit string read from vertex 0
 upward); ir, γ and ``ir_verify`` walk the sets up to a size cap and keep
 the smallest accepted one, ties going to ``itertools.combinations`` order.
+Uncapped, the two enumerators read one walk, made in full on first use;
+a ``budget.Scope`` token keeps it for every later enumeration of the graph.
 """
 
 from __future__ import annotations
@@ -105,6 +107,9 @@ def maximal_irredundant_sets(
     With ``size_cap`` only sets of at most that many vertices are yielded.
     The empty set is never yielded, not even on the null graph.
     """
+    if size_cap is None:
+        yield from budget.shared(token, ("families", g), lambda: _families(g, token))[0]
+        return
     for s, _, maximal in _irredundant_sets(g, token, size_cap):
         if maximal and s:
             yield s
@@ -157,10 +162,22 @@ def minimal_dominating_sets(g: Graph, token=None) -> Iterator[VertexSet]:
     Hedetniemi and Miller, 1978), so these are the irredundant sets that
     dominate.  On the null graph the empty set is the one such set.
     """
+    yield from budget.shared(token, ("families", g), lambda: _families(g, token))[1]
+
+
+def _families(g: Graph, token) -> tuple[list[VertexSet], list[VertexSet]]:
+    """The maximal irredundant sets and the minimal dominating sets, as the
+    two enumerators yield them, from one uncapped walk.  The enumerators
+    make it in full before they yield, so a consumer that stops early
+    leaves no partial family in a scope."""
+    maximal_sets, dominating_sets = [], []
     vertices = g.vertices
-    for s, covered, _ in _irredundant_sets(g, token):
+    for s, covered, maximal in _irredundant_sets(g, token):
+        if maximal and s:
+            maximal_sets.append(s)
         if covered == vertices:
-            yield s
+            dominating_sets.append(s)
+    return maximal_sets, dominating_sets
 
 
 def _greedy_dominating(g: Graph) -> VertexSet:

@@ -316,16 +316,36 @@ def test_budget_marks_skipped():
     assert rec["invariants"]["chi_i"]["status"] == "skipped(budget)"
 
 
-def test_scan_chain_walk_after_the_cells_polls_the_budget():
+def test_scan_chain_shares_the_cells_walk_and_polls_the_budget(monkeypatch):
+    from irrcolor import irredundance
     from irrcolor.cli import _graph_record, _scan_graph
 
     g = cycle(7)
     cells = Polls()
     rec = _graph_record(0, g, ("chi", "ir", "gamma", "chi_i", "chi_gamma", "chi_d", "chi_gd"), cells)
     assert all(cell["status"] == "ok" for cell in rec["invariants"].values())
-    # the budget outlasts the cells and runs out in the minimal dominating
-    # set walk that follows them
-    rec, _ = _scan_graph(0, g, "chain", Polls(cells.polls + 1), oracle_cap=8)
+    # the minimal dominating set check after the cells reads the walk the
+    # chi_i and chi_gamma cells made, so it polls nothing of its own
+    chain = Polls()
+    rec, violations = _scan_graph(0, g, "chain", chain, oracle_cap=8)
+    assert violations == [] and rec["invariants"]["chi_gd"]["status"] == "ok"
+    assert chain.polls <= cells.polls
+
+    # a budget that runs out inside the shared walk still skips the mode
+    token = Polls()
+    starts = []
+    walk = irredundance._irredundant_sets
+
+    def spied(g, tok=None, size_cap=None):
+        if size_cap is None:
+            starts.append(token.polls)
+        return walk(g, tok, size_cap)
+
+    monkeypatch.setattr(irredundance, "_irredundant_sets", spied)
+    _scan_graph(0, g, "chain", token, oracle_cap=8)
+    assert len(starts) == 1
+    token = Polls(starts[0] + 1)  # expires on the walk's first poll
+    rec, _ = _scan_graph(0, g, "chain", token, oracle_cap=8)
     assert rec["invariants"] == {"chain": {"status": "skipped(budget)", "value": None}}
 
 

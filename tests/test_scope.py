@@ -1,0 +1,149 @@
+"""Per-graph scopes: shared results are computed once per graph, never
+kept half-done, and never change an answer."""
+
+import random
+import sys
+
+import pytest
+
+from irrcolor import budget, coloring, irc, irredundance
+from irrcolor.cli import _compute_invariant, _graph_record, _scan_graph
+from irrcolor.coloring import chromatic_number, gamma_chromatic_number, irredundance_chromatic_number
+from irrcolor.errors import SearchCancelled
+from irrcolor.graphs import from_edge_list
+from irrcolor.invariants import REGISTRY
+from irrcolor.irredundance import maximal_irredundant_sets, minimal_dominating_sets
+from irrcolor.oracle import cross_check
+
+from conftest import Polls, cycle, random_connected
+
+
+def petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return from_edge_list(10, outer + spokes + inner)
+
+
+PINNED = [cycle(7), petersen(), random_connected(random.Random("n12"), 12, 0.4)]
+
+
+def _spy(monkeypatch, module, name, seen):
+    """Rebind ``module.name`` wherever an irrcolor module holds it, so every
+    call appends its arguments to ``seen``."""
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        seen.append(args)
+        return real(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("irrcolor") and vars(mod).get(name) is real:
+            monkeypatch.setattr(mod, name, counted)
+
+
+def _fresh(key):
+    """What the memo entry ``key`` holds, computed without a scope."""
+    kind, g, *rest = key
+    if kind == "chi":
+        return chromatic_number(g)
+    if kind == "families":
+        return list(maximal_irredundant_sets(g)), list(minimal_dominating_sets(g))
+    if kind == "obstructed":
+        return irc._obstructed(g)
+    if kind == "irc_k":
+        return irc.irc_with_k_colors(g, rest[0])
+    raise AssertionError(f"unexpected memo key {kind!r}")
+
+
+def test_cancelled_computations_leave_no_memo_entry():
+    g = PINNED[2]
+    solvers = (irredundance_chromatic_number, gamma_chromatic_number)
+    expected = [solve(g) for solve in solvers]
+    total = Polls()
+    for solve in solvers:
+        solve(g, budget.scope(total))
+    cancelled = 0
+    for limit in range(1, total.polls + 1, max(1, total.polls // 40)):
+        token = Polls(limit)
+        scope = budget.scope(token)
+        try:
+            got = [solve(g, scope) for solve in solvers]
+        except SearchCancelled:
+            cancelled += 1
+        else:
+            assert got == expected
+        # whatever the scope kept is complete
+        assert all(value == _fresh(key) for key, value in scope.memo.items())
+        token.limit = None  # the budget is live again
+        assert [solve(g, scope) for solve in solvers] == expected
+    assert cancelled >= 20
+
+
+def test_cancelled_walk_is_recomputed_on_the_next_request():
+    g = PINNED[2]
+    token = Polls(3)  # inside the walk
+    scope = budget.scope(token)
+    with pytest.raises(SearchCancelled):
+        list(minimal_dominating_sets(g, scope))
+    assert scope.memo == {}
+    token.limit = None
+    assert list(minimal_dominating_sets(g, scope)) == list(minimal_dominating_sets(g))
+    assert list(scope.memo) == [("families", g)]
+
+
+def test_a_consumer_that_stops_early_leaves_the_whole_family():
+    for g in PINNED:
+        scope = budget.scope(None)
+        first = next(maximal_irredundant_sets(g, token=scope))
+        everything = list(maximal_irredundant_sets(g))
+        assert first == everything[0]
+        assert scope.memo[("families", g)] == (everything, list(minimal_dominating_sets(g)))
+        assert list(maximal_irredundant_sets(g, token=scope)) == everything
+
+
+def test_one_record_computes_chi_once_and_walks_once(monkeypatch):
+    chi_of, walks = [], []
+    _spy(monkeypatch, coloring, "chromatic_number", chi_of)
+    _spy(monkeypatch, irredundance, "_irredundant_sets", walks)
+    for g in PINNED:
+        del chi_of[:], walks[:]
+        rec = _graph_record(0, g, tuple(REGISTRY), witnesses=True)
+        assert all(cell["status"] in ("ok", "absent") for cell in rec["invariants"].values())
+        assert [args[0] for args in chi_of].count(g) == 1
+        # ir, gamma keep their own walks up to a size cap
+        assert sum(1 for args in walks if len(args) < 3 or args[2] is None) == 1
+
+
+def test_scan_conjecture_scans_for_obstructions_once(monkeypatch):
+    scans, chi_of = [], []
+    _spy(monkeypatch, irc, "_obstructions", scans)
+    _spy(monkeypatch, coloring, "chromatic_number", chi_of)
+    for g in PINNED:
+        del scans[:], chi_of[:]
+        rec, _ = _scan_graph(0, g, "conjecture", None, oracle_cap=8)
+        assert rec["invariants"]["conjecture"]["status"] == "ok"
+        assert len(scans) == 1
+        assert len(chi_of) == 1
+
+
+def _together_equals_alone(g):
+    ids = tuple(REGISTRY)
+    together = _graph_record(0, g, ids, witnesses=True)
+    for name in ids:
+        alone = _graph_record(0, g, (name,), witnesses=True)
+        assert together["invariants"][name] == alone["invariants"][name], name
+        assert together["witnesses"][name] == alone["witnesses"][name], name
+        # and with no scope at all
+        cell = together["invariants"][name]
+        assert _compute_invariant(g, name) == (cell["status"], cell["value"], together["witnesses"][name])
+
+
+def test_shared_results_match_separate_computation(connected_le6, bipartite_le7):
+    graphs = connected_le6 + bipartite_le7 + PINNED[:2]
+    graphs += [random_connected(random.Random(f"n12:{seed}"), 12, 0.4) for seed in range(5)]
+    for g in graphs:
+        _together_equals_alone(g)
+    for g in bipartite_le7:
+        report = cross_check(g)
+        assert report.ok, report.disagreements()
