@@ -22,19 +22,12 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from importlib.resources import files as resource_files
-from itertools import product
+from itertools import chain, product
 from typing import Optional
 
 from . import budget, families
 from .budget import Deadline
 from .characterize import bipartite_two_family, find_anchor_edge, find_near_twin_pair, is_star
-from .coloring import (
-    _chi,
-    dominator_chromatic_number,
-    gamma_chromatic_number,
-    global_dominator_chromatic_number,
-    irredundance_chromatic_number,
-)
 from .errors import FormatError, ParameterError, SearchCancelled, SizeCapError
 from .graphs import (
     Graph,
@@ -46,15 +39,8 @@ from .graphs import (
     parse_graph6,
     to_graph6,
 )
-from .irc import irc_chromatic_number, irc_colorability, irc_with_k_colors, is_irc_coloring
-from .irredundance import (
-    gamma_number,
-    ir_number,
-    ir_verify,
-    is_maximal_irredundant,
-    maximal_irredundant_sets,
-    minimal_dominating_sets,
-)
+from .irc import irc_with_k_colors, is_irc_coloring
+from .irredundance import ir_verify, is_maximal_irredundant, maximal_irredundant_sets, minimal_dominating_sets
 from .invariants import REGISTRY
 from .oracle import DEFAULT_SIZE_CAP, irc_class_counts, oracle_invariant, oracle_invariants
 
@@ -78,6 +64,14 @@ def _compute_invariant(g: Graph, name: str, token=None):
             return "absent", None, None
     value, witness = result
     return "ok", value, None if witness is None else row.encode(witness)
+
+
+def _value(g: Graph, name: str, token=None):
+    """Invariant ``name`` on g from its registry solver, None where absent;
+    no CLI cap, since ``scan conjecture`` and the verify suites go past it."""
+    row = REGISTRY[name]
+    result = row.solve(g, token) if g.n >= row.min_n else None
+    return None if result is None else result[0]
 
 
 def _record(idx: int, g: Graph) -> dict:
@@ -214,42 +208,16 @@ def cmd_invariants(args) -> int:
 # --- gen command ----------------------------------------------------------------
 
 
-# the constructions with two parameters; the basic and committee kinds take
-# theirs from the tables in families
-_PAIR_FAMILIES = {
-    "A": families.gen_family_a,
-    "H": families.gen_block_h,
-    "Z": families.gen_family_z,
-    "B": families.gen_family_b,
-}
-
-
-def _family_arity(name: str) -> int:
-    if name == "fixture":
-        return 1
-    if name in _PAIR_FAMILIES:
-        return 2
-    for table in (families._BASIC, families._IRC_KINDS):
-        if name in table:
-            return table[name][1]
-    raise ParameterError(f"unknown family {name!r}")
-
-
 def _build_family(name: str, params: list[str]) -> families.FamilyInstance:
-    arity = _family_arity(name)
-    if len(params) != arity:
-        raise ParameterError(f"{name} expects {arity} parameter(s)")
     if name == "fixture":
+        if len(params) != 1:
+            raise ParameterError("fixture expects 1 parameter(s)")
         return families.fixture(params[0])
     try:
         nums = [int(p) for p in params]
     except ValueError as exc:
         raise ParameterError(f"{name} parameters must be integers") from exc
-    if name in _PAIR_FAMILIES:
-        return _PAIR_FAMILIES[name](*nums)
-    if name in families._BASIC:
-        return families.gen_basic(name, *nums)
-    return families.gen_irc_family(name, *nums)
+    return families.generate(name, *nums)
 
 
 def _sidecar(inst: families.FamilyInstance) -> dict:
@@ -300,26 +268,35 @@ def cmd_gen(args) -> int:
 # --- scan command ---------------------------------------------------------------
 
 
-def _chain_scan(idx: int, g: Graph, token, oracle_cap: int):
-    record = _graph_record(idx, g, ("chi", "ir", "gamma", "chi_i", "chi_gamma", "chi_d", "chi_gd"), token)
-    val = {name: cell["value"] for name, cell in record["invariants"].items() if cell["status"] == "ok"}
-    violations = []
-    chain = ["chi", "chi_i", "chi_gamma", "chi_d", "chi_gd"]
-    for lo, hi in zip(chain, chain[1:]):
+CHAIN = ("chi", "chi_i", "chi_gamma", "chi_d", "chi_gd")
+
+
+def _chain_breaks(val: dict):
+    """(check, detail) for each link of chi <= chi_i <= ... <= chi_gd that
+    ``val`` breaks; a link with an end missing or None is not checked."""
+    for lo, hi in zip(CHAIN, CHAIN[1:]):
         a, b = val.get(lo), val.get(hi)
         if a is not None and b is not None and a > b:
-            violations.append(_violation(f"chain:{lo}<={hi}", record, f"{lo}={a} > {hi}={b}"))
-    if "ir" in val and "gamma" in val and val["ir"] > val["gamma"]:
-        violations.append(_violation("ir<=gamma", record, f"ir={val['ir']} > gamma={val['gamma']}"))
+            yield f"chain:{lo}<={hi}", f"{lo}={a} > {hi}={b}"
+
+
+def _domination_breaks(g: Graph, val: dict, token):
+    """(check, detail) for ir > gamma, when ``val`` holds both, and for each
+    minimal dominating set that is not maximal irredundant, up to n = 16."""
+    ir, gamma = val.get("ir"), val.get("gamma")
+    if ir is not None and gamma is not None and ir > gamma:
+        yield "ir<=gamma", f"ir={ir} > gamma={gamma}"
     if g.n <= 16:
         for d in minimal_dominating_sets(g, token):
             if not is_maximal_irredundant(g, d):
-                violations.append(_violation(
-                    "minimal-dominating-is-maximal-irredundant",
-                    record,
-                    f"set mask {d} dominates minimally but is not maximal irredundant",
-                ))
-    return record, violations
+                yield "minimal-dominating-is-maximal-irredundant", f"set mask {d} dominates minimally but is not maximal irredundant"
+
+
+def _chain_scan(idx: int, g: Graph, token, oracle_cap: int):
+    record = _graph_record(idx, g, ("chi", "ir", "gamma", *CHAIN[1:]), token)
+    val = {name: cell["value"] for name, cell in record["invariants"].items() if cell["status"] == "ok"}
+    found = [*_chain_breaks(val), *_domination_breaks(g, val, token)]
+    return record, [_violation(check, record, detail) for check, detail in found]
 
 
 def _bounds_scan(idx: int, g: Graph, token, oracle_cap: int):
@@ -341,12 +318,12 @@ def _conjecture_scan(idx: int, g: Graph, token, oracle_cap: int):
     t0 = time.perf_counter()
     status, verdict = "skipped(cap)", None
     if g.n <= CONJECTURE_CAP:
-        chi, _ = _chi(g, token)
+        chi = _value(g, "chi", token)
         record["invariants"]["chi"] = {"status": "ok", "value": chi}
         status = "ok"
         if irc_with_k_colors(g, chi, token) is not None:
             verdict = "holds"
-        elif irc_colorability(g, token) is None:
+        elif not _value(g, "irc_colorable", token):
             verdict = "not_colorable"
         else:
             verdict = "finding"
@@ -383,7 +360,7 @@ def _characterization_scan(idx: int, g: Graph, token, oracle_cap: int):
         status = ("skipped(cap)", None)
     else:
         # three conditions that should agree on a bipartite non-star graph
-        chi_i, _ = irredundance_chromatic_number(g, token)
+        chi_i = _value(g, "chi_i", token)
         family = bipartite_two_family(g)
         conds = {
             "chi_i_is_2": chi_i == 2,
@@ -466,8 +443,7 @@ def _verify_full_degree(claims, token, oracle_cap):
     for inst in cases:
         g = inst.graph
         scope = budget.scope(token)
-        chi, _ = _chi(g, scope)
-        chi_i, _ = irredundance_chromatic_number(g, scope)
+        chi, chi_i = _value(g, "chi", scope), _value(g, "chi_i", scope)
         _claim(
             claims,
             f"full-degree: chi_i == chi on {inst.source}",
@@ -499,17 +475,8 @@ def _verify_chain(claims, token, oracle_cap):
     graphs = _asset_graphs("connected_le6.g6")
     for g in graphs:
         scope = budget.scope(token)
-        chi, _ = _chi(g, scope)
-        chi_i, _ = irredundance_chromatic_number(g, scope)
-        chi_g, _ = gamma_chromatic_number(g, scope)
-        chi_d, _ = dominator_chromatic_number(g, scope)
-        seq = [chi, chi_i, chi_g, chi_d]
-        if g.n >= 2:
-            gd = global_dominator_chromatic_number(g, scope)
-            if gd is not None:
-                seq.append(gd[0])
-        if any(a > b for a, b in zip(seq, seq[1:])):
-            bad.append((to_graph6(g).decode("ascii"), seq))
+        val = {name: _value(g, name, scope) for name in CHAIN}
+        bad += [(to_graph6(g).decode("ascii"), detail) for _, detail in _chain_breaks(val)]
     _claim_clean(
         claims,
         f"chain: chi <= chi_i <= chi_gamma <= chi_d <= chi_gd on {len(graphs)} connected graphs (n <= 6)",
@@ -521,13 +488,8 @@ def _verify_dominating_irredundant(claims, token, oracle_cap):
     graphs = _asset_graphs("connected_le6.g6")
     bad = []
     for g in graphs:
-        irn, _ = ir_number(g, token)
-        gam, _ = gamma_number(g, token)
-        if irn > gam:
-            bad.append((to_graph6(g).decode("ascii"), "ir>gamma"))
-        for d in minimal_dominating_sets(g, token):
-            if not is_maximal_irredundant(g, d):
-                bad.append((to_graph6(g).decode("ascii"), f"mds mask {d}"))
+        val = {name: _value(g, name, token) for name in ("ir", "gamma")}
+        bad += [(to_graph6(g).decode("ascii"), detail) for _, detail in _domination_breaks(g, val, token)]
     _claim_clean(
         claims,
         f"every minimal dominating set is maximal irredundant, and ir <= gamma, on {len(graphs)} graphs",
@@ -540,9 +502,7 @@ def _verify_family_a(claims, token, oracle_cap):
         inst = families.gen_family_a(n, k)
         g = inst.graph
         scope = budget.scope(token)
-        chi, _ = _chi(g, scope)
-        irn, _ = ir_number(g, scope)
-        chi_i, _ = irredundance_chromatic_number(g, scope)
+        chi, irn, chi_i = (_value(g, name, scope) for name in ("chi", "ir", "chi_i"))
         ok = chi == irn == chi_i == k
         detail = f"chi={chi} ir={irn} chi_i={chi_i} claim={k}"
         if ok and g.n <= oracle_cap:
@@ -556,9 +516,7 @@ def _verify_family_z(claims, token, oracle_cap):
     inst = families.gen_family_z(3, 1)
     g = inst.graph
     scope = budget.scope(token)
-    chi, _ = _chi(g, scope)
-    irn, _ = ir_number(g, scope)
-    chi_i, _ = irredundance_chromatic_number(g, scope)
+    chi, irn, chi_i = (_value(g, name, scope) for name in ("chi", "ir", "chi_i"))
     ok = (chi, irn, chi_i) == (3, 1, 3)
     if ok and g.n <= oracle_cap:
         ok = oracle_invariant(g, "chi_i", oracle_cap, token).value == 3
@@ -568,7 +526,7 @@ def _verify_family_z(claims, token, oracle_cap):
     g = inst.graph
     _claim(claims, "family Z(3,2): 14 vertices", g.n == 14, f"n={g.n}")
     scope = budget.scope(token)
-    chi, _ = _chi(g, scope)
+    chi = _value(g, "chi", scope)
     _claim(claims, "family Z(3,2): chi = 3", chi == 3, f"chi={chi}")
     vs = {i: inst.label_index(f"v{i}") for i in (1, 2)}
     pend = {i: mask_from(inst.label_index(f"p{i}.{j}") for j in range(1, 4)) for i in (1, 2)}
@@ -578,7 +536,7 @@ def _verify_family_z(claims, token, oracle_cap):
         ir_verify(g, 2, mask_from(vs.values()), scope),
         "witness = {v1, v2}",
     )
-    chi_i, _ = irredundance_chromatic_number(g, scope)
+    chi_i = _value(g, "chi_i", scope)
     _claim(claims, "family Z(3,2): chi_i = 4", chi_i == 4, f"chi_i={chi_i}")
     bad = 0
     for s in maximal_irredundant_sets(g, token=scope):
@@ -598,7 +556,7 @@ def _verify_realizable(claims, token, oracle_cap):
     for n, k in ((6, 4), (5, 2), (6, 6), (8, 3)):
         inst = families.gen_family_b(n, k)
         g = inst.graph
-        chi_i, _ = irredundance_chromatic_number(g, token)
+        chi_i = _value(g, "chi_i", token)
         ok = chi_i == k
         detail = f"chi_i={chi_i} claim={k}"
         if ok and g.n <= oracle_cap:
@@ -617,20 +575,16 @@ def _verify_two_color(claims, token, oracle_cap):
 
 
 def _verify_min_degree(claims, token, oracle_cap):
-    checked = 0
-    bad = 0
-    for n in range(2, 8):
-        for seq in product(range(n), repeat=n - 2):
-            g = families._prufer_tree(seq, n)
-            checked += 1
-            if irc_colorability(g, token) is not None:
-                bad += 1
+    # every labeled tree with n <= 7, then 4,096 seeded Pruefer sequences at n = 8
     rng = random.Random(88)
-    for _ in range(4096):
-        seq = tuple(rng.randrange(8) for _ in range(6))
+    seqs = chain(
+        ((seq, n) for n in range(2, 8) for seq in product(range(n), repeat=n - 2)),
+        ((tuple(rng.randrange(8) for _ in range(6)), 8) for _ in range(4096)),
+    )
+    checked = bad = 0
+    for seq, n in seqs:
         checked += 1
-        if irc_colorability(families._prufer_tree(seq, 8), token) is not None:
-            bad += 1
+        bad += _value(families._prufer_tree(seq, n), "irc_colorable", token)
     _claim(
         claims,
         f"trees are never committee-colorable ({checked} labeled trees, n <= 8)",
@@ -702,14 +656,12 @@ def _verify_dominator_gamma(claims, token, oracle_cap):
     bad = []
     for g in graphs:
         scope = budget.scope(token)
-        chi_d, _ = dominator_chromatic_number(g, scope)
-        gam, _ = gamma_number(g, scope)
+        chi_d, gam = _value(g, "chi_d", scope), _value(g, "gamma", scope)
         if chi_d != gam:
             continue
         hits += 1
-        col = irc_colorability(g, scope)
-        irc_k = irc_chromatic_number(g, scope)
-        if col is None or irc_k is None or irc_k[0] < gam:
+        colorable, irc_k = _value(g, "irc_colorable", scope), _value(g, "chi_irc", scope)
+        if not colorable or irc_k is None or irc_k < gam:
             bad.append(to_graph6(g).decode("ascii"))
     _claim_clean(
         claims,
@@ -832,10 +784,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", 1) < 1:
-        parser.error(f"--jobs must be at least 1, not {args.jobs}")
-    if not getattr(args, "budget_seconds", 0) >= 0:
-        parser.error(f"--budget-seconds must be at least 0, not {args.budget_seconds}")
+    for flag, least in (("jobs", 1), ("budget_seconds", 0), ("oracle_cap", 0)):
+        value = getattr(args, flag, least)
+        if not value >= least:  # a nan budget fails too
+            parser.error(f"--{flag.replace('_', '-')} must be at least {least}, not {value}")
     return args.fn(args)
 
 

@@ -1,9 +1,11 @@
-"""Generators for the graph families used by the verification suites.
+"""Generators for the graph families of the paper's constructions.
 
 Each generator returns a FamilyInstance: the graph, optional vertex labels,
 the invariant values the construction is designed to achieve (flagged exact
-vs lower bound), and the construction's own coloring when it has one.  The
-verify suites are data driven off these claims.
+vs lower bound), and the construction's own coloring when it has one.
+``GENERATORS`` names every integer-parameter kind for ``generate`` and the
+CLI's ``gen``; ``gen`` writes the claims to its sidecar.  The verify suites
+build their instances by calling the generators and state their own claims.
 
 Fixture graphs are frozen literal edge lists.
 """
@@ -131,28 +133,6 @@ def gen_path(n: int) -> FamilyInstance:
     col = Coloring(tuple(i % 2 for i in range(n)), min(n, 2))
     claims = {"irc_colorable": Claim(False)} if n >= 2 else {}
     return _instance(g, None, claims, col, f"path({n})")
-
-
-_BASIC = {
-    "complete": (gen_complete, 1),
-    "complete_bipartite": (gen_complete_bipartite, 2),
-    "star": (gen_star, 1),
-    "cycle": (gen_cycle, 1),
-    "path": (gen_path, 1),
-}
-
-
-def _from_table(table: dict, kind: str, params: tuple[int, ...], what: str) -> FamilyInstance:
-    if kind not in table:
-        raise ParameterError(f"unknown {what} {kind!r}")
-    fn, arity = table[kind]
-    if len(params) != arity:
-        raise ParameterError(f"{kind} expects {arity} parameter(s)")
-    return fn(*params)
-
-
-def gen_basic(kind: str, *params: int) -> FamilyInstance:
-    return _from_table(_BASIC, kind, params, "basic kind")
 
 
 # --- lower-bound family: clique corona plus extra pendants --------------------
@@ -386,7 +366,17 @@ def gen_star_of_cycles(k: int) -> FamilyInstance:
     return _instance(g, labels, claims, col, f"bipartite_star_of_cycles({k})")
 
 
-_IRC_KINDS = {
+# kind -> (generator, number of integer parameters)
+GENERATORS = {
+    "complete": (gen_complete, 1),
+    "complete_bipartite": (gen_complete_bipartite, 2),
+    "star": (gen_star, 1),
+    "cycle": (gen_cycle, 1),
+    "path": (gen_path, 1),
+    "A": (gen_family_a, 2),
+    "H": (gen_block_h, 2),
+    "Z": (gen_family_z, 2),
+    "B": (gen_family_b, 2),
     "cut_vertex": (gen_cut_vertex, 1),
     "bridge": (gen_bridge, 2),
     "tilde": (gen_tilde, 1),
@@ -394,8 +384,15 @@ _IRC_KINDS = {
 }
 
 
-def gen_irc_family(kind: str, *params: int) -> FamilyInstance:
-    return _from_table(_IRC_KINDS, kind, params, "kind")
+def generate(kind: str, *params: int) -> FamilyInstance:
+    """The ``kind`` instance on ``params``; ParameterError for an unknown
+    kind or the wrong number of parameters."""
+    if kind not in GENERATORS:
+        raise ParameterError(f"unknown family {kind!r}")
+    fn, arity = GENERATORS[kind]
+    if len(params) != arity:
+        raise ParameterError(f"{kind} expects {arity} parameter(s)")
+    return fn(*params)
 
 
 def _prufer_tree(seq: tuple[int, ...], n: int) -> Graph:

@@ -23,7 +23,7 @@ from operator import or_
 from typing import Iterator, Optional
 
 from . import budget
-from .coloring import Coloring, _restricted_growth_search, chromatic_number, is_proper
+from .coloring import Coloring, _chi, _restricted_growth_search, is_proper
 from .errors import PreconditionError
 from .graphs import Graph, VertexSet, bits
 from .irredundance import private_neighbors
@@ -284,7 +284,7 @@ def irc_colorability(g: Graph, token=None) -> Optional[Coloring]:
     fits = _fits_unless_obstructed(g, token)
     if fits is None:
         return None
-    chi, _ = budget.shared(token, ("chi", g), lambda: chromatic_number(g, token))
+    chi, _ = _chi(g, token)
     col = _first_with_k(g, chi, fits, token)
     if col is not None:
         return col

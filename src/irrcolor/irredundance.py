@@ -99,20 +99,12 @@ def _irredundant_sets(
         yield s, covered, not joiners
 
 
-def maximal_irredundant_sets(
-    g: Graph, size_cap: Optional[int] = None, token=None
-) -> Iterator[VertexSet]:
+def maximal_irredundant_sets(g: Graph, token=None) -> Iterator[VertexSet]:
     """Yield every maximal irredundant set, ascending numeric mask order.
 
-    With ``size_cap`` only sets of at most that many vertices are yielded.
     The empty set is never yielded, not even on the null graph.
     """
-    if size_cap is None:
-        yield from budget.shared(token, ("families", g), lambda: _families(g, token))[0]
-        return
-    for s, _, maximal in _irredundant_sets(g, token, size_cap):
-        if maximal and s:
-            yield s
+    yield from budget.shared(token, ("families", g), lambda: _families(g, token))[0]
 
 
 def _smallest(g: Graph, token, size_cap: int, accept) -> Optional[VertexSet]:

@@ -1,11 +1,14 @@
 import json
+import os
 import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import irrcolor
 from irrcolor.cli import main
 from irrcolor.graphs import parse_graph6, to_graph6
 
@@ -350,10 +353,14 @@ def test_scan_chain_shares_the_cells_walk_and_polls_the_budget(monkeypatch):
 
 
 def test_console_entry_point_runs():
+    # the subprocess imports irrcolor from where this test did
+    here = str(Path(irrcolor.__file__).parent.parent)
+    path = os.pathsep.join(p for p in (here, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "irrcolor", "gen", "B", "6", "4"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert parse_graph6(proc.stdout.splitlines()[0]).n == 6
@@ -433,14 +440,18 @@ def test_jobs_below_one_and_negative_budget_exit_65(tmp_path, capsys):
         assert "--budget-seconds must be at least 0" in _usage_error(capsys, argv)
     for argv in (["invariants", str(src), "--jobs", "0"], ["scan", "chain", str(src), "--jobs", "-2"]):
         assert "--jobs must be at least 1" in _usage_error(capsys, argv)
+    for argv in (["verify", "family-a", "--oracle-cap", "-3"], ["scan", "conjecture", str(src), "--oracle-cap", "-1"]):
+        assert "--oracle-cap must be at least 0" in _usage_error(capsys, argv)
     code, out, _ = run_cli(capsys, ["invariants", str(src), "--budget-seconds", "0", "--jobs", "1"])
     assert code == 0 and "skipped" not in out.splitlines()[0]
 
 
 def test_verify_scan_scopes_skip_on_budget_overrun(capsys):
     # bounds and two-color read the scan modes, which record an overrun as a
-    # skipped cell; the claim is skipped, not passed on the graphs that ran
-    for scope in ("bounds", "two-color"):
+    # skipped cell; the claim is skipped, not passed on the graphs that ran.
+    # The suites that read the solvers directly stop at their first poll.
+    for scope in ("bounds", "two-color", "chain", "dominating-irredundant", "family-a", "family-z",
+                  "realizable", "dominator-gamma"):
         code, out, _ = run_cli(capsys, ["verify", scope, "--budget-seconds", "1e-9", "--json"])
         assert code == 0
         claims = json.loads(out)["claims"]

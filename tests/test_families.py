@@ -51,11 +51,12 @@ def test_instances_are_connected_with_proper_colorings(inst):
 
 
 def test_basic_dispatch_and_errors():
-    assert F.gen_basic("complete", 4).graph == F.gen_complete(4).graph
+    assert F.generate("complete", 4).graph == F.gen_complete(4).graph
+    assert F.generate("A", 8, 3).graph == F.gen_family_a(8, 3).graph
     with pytest.raises(ParameterError):
-        F.gen_basic("complete")
+        F.generate("complete")
     with pytest.raises(ParameterError):
-        F.gen_basic("frob", 3)
+        F.generate("frob", 3)
     with pytest.raises(ParameterError):
         F.gen_cycle(2)
     with pytest.raises(ParameterError):
@@ -150,11 +151,11 @@ def test_irc_family_shapes():
     assert F.gen_tilde(3).graph.n == 27
     assert F.gen_star_of_cycles(4).graph.n == 36
     with pytest.raises(ParameterError):
-        F.gen_irc_family("tilde", 2)
+        F.generate("tilde", 2)
     with pytest.raises(ParameterError):
-        F.gen_irc_family("bipartite_star_of_cycles", 5)
+        F.generate("bipartite_star_of_cycles", 5)
     with pytest.raises(ParameterError):
-        F.gen_irc_family("cut_vertex", 2)
+        F.generate("cut_vertex", 2)
 
 
 def test_gadget_union_is_bipartite():

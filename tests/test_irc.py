@@ -4,11 +4,11 @@ from itertools import islice
 
 import pytest
 
-from irrcolor import irc
+from irrcolor import coloring, irc
 from irrcolor.budget import Deadline
 from irrcolor.coloring import Coloring, chromatic_number
 from irrcolor.errors import PreconditionError, SearchCancelled
-from irrcolor.families import gen_irc_family
+from irrcolor.families import generate
 from irrcolor.graphs import bits, from_edge_list
 from irrcolor.irc import (
     _obstructed,
@@ -334,7 +334,7 @@ def test_committee_search_matches_reference_on_families(kind, param):
     # 27 to 36 vertices: the reference's per-k search runs for seconds to
     # minutes at k between the fewest colors + 1 and n - 8, and so does its
     # chi_irc; the family's claimed chi_irc stands in for it
-    inst = gen_irc_family(kind, param)
+    inst = generate(kind, param)
     g = inst.graph
     fewest = _reference_colorability(g)
     assert irc_colorability(g) == fewest
@@ -364,7 +364,7 @@ def test_colorability_ascends_past_chi(monkeypatch):
     # (one would refute the conjecture `scan conjecture` looks for), so a
     # fits that also rejects every partition into at most `fewest` classes
     # stands in for one; chi = 2 and chi_irc = 4 here
-    g = gen_irc_family("bipartite_star_of_cycles", 4).graph
+    g = generate("bipartite_star_of_cycles", 4).graph
     real = irc._committee_fits
     for fewest in (2, 3):
         def fits_above(g, fewest=fewest):
@@ -388,17 +388,17 @@ _PINNED_POLLS = [(0, 223), (1, 67), (2, 61)]
 def test_chromatic_number_checks_committees_inside_one_search(monkeypatch):
     calls = []
 
-    def spy(name):
-        real = getattr(irc, name)
+    def spy(module, name):
+        real = getattr(module, name)
 
         def counted(*args):
             calls.append(name)
             return real(*args)
 
-        monkeypatch.setattr(irc, name, counted)
+        monkeypatch.setattr(module, name, counted)
 
-    spy("_committee_violation")
-    spy("chromatic_number")
+    spy(irc, "_committee_violation")
+    spy(coloring, "chromatic_number")  # every chi computation, irc's included
     for seed, polls in _PINNED_POLLS:
         token = Polls()
         assert irc_chromatic_number(random_bipartite(random.Random(seed), 11, 0.6), token) is not None

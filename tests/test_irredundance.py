@@ -70,12 +70,17 @@ def test_maximal_irredundant_sets_c4():
     assert list(maximal_irredundant_sets(complete(3))) == [1, 2, 4]
 
 
+def _capped_maximal(g, cap):
+    """The maximal irredundant sets of at most ``cap`` vertices, as the
+    size-capped walk behind ir, gamma and ir_verify finds them."""
+    return [s for s, _, maximal in irredundance._irredundant_sets(g, None, cap) if maximal and s]
+
+
 def test_maximal_irredundant_sets_cap_and_order():
     g = tree7()
     full = list(maximal_irredundant_sets(g))
     assert full == sorted(full)
-    capped = list(maximal_irredundant_sets(g, size_cap=2))
-    assert capped == [s for s in full if s.bit_count() <= 2]
+    assert _capped_maximal(g, 2) == [s for s in full if s.bit_count() <= 2]
 
 
 def test_fig_tree_contains_named_maximal_set():
@@ -203,9 +208,7 @@ def test_enumerators_match_definitional_scan(connected_le6, bipartite_le7):
         mir = _definitional_maximal_irredundant(g)
         assert list(maximal_irredundant_sets(g)) == mir
         for cap in (1, 2, 3):
-            assert list(maximal_irredundant_sets(g, size_cap=cap)) == [
-                s for s in mir if s.bit_count() <= cap
-            ]
+            assert _capped_maximal(g, cap) == [s for s in mir if s.bit_count() <= cap]
         assert list(minimal_dominating_sets(g)) == _definitional_minimal_dominating(g)
         # gamma: the first dominating combination below a greedy cover's size,
         # else the cover itself
