@@ -756,7 +756,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_inv.set_defaults(fn=cmd_invariants)
 
     p_gen = sub.add_parser("gen", help="generate a family instance plus claims sidecar")
-    p_gen.add_argument("family", help="family name, e.g. A, Z, B, tilde, cycle, fixture")
+    p_gen.add_argument("family", help="one of: " + ", ".join([*families.GENERATORS, "fixture"]))
     p_gen.add_argument("params", nargs="*", help="family parameters")
     p_gen.add_argument("--format", choices=("graph6", "edgelist"), default="graph6")
     p_gen.add_argument("--out", default=None, help="output path; sidecar goes to PATH.json")
