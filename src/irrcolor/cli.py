@@ -39,7 +39,7 @@ from .graphs import (
     parse_graph6,
     to_graph6,
 )
-from .irc import irc_with_k_colors, is_irc_coloring
+from .irc import is_irc_coloring
 from .irredundance import ir_verify, is_maximal_irredundant, maximal_irredundant_sets, minimal_dominating_sets
 from .invariants import REGISTRY
 from .oracle import DEFAULT_SIZE_CAP, irc_class_counts, oracle_invariant, oracle_invariants
@@ -321,10 +321,11 @@ def _conjecture_scan(idx: int, g: Graph, token, oracle_cap: int):
         chi = _value(g, "chi", token)
         record["invariants"]["chi"] = {"status": "ok", "value": chi}
         status = "ok"
-        if irc_with_k_colors(g, chi, token) is not None:
-            verdict = "holds"
-        elif not _value(g, "irc_colorable", token):
+        _, fewest = REGISTRY["irc_colorable"].solve(g, token)
+        if fewest is None:
             verdict = "not_colorable"
+        elif fewest.k == chi:
+            verdict = "holds"
         else:
             verdict = "finding"
             entry = _violation(
@@ -356,6 +357,8 @@ def _characterization_scan(idx: int, g: Graph, token, oracle_cap: int):
         status = ("skipped", "not bipartite")
     elif is_star(g) is not None:
         status = ("skipped", "star")
+    elif g.min_degree() == 0:
+        status = ("skipped", "isolated vertex")
     elif g.n > REGISTRY["chi_i"].cap:
         status = ("skipped(cap)", None)
     else:

@@ -258,44 +258,48 @@ def _validate_cert(g: Graph, cert: RainbowCert, member) -> None:
 # v anti-dominates C when N[v] and C are disjoint (own class never counts).
 
 
-def _restricted_growth_search(g: Graph, k: int, fits, token=None, floor: Optional[int] = None) -> Optional[Coloring]:
+def _restricted_growth_search(g: Graph, lo: int, hi: int, fits, token=None, fewest: bool = False) -> Optional[Coloring]:
     """The first canonical proper partition, in restricted-growth order, with
-    the most classes between ``floor`` and ``k`` that ``fits`` accepts at
-    every placement; None when there is none.  ``floor`` defaults to ``k``,
-    which asks for the first k-partition.
+    the most classes between ``lo`` and ``hi`` that ``fits`` accepts at every
+    placement, or with ``fewest`` the fewest; None when there is none.
 
     Vertex i joins an existing class or opens the next one, and then
-    ``fits(i, created, masks, colors)`` may reject the prefix, and with it
-    every extension.  Its call on the last vertex sees the whole partition,
-    so it is also the final test.  Each partition found raises the floor
-    above its class count, so what is left of the search only looks for
-    more classes.  Shared by the dominator and committee searches.
+    ``fits(i, created, masks, colors, cap)`` may reject the prefix and every
+    extension; ``cap`` is the most classes a partition found from here on
+    may have.  The call on the last vertex is the final test.  Each
+    partition found raises ``lo`` above its class count, or with ``fewest``
+    lowers the cap below it.  The order does not depend on the bounds, so
+    the last partition found is the first in that order with its count.
     """
     n = g.n
-    if not 1 <= k <= n:
+    if not 1 <= lo <= hi <= n:
         return None
     colors = [-1] * n
-    masks = [0] * k
+    masks = [0] * hi
     best: Optional[Coloring] = None
-    need = k if floor is None else floor  # the fewest classes a new best has
 
     def rec(i: int, created: int) -> bool:
         """Search below the placed prefix 0..i-1; True stops the search."""
-        nonlocal best, need
+        nonlocal best, lo, hi
         budget.check(token)
-        if created + n - i < need:
+        if created + n - i < lo:
             return False
         if i == n:
             best = Coloring(tuple(colors), created)
-            need = created + 1
-            return need > k
-        for c in range(min(created + 1, k)):
+            if fewest:
+                hi = created - 1
+            else:
+                lo = created + 1
+            return lo > hi
+        for c in range(created + 1):
+            nxt = max(created, c + 1)
+            if nxt > hi:  # the cap may fall while the loop runs
+                break
             if masks[c] & g.adj[i]:
                 continue
             colors[i] = c
             masks[c] |= 1 << i
-            nxt = max(created, c + 1)
-            if fits(i, nxt, masks, colors) and rec(i + 1, nxt):
+            if fits(i, nxt, masks, colors, hi) and rec(i + 1, nxt):
                 return True
             colors[i] = -1
             masks[c] ^= 1 << i
@@ -305,11 +309,13 @@ def _restricted_growth_search(g: Graph, k: int, fits, token=None, floor: Optiona
     return best
 
 
-def _partition_search(g: Graph, k: int, anti: bool, token=None) -> Optional[Coloring]:
+def _dominator_search(g: Graph, anti: bool, token=None) -> Coloring:
+    """The first dominator partition (with ``anti``, global dominator) with
+    the fewest classes, from chi up."""
     # the vertices after index i, which may still open or join a class
     later = [(g.vertices >> (i + 1)) << (i + 1) for i in range(g.n)]
 
-    def alive(v: int, created: int, remaining: VertexSet, masks: list[int]) -> bool:
+    def alive(v: int, created: int, cap: int, remaining: VertexSet, masks: list[int]) -> bool:
         nb = g.adj[v]
         dom_ok = False
         for c in range(created):
@@ -317,7 +323,7 @@ def _partition_search(g: Graph, k: int, anti: bool, token=None) -> Optional[Colo
             if m & ~nb == 0 or m == 1 << v:
                 dom_ok = True
                 break
-        if not dom_ok and created < k and nb & remaining:
+        if not dom_ok and created < cap and nb & remaining:
             dom_ok = True
         if not dom_ok:
             return False
@@ -327,12 +333,13 @@ def _partition_search(g: Graph, k: int, anti: bool, token=None) -> Optional[Colo
         for c in range(created):
             if masks[c] & closed == 0:
                 return True
-        return created < k and bool(remaining & ~closed)
+        return created < cap and bool(remaining & ~closed)
 
-    def fits(i: int, created: int, masks: list[int], colors: list[int]) -> bool:
-        return all(alive(v, created, later[i], masks) for v in range(i + 1))
+    def fits(i: int, created: int, masks: list[int], colors: list[int], cap: int) -> bool:
+        return all(alive(v, created, cap, later[i], masks) for v in range(i + 1))
 
-    return _restricted_growth_search(g, k, fits, token)
+    chi, _ = _chi(g, token)
+    return _restricted_growth_search(g, chi, g.n, fits, token, fewest=True)
 
 
 def dominator_chromatic_number(g: Graph, token=None) -> tuple[int, Coloring]:
@@ -340,12 +347,9 @@ def dominator_chromatic_number(g: Graph, token=None) -> tuple[int, Coloring]:
     color class."""
     if g.n < 1:
         raise ParameterError("needs at least one vertex")
-    chi, _ = _chi(g, token)
-    for k in range(chi, g.n + 1):
-        col = _partition_search(g, k, anti=False, token=token)
-        if col is not None:
-            return k, col
-    raise AssertionError("unreachable: singleton classes always dominate")
+    # singleton classes always dominate, so there is one
+    col = _dominator_search(g, anti=False, token=token)
+    return col.k, col
 
 
 def global_dominator_chromatic_number(g: Graph, token=None) -> Optional[tuple[int, Coloring]]:
@@ -358,9 +362,6 @@ def global_dominator_chromatic_number(g: Graph, token=None) -> Optional[tuple[in
         raise ParameterError("anti-domination needs a class to avoid")
     if _full_degree_vertex(g) is not None:
         return None
-    chi, _ = _chi(g, token)
-    for k in range(chi, g.n + 1):
-        col = _partition_search(g, k, anti=True, token=token)
-        if col is not None:
-            return k, col
-    return None
+    # otherwise singleton classes both dominate and avoid, so there is one
+    col = _dominator_search(g, anti=True, token=token)
+    return col.k, col

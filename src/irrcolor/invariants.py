@@ -4,7 +4,8 @@ A row gives the CLI size cap, the fewest vertices below which the invariant
 is absent, the fast solver and the witness encoder.  The CLI and
 ``oracle.cross_check`` read their ids, caps and dispatch from here; the
 oracle keeps its own definitions.  A solver takes ``(g, token)`` and
-returns ``(value, witness)``, or None when the invariant is absent on g.
+returns ``(value, witness)``, or None when the invariant is absent on g;
+``irc_colorable``'s witness is the fewest-color committee coloring.
 Solvers are lambdas that look the fast engines up by module-global name, so
 a rebinding of those names (a tracer, a test double) sees every computation,
 not every request: under a ``budget.Scope`` token a shared result (chi, the

@@ -45,10 +45,6 @@ class Obstruction:
     clique: Optional[VertexSet] = None
 
 
-def _closed(g: Graph, v: int) -> int:
-    return g.adj[v] | (1 << v)
-
-
 def _cover(closed: list[int], classes: list[list[int]], reach: list[int], target: int) -> Optional[list[int]]:
     """One member from each class in ``classes`` (ascending member lists),
     in class order, whose closed neighborhoods together cover ``target``;
@@ -83,7 +79,7 @@ def _cover(closed: list[int], classes: list[list[int]], reach: list[int], target
 def _committee_violation(g: Graph, class_masks: list[int], token=None):
     """Find (victim, committee) with pn[victim, committee] empty, else None."""
     n = g.n
-    closed = [_closed(g, v) for v in range(n)]
+    closed = [g.closed(v) for v in range(n)]
     color_of = [0] * n
     class_lists = [list(bits(m)) for m in class_masks]
     reach = [0] * len(class_masks)
@@ -166,9 +162,9 @@ def _obstructions(g: Graph, token=None) -> Iterator[Obstruction]:
     # N[u] containing N[v]; this finds them without the clique walk
     simplicial_cliques = set()
     for v in range(g.n):
-        q = _closed(g, v)
+        q = g.closed(v)
         if g.degree(v) >= 2 and q not in simplicial_cliques and all(
-            _closed(g, u) & q == q for u in bits(g.adj[v])
+            g.closed(u) & q == q for u in bits(g.adj[v])
         ):
             simplicial_cliques.add(q)
             yield clique_private(q)
@@ -212,7 +208,7 @@ def _committee_fits(g: Graph):
     member from each class other than c and v's covers N[v] - N[i].
     """
     n = g.n
-    closed = [_closed(g, v) for v in range(n)]
+    closed = [g.closed(v) for v in range(n)]
     prefix = list(accumulate(closed, or_, initial=0))  # prefix[v]: N[0..v-1]
     # for each index i, the vertices whose neighborhoods complete at i
     complete_at: list[list[int]] = [[] for _ in range(n)]
@@ -233,7 +229,7 @@ def _committee_fits(g: Graph):
             between |= closed[v]
         victims.append(row)
 
-    def fits(i: int, created: int, masks: list[int], colors: list[int]) -> bool:
+    def fits(i: int, created: int, masks: list[int], colors: list[int], cap: int) -> bool:
         for u in complete_at[i]:
             # every vertex needs two same-colored neighbors
             if all((g.adj[u] & masks[j]).bit_count() <= 1 for j in range(created)):
@@ -273,11 +269,6 @@ def _fits_unless_obstructed(g: Graph, token):
     return budget.shared(token, ("committee_fits", g), lambda: _committee_fits(g))
 
 
-def _first_with_k(g: Graph, k: int, fits, token) -> Optional[Coloring]:
-    """The first committee-safe k-partition, once per ``budget.Scope``."""
-    return budget.shared(token, ("irc_k", g, k), lambda: _restricted_growth_search(g, k, fits, token))
-
-
 def irc_colorability(g: Graph, token=None) -> Optional[Coloring]:
     """A witness committee-safe coloring if one exists, else None: the first
     one with the fewest colors."""
@@ -285,25 +276,13 @@ def irc_colorability(g: Graph, token=None) -> Optional[Coloring]:
     if fits is None:
         return None
     chi, _ = _chi(g, token)
-    col = _first_with_k(g, chi, fits, token)
-    if col is not None:
-        return col
-    # one search over every larger color count shows whether there is any,
-    # and the most colors the ascending loop has to try
-    most = _restricted_growth_search(g, g.n, fits, token, floor=chi + 1)
-    if most is None:
-        return None
-    for k in range(chi + 1, most.k):
-        col = _restricted_growth_search(g, k, fits, token)
-        if col is not None:
-            return col
-    return most
+    return _restricted_growth_search(g, chi, g.n, fits, token, fewest=True)
 
 
 def irc_with_k_colors(g: Graph, k: int, token=None) -> Optional[Coloring]:
     """A committee-safe coloring with exactly k colors, else None."""
     fits = _fits_unless_obstructed(g, token)
-    return None if fits is None else _first_with_k(g, k, fits, token)
+    return None if fits is None else _restricted_growth_search(g, k, k, fits, token)
 
 
 def irc_chromatic_number(g: Graph, token=None) -> Optional[tuple[int, Coloring]]:
@@ -317,5 +296,5 @@ def irc_chromatic_number(g: Graph, token=None) -> Optional[tuple[int, Coloring]]
     fits = _fits_unless_obstructed(g, token)
     if fits is None:
         return None
-    col = _restricted_growth_search(g, g.n - 1, fits, token, floor=1)
+    col = _restricted_growth_search(g, 1, g.n - 1, fits, token)
     return None if col is None else (col.k, col)

@@ -10,6 +10,7 @@ import pytest
 
 import irrcolor
 from irrcolor.cli import main
+from irrcolor.coloring import Coloring
 from irrcolor.graphs import parse_graph6, to_graph6
 
 from conftest import Polls, complete, cycle, random_bipartite
@@ -238,12 +239,20 @@ def _oracle_calls(monkeypatch) -> list:
     return calls
 
 
+def _miss_the_chi_coloring(monkeypatch):
+    """Make the fast path's fewest-color committee coloring of C6 a proper
+    3-coloring, as if it had missed the 2-colorings."""
+    from irrcolor import invariants
+
+    monkeypatch.setattr(invariants, "irc_colorability", lambda g, token=None: Coloring((0, 1, 2, 0, 1, 2), 3))
+
+
 def test_scan_conjecture_confirms_a_finding_with_one_oracle_pass(monkeypatch):
     from irrcolor import cli
 
     # a fast path that misses the chi-coloring of C6 makes a finding, and
     # the oracle, which has one, refutes it from a single committee pass
-    monkeypatch.setattr(cli, "irc_with_k_colors", lambda g, k, token=None: None)
+    _miss_the_chi_coloring(monkeypatch)
     calls = _oracle_calls(monkeypatch)
     rec, violations = cli._scan_graph(0, cycle(6), "conjecture", None, oracle_cap=8)
     assert rec["invariants"]["conjecture"]["value"] == "finding"
@@ -254,7 +263,7 @@ def test_scan_conjecture_confirms_a_finding_with_one_oracle_pass(monkeypatch):
 def test_scan_conjecture_keeps_a_finding_when_the_budget_ends_in_the_oracle(monkeypatch):
     from irrcolor import cli
 
-    monkeypatch.setattr(cli, "irc_with_k_colors", lambda g, k, token=None: None)
+    _miss_the_chi_coloring(monkeypatch)
     fast = Polls()
     cli._scan_graph(0, cycle(6), "conjecture", fast, oracle_cap=0)  # the fast path alone
     token = Polls(fast.polls + 10)
@@ -286,6 +295,21 @@ def test_scan_characterization_smoke(tmp_path, capsys):
     assert states[0]["value"] == "agree"
     assert states[1]["value"] == "agree"
     assert states[2]["status"] == "skipped"
+
+
+def test_scan_characterization_skips_isolated_vertices(tmp_path, capsys):
+    # K2 + K1 and two isolated vertices are bipartite non-stars; the family
+    # classification needs every vertex to have a neighbor
+    src = tmp_path / "graphs.g6"
+    src.write_text("B_\nA?\nC]\n")
+    code, out, _ = run_cli(capsys, ["scan", "characterization", str(src), "--json"])
+    assert code == 0
+    states = [rec["invariants"]["characterization"] for rec in json.loads(out)["graphs"]]
+    assert states == [
+        {"status": "skipped", "value": "isolated vertex"},
+        {"status": "skipped", "value": "isolated vertex"},
+        {"status": "ok", "value": "agree"},
+    ]
 
 
 def test_verify_scope(capsys):

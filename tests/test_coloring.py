@@ -14,12 +14,12 @@ from irrcolor.coloring import (
     is_rainbow,
     max_clique,
 )
-from irrcolor.errors import ParameterError
+from irrcolor.errors import ParameterError, SearchCancelled
 from irrcolor.graphs import from_edge_list, mask_from
 from irrcolor.irredundance import is_dominating, is_maximal_irredundant
 from irrcolor.oracle import oracle_invariant
 
-from conftest import complete, complete_bipartite, cycle, path, random_connected, tree7
+from conftest import Polls, complete, complete_bipartite, cycle, path, random_connected, tree7
 
 
 def test_coloring_type():
@@ -147,6 +147,92 @@ def test_partition_solvers_match_oracle():
         assert dominator_chromatic_number(g)[0] == oracle_invariant(g, "chi_d").value
         gd = global_dominator_chromatic_number(g)
         assert (gd[0] if gd else None) == oracle_invariant(g, "chi_gd").value
+
+
+def _reference_with_k(g, k, anti):
+    """The first canonical proper k-partition in which every vertex
+    dominates a class (and with ``anti`` also avoids one), pruning every
+    prefix a vertex can no longer satisfy with at most k classes."""
+    n = g.n
+    later = [(g.vertices >> (i + 1)) << (i + 1) for i in range(n)]
+    colors = [-1] * n
+    masks = [0] * k
+
+    def alive(v, created, remaining):
+        nb, closed = g.adj[v], g.closed(v)
+        more = created < k
+        dom = any(m & ~nb == 0 or m == 1 << v for m in masks[:created]) or (more and nb & remaining)
+        avoid = any(m & closed == 0 for m in masks[:created]) or (more and remaining & ~closed)
+        return bool(dom and (avoid or not anti))
+
+    def rec(i, created):
+        if created + n - i < k:
+            return None
+        if i == n:
+            return Coloring(tuple(colors), k)
+        for c in range(min(created + 1, k)):
+            if masks[c] & g.adj[i]:
+                continue
+            colors[i] = c
+            masks[c] |= 1 << i
+            nxt = max(created, c + 1)
+            if all(alive(v, nxt, later[i]) for v in range(i + 1)):
+                found = rec(i + 1, nxt)
+                if found is not None:
+                    return found
+            colors[i] = -1
+            masks[c] ^= 1 << i
+        return None
+
+    return rec(0, 0)
+
+
+def _reference_dominator(g, anti):
+    """The per-k climb from chi: the first k with a partition, and it."""
+    chi, _ = chromatic_number(g)
+    return next(((k, col) for k in range(chi, g.n + 1) if (col := _reference_with_k(g, k, anti))), None)
+
+
+def test_dominator_search_matches_reference(connected_le6, bipartite_le7):
+    graphs = connected_le6 + bipartite_le7 + [cycle(12), path(12), cycle(14), path(14)]
+    for n in range(8, 13):
+        for p in (0.2, 0.4):
+            rng = random.Random(f"dominator-differential:{n}:{p}")
+            graphs += [random_connected(rng, n, p) for _ in range(2)]
+    for g in graphs:
+        assert dominator_chromatic_number(g) == _reference_dominator(g, anti=False)
+        if g.n >= 2:
+            assert global_dominator_chromatic_number(g) == _reference_dominator(g, anti=True)
+
+
+# polls of chi_d and chi_gd on C14, P14 and three sparse 12-vertex graphs;
+# the climb that restarted the search at each k from chi polled
+# 1,185 / 954 / 605 / 156 / 439 and 1,178 / 947 / 536 / 299 / 1,679
+_PINNED_POLLS = [
+    (dominator_chromatic_number, [973, 763, 532, 113, 397]),
+    (global_dominator_chromatic_number, [973, 763, 488, 221, 1436]),
+]
+
+
+def _pinned_graphs():
+    return [cycle(14), path(14)] + [random_connected(random.Random(f"dominator:{s}"), 12, 0.2) for s in range(3)]
+
+
+def test_dominator_search_polls_pinned():
+    for solve, pinned in _PINNED_POLLS:
+        for g, polls in zip(_pinned_graphs(), pinned):
+            token = Polls()
+            solve(g, token)
+            assert token.polls <= polls
+
+
+def test_dominator_search_polls_the_budget():
+    g = _pinned_graphs()[0]
+    for solve, _ in _PINNED_POLLS:
+        token = Polls(50)
+        with pytest.raises(SearchCancelled):
+            solve(g, token)
+        assert token.polls == 50
 
 
 def test_rainbow_solvers_match_oracle():

@@ -369,8 +369,8 @@ def test_colorability_ascends_past_chi(monkeypatch):
     for fewest in (2, 3):
         def fits_above(g, fewest=fewest):
             fits = real(g)
-            return lambda i, created, masks, colors: (
-                fits(i, created, masks, colors) and (i < g.n - 1 or created > fewest))
+            return lambda i, created, masks, colors, cap: (
+                fits(i, created, masks, colors, cap) and (i < g.n - 1 or created > fewest))
 
         monkeypatch.setattr(irc, "_committee_fits", fits_above)
         col = irc_colorability(g)

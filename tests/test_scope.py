@@ -44,15 +44,13 @@ def _spy(monkeypatch, module, name, seen):
 
 def _fresh(key):
     """What the memo entry ``key`` holds, computed without a scope."""
-    kind, g, *rest = key
+    kind, g = key
     if kind == "chi":
         return chromatic_number(g)
     if kind == "families":
         return list(maximal_irredundant_sets(g)), list(minimal_dominating_sets(g))
     if kind == "obstructed":
         return irc._obstructed(g)
-    if kind == "irc_k":
-        return irc.irc_with_k_colors(g, rest[0])
     raise AssertionError(f"unexpected memo key {kind!r}")
 
 
