@@ -7,15 +7,16 @@ Subcommands:
   scan        stream graphs through inequality / conjecture / equivalence checks
 
 Exit codes: 0 success or no findings, 2 findings recorded (scan), 64 input
-error, 65 parameter error.  Reports are deterministic for fixed input and
-flags; wall-clock timings live in their own field so byte comparisons can
-drop them.
+error, 65 parameter error, 141 stdout closed by its reader.  Reports are
+deterministic for fixed input and flags; wall-clock timings live in their
+own field so byte comparisons can drop them.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -28,10 +29,11 @@ from typing import Optional
 from . import budget, families
 from .budget import Deadline
 from .characterize import bipartite_two_family, find_anchor_edge, find_near_twin_pair, is_star
-from .errors import FormatError, ParameterError, SearchCancelled, SizeCapError
+from .errors import FormatError, ParameterError, SearchCancelled, SizeCapError, UnsupportedSizeError
 from .graphs import (
     Graph,
     bipartition,
+    component_count,
     connectivity_profile,
     format_edge_list,
     mask_from,
@@ -49,12 +51,14 @@ DEFAULT_INVARIANTS = ("chi", "ir", "gamma", "chi_i", "chi_gamma", "irc_colorable
 CONJECTURE_CAP = 40
 
 
-def _compute_invariant(g: Graph, name: str, token=None):
-    """Returns (status, value, witness); status in ok / absent / skipped(cap)."""
+def _compute_invariant(g: Graph, name: str, token=None, capped=True):
+    """Returns (status, value, witness) from the registry solver, the one
+    place the CLI calls one; status in ok / absent / skipped(cap), and the
+    witness as the solver gives it.  ``capped=False`` ignores the CLI cap."""
     row = REGISTRY[name]
     if g.n < row.min_n:
         return "absent", None, None
-    if g.n > row.cap:
+    if capped and g.n > row.cap:
         result = row.above_cap(g, token) if row.above_cap else None
         if result is None:
             return "skipped(cap)", None, None
@@ -62,16 +66,13 @@ def _compute_invariant(g: Graph, name: str, token=None):
         result = row.solve(g, token)
         if result is None:
             return "absent", None, None
-    value, witness = result
-    return "ok", value, None if witness is None else row.encode(witness)
+    return ("ok", *result)
 
 
 def _value(g: Graph, name: str, token=None):
-    """Invariant ``name`` on g from its registry solver, None where absent;
-    no CLI cap, since ``scan conjecture`` and the verify suites go past it."""
-    row = REGISTRY[name]
-    result = row.solve(g, token) if g.n >= row.min_n else None
-    return None if result is None else result[0]
+    """Invariant ``name`` on g, None where absent; no CLI cap, since ``scan
+    conjecture`` and the verify suites go past it."""
+    return _compute_invariant(g, name, token, capped=False)[1]
 
 
 def _record(idx: int, g: Graph) -> dict:
@@ -103,7 +104,7 @@ def _graph_record(idx: int, g: Graph, names, token=None, witnesses=False) -> dic
             status, value, witness = "skipped(budget)", None, None
         record["invariants"][name] = {"status": status, "value": value}
         if witnesses:
-            record["witnesses"][name] = witness
+            record["witnesses"][name] = None if witness is None else REGISTRY[name].encode(witness)
         record["timings"][name] = round(time.perf_counter() - t0, 6)
     return record
 
@@ -238,30 +239,21 @@ def _sidecar(inst: families.FamilyInstance) -> dict:
 def cmd_gen(args) -> int:
     try:
         inst = _build_family(args.family, args.params)
-    except ParameterError as exc:
+        if args.format == "graph6":
+            payload = to_graph6(inst.graph).decode("ascii") + "\n"
+        else:
+            payload = format_edge_list(inst.graph)
+        sidecar = json.dumps(_sidecar(inst), indent=2, sort_keys=True) + "\n"
+        if args.out:
+            for path, text in ((args.out, payload), (args.out + ".json", sidecar)):
+                with open(path, "w", encoding="ascii") as fh:
+                    fh.write(text)
+            return 0
+    except (ParameterError, UnsupportedSizeError, OSError) as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 65
-    if args.format == "graph6":
-        try:
-            payload = to_graph6(inst.graph).decode("ascii") + "\n"
-        except Exception as exc:
-            print(f"parameter error: {exc}", file=sys.stderr)
-            return 65
-    else:
-        payload = format_edge_list(inst.graph)
-    sidecar = json.dumps(_sidecar(inst), indent=2, sort_keys=True) + "\n"
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="ascii") as fh:
-                fh.write(payload)
-            with open(args.out + ".json", "w", encoding="ascii") as fh:
-                fh.write(sidecar)
-        except OSError as exc:
-            print(f"parameter error: {exc}", file=sys.stderr)
-            return 65
-    else:
-        sys.stdout.write(payload)
-        sys.stdout.write(sidecar)
+    sys.stdout.write(payload)
+    sys.stdout.write(sidecar)
     return 0
 
 
@@ -271,7 +263,9 @@ def cmd_gen(args) -> int:
 CHAIN = ("chi", "chi_i", "chi_gamma", "chi_d", "chi_gd")
 
 
-def _chain_breaks(val: dict):
+# A check takes (g, the values of a record's ok cells, token) and yields
+# (check, detail) for each relation they break.
+def _chain_breaks(g: Graph, val: dict, token):
     """(check, detail) for each link of chi <= chi_i <= ... <= chi_gd that
     ``val`` breaks; a link with an end missing or None is not checked."""
     for lo, hi in zip(CHAIN, CHAIN[1:]):
@@ -292,24 +286,26 @@ def _domination_breaks(g: Graph, val: dict, token):
                 yield "minimal-dominating-is-maximal-irredundant", f"set mask {d} dominates minimally but is not maximal irredundant"
 
 
-def _chain_scan(idx: int, g: Graph, token, oracle_cap: int):
-    record = _graph_record(idx, g, ("chi", "ir", "gamma", *CHAIN[1:]), token)
-    val = {name: cell["value"] for name, cell in record["invariants"].items() if cell["status"] == "ok"}
-    found = [*_chain_breaks(val), *_domination_breaks(g, val, token)]
-    return record, [_violation(check, record, detail) for check, detail in found]
-
-
-def _bounds_scan(idx: int, g: Graph, token, oracle_cap: int):
-    record = _graph_record(idx, g, ("chi", "ir", "chi_i"), token)
-    inv = record["invariants"]
-    violations = []
-    if all(inv[k]["status"] == "ok" for k in ("chi", "ir", "chi_i")):
-        chi, ir, chi_i = (inv[k]["value"] for k in ("chi", "ir", "chi_i"))
+def _bounds_breaks(g: Graph, val: dict, token):
+    """(check, detail) when ``val`` holds chi, ir and chi_i and they break
+    max(chi, ir) <= chi_i <= chi + ir - 1."""
+    if all(name in val for name in ("chi", "ir", "chi_i")):
+        chi, ir, chi_i = val["chi"], val["ir"], val["chi_i"]
         if not (max(chi, ir) <= chi_i <= chi + ir - 1):
-            violations.append(_violation(
-                "bounds:max(chi,ir)<=chi_i<=chi+ir-1", record, f"chi={chi} ir={ir} chi_i={chi_i}"
-            ))
-    return record, violations
+            yield "bounds:max(chi,ir)<=chi_i<=chi+ir-1", f"chi={chi} ir={ir} chi_i={chi_i}"
+
+
+def _cells_scan(names, *checks):
+    """A scan of the report cells ``names``, then of each check on the
+    values of the cells that are ok."""
+
+    def scan(idx: int, g: Graph, token, oracle_cap: int):
+        record = _graph_record(idx, g, names, token)
+        val = {name: cell["value"] for name, cell in record["invariants"].items() if cell["status"] == "ok"}
+        found = [pair for check in checks for pair in check(g, val, token)]
+        return record, [_violation(check, record, detail) for check, detail in found]
+
+    return scan
 
 
 def _conjecture_scan(idx: int, g: Graph, token, oracle_cap: int):
@@ -321,7 +317,7 @@ def _conjecture_scan(idx: int, g: Graph, token, oracle_cap: int):
         chi = _value(g, "chi", token)
         record["invariants"]["chi"] = {"status": "ok", "value": chi}
         status = "ok"
-        _, fewest = REGISTRY["irc_colorable"].solve(g, token)
+        fewest = _compute_invariant(g, "irc_colorable", token, capped=False)[2]
         if fewest is None:
             verdict = "not_colorable"
         elif fewest.k == chi:
@@ -359,6 +355,10 @@ def _characterization_scan(idx: int, g: Graph, token, oracle_cap: int):
         status = ("skipped", "star")
     elif g.min_degree() == 0:
         status = ("skipped", "isolated vertex")
+    elif component_count(g) > 1:
+        # the three conditions are read off one bipartition, which a
+        # disconnected graph does not fix
+        status = ("skipped", "disconnected")
     elif g.n > REGISTRY["chi_i"].cap:
         status = ("skipped(cap)", None)
     else:
@@ -383,8 +383,8 @@ def _characterization_scan(idx: int, g: Graph, token, oracle_cap: int):
 
 
 _SCAN_MODES = {
-    "chain": _chain_scan,
-    "bounds": _bounds_scan,
+    "chain": _cells_scan(("chi", "ir", "gamma", *CHAIN[1:]), _chain_breaks, _domination_breaks),
+    "bounds": _cells_scan(("chi", "ir", "chi_i"), _bounds_breaks),
     "conjecture": _conjecture_scan,
     "characterization": _characterization_scan,
 }
@@ -409,12 +409,9 @@ def cmd_scan(args) -> int:
         return 64
     token = Deadline(args.budget_seconds) if args.budget_seconds else None
     scan = partial(_scan_graph, mode=args.mode, token=token, oracle_cap=args.oracle_cap)
-    records = []
-    violations = []
-    for rec, viol in _map_graphs(scan, graphs, args.jobs):
-        records.append(rec)
-        violations.extend(viol)
-    _emit(_report("scan", records, violations, mode=args.mode), args.json)
+    results = _map_graphs(scan, graphs, args.jobs)
+    violations = [violation for _, found in results for violation in found]
+    _emit(_report("scan", [record for record, _ in results], violations, mode=args.mode), args.json)
     return 2 if violations else 0
 
 
@@ -435,10 +432,6 @@ def _claim_clean(claims, name, bad):
     _claim(claims, name, not bad, f"violations: {bad}" if bad else "")
 
 
-def _skip(claims, name, detail):
-    claims.append({"claim": name, "status": "skip", "detail": detail})
-
-
 def _verify_full_degree(claims, token, oracle_cap):
     cases = [families.gen_complete(n) for n in range(2, 7)]
     cases += [families.gen_star(n) for n in range(3, 8)]
@@ -455,49 +448,18 @@ def _verify_full_degree(claims, token, oracle_cap):
         )
 
 
-def _scan_asset(scan, asset: str, token, oracle_cap: int) -> tuple[int, list[str]]:
-    """Run a scan mode over a packaged asset.  Returns the number of records
-    whose cells are all ok and the graph6 strings of the violations."""
-    results = [scan(idx, g, token, oracle_cap) for idx, g in enumerate(_asset_graphs(asset))]
+def _verify_asset(scan, asset: str, claim: str, claims, token, oracle_cap):
+    """The claim that ``scan`` finds nothing on a packaged asset.  Each graph
+    runs under its own scope, as in the scan command; only the number of
+    records with no skipped cell, which ``claim`` formats, and the (graph6,
+    detail) pairs of the violations are kept."""
+    tested, bad = 0, []
+    for idx, g in enumerate(_asset_graphs(asset)):
+        record, found = scan(idx, g, budget.scope(token), oracle_cap)
+        tested += not any(cell["status"].startswith("skipped") for cell in record["invariants"].values())
+        bad += [(violation["graph6"], violation["detail"]) for violation in found]
     budget.check(token)  # the scans record an overrun as a skipped cell
-    tested = sum(all(c["status"] == "ok" for c in rec["invariants"].values()) for rec, _ in results)
-    return tested, [violation["graph6"] for _, found in results for violation in found]
-
-
-def _verify_bounds(claims, token, oracle_cap):
-    tested, bad = _scan_asset(_bounds_scan, "connected_le6.g6", token, oracle_cap)
-    _claim_clean(
-        claims,
-        f"bounds: max(chi,ir) <= chi_i <= chi+ir-1 on {tested} connected graphs (n <= 6)",
-        bad,
-    )
-
-
-def _verify_chain(claims, token, oracle_cap):
-    bad = []
-    graphs = _asset_graphs("connected_le6.g6")
-    for g in graphs:
-        scope = budget.scope(token)
-        val = {name: _value(g, name, scope) for name in CHAIN}
-        bad += [(to_graph6(g).decode("ascii"), detail) for _, detail in _chain_breaks(val)]
-    _claim_clean(
-        claims,
-        f"chain: chi <= chi_i <= chi_gamma <= chi_d <= chi_gd on {len(graphs)} connected graphs (n <= 6)",
-        bad,
-    )
-
-
-def _verify_dominating_irredundant(claims, token, oracle_cap):
-    graphs = _asset_graphs("connected_le6.g6")
-    bad = []
-    for g in graphs:
-        val = {name: _value(g, name, token) for name in ("ir", "gamma")}
-        bad += [(to_graph6(g).decode("ascii"), detail) for _, detail in _domination_breaks(g, val, token)]
-    _claim_clean(
-        claims,
-        f"every minimal dominating set is maximal irredundant, and ir <= gamma, on {len(graphs)} graphs",
-        bad,
-    )
+    _claim_clean(claims, claim.format(tested), bad)
 
 
 def _verify_family_a(claims, token, oracle_cap):
@@ -566,15 +528,6 @@ def _verify_realizable(claims, token, oracle_cap):
             ok = oracle_invariant(g, "chi_i", oracle_cap, token).value == k
             detail += " oracle=confirmed" if ok else " oracle=DISAGREES"
         _claim(claims, f"family B({n},{k}): chi_i = {k}", ok, detail)
-
-
-def _verify_two_color(claims, token, oracle_cap):
-    tested, bad = _scan_asset(_characterization_scan, "bipartite_connected_le7.g6", token, oracle_cap)
-    _claim_clean(
-        claims,
-        f"two-color equivalence (chi_i=2 <=> pair witness <=> family member) on {tested} bipartite non-star graphs (n <= 7)",
-        bad,
-    )
 
 
 def _verify_min_degree(claims, token, oracle_cap):
@@ -675,13 +628,19 @@ def _verify_dominator_gamma(claims, token, oracle_cap):
 
 VERIFY_SCOPES = {
     "full-degree": _verify_full_degree,
-    "bounds": _verify_bounds,
-    "chain": _verify_chain,
-    "dominating-irredundant": _verify_dominating_irredundant,
+    "bounds": partial(_verify_asset, _SCAN_MODES["bounds"], "connected_le6.g6",
+                      "bounds: max(chi,ir) <= chi_i <= chi+ir-1 on {} connected graphs (n <= 6)"),
+    "chain": partial(_verify_asset, _cells_scan(CHAIN, _chain_breaks), "connected_le6.g6",
+                     "chain: chi <= chi_i <= chi_gamma <= chi_d <= chi_gd on {} connected graphs (n <= 6)"),
+    "dominating-irredundant": partial(
+        _verify_asset, _cells_scan(("ir", "gamma"), _domination_breaks), "connected_le6.g6",
+        "every minimal dominating set is maximal irredundant, and ir <= gamma, on {} graphs"),
     "family-a": _verify_family_a,
     "family-z": _verify_family_z,
     "realizable": _verify_realizable,
-    "two-color": _verify_two_color,
+    "two-color": partial(
+        _verify_asset, _SCAN_MODES["characterization"], "bipartite_connected_le7.g6",
+        "two-color equivalence (chi_i=2 <=> pair witness <=> family member) on {} bipartite non-star graphs (n <= 7)"),
     "min-degree": _verify_min_degree,
     "cut-vertex": _verify_cut_vertex,
     "bridge": _verify_bridge,
@@ -703,29 +662,25 @@ def cmd_verify(args) -> int:
         try:
             VERIFY_SCOPES[scope](claims, token, args.oracle_cap)
         except SearchCancelled:
-            _skip(claims, f"{scope} (remaining checks)", "budget exhausted")
+            claims.append({"claim": f"{scope} (remaining checks)", "status": "skip", "detail": "budget exhausted"})
             break
         except SizeCapError as exc:
-            _skip(claims, scope, str(exc))
-    failures = sum(1 for c in claims if c["status"] == "fail")
+            claims.append({"claim": scope, "status": "skip", "detail": str(exc)})
+    failed = [{"check": c["claim"], "detail": c["detail"]} for c in claims if c["status"] == "fail"]
     report = {
         "schema": SCHEMA,
         "command": "verify",
         "scope": args.scope,
         "claims": claims,
-        "violations": [
-            {"check": c["claim"], "detail": c["detail"]}
-            for c in claims
-            if c["status"] == "fail"
-        ],
+        "violations": failed,
         "summary": {
             "claims": len(claims),
-            "failed": failures,
+            "failed": len(failed),
             "skipped": sum(1 for c in claims if c["status"] == "skip"),
         },
     }
     _emit(report, args.json)
-    return 0 if failures == 0 else 2
+    return 2 if failed else 0
 
 
 # --- argument parsing -----------------------------------------------------------
@@ -795,7 +750,14 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+    except BrokenPipeError:
+        # the reader closed stdout; send what is still buffered to devnull,
+        # so the flush at exit stays quiet, and exit as a shell does on SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -143,33 +143,12 @@ def induced_subgraph(g: Graph, s: VertexSet) -> tuple[Graph, tuple[int, ...]]:
     return Graph(len(old), tuple(adj)), tuple(old)
 
 
-def bipartition(g: Graph) -> Optional[tuple[VertexSet, VertexSet]]:
-    """2-color by BFS, lowest vertex of each component on side one.
+def _two_coloring(g: Graph) -> tuple[list[int], list[int], Optional[tuple[int, int]]]:
+    """BFS 2-coloring, lowest vertex of each component on side 0.
 
-    Returns ``(V1, V2)`` or ``None`` when an odd cycle exists.
-    """
-    side = [-1] * g.n
-    for start in range(g.n):
-        if side[start] >= 0:
-            continue
-        side[start] = 0
-        queue = [start]
-        while queue:
-            v = queue.pop(0)
-            for u in bits(g.adj[v]):
-                if side[u] < 0:
-                    side[u] = 1 - side[v]
-                    queue.append(u)
-                elif side[u] == side[v]:
-                    return None
-    v1 = mask_from(v for v in range(g.n) if side[v] == 0)
-    return v1, g.vertices & ~v1
-
-
-def odd_closed_walk(g: Graph) -> Optional[list[int]]:
-    """A closed walk of odd length witnessing non-bipartiteness, else None.
-
-    The walk is returned as a vertex list whose first and last entries agree.
+    Returns the side of each vertex, its BFS parent (-1 at a root) and the
+    first edge found inside a side, or None when there is none.  The search
+    stops at that edge, so the sides are whole only when it is None.
     """
     side = [-1] * g.n
     parent = [-1] * g.n
@@ -186,18 +165,43 @@ def odd_closed_walk(g: Graph) -> Optional[list[int]]:
                     parent[u] = v
                     queue.append(u)
                 elif side[u] == side[v]:
-                    def up(w):
-                        path = [w]
-                        while parent[path[-1]] != -1:
-                            path.append(parent[path[-1]])
-                        return path
-                    pu, pv = up(u), up(v)
-                    # trim to the lowest common ancestor
-                    while len(pu) > 1 and len(pv) > 1 and pu[-2] == pv[-2]:
-                        pu.pop()
-                        pv.pop()
-                    return list(reversed(pu)) + pv
-    return None
+                    return side, parent, (u, v)
+    return side, parent, None
+
+
+def bipartition(g: Graph) -> Optional[tuple[VertexSet, VertexSet]]:
+    """2-color by BFS, lowest vertex of each component on side one.
+
+    Returns ``(V1, V2)`` or ``None`` when an odd cycle exists.
+    """
+    side, _, clash = _two_coloring(g)
+    if clash is not None:
+        return None
+    v1 = mask_from(v for v in range(g.n) if side[v] == 0)
+    return v1, g.vertices & ~v1
+
+
+def odd_closed_walk(g: Graph) -> Optional[list[int]]:
+    """A closed walk of odd length witnessing non-bipartiteness, else None.
+
+    The walk is returned as a vertex list whose first and last entries agree.
+    """
+    _, parent, clash = _two_coloring(g)
+    if clash is None:
+        return None
+
+    def up(w):
+        path = [w]
+        while parent[path[-1]] != -1:
+            path.append(parent[path[-1]])
+        return path
+
+    pu, pv = (up(w) for w in clash)
+    # trim to the lowest common ancestor
+    while len(pu) > 1 and len(pv) > 1 and pu[-2] == pv[-2]:
+        pu.pop()
+        pv.pop()
+    return list(reversed(pu)) + pv
 
 
 def connectivity_profile(g: Graph) -> ConnectivityProfile:

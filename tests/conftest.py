@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -46,6 +47,20 @@ def random_bipartite(rng: random.Random, n: int, p: float) -> Graph:
         g = from_edge_list(n, [(u, v) for u in range(left) for v in range(left, n) if rng.random() < p])
         if g.min_degree() >= 2 and component_count(g) == 1:
             return g
+
+
+def spy(monkeypatch, module, name, seen):
+    """Rebind ``module.name`` wherever an irrcolor module holds it, so every
+    call appends its arguments to ``seen``."""
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        seen.append(args)
+        return real(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("irrcolor") and vars(mod).get(name) is real:
+            monkeypatch.setattr(mod, name, counted)
 
 
 class Polls:

@@ -13,7 +13,7 @@ from irrcolor.cli import main
 from irrcolor.coloring import Coloring
 from irrcolor.graphs import parse_graph6, to_graph6
 
-from conftest import Polls, complete, cycle, random_bipartite
+from conftest import Polls, complete, cycle, random_bipartite, spy
 
 
 C4_EDGELIST = "4 4\n0 1\n1 2\n2 3\n3 0\n"
@@ -178,6 +178,8 @@ def test_gen_bad_params_exit_65(capsys):
     assert code == 65
     code, _, _ = run_cli(capsys, ["gen", "nosuch", "1"])
     assert code == 65
+    code, out, err = run_cli(capsys, ["gen", "complete", "63"])  # past graph6's size byte
+    assert (code, out) == (65, "") and "n <= 62" in err
 
 
 def test_gen_unwritable_out_exits_65(tmp_path, capsys):
@@ -312,6 +314,18 @@ def test_scan_characterization_skips_isolated_vertices(tmp_path, capsys):
     ]
 
 
+def test_scan_characterization_skips_disconnected_graphs(tmp_path, capsys):
+    # two disjoint P3 have chi_i = 2, but the pair witness and the family are
+    # read off one bipartition, which a disconnected graph does not fix
+    src = tmp_path / "graphs.g6"
+    src.write_text("EgCG\n")
+    assert parse_graph6("EgCG").min_degree() == 1
+    code, out, _ = run_cli(capsys, ["scan", "characterization", str(src), "--json"])
+    assert code == 0
+    states = [rec["invariants"]["characterization"] for rec in json.loads(out)["graphs"]]
+    assert states == [{"status": "skipped", "value": "disconnected"}]
+
+
 def test_verify_scope(capsys):
     code, out, _ = run_cli(capsys, ["verify", "family-a", "--json"])
     assert code == 0
@@ -376,18 +390,40 @@ def test_scan_chain_shares_the_cells_walk_and_polls_the_budget(monkeypatch):
     assert rec["invariants"] == {"chain": {"status": "skipped(budget)", "value": None}}
 
 
-def test_console_entry_point_runs():
-    # the subprocess imports irrcolor from where this test did
+def _module_env() -> dict:
+    """The environment for a subprocess that imports irrcolor from where
+    this test did."""
     here = str(Path(irrcolor.__file__).parent.parent)
     path = os.pathsep.join(p for p in (here, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "irrcolor", "gen", "B", "6", "4"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_module_env(),
     )
     assert proc.returncode == 0
     assert parse_graph6(proc.stdout.splitlines()[0]).n == 6
+
+
+def test_closed_stdout_exits_141_quietly(tmp_path):
+    # a report far larger than a pipe buffer, whose reader stops after one line
+    src = tmp_path / "k3.g6"
+    src.write_text("Bw\n" * 2000)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "irrcolor", "invariants", str(src), "--invariants", "chi", "--json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_module_env(),
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (141, b"")
 
 
 def test_jobs_honour_budget(tmp_path, capsys):
@@ -480,3 +516,48 @@ def test_verify_scan_scopes_skip_on_budget_overrun(capsys):
         assert code == 0
         claims = json.loads(out)["claims"]
         assert claims == [{"claim": f"{scope} (remaining checks)", "status": "skip", "detail": "budget exhausted"}]
+
+
+# engine calls per command on the packaged assets: chi, irredundant-set
+# walks, obstruction scans, restricted-growth partition searches, oracle
+# passes.  A change here is a change in the work the CLI asks for.
+ENGINE_CALLS = {
+    ("scan", "chain", "connected_le6.g6"): (193, 429, 0, 233, 0),
+    ("scan", "bounds", "connected_le6.g6"): (187, 233, 0, 0, 0),
+    ("scan", "conjecture", "connected_le6.g6"): (143, 0, 143, 11, 0),
+    ("scan", "characterization", "bipartite_connected_le7.g6"): (117, 65, 0, 0, 0),
+    ("verify", "full-degree"): (13, 0, 0, 0, 0),
+    ("verify", "bounds"): (187, 233, 0, 0, 0),
+    ("verify", "chain"): (193, 143, 0, 233, 0),
+    ("verify", "dominating-irredundant"): (0, 429, 0, 0, 0),
+    ("verify", "family-a"): (3, 6, 0, 0, 3),
+    ("verify", "family-z"): (7, 3, 0, 0, 1),
+    ("verify", "realizable"): (4, 0, 0, 0, 4),
+    ("verify", "two-color"): (117, 65, 0, 0, 0),  # the scan characterization counts
+    ("verify", "min-degree"): (0, 0, 22344, 0, 0),
+    ("verify", "cut-vertex"): (0, 0, 0, 0, 0),
+    ("verify", "bridge"): (0, 0, 0, 0, 0),
+    ("verify", "max-colors"): (0, 0, 0, 0, 0),
+    ("verify", "even-bipartite"): (0, 0, 0, 0, 0),
+    ("verify", "epn-family"): (0, 0, 0, 0, 0),
+    ("verify", "dominator-gamma"): (76, 76, 4, 84, 0),
+}
+
+
+def test_engine_calls_are_pinned(monkeypatch, capsys):
+    from irrcolor import coloring, irc, irredundance, oracle
+
+    engines = ((coloring, "chromatic_number"), (irredundance, "_irredundant_sets"), (irc, "_obstructions"),
+               (coloring, "_restricted_growth_search"), (oracle, "_tally"))
+    seen = [[] for _ in engines]
+    for (module, name), calls in zip(engines, seen):
+        spy(monkeypatch, module, name, calls)
+    data = Path(irrcolor.__file__).parent / "data"
+    got = {}
+    for argv in ENGINE_CALLS:
+        for calls in seen:
+            del calls[:]
+        main([str(data / arg) if arg.endswith(".g6") else arg for arg in argv])
+        capsys.readouterr()
+        got[argv] = tuple(len(calls) for calls in seen)
+    assert got == ENGINE_CALLS

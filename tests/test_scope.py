@@ -2,7 +2,6 @@
 kept half-done, and never change an answer."""
 
 import random
-import sys
 
 import pytest
 
@@ -15,7 +14,7 @@ from irrcolor.invariants import REGISTRY
 from irrcolor.irredundance import maximal_irredundant_sets, minimal_dominating_sets
 from irrcolor.oracle import cross_check
 
-from conftest import Polls, cycle, random_connected
+from conftest import Polls, cycle, random_connected, spy
 
 
 def petersen():
@@ -26,20 +25,6 @@ def petersen():
 
 
 PINNED = [cycle(7), petersen(), random_connected(random.Random("n12"), 12, 0.4)]
-
-
-def _spy(monkeypatch, module, name, seen):
-    """Rebind ``module.name`` wherever an irrcolor module holds it, so every
-    call appends its arguments to ``seen``."""
-    real = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        seen.append(args)
-        return real(*args, **kwargs)
-
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name.startswith("irrcolor") and vars(mod).get(name) is real:
-            monkeypatch.setattr(mod, name, counted)
 
 
 def _fresh(key):
@@ -102,8 +87,8 @@ def test_a_consumer_that_stops_early_leaves_the_whole_family():
 
 def test_one_record_computes_chi_once_and_walks_once(monkeypatch):
     chi_of, walks = [], []
-    _spy(monkeypatch, coloring, "chromatic_number", chi_of)
-    _spy(monkeypatch, irredundance, "_irredundant_sets", walks)
+    spy(monkeypatch, coloring, "chromatic_number", chi_of)
+    spy(monkeypatch, irredundance, "_irredundant_sets", walks)
     for g in PINNED:
         del chi_of[:], walks[:]
         rec = _graph_record(0, g, tuple(REGISTRY), witnesses=True)
@@ -115,8 +100,8 @@ def test_one_record_computes_chi_once_and_walks_once(monkeypatch):
 
 def test_scan_conjecture_scans_for_obstructions_once(monkeypatch):
     scans, chi_of = [], []
-    _spy(monkeypatch, irc, "_obstructions", scans)
-    _spy(monkeypatch, coloring, "chromatic_number", chi_of)
+    spy(monkeypatch, irc, "_obstructions", scans)
+    spy(monkeypatch, coloring, "chromatic_number", chi_of)
     for g in PINNED:
         del scans[:], chi_of[:]
         rec, _ = _scan_graph(0, g, "conjecture", None, oracle_cap=8)
@@ -134,7 +119,9 @@ def _together_equals_alone(g):
         assert together["witnesses"][name] == alone["witnesses"][name], name
         # and with no scope at all
         cell = together["invariants"][name]
-        assert _compute_invariant(g, name) == (cell["status"], cell["value"], together["witnesses"][name])
+        status, value, witness = _compute_invariant(g, name)
+        encoded = None if witness is None else REGISTRY[name].encode(witness)
+        assert (status, value, encoded) == (cell["status"], cell["value"], together["witnesses"][name])
 
 
 def test_shared_results_match_separate_computation(connected_le6, bipartite_le7):
