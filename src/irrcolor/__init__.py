@@ -7,7 +7,7 @@ rainbow), the gamma / dominator / global dominator chromatic numbers, and
 the committee-compelling maximum (largest color count such that every
 one-vertex-per-class committee is irredundant).  A deliberately naive
 exhaustive oracle recomputes everything by definition for cross-checking,
-and generators build the extremal families the verification suites need.
+and generators build the extremal families the ``verify`` claims need.
 """
 
 from .coloring import (

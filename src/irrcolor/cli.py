@@ -3,13 +3,13 @@
 Subcommands:
   invariants  compute invariants for graphs read from a file or stdin
   gen         build a named family instance and write it plus a claims sidecar
-  verify      run the data-driven verification suites
+  verify      check the paper's claims, one table of rows per scope
   scan        stream graphs through inequality / conjecture / equivalence checks
 
-Exit codes: 0 success or no findings, 2 findings recorded (scan), 64 input
-error, 65 parameter error, 141 stdout closed by its reader.  Reports are
-deterministic for fixed input and flags; wall-clock timings live in their
-own field so byte comparisons can drop them.
+Exit codes: 0 success or no findings, 2 findings recorded (scan) or a failed
+claim (verify), 64 input error, 65 parameter error, 141 stdout closed by its
+reader.  Reports are deterministic for fixed input and flags; wall-clock
+timings live in their own field so byte comparisons can drop them.
 """
 
 from __future__ import annotations
@@ -24,12 +24,12 @@ from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from importlib.resources import files as resource_files
 from itertools import chain, product
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import budget, families
 from .budget import Deadline
 from .characterize import bipartite_two_family, find_anchor_edge, find_near_twin_pair, is_star
-from .errors import FormatError, ParameterError, SearchCancelled, SizeCapError, UnsupportedSizeError
+from .errors import FormatError, ParameterError, SearchCancelled, UnsupportedSizeError
 from .graphs import (
     Graph,
     bipartition,
@@ -44,7 +44,7 @@ from .graphs import (
 from .irc import is_irc_coloring
 from .irredundance import ir_verify, is_maximal_irredundant, maximal_irredundant_sets, minimal_dominating_sets
 from .invariants import REGISTRY
-from .oracle import DEFAULT_SIZE_CAP, irc_class_counts, oracle_invariant, oracle_invariants
+from .oracle import DEFAULT_SIZE_CAP, irc_class_counts, oracle_invariants
 
 SCHEMA = "irrcolor-report/1"
 DEFAULT_INVARIANTS = ("chi", "ir", "gamma", "chi_i", "chi_gamma", "irc_colorable")
@@ -71,7 +71,7 @@ def _compute_invariant(g: Graph, name: str, token=None, capped=True):
 
 def _value(g: Graph, name: str, token=None):
     """Invariant ``name`` on g, None where absent; no CLI cap, since ``scan
-    conjecture`` and the verify suites go past it."""
+    conjecture`` and ``verify`` go past it."""
     return _compute_invariant(g, name, token, capped=False)[1]
 
 
@@ -168,13 +168,9 @@ def _emit(report: dict, as_json: bool) -> None:
     for rec in report.get("graphs", []):
         parts = [f"graph {rec['id']}: n={rec['n']} m={rec['m']}"]
         for name, cell in rec["invariants"].items():
-            if cell["status"] == "ok":
-                val = cell["value"]
-                shown = str(val).lower() if isinstance(val, bool) else val
-                parts.append(f"{name}={shown}")
-            else:
-                parts.append(f"{name}={cell['status']}")
-        print("  ".join(str(p) for p in parts))
+            shown = cell["value"] if cell["status"] == "ok" else cell["status"]
+            parts.append(f"{name}={str(shown).lower() if isinstance(shown, bool) else shown}")
+        print("  ".join(parts))
     for violation in report.get("violations", []):
         print(f"VIOLATION {violation['check']}: {violation['detail']}")
     for claim in report.get("claims", []):
@@ -209,7 +205,7 @@ def cmd_invariants(args) -> int:
 # --- gen command ----------------------------------------------------------------
 
 
-def _build_family(name: str, params: list[str]) -> families.FamilyInstance:
+def _build_family(name: str, params: Sequence[str | int]) -> families.FamilyInstance:
     if name == "fixture":
         if len(params) != 1:
             raise ParameterError("fixture expects 1 parameter(s)")
@@ -372,11 +368,10 @@ def _characterization_scan(idx: int, g: Graph, token, oracle_cap: int):
         }
         record["invariants"]["chi_i"] = {"status": "ok", "value": chi_i}
         record["invariants"]["family"] = {"status": "ok", "value": family.kind}
-        if len(set(conds.values())) > 1:
+        agree = len(set(conds.values())) == 1
+        if not agree:
             violations.append(_violation("two-color-equivalence", record, json.dumps(conds, sort_keys=True)))
-            status = ("ok", "disagree")
-        else:
-            status = ("ok", "agree")
+        status = ("ok", "agree" if agree else "disagree")
     record["invariants"]["characterization"] = {"status": status[0], "value": status[1]}
     record["timings"]["characterization"] = round(time.perf_counter() - t0, 6)
     return record, violations
@@ -417,237 +412,189 @@ def cmd_scan(args) -> int:
 
 # --- verify command -------------------------------------------------------------
 
+# ``VERIFY_SCOPES`` maps each scope to its rows, functions (token, oracle_cap)
+# -> iterator of (claim text, ok, detail) that ``cmd_verify`` turns into claims.
+
 
 def _asset_graphs(name: str) -> list[Graph]:
     text = resource_files("irrcolor").joinpath(f"data/{name}").read_text(encoding="ascii")
     return [parse_graph6(line) for line in text.splitlines() if line.strip()]
 
 
-def _claim(claims, name, ok, detail=""):
-    claims.append({"claim": name, "status": "pass" if ok else "fail", "detail": detail})
+def _asset_row(scan, asset: str, claim: str):
+    """The row claiming that ``scan`` finds nothing on a packaged asset.  Each
+    graph runs under its own scope, as in the scan command; only the number
+    of records with no skipped cell, which ``claim`` formats, and the
+    (graph6, detail) pairs of the violations are kept."""
+
+    def row(token, oracle_cap):
+        tested, bad = 0, []
+        for idx, g in enumerate(_asset_graphs(asset)):
+            record, found = scan(idx, g, budget.scope(token), oracle_cap)
+            tested += not any(cell["status"].startswith("skipped") for cell in record["invariants"].values())
+            bad += [(violation["graph6"], violation["detail"]) for violation in found]
+        budget.check(token)  # the scans record an overrun as a skipped cell
+        yield claim.format(tested), not bad, f"violations: {bad}" if bad else ""
+
+    return row
 
 
-def _claim_clean(claims, name, bad):
-    """A claim that passes when the list of violations ``bad`` is empty."""
-    _claim(claims, name, not bad, f"violations: {bad}" if bad else "")
+def _dominator_gamma_scan(idx: int, g: Graph, token, oracle_cap: int):
+    """chi_d = gamma implies committee-colorable with at least gamma colors, for
+    minimum degree >= 2; other graphs, and chi_d != gamma, are skipped cells."""
+    record = _record(idx, g)
+    hit = g.min_degree() >= 2 and _value(g, "chi_d", token) == (gamma := _value(g, "gamma", token))
+    record["invariants"]["dominator-gamma"] = {"status": "ok" if hit else "skipped", "value": None}
+    if hit:
+        colorable, irc_k = _value(g, "irc_colorable", token), _value(g, "chi_irc", token)
+        if not colorable or irc_k is None or irc_k < gamma:
+            return record, [_violation("dominator-gamma", record, f"gamma={gamma} colorable={colorable} chi_irc={irc_k}")]
+    return record, []
 
 
-def _verify_full_degree(claims, token, oracle_cap):
-    cases = [families.gen_complete(n) for n in range(2, 7)]
-    cases += [families.gen_star(n) for n in range(3, 8)]
-    cases += [families.gen_family_b(6, 4), families.gen_family_b(5, 2), families.gen_family_b(7, 3)]
-    for inst in cases:
-        g = inst.graph
+def _instance_row(label: str, spec, *checks):
+    """The row of ``checks`` on the ``gen`` instance ``spec`` = (kind, params),
+    built when the row runs.  A check takes (instance, scope, oracle_cap) and
+    yields triples; the checks share one scope.  Each claim text, after
+    ``label``, is formatted with the instance's source and claimed values."""
+
+    def row(token, oracle_cap):
+        inst = _build_family(*spec)
         scope = budget.scope(token)
-        chi, chi_i = _value(g, "chi", scope), _value(g, "chi_i", scope)
-        _claim(
-            claims,
-            f"full-degree: chi_i == chi on {inst.source}",
-            chi_i == chi,
-            f"chi={chi} chi_i={chi_i}",
-        )
+        facts = {"source": inst.source, **{name: claim.value for name, claim in inst.claims.items()}}
+        for check in checks:
+            for text, ok, detail in check(inst, scope, oracle_cap):
+                yield f"{label}: {text}".format(**facts), ok, detail
+
+    return row
 
 
-def _verify_asset(scan, asset: str, claim: str, claims, token, oracle_cap):
-    """The claim that ``scan`` finds nothing on a packaged asset.  Each graph
-    runs under its own scope, as in the scan command; only the number of
-    records with no skipped cell, which ``claim`` formats, and the (graph6,
-    detail) pairs of the violations are kept."""
-    tested, bad = 0, []
-    for idx, g in enumerate(_asset_graphs(asset)):
-        record, found = scan(idx, g, budget.scope(token), oracle_cap)
-        tested += not any(cell["status"].startswith("skipped") for cell in record["invariants"].values())
-        bad += [(violation["graph6"], violation["detail"]) for violation in found]
-    budget.check(token)  # the scans record an overrun as a skipped cell
-    _claim_clean(claims, claim.format(tested), bad)
+def _values(text: str, ids, relation=None, confirm=(), terse=False):
+    """The check that the values ``ids`` equal the instance's claims, or hold
+    ``relation``, and that the oracle, below its cap, finds the claimed
+    values of ``confirm``.  The detail lists the values, then, unless
+    ``terse``, the claim and the oracle's verdict."""
+
+    def check(inst, scope, oracle_cap):
+        got = {name: _value(inst.graph, name, scope) for name in ids}
+        ok = relation(got) if relation else all(got[name] == inst.claims[name].value for name in ids)
+        verdict = ""
+        if ok and confirm and inst.graph.n <= oracle_cap:
+            found = oracle_invariants(inst.graph, confirm, oracle_cap, scope)
+            ok = all(found[name].value == inst.claims[name].value for name in confirm)
+            verdict = " oracle=confirmed" if ok else " oracle=DISAGREES"
+        detail = " ".join(f"{name}={value}" for name, value in got.items())
+        if confirm and not terse:
+            detail += f" claim={inst.claims[ids[-1]].value}{verdict}"  # family A claims one value for its three ids
+        yield text, ok, detail
+
+    return check
 
 
-def _verify_family_a(claims, token, oracle_cap):
-    for n, k in ((6, 3), (8, 3), (8, 4)):
-        inst = families.gen_family_a(n, k)
-        g = inst.graph
-        scope = budget.scope(token)
-        chi, irn, chi_i = (_value(g, name, scope) for name in ("chi", "ir", "chi_i"))
-        ok = chi == irn == chi_i == k
-        detail = f"chi={chi} ir={irn} chi_i={chi_i} claim={k}"
-        if ok and g.n <= oracle_cap:
-            oracle = oracle_invariants(g, ("chi", "ir", "chi_i"), oracle_cap, token)
-            ok = all(result.value == k for result in oracle.values())
-            detail += " oracle=confirmed" if ok else " oracle=DISAGREES"
-        _claim(claims, f"family A({n},{k}): chi = ir = chi_i = {k}", ok, detail)
+def _fact(text: str, test):
+    """The check of one fact: ``test(instance, scope)`` gives (ok, detail)."""
+    return lambda inst, scope, oracle_cap: [(text, *test(inst, scope))]
 
 
-def _verify_family_z(claims, token, oracle_cap):
-    inst = families.gen_family_z(3, 1)
-    g = inst.graph
-    scope = budget.scope(token)
-    chi, irn, chi_i = (_value(g, name, scope) for name in ("chi", "ir", "chi_i"))
-    ok = (chi, irn, chi_i) == (3, 1, 3)
-    if ok and g.n <= oracle_cap:
-        ok = oracle_invariant(g, "chi_i", oracle_cap, token).value == 3
-    _claim(claims, "family Z(3,1): chi=3 ir=1 chi_i=3", ok, f"chi={chi} ir={irn} chi_i={chi_i}")
+def _vertices(n: int):
+    return _fact(f"{n} vertices", lambda inst, scope: (inst.graph.n == n, f"n={inst.graph.n}"))
 
-    inst = families.gen_family_z(3, 2)
-    g = inst.graph
-    _claim(claims, "family Z(3,2): 14 vertices", g.n == 14, f"n={g.n}")
-    scope = budget.scope(token)
-    chi = _value(g, "chi", scope)
-    _claim(claims, "family Z(3,2): chi = 3", chi == 3, f"chi={chi}")
+
+def _committee_passes(inst, scope):
+    """The instance's coloring passes the committee check with its claimed chi_irc classes."""
+    passes = is_irc_coloring(inst.graph, inst.coloring, scope).is_irc
+    return passes and inst.coloring.k == inst.claims["chi_irc"].value, ""
+
+
+def _z_ir_witness(inst, scope):
+    witness = mask_from(inst.label_index(f"v{i}") for i in (1, 2))
+    return ir_verify(inst.graph, 2, witness, scope), "witness = {v1, v2}"
+
+
+def _z_pendants(inst, scope):
+    """Counts the maximal irredundant sets of Z(k,2) that miss v_i and one of
+    its pendants p_i.j in some copy i."""
     vs = {i: inst.label_index(f"v{i}") for i in (1, 2)}
     pend = {i: mask_from(inst.label_index(f"p{i}.{j}") for j in range(1, 4)) for i in (1, 2)}
-    _claim(
-        claims,
-        "family Z(3,2): ir = 2 (size-capped verify mode)",
-        ir_verify(g, 2, mask_from(vs.values()), scope),
-        "witness = {v1, v2}",
-    )
-    chi_i = _value(g, "chi_i", scope)
-    _claim(claims, "family Z(3,2): chi_i = 4", chi_i == 4, f"chi_i={chi_i}")
-    bad = 0
-    for s in maximal_irredundant_sets(g, token=scope):
-        for i in (1, 2):
-            if not (s >> vs[i] & 1) and (s & pend[i]) != pend[i]:
-                bad += 1
-                break
-    _claim(
-        claims,
-        "family Z(3,2): every maximal irredundant set holds v_i or all its pendants, per copy",
-        bad == 0,
-        f"violations={bad}",
-    )
+    bad = sum(any(not (s >> vs[i] & 1) and (s & pend[i]) != pend[i] for i in (1, 2))
+              for s in maximal_irredundant_sets(inst.graph, token=scope))
+    return bad == 0, f"violations={bad}"
 
 
-def _verify_realizable(claims, token, oracle_cap):
-    for n, k in ((6, 4), (5, 2), (6, 6), (8, 3)):
-        inst = families.gen_family_b(n, k)
-        g = inst.graph
-        chi_i = _value(g, "chi_i", token)
-        ok = chi_i == k
-        detail = f"chi_i={chi_i} claim={k}"
-        if ok and g.n <= oracle_cap:
-            ok = oracle_invariant(g, "chi_i", oracle_cap, token).value == k
-            detail += " oracle=confirmed" if ok else " oracle=DISAGREES"
-        _claim(claims, f"family B({n},{k}): chi_i = {k}", ok, detail)
+def _cut_vertex_hub(inst, scope):
+    prof = connectivity_profile(inst.graph)
+    ok = prof.connected and prof.cut_vertices == 1 << inst.label_index("x") and not prof.bridges
+    return ok, f"cut_vertices={prof.cut_vertices} bridges={prof.bridges}"
 
 
-def _verify_min_degree(claims, token, oracle_cap):
+def _bridge_hubs(inst, scope):
+    prof = connectivity_profile(inst.graph)
+    hubs = (inst.label_index("L.x"), inst.label_index("R.x"))
+    return prof.connected and hubs in prof.bridges, f"bridges={prof.bridges}"
+
+
+def _epn_hub(inst, scope):
+    star = families.epn_rich_vertex(inst.graph)
+    return star == inst.label_index("v*"), f"found={star}"
+
+
+def _trees_row(token, oracle_cap):
     # every labeled tree with n <= 7, then 4,096 seeded Pruefer sequences at n = 8
     rng = random.Random(88)
     seqs = chain(
         ((seq, n) for n in range(2, 8) for seq in product(range(n), repeat=n - 2)),
         ((tuple(rng.randrange(8) for _ in range(6)), 8) for _ in range(4096)),
     )
-    checked = bad = 0
-    for seq, n in seqs:
-        checked += 1
+    bad = 0
+    for checked, (seq, n) in enumerate(seqs, start=1):
+        budget.check(token)
         bad += _value(families._prufer_tree(seq, n), "irc_colorable", token)
-    _claim(
-        claims,
-        f"trees are never committee-colorable ({checked} labeled trees, n <= 8)",
-        bad == 0,
-        f"violations={bad}",
-    )
+    yield f"trees are never committee-colorable ({checked} labeled trees, n <= 8)", bad == 0, f"violations={bad}"
 
 
-def _verify_cut_vertex(claims, token, oracle_cap):
-    inst = families.gen_cut_vertex(3)
-    g = inst.graph
-    _claim(claims, "cut-vertex family G(3): 31 vertices", g.n == 31, f"n={g.n}")
-    prof = connectivity_profile(g)
-    hub = 30
-    ok = prof.connected and prof.cut_vertices == 1 << hub and not prof.bridges
-    _claim(claims, "cut-vertex family G(3): hub is the unique cut vertex, no bridges", ok,
-           f"cut_vertices={prof.cut_vertices} bridges={prof.bridges}")
-    _claim(claims, "cut-vertex family G(3): 3-class coloring passes the committee check",
-           is_irc_coloring(g, inst.coloring, token).is_irc)
-
-
-def _verify_bridge(claims, token, oracle_cap):
-    inst = families.gen_bridge(3, 3)
-    g = inst.graph
-    prof = connectivity_profile(g)
-    hub1, hub2 = 30, 61
-    ok = prof.connected and (hub1, hub2) in prof.bridges
-    _claim(claims, "bridge family G(3,3): the hub-hub edge is a bridge", ok, f"bridges={prof.bridges}")
-    _claim(claims, "bridge family G(3,3): 4-class coloring passes the committee check",
-           is_irc_coloring(g, inst.coloring, token).is_irc)
-
-
-def _verify_max_colors(claims, token, oracle_cap):
-    inst = families.gen_tilde(3)
-    g = inst.graph
-    _claim(claims, "clique-core family tilde(3): 27 vertices", g.n == 27, f"n={g.n}")
-    _claim(
-        claims,
-        "clique-core family tilde(3): attached 3-coloring passes, certifying max committee colors >= 3",
-        is_irc_coloring(g, inst.coloring, token).is_irc and inst.coloring.k == 3,
-    )
-
-
-def _verify_even_bipartite(claims, token, oracle_cap):
-    inst = families.gen_star_of_cycles(4)
-    g = inst.graph
-    _claim(claims, "cycle-core family gstar(4): bipartite", bipartition(g) is not None, "")
-    _claim(
-        claims,
-        "cycle-core family gstar(4): attached 4-coloring passes, certifying max committee colors >= 4",
-        is_irc_coloring(g, inst.coloring, token).is_irc and inst.coloring.k == 4,
-    )
-
-
-def _verify_epn_family(claims, token, oracle_cap):
-    inst = families.fixture("epn_sample")
-    g = inst.graph
-    star = families.epn_rich_vertex(g)
-    _claim(claims, "epn fixture: hub vertex with mutual double external privates found",
-           star == 0, f"found={star}")
-    _claim(claims, "epn fixture: 3-class coloring passes the committee check",
-           is_irc_coloring(g, inst.coloring, token).is_irc)
-
-
-def _verify_dominator_gamma(claims, token, oracle_cap):
-    # the implication is stated for graphs of minimum degree at least 2
-    graphs = [g for g in _asset_graphs("connected_le6.g6") if g.min_degree() >= 2]
-    hits = 0
-    bad = []
-    for g in graphs:
-        scope = budget.scope(token)
-        chi_d, gam = _value(g, "chi_d", scope), _value(g, "gamma", scope)
-        if chi_d != gam:
-            continue
-        hits += 1
-        colorable, irc_k = _value(g, "irc_colorable", scope), _value(g, "chi_irc", scope)
-        if not colorable or irc_k is None or irc_k < gam:
-            bad.append(to_graph6(g).decode("ascii"))
-    _claim_clean(
-        claims,
-        f"chi_d = gamma implies committee-colorable with max colors >= gamma ({hits} matching graphs, min degree >= 2, n <= 6)",
-        bad,
-    )
-
+_CHI_IR_CHI_I = ("chi", "ir", "chi_i")
+_COMMITTEE = _fact("{chi_irc}-class coloring passes the committee check", _committee_passes)
+_MAX_COLORS = _fact("attached {chi_irc}-coloring passes, certifying max committee colors >= {chi_irc}", _committee_passes)
+_FULL_DEGREE = [*(("complete", (n,)) for n in range(2, 7)), *(("star", (n,)) for n in range(3, 8)),
+                ("B", (6, 4)), ("B", (5, 2)), ("B", (7, 3))]
 
 VERIFY_SCOPES = {
-    "full-degree": _verify_full_degree,
-    "bounds": partial(_verify_asset, _SCAN_MODES["bounds"], "connected_le6.g6",
-                      "bounds: max(chi,ir) <= chi_i <= chi+ir-1 on {} connected graphs (n <= 6)"),
-    "chain": partial(_verify_asset, _cells_scan(CHAIN, _chain_breaks), "connected_le6.g6",
-                     "chain: chi <= chi_i <= chi_gamma <= chi_d <= chi_gd on {} connected graphs (n <= 6)"),
-    "dominating-irredundant": partial(
-        _verify_asset, _cells_scan(("ir", "gamma"), _domination_breaks), "connected_le6.g6",
-        "every minimal dominating set is maximal irredundant, and ir <= gamma, on {} graphs"),
-    "family-a": _verify_family_a,
-    "family-z": _verify_family_z,
-    "realizable": _verify_realizable,
-    "two-color": partial(
-        _verify_asset, _SCAN_MODES["characterization"], "bipartite_connected_le7.g6",
-        "two-color equivalence (chi_i=2 <=> pair witness <=> family member) on {} bipartite non-star graphs (n <= 7)"),
-    "min-degree": _verify_min_degree,
-    "cut-vertex": _verify_cut_vertex,
-    "bridge": _verify_bridge,
-    "max-colors": _verify_max_colors,
-    "even-bipartite": _verify_even_bipartite,
-    "epn-family": _verify_epn_family,
-    "dominator-gamma": _verify_dominator_gamma,
+    "full-degree": tuple(_instance_row("full-degree", spec, _values(
+        "chi_i == chi on {source}", ("chi", "chi_i"), lambda got: got["chi_i"] == got["chi"])) for spec in _FULL_DEGREE),
+    "bounds": (_asset_row(_SCAN_MODES["bounds"], "connected_le6.g6",
+                          "bounds: max(chi,ir) <= chi_i <= chi+ir-1 on {} connected graphs (n <= 6)"),),
+    "chain": (_asset_row(_cells_scan(CHAIN, _chain_breaks), "connected_le6.g6",
+                         "chain: chi <= chi_i <= chi_gamma <= chi_d <= chi_gd on {} connected graphs (n <= 6)"),),
+    "dominating-irredundant": (_asset_row(_cells_scan(("ir", "gamma"), _domination_breaks), "connected_le6.g6",
+                                          "every minimal dominating set is maximal irredundant, and ir <= gamma, on {} graphs"),),
+    "family-a": tuple(_instance_row("family {source}", ("A", params), _values(
+        "chi = ir = chi_i = {chi_i}", _CHI_IR_CHI_I, confirm=_CHI_IR_CHI_I)) for params in ((6, 3), (8, 3), (8, 4))),
+    "family-z": (
+        _instance_row("family {source}", ("Z", (3, 1)),
+                      _values("chi={chi} ir={ir} chi_i={chi_i}", _CHI_IR_CHI_I, confirm=("chi_i",), terse=True)),
+        _instance_row("family {source}", ("Z", (3, 2)), _vertices(14), _values("chi = {chi}", ("chi",)),
+                      _fact("ir = 2 (size-capped verify mode)", _z_ir_witness), _values("chi_i = {chi_i}", ("chi_i",)),
+                      _fact("every maximal irredundant set holds v_i or all its pendants, per copy", _z_pendants)),
+    ),
+    "realizable": tuple(_instance_row("family {source}", ("B", params), _values(
+        "chi_i = {chi_i}", ("chi_i",), confirm=("chi_i",))) for params in ((6, 4), (5, 2), (6, 6), (8, 3))),
+    "two-color": (_asset_row(
+        _SCAN_MODES["characterization"], "bipartite_connected_le7.g6",
+        "two-color equivalence (chi_i=2 <=> pair witness <=> family member) on {} bipartite non-star graphs (n <= 7)"),),
+    "min-degree": (_trees_row,),
+    "cut-vertex": (_instance_row("cut-vertex family G(3)", ("cut_vertex", (3,)), _vertices(31),
+                                 _fact("hub is the unique cut vertex, no bridges", _cut_vertex_hub), _COMMITTEE),),
+    "bridge": (_instance_row("bridge family G(3,3)", ("bridge", (3, 3)),
+                             _fact("the hub-hub edge is a bridge", _bridge_hubs), _COMMITTEE),),
+    "max-colors": (_instance_row("clique-core family tilde(3)", ("tilde", (3,)), _vertices(27), _MAX_COLORS),),
+    "even-bipartite": (_instance_row(
+        "cycle-core family gstar(4)", ("bipartite_star_of_cycles", (4,)),
+        _fact("bipartite", lambda inst, scope: (bipartition(inst.graph) is not None, "")), _MAX_COLORS),),
+    "epn-family": (_instance_row("epn fixture", ("fixture", ("epn_sample",)),
+                                 _fact("hub vertex with mutual double external privates found", _epn_hub), _COMMITTEE),),
+    "dominator-gamma": (_asset_row(
+        _dominator_gamma_scan, "connected_le6.g6",
+        "chi_d = gamma implies committee-colorable with max colors >= gamma ({} matching graphs, min degree >= 2, n <= 6)"),),
 }
 
 
@@ -660,12 +607,13 @@ def cmd_verify(args) -> int:
     claims: list[dict] = []
     for scope in scopes:
         try:
-            VERIFY_SCOPES[scope](claims, token, args.oracle_cap)
+            for row in VERIFY_SCOPES[scope]:
+                budget.check(token)
+                for text, ok, detail in row(token, args.oracle_cap):
+                    claims.append({"claim": text, "status": "pass" if ok else "fail", "detail": detail})
         except SearchCancelled:
             claims.append({"claim": f"{scope} (remaining checks)", "status": "skip", "detail": "budget exhausted"})
             break
-        except SizeCapError as exc:
-            claims.append({"claim": scope, "status": "skip", "detail": str(exc)})
     failed = [{"check": c["claim"], "detail": c["detail"]} for c in claims if c["status"] == "fail"]
     report = {
         "schema": SCHEMA,
@@ -702,15 +650,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_inv = sub.add_parser("invariants", help="compute invariants for input graphs")
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--json", action="store_true")
+    shared.add_argument("--budget-seconds", type=float, default=0.0)
+
+    p_inv = sub.add_parser("invariants", parents=[shared], help="compute invariants for input graphs")
     p_inv.add_argument("input", nargs="?", default=None, help="file path or - for stdin")
     p_inv.add_argument("--format", choices=("graph6", "edgelist"), default="graph6")
     listed = f"comma list of {','.join(REGISTRY)}; default {','.join(DEFAULT_INVARIANTS)}"
     p_inv.add_argument("--invariants", default="", help=listed)
-    p_inv.add_argument("--json", action="store_true")
     p_inv.add_argument("--witnesses", action="store_true", help="include witness colorings/sets in the report")
     p_inv.add_argument("--jobs", type=int, default=1)
-    p_inv.add_argument("--budget-seconds", type=float, default=0.0)
     p_inv.set_defaults(fn=cmd_invariants)
 
     p_gen = sub.add_parser("gen", help="generate a family instance plus claims sidecar")
@@ -720,20 +670,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out", default=None, help="output path; sidecar goes to PATH.json")
     p_gen.set_defaults(fn=cmd_gen)
 
-    p_ver = sub.add_parser("verify", help="run the data-driven verification suites")
+    p_ver = sub.add_parser("verify", parents=[shared], help="check the paper's claims")
     p_ver.add_argument("scope", help="one of: all, " + ", ".join(VERIFY_SCOPES))
-    p_ver.add_argument("--json", action="store_true")
     p_ver.add_argument("--oracle-cap", type=int, default=DEFAULT_SIZE_CAP)
-    p_ver.add_argument("--budget-seconds", type=float, default=0.0)
     p_ver.set_defaults(fn=cmd_verify)
 
-    p_scan = sub.add_parser("scan", help="scan a graph6 stream for violations")
+    p_scan = sub.add_parser("scan", parents=[shared], help="scan a graph6 stream for violations")
     p_scan.add_argument("mode", choices=tuple(_SCAN_MODES))
     p_scan.add_argument("input", nargs="?", default=None, help="file path or - for stdin")
-    p_scan.add_argument("--json", action="store_true")
     p_scan.add_argument("--jobs", type=int, default=1)
     p_scan.add_argument("--oracle-cap", type=int, default=DEFAULT_SIZE_CAP)
-    p_scan.add_argument("--budget-seconds", type=float, default=0.0)
     p_scan.set_defaults(fn=cmd_scan)
 
     return parser

@@ -4,8 +4,9 @@ Each generator returns a FamilyInstance: the graph, optional vertex labels,
 the invariant values the construction is designed to achieve (flagged exact
 vs lower bound), and the construction's own coloring when it has one.
 ``GENERATORS`` names every integer-parameter kind for ``generate`` and the
-CLI's ``gen``; ``gen`` writes the claims to its sidecar.  The verify suites
-build their instances by calling the generators and state their own claims.
+CLI's ``gen``; ``gen`` writes the claims to its sidecar.  The CLI's verify
+table builds its instances the same way and reads their expected values
+from ``claims``.
 
 Fixture graphs are frozen literal edge lists.
 """

@@ -396,7 +396,10 @@ def parse_edge_list(text: str) -> Graph:
         raise FormatError("no header line 'n m' found")
     if len(edges) != m:
         raise FormatError(f"header declared {m} edges, found {len(edges)}")
-    return from_edge_list(n, edges)
+    g = from_edge_list(n, edges)
+    if g.m != m:  # a repeated edge, in either direction, would collapse
+        raise FormatError(f"header declared {m} edges, found {g.m} distinct")
+    return g
 
 
 def format_edge_list(g: Graph) -> str:

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import random
@@ -11,6 +12,7 @@ import pytest
 import irrcolor
 from irrcolor.cli import main
 from irrcolor.coloring import Coloring
+from irrcolor.errors import SearchCancelled
 from irrcolor.graphs import parse_graph6, to_graph6
 
 from conftest import Polls, complete, cycle, random_bipartite, spy
@@ -279,9 +281,8 @@ def test_verify_family_a_asks_the_oracle_once_per_graph(monkeypatch):
     from irrcolor import cli
 
     calls = _oracle_calls(monkeypatch)
-    claims = []
-    cli._verify_family_a(claims, None, oracle_cap=8)
-    assert [c["status"] for c in claims] == ["pass"] * 3
+    claims = [claim for row in cli.VERIFY_SCOPES["family-a"] for claim in row(None, 8)]
+    assert [ok for _, ok, _ in claims] == [True] * 3
     assert calls == [("chi", "ir", "chi_i")] * 3
 
 
@@ -334,6 +335,42 @@ def test_verify_scope(capsys):
     assert all(c["status"] == "pass" for c in report["claims"])
     code, _, _ = run_cli(capsys, ["verify", "nosuch"])
     assert code == 65
+
+
+def test_verify_fails_a_claim_the_oracle_disagrees_with(monkeypatch, capsys):
+    from irrcolor import cli
+    from irrcolor.oracle import OracleResult
+
+    monkeypatch.setattr(cli, "oracle_invariants", lambda g, ids, cap, token=None: {i: OracleResult(-1) for i in ids})
+    code, out, _ = run_cli(capsys, ["verify", "family-a", "--json"])
+    report = json.loads(out)
+    assert code == 2
+    assert [c["status"] for c in report["claims"]] == ["fail"] * 3
+    assert all(c["detail"].endswith(" oracle=DISAGREES") for c in report["claims"])
+    assert report["violations"] == [{"check": c["claim"], "detail": c["detail"]} for c in report["claims"]]
+    assert report["summary"] == {"claims": 3, "failed": 3, "skipped": 0}
+    code, out, _ = run_cli(capsys, ["verify", "family-a"])
+    assert code == 2
+    assert "FAIL family A(6,3): chi = ir = chi_i = 3 (chi=3 ir=3 chi_i=3 claim=3 oracle=DISAGREES)" in out.splitlines()
+
+
+def test_verify_fails_an_asset_claim_with_graph6_detail_pairs(monkeypatch, capsys):
+    from irrcolor import cli
+
+    # no minimal dominating set is maximal irredundant, and no graph has chi_irc
+    monkeypatch.setattr(cli, "is_maximal_irredundant", lambda g, s: False)
+    value = cli._value
+    monkeypatch.setattr(cli, "_value", lambda g, name, token=None: None if name == "chi_irc" else value(g, name, token))
+    failed = {}
+    for scope in ("dominating-irredundant", "dominator-gamma"):
+        code, out, _ = run_cli(capsys, ["verify", scope, "--json"])
+        assert code == 2
+        [claim] = json.loads(out)["claims"]
+        assert claim["status"] == "fail" and claim["detail"].startswith("violations: [")
+        failed[scope] = ast.literal_eval(claim["detail"].removeprefix("violations: "))
+        assert failed[scope] and all(type(pair) is tuple and len(pair) == 2 for pair in failed[scope])
+    # the four graphs of minimum degree >= 2 with chi_d = gamma
+    assert [parse_graph6(g6).min_degree() >= 2 for g6, _ in failed["dominator-gamma"]] == [True] * 4
 
 
 def test_invariants_witnesses_flag(tmp_path, capsys):
@@ -507,15 +544,25 @@ def test_jobs_below_one_and_negative_budget_exit_65(tmp_path, capsys):
 
 
 def test_verify_scan_scopes_skip_on_budget_overrun(capsys):
-    # bounds and two-color read the scan modes, which record an overrun as a
-    # skipped cell; the claim is skipped, not passed on the graphs that ran.
-    # The suites that read the solvers directly stop at their first poll.
-    for scope in ("bounds", "two-color", "chain", "dominating-irredundant", "family-a", "family-z",
-                  "realizable", "dominator-gamma"):
+    # every scope polls the budget before each row, so none passes a claim
+    # once the budget is gone; the asset rows read the scan modes, which
+    # record an overrun as a skipped cell, and skip the claim too
+    from irrcolor.cli import VERIFY_SCOPES
+
+    for scope in VERIFY_SCOPES:
         code, out, _ = run_cli(capsys, ["verify", scope, "--budget-seconds", "1e-9", "--json"])
         assert code == 0
         claims = json.loads(out)["claims"]
         assert claims == [{"claim": f"{scope} (remaining checks)", "status": "skip", "detail": "budget exhausted"}]
+    # inside a row: the trees row polls once per tree, and an asset row
+    # raises after its scan when the budget ran out under it
+    [trees], [bounds] = VERIFY_SCOPES["min-degree"], VERIFY_SCOPES["bounds"]
+    token = Polls(3)
+    with pytest.raises(SearchCancelled):
+        list(trees(token, 8))
+    assert token.polls == 3
+    with pytest.raises(SearchCancelled):
+        list(bounds(Polls(50), 8))
 
 
 # engine calls per command on the packaged assets: chi, irredundant-set

@@ -213,6 +213,15 @@ def test_edge_list_text_roundtrip():
         parse_edge_list("nonsense here\n")
 
 
+def test_edge_list_text_rejects_a_repeated_edge():
+    # the header counts edges, so an edge written twice, in either
+    # direction, is a format error; the builder still collapses it
+    for text in ("3 2\n0 1\n1 0\n", "3 2\n0 1\n0 1\n"):
+        with pytest.raises(FormatError, match="found 1 distinct"):
+            parse_edge_list(text)
+    assert from_edge_list(3, [(0, 1), (1, 0)]).m == 1
+
+
 def test_connectivity_profile_matches_deletion_counts():
     # a cut vertex or a bridge is exactly what raises the component count
     # when deleted
