@@ -425,7 +425,8 @@ def _asset_row(scan, asset: str, claim: str):
     """The row claiming that ``scan`` finds nothing on a packaged asset.  Each
     graph runs under its own scope, as in the scan command; only the number
     of records with no skipped cell, which ``claim`` formats, and the
-    (graph6, detail) pairs of the violations are kept."""
+    (graph6, detail) pairs of the violations are kept.  The row polls after
+    each graph, since the scans record an overrun as a skipped cell."""
 
     def row(token, oracle_cap):
         tested, bad = 0, []
@@ -433,7 +434,7 @@ def _asset_row(scan, asset: str, claim: str):
             record, found = scan(idx, g, budget.scope(token), oracle_cap)
             tested += not any(cell["status"].startswith("skipped") for cell in record["invariants"].values())
             bad += [(violation["graph6"], violation["detail"]) for violation in found]
-        budget.check(token)  # the scans record an overrun as a skipped cell
+            budget.check(token)
         yield claim.format(tested), not bad, f"violations: {bad}" if bad else ""
 
     return row

@@ -1,13 +1,17 @@
 """Ground truth by exhaustion.
 
 Every invariant is recomputed here from its bare definition.  One scan of
-all 2^n subsets tabulates N[S], and from it whether S is irredundant,
-maximal irredundant or dominating; one pass over the canonical partitions
-into independent classes (restricted-growth order, ascending class count)
-scores every coloring definition, with naive cartesian products over class
-representatives for the committee checks.  Nothing below shares solver
-logic with the fast engines; only the Graph/Coloring containers are reused.
-Deliberately slow, capped by ``size_cap`` to prevent accidental blowups.
+all 2^n subsets tabulates, for each S, N[S], the common closed
+neighborhood (for an independent S, the vertices that dominate it), the
+singletons of S and whether S is irredundant; the maximal irredundant and
+the dominating sets are read off it.  One walk over the canonical
+partitions into independent classes (restricted-growth order, every class
+count, below a class bound that falls as definitions are decided) then
+scores every coloring definition with a few table lookups per class, with
+naive cartesian products over class members for the committee checks.
+Nothing below shares solver logic with the fast engines; only the
+Graph/Coloring containers and the graph helpers are reused.  Deliberately
+slow, capped by ``size_cap`` to prevent accidental blowups.
 
 One convention is shared with the fast path by design: graphs with minimum
 degree at most 1 (including the one-vertex graph) are treated as not
@@ -24,75 +28,71 @@ from typing import Iterable, Iterator
 from . import budget
 from .coloring import Coloring
 from .errors import ParameterError, SizeCapError
-from .graphs import Graph, VertexSet, bits
+from .graphs import Graph, VertexSet
 
 DEFAULT_SIZE_CAP = 8
 
 
-def independent_partitions(g: Graph, k: int) -> Iterator[Coloring]:
-    """All partitions of V into exactly k independent classes, one canonical
+def independent_partitions(
+    g: Graph, k: int | None = None, bound: list[int] | None = None, token=None
+) -> Iterator[Coloring | tuple[VertexSet, ...]]:
+    """The partitions of V into independent classes, one canonical
     representative per unordered partition (vertex 0 in class 0, each later
-    vertex's class at most one above the running maximum)."""
-    if not 1 <= k <= g.n:
-        raise ParameterError(f"k must be in 1..{g.n}")
+    vertex's class at most one above the running maximum), in
+    restricted-growth order.  With ``k``, the partitions into exactly k
+    classes as Colorings.  With ``k=None``, the partitions into at most
+    ``bound[0]`` classes (default n) as tuples of class masks; the caller
+    may lower ``bound[0]`` between partitions.  One iterative walk that
+    polls ``token`` at each node."""
     n = g.n
-    colors = [0] * n
-    masks = [0] * k
-
-    def rec(i: int, created: int):
-        if n - i < k - created:
-            return
+    if k is not None and not 1 <= k <= n:
+        raise ParameterError(f"k must be in 1..{g.n}")
+    lo, hi = (k, [k]) if k else (0, bound or [n])
+    adj = g.adj
+    colors = [-1] * n
+    masks = [0] * n
+    made = [0] * (n + 1)  # classes opened by the vertices before i
+    i = 0  # the vertex to move to its next class
+    while i >= 0:
+        budget.check(token)
         if i == n:
-            if created == k:
-                yield Coloring(tuple(colors), k)
-            return
-        for c in range(min(created + 1, k)):
-            if masks[c] & g.adj[i]:
-                continue
-            colors[i] = c
-            masks[c] |= 1 << i
-            yield from rec(i + 1, max(created, c + 1))
-            masks[c] ^= 1 << i
-
-    yield from rec(0, 0)
+            yield Coloring(tuple(colors), made[n]) if k else tuple(masks[: made[n]])
+            i -= 1
+            continue
+        c, opened = colors[i] + 1, made[i]
+        if c:
+            masks[c - 1] ^= 1 << i
+        if c < opened and opened + n - i <= lo:
+            c = opened  # the last vertices must open the missing classes
+        top = min(opened + 1, hi[0]) if opened <= hi[0] else 0
+        while c < top and masks[c] & adj[i]:
+            c += 1
+        if c >= top:
+            colors[i] = -1
+            i -= 1
+            continue
+        colors[i] = c
+        masks[c] |= 1 << i
+        made[i + 1] = opened + (c == opened)
+        i += 1
 
 
 # definitional predicates, local on purpose
 
 
-def _irredundant(nbhd: list[VertexSet], closed: list[VertexSet], s: VertexSet) -> bool:
-    """Every member v of s has a vertex of N[v] outside N[s - v]; ``nbhd``
-    holds each N[v] and ``closed`` each N[S] for S numerically below s."""
-    return all(nbhd[v] & ~closed[s ^ 1 << v] for v in bits(s))
-
-
-def _rainbow(coloring: Coloring, s: VertexSet) -> bool:
-    seen = 0
-    for v in bits(s):
-        c = coloring.color_of[v]
-        if seen >> c & 1:
-            return False
-        seen |= 1 << c
-    return True
-
-
-def _dominator(g: Graph, masks: list[VertexSet], anti: bool) -> bool:
-    """Every vertex dominates a class (is adjacent to all of it, or is all of
-    it); with ``anti``, every vertex also has a class missing its closed
-    neighborhood."""
-    for v in range(g.n):
-        if not any(m & ~g.adj[v] == 0 or m == 1 << v for m in masks):
-            return False
-        if anti and not any(m & (g.adj[v] | (1 << v)) == 0 for m in masks):
+def _irredundant(closed: list[VertexSet], members: list[tuple[VertexSet, ...]], s: VertexSet) -> bool:
+    """Every member v of s (a one-bit mask) has a vertex of N[v] outside
+    N[s - v]; ``closed`` holds N[S] and ``members`` the singletons of S for
+    every S up to s."""
+    for v in members[s]:
+        if not closed[v] & ~closed[s ^ v]:
             return False
     return True
 
 
-def _committee_safe(irr: list[bool], masks: list[VertexSet]) -> bool:
-    """Every committee (one member per class) is irredundant; ``irr`` holds
-    the verdict for every vertex set."""
-    members = [[1 << v for v in bits(m)] for m in masks]
-    return all(irr[sum(committee)] for committee in product(*members))  # distinct bits: sum = union
+def _coloring(n: int, masks: tuple[VertexSet, ...]) -> Coloring:
+    """The coloring whose class c is ``masks[c]``."""
+    return Coloring(tuple(c for v in range(n) for c, m in enumerate(masks) if m >> v & 1), len(masks))
 
 
 @dataclass(frozen=True)
@@ -127,76 +127,76 @@ _COMMITTEE = frozenset({"irc_colorable", "chi_irc"})
 def _tally(g: Graph, ids: tuple[str, ...], token=None) -> tuple[dict[str, OracleResult], dict[int, Coloring]]:
     """Every non-committee id in ``ids`` by definition, and with a committee
     id the first committee-safe partition at each class count, from one
-    subset table and one pass over the independent partitions in ascending
-    class count (restricted-growth order within each, so every definition
-    keeps its first passing partition as the witness).  The pass stops once
-    every id is decided; the committee check runs to the last class count.
-    Polls ``token`` at each subset and at each partition.
-    """
+    subset table and one walk over the independent partitions in
+    restricted-growth order.  Each definition keeps the first passing
+    partition at its fewest classes as the witness; the walk's class bound
+    stays below the largest of those counts, or at n with a committee id.
+    Polls ``token`` at each subset and at each node of the walk."""
     n = g.n
     for which in ids:
         if n < _DEFINITIONS[which]:
             raise ParameterError(f"{which} is undefined on {n} vertices")
     committee = bool(_COMMITTEE.intersection(ids)) and g.min_degree() >= 2
+    full = (1 << n) - 1
+    # per subset S, each from S minus its lowest member: N[S]; the common
+    # closed neighborhood, which for an independent S is the set of vertices
+    # that dominate S (adjacent to all of it, or all of it); the singletons
+    # of S; whether S is irredundant
+    closed, common, members = [0] * (1 << n), [full] * (1 << n), [()] * (1 << n)
+    irr = [True] * (1 << n)
+    for s in range(1, 1 << n):
+        budget.check(token)
+        low = s & -s
+        closed[s] = closed[s ^ low] | g.adj[low.bit_length() - 1] | low
+        common[s] = common[s ^ low] & closed[low]
+        members[s] = (low, *members[s ^ low])
+        irr[s] = _irredundant(closed, members, s)
+    maximal = [s for s in range(1, 1 << n) if irr[s] and not any(irr[s | v] for v in members[full ^ s])]
+    dominating = [s for s in range(1 << n) if closed[s] == full]
     out: dict[str, OracleResult] = {}
-    safe: dict[int, Coloring] = {}
-    irr = maximal = dominating = None
-    if committee or {"ir", "gamma", "chi_i", "chi_gamma"}.intersection(ids):
-        full = (1 << n) - 1
-        nbhd = [g.adj[v] | 1 << v for v in range(n)]
-        closed = [0] * (1 << n)  # N[S], from S minus its lowest member
-        irr = [True] * (1 << n)
-        for s in range(1, 1 << n):
-            budget.check(token)
-            low = s & -s
-            closed[s] = closed[s ^ low] | nbhd[low.bit_length() - 1]
-            irr[s] = _irredundant(nbhd, closed, s)
-        maximal = [s for s in range(1, 1 << n) if irr[s] and not any(irr[s | 1 << v] for v in bits(full & ~s))]
-        dominating = [s for s in range(1 << n) if closed[s] == full]
-        # min keeps the first set of fewest members in numeric order
-        for which, family in (("ir", maximal), ("gamma", dominating)):
-            if which in ids:
-                best = min(family, key=int.bit_count)
-                out[which] = OracleResult(best.bit_count(), best)
+    # min keeps the first set of fewest members in numeric order
+    for which, family in (("ir", maximal), ("gamma", dominating)):
+        if which in ids:
+            best = min(family, key=int.bit_count)
+            out[which] = OracleResult(best.bit_count(), best)
 
-    def rainbow(col, family):
-        return next(((col, s) for s in family if _rainbow(col, s)), None)
+    def rainbow(masks, family):  # the first s that every class meets in at most one vertex
+        s = next((s for s in family if all(m & s & (m & s) - 1 == 0 for m in masks)), None)
+        return None if s is None else (_coloring(n, masks), s)
+
+    def dominator(masks, anti=False):
+        # every vertex dominates a class; with anti, every vertex also has a
+        # class outside its closed neighborhood: no vertex is in every N[m]
+        dominated, everywhere = 0, full
+        for m in masks:
+            dominated |= common[m]
+            everywhere &= closed[m]
+        return dominated == full and not (anti and everywhere)
 
     # id -> the witness of a partition that passes, else None
     tests = {
-        "chi": lambda col, masks: col,
-        "chi_i": lambda col, masks: rainbow(col, maximal),
-        "chi_gamma": lambda col, masks: rainbow(col, dominating),
-        "chi_d": lambda col, masks: col if _dominator(g, masks, anti=False) else None,
-        "chi_gd": lambda col, masks: col if _dominator(g, masks, anti=True) else None,
+        "chi": lambda masks: _coloring(n, masks),
+        "chi_i": lambda masks: rainbow(masks, maximal),
+        "chi_gamma": lambda masks: rainbow(masks, dominating),
+        "chi_d": lambda masks: _coloring(n, masks) if dominator(masks) else None,
+        "chi_gd": lambda masks: _coloring(n, masks) if dominator(masks, anti=True) else None,
     }
-    pending = {which: tests[which] for which in _FEWEST if which in ids}
-    if n == 0 and "chi" in pending:
-        out["chi"] = OracleResult(0, Coloring((), 0))  # the one partition of no vertices
-        del pending["chi"]
-    if committee:
-        pending["committee"] = lambda col, masks: col if _committee_safe(irr, masks) else None
-    for k in range(1, n + 1):
-        if not pending:
-            break
-        open_k = dict(pending)
-        for col in independent_partitions(g, k):
-            budget.check(token)
-            masks = col.classes()
-            for which, test in list(open_k.items()):
-                if (witness := test(col, masks)) is None:
-                    continue
-                del open_k[which]
-                if which == "committee":
-                    safe[k] = witness
-                else:
-                    out[which] = OracleResult(k, witness)
-                    del pending[which]
-            if not open_k:
-                break
-    for which in _FEWEST:
-        if which in pending:
-            out[which] = OracleResult(None)  # no partition passes
+    fewest = {which: n + 1 for which in _FEWEST if which in ids}  # class count of the witness so far
+    safe: dict[int, Coloring] = {}
+    bound = [n if committee else max(fewest.values(), default=1) - 1]
+    for masks in independent_partitions(g, None, bound, token):
+        k = len(masks)
+        for which, best in fewest.items():
+            if k < best and (witness := tests[which](masks)) is not None:
+                fewest[which] = k
+                out[which] = OracleResult(k, witness)
+        # every committee (one member per class) is irredundant; distinct bits: sum = union
+        if committee and k not in safe and all(irr[sum(c)] for c in product(*[members[m] for m in masks])):
+            safe[k] = _coloring(n, masks)
+        if not committee:
+            bound[0] = max(fewest.values(), default=1) - 1
+    for which in fewest:
+        out.setdefault(which, OracleResult(None))  # no partition passes
     return out, safe
 
 

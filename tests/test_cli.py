@@ -565,6 +565,25 @@ def test_verify_scan_scopes_skip_on_budget_overrun(capsys):
         list(bounds(Polls(50), 8))
 
 
+def test_an_asset_row_stops_after_the_graph_the_budget_ran_out_under():
+    from irrcolor import budget
+    from irrcolor.cli import _SCAN_MODES, VERIFY_SCOPES, _asset_graphs
+
+    # the polls of the bounds scan up to and including the graph that makes the 50th
+    spent = 0
+    for idx, g in enumerate(_asset_graphs("connected_le6.g6")):
+        counted = Polls()
+        _SCAN_MODES["bounds"](idx, g, budget.scope(counted), 8)
+        spent += counted.polls
+        if spent >= 50:
+            break
+    [bounds] = VERIFY_SCOPES["bounds"]
+    token = Polls(50)
+    with pytest.raises(SearchCancelled):
+        list(bounds(token, 8))
+    assert 50 < token.polls <= spent + 1  # the rest of that graph's cells, then the row's own poll
+
+
 # engine calls per command on the packaged assets: chi, irredundant-set
 # walks, obstruction scans, restricted-growth partition searches, oracle
 # passes.  A change here is a change in the work the CLI asks for.

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations, product
+from itertools import combinations, count, islice, product
 from typing import Optional
 
 import pytest
@@ -17,7 +17,7 @@ from irrcolor.oracle import (
     oracle_invariants,
 )
 
-from conftest import Polls, complete, complete_bipartite, cycle, random_connected, random_graph, tree7
+from conftest import Polls, complete, complete_bipartite, cycle, random_bipartite, random_connected, random_graph, tree7
 
 
 def bell_numbers(limit):
@@ -64,6 +64,38 @@ def test_partitions_are_proper_surjective_canonical():
                 assert col.canonical() == col
                 for u, v in g.edges():
                     assert col.color_of[u] != col.color_of[v]
+
+
+def test_one_walk_filtered_to_each_class_count_is_the_fixed_count_walk(connected_le6, bipartite_le7):
+    for g in connected_le6 + bipartite_le7:
+        every = list(independent_partitions(g))
+        for k in range(1, g.n + 1):
+            assert [p for p in every if len(p) == k] == [tuple(col.classes()) for col in independent_partitions(g, k)]
+        # a bound lowered below each partition's class count keeps the
+        # partitions that set a new fewest, down to chi classes
+        kept, bound = [], [g.n]
+        for p in independent_partitions(g, None, bound):
+            kept.append(p)
+            bound[0] = len(p) - 1
+        fewer = []
+        for p in every:
+            if not fewer or len(p) < len(fewer[-1]):
+                fewer.append(p)
+        assert kept == fewer
+    assert list(independent_partitions(from_edge_list(0, []))) == [()]
+
+
+def test_the_walk_polls_at_every_node():
+    # eight free vertices, then a K4 that three classes cannot hold: the
+    # bound prunes every leaf, yet the walk visits 36,095 nodes
+    g = from_edge_list(12, [(u, v) for u in range(8, 12) for v in range(u + 1, 12)])
+    counted = Polls()
+    assert list(independent_partitions(g, None, [3], counted)) == []
+    assert counted.polls == 36095
+    token = Polls(50)
+    with pytest.raises(SearchCancelled):
+        list(independent_partitions(g, None, [3], token))
+    assert token.polls == 50
 
 
 def test_oracle_values():
@@ -266,6 +298,12 @@ def test_oracle_matches_the_per_definition_reference(connected_le6, bipartite_le
     graphs = [g for n in range(5) for g in _labelled_graphs(n)] + connected_le6 + bipartite_le7
     rng = random.Random(8)
     graphs += [random_graph(rng, 8, p) for p in (0.2, 0.4, 0.7) for _ in range(3)]
+    # minimum degree >= 2 keeps the committee ids in the walk to the last
+    # class count; none of these ten is committee-colorable, the bipartite
+    # ones are (with two classes)
+    sparse = (random_connected(rng, 8, 0.25) for _ in count())
+    graphs += list(islice((g for g in sparse if g.min_degree() >= 2), 10))
+    graphs += [random_bipartite(rng, 8, 0.5) for _ in range(3)]
     for g in graphs:
         defined = []
         for which, definition in _REFERENCE.items():
@@ -285,15 +323,18 @@ def test_oracle_matches_the_per_definition_reference(connected_le6, bipartite_le
         assert irc_class_counts(g) == tuple(safe)
 
 
-# (graph, independent_partitions calls, partitions yielded) in one
-# cross_check.  The per-definition reference above made (20, 68), (18, 38),
-# (16, 125) and (26, 301), and evaluated the irredundance test 301, 285, 452
-# and 1,168 times; one subset table evaluates it once per nonempty subset.
+# (graph, partitions yielded) in one cross_check, which walks the partitions
+# once.  The per-definition reference above made (20, 68), (18, 38),
+# (16, 125) and (26, 301) calls and yields, and evaluated the irredundance
+# test 301, 285, 452 and 1,168 times; one subset table evaluates it once per
+# nonempty subset.  tree7 has a leaf, so no committee id keeps the class
+# bound at n and the bound falls as the ids are decided; the other three
+# have minimum degree 2 and walk every partition.
 _PINNED_COUNTS = [
-    (cycle(6), 6, 41),
-    (complete_bipartite(3, 3), 6, 25),
-    (tree7(), 4, 83),
-    (random_connected(random.Random(3), 8, 0.5), 8, 236),
+    (cycle(6), 41),
+    (complete_bipartite(3, 3), 25),
+    (tree7(), 84),
+    (random_connected(random.Random(3), 8, 0.5), 236),
 ]
 
 
@@ -301,11 +342,11 @@ def test_cross_check_walks_the_partitions_once_and_the_subsets_once(monkeypatch)
     counts = {}
     partitions, irredundant = oracle.independent_partitions, oracle._irredundant
 
-    def counted_partitions(g, k):
+    def counted_partitions(*args):
         counts["calls"] += 1
-        for col in partitions(g, k):
+        for partition in partitions(*args):
             counts["yielded"] += 1
-            yield col
+            yield partition
 
     def counted_irredundant(*args):
         counts["irredundant"] += 1
@@ -313,15 +354,14 @@ def test_cross_check_walks_the_partitions_once_and_the_subsets_once(monkeypatch)
 
     monkeypatch.setattr(oracle, "independent_partitions", counted_partitions)
     monkeypatch.setattr(oracle, "_irredundant", counted_irredundant)
-    for g, calls, yielded in _PINNED_COUNTS:
+    for g, yielded in _PINNED_COUNTS:
         counts.update(calls=0, yielded=0, irredundant=0)
         assert cross_check(g).ok
-        assert counts == {"calls": calls, "yielded": yielded, "irredundant": 2**g.n - 1}
-        assert calls <= g.n
+        assert counts == {"calls": 1, "yielded": yielded, "irredundant": 2**g.n - 1}
 
 
 def test_oracle_polls_the_budget():
-    # chi_irc polls in the subset table, chi_gd (no table) in the partition pass
+    # both run out in the subset table; test_the_walk_polls_at_every_node covers the walk
     for which in ("chi_irc", "chi_gd"):
         token = Polls(50)
         with pytest.raises(SearchCancelled):
