@@ -59,12 +59,12 @@ def independent_partitions(
             yield Coloring(tuple(colors), made[n]) if k else tuple(masks[: made[n]])
             i -= 1
             continue
-        c, opened = colors[i] + 1, made[i]
+        c, opened = colors[i] + 1, made[i]  # the next class to try for i
         if c:
             masks[c - 1] ^= 1 << i
         if c < opened and opened + n - i <= lo:
             c = opened  # the last vertices must open the missing classes
-        top = min(opened + 1, hi[0]) if opened <= hi[0] else 0
+        top = min(opened + 1, hi[0]) if opened <= hi[0] else 0  # a lowered bound closes the prefix
         while c < top and masks[c] & adj[i]:
             c += 1
         if c >= top:
