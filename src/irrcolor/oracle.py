@@ -142,8 +142,7 @@ def _tally(g: Graph, ids: tuple[str, ...], token=None) -> tuple[dict[str, Oracle
     # closed neighborhood, which for an independent S is the set of vertices
     # that dominate S (adjacent to all of it, or all of it); the singletons
     # of S; whether S is irredundant
-    closed, common, members = [0] * (1 << n), [full] * (1 << n), [()] * (1 << n)
-    irr = [True] * (1 << n)
+    closed, common, members, irr = [0] * (1 << n), [full] * (1 << n), [()] * (1 << n), [True] * (1 << n)
     for s in range(1, 1 << n):
         budget.check(token)
         low = s & -s
@@ -190,7 +189,8 @@ def _tally(g: Graph, ids: tuple[str, ...], token=None) -> tuple[dict[str, Oracle
             if k < best and (witness := tests[which](masks)) is not None:
                 fewest[which] = k
                 out[which] = OracleResult(k, witness)
-        # every committee (one member per class) is irredundant; distinct bits: sum = union
+        # every committee (one member per class) is irredundant; distinct bits: sum = union.
+        # product gets a list: a generator argument there grew the process RSS
         if committee and k not in safe and all(irr[sum(c)] for c in product(*[members[m] for m in masks])):
             safe[k] = _coloring(n, masks)
         if not committee:
