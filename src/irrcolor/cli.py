@@ -272,11 +272,12 @@ def _chain_breaks(g: Graph, val: dict, token):
 
 def _domination_breaks(g: Graph, val: dict, token):
     """(check, detail) for ir > gamma, when ``val`` holds both, and for each
-    minimal dominating set that is not maximal irredundant, up to n = 16."""
+    minimal dominating set that is not maximal irredundant, up to chi_gamma's
+    cap, the size up to which its cell makes the same walk."""
     ir, gamma = val.get("ir"), val.get("gamma")
     if ir is not None and gamma is not None and ir > gamma:
         yield "ir<=gamma", f"ir={ir} > gamma={gamma}"
-    if g.n <= 16:
+    if g.n <= REGISTRY["chi_gamma"].cap:
         for d in minimal_dominating_sets(g, token):
             if not is_maximal_irredundant(g, d):
                 yield "minimal-dominating-is-maximal-irredundant", f"set mask {d} dominates minimally but is not maximal irredundant"

@@ -256,6 +256,8 @@ def _validate_cert(g: Graph, cert: RainbowCert, member) -> None:
 #
 # v dominates class C when C is a subset of N(v), or C == {v}.
 # v anti-dominates C when N[v] and C are disjoint (own class never counts).
+# For an independent C these read: v is in N[u] for every u in C, and v is
+# in no N[u].
 
 
 def _restricted_growth_search(g: Graph, lo: int, hi: int, fits, token=None, fewest: bool = False) -> Optional[Coloring]:
@@ -312,31 +314,27 @@ def _restricted_growth_search(g: Graph, lo: int, hi: int, fits, token=None, fewe
 def _dominator_search(g: Graph, anti: bool, token=None) -> Coloring:
     """The first dominator partition (with ``anti``, global dominator) with
     the fewest classes, from chi up."""
-    # the vertices after index i, which may still open or join a class
-    later = [(g.vertices >> (i + 1)) << (i + 1) for i in range(g.n)]
-
-    def alive(v: int, created: int, cap: int, remaining: VertexSet, masks: list[int]) -> bool:
-        nb = g.adj[v]
-        dom_ok = False
-        for c in range(created):
-            m = masks[c]
-            if m & ~nb == 0 or m == 1 << v:
-                dom_ok = True
-                break
-        if not dom_ok and created < cap and nb & remaining:
-            dom_ok = True
-        if not dom_ok:
-            return False
-        if not anti:
-            return True
-        closed = nb | (1 << v)
-        for c in range(created):
-            if masks[c] & closed == 0:
-                return True
-        return created < cap and bool(remaining & ~closed)
+    n, everyone = g.n, g.vertices
+    closed = [g.closed(v) for v in range(n)]
+    # ahead[i]: the union of N(w) and the intersection of N[w] over w > i,
+    # standing in for a class that a vertex after i may still open
+    ahead = [(0, everyone)] * n
+    for i in range(n - 2, -1, -1):
+        union, inter = ahead[i + 1]
+        ahead[i] = (union | g.adj[i + 1], inter & closed[i + 1])
 
     def fits(i: int, created: int, masks: list[int], colors: list[int], cap: int) -> bool:
-        return all(alive(v, created, cap, later[i], masks) for v in range(i + 1))
+        inter, union = [everyone] * created, [0] * created
+        for v in range(i + 1):
+            inter[colors[v]] &= closed[v]
+            union[colors[v]] |= closed[v]
+        # the vertices that dominate some class, and those that avoid none
+        dominating, everywhere = ahead[i] if created < cap else (0, everyone)
+        for c in range(created):
+            dominating |= inter[c]
+            everywhere &= union[c]
+        placed = (2 << i) - 1
+        return placed & ~dominating == 0 and not (anti and placed & everywhere)
 
     chi, _ = _chi(g, token)
     return _restricted_growth_search(g, chi, g.n, fits, token, fewest=True)

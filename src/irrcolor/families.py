@@ -469,9 +469,6 @@ _FIXTURES = {
     ),
 }
 
-FIXTURE_IDS = tuple(sorted(_FIXTURES))
-
-
 def fixture(fixture_id: str) -> FamilyInstance:
     if fixture_id not in _FIXTURES:
         raise ParameterError(f"unknown fixture {fixture_id!r}")

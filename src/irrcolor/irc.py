@@ -113,7 +113,12 @@ def _committee_violation(g: Graph, class_masks: list[int], token=None):
 
 
 def is_irc_coloring(g: Graph, coloring: Coloring, token=None) -> IrcVerdict:
-    """Check that every rainbow committee of ``coloring`` is irredundant."""
+    """Check that every rainbow committee of ``coloring`` is irredundant.
+
+    This is the bare definition, without the minimum-degree convention of
+    ``irc_colorability`` and the oracle: it accepts ``(0, 1, 0, 1, 2)`` on C4
+    plus an isolated vertex, and ``(0,)`` on K1, though both of those report
+    the graph not committee-colorable."""
     if len(coloring.color_of) != g.n:
         raise PreconditionError("coloring does not cover the graph")
     if not is_proper(g, coloring):

@@ -118,8 +118,6 @@ _DEFINITIONS = {
     "irc_colorable": 0,
     "chi_irc": 0,
 }
-# decided by the fewest classes of a passing partition
-_FEWEST = ("chi", "chi_i", "chi_gamma", "chi_d", "chi_gd")
 # decided by the class counts that admit a committee-safe partition
 _COMMITTEE = frozenset({"irc_colorable", "chi_irc"})
 
@@ -172,7 +170,8 @@ def _tally(g: Graph, ids: tuple[str, ...], token=None) -> tuple[dict[str, Oracle
             everywhere &= closed[m]
         return dominated == full and not (anti and everywhere)
 
-    # id -> the witness of a partition that passes, else None
+    # id decided by the fewest classes of a passing partition -> the witness
+    # of a partition that passes, else None
     tests = {
         "chi": lambda masks: _coloring(n, masks),
         "chi_i": lambda masks: rainbow(masks, maximal),
@@ -180,7 +179,7 @@ def _tally(g: Graph, ids: tuple[str, ...], token=None) -> tuple[dict[str, Oracle
         "chi_d": lambda masks: _coloring(n, masks) if dominator(masks) else None,
         "chi_gd": lambda masks: _coloring(n, masks) if dominator(masks, anti=True) else None,
     }
-    fewest = {which: n + 1 for which in _FEWEST if which in ids}  # class count of the witness so far
+    fewest = {which: n + 1 for which in tests if which in ids}  # class count of the witness so far
     safe: dict[int, Coloring] = {}
     bound = [n if committee else max(fewest.values(), default=1) - 1]
     for masks in independent_partitions(g, None, bound, token):
@@ -200,17 +199,6 @@ def _tally(g: Graph, ids: tuple[str, ...], token=None) -> tuple[dict[str, Oracle
     return out, safe
 
 
-def _score(g: Graph, ids: Iterable[str], token=None) -> dict[str, OracleResult]:
-    """Every id in ``ids`` by definition, from one ``_tally``."""
-    ids = tuple(ids)
-    out, safe = _tally(g, ids, token)
-    best = max(safe, default=None)
-    for which, value in (("irc_colorable", best is not None), ("chi_irc", best)):
-        if which in ids:
-            out[which] = OracleResult(value, safe.get(best))
-    return out
-
-
 def oracle_invariants(
     g: Graph, ids: Iterable[str], size_cap: int = DEFAULT_SIZE_CAP, token=None
 ) -> dict[str, OracleResult]:
@@ -221,7 +209,12 @@ def oracle_invariants(
     for which in ids:
         if which not in _DEFINITIONS:
             raise ParameterError(f"unknown invariant id {which!r}")
-    return _score(g, ids, token)
+    out, safe = _tally(g, ids, token)
+    best = max(safe, default=None)
+    for which, value in (("irc_colorable", best is not None), ("chi_irc", best)):
+        if which in ids:
+            out[which] = OracleResult(value, safe.get(best))
+    return out
 
 
 def oracle_invariant(g: Graph, which: str, size_cap: int = DEFAULT_SIZE_CAP, token=None) -> OracleResult:
@@ -273,7 +266,7 @@ def cross_check(g: Graph, size_cap: int = DEFAULT_SIZE_CAP) -> CrossCheckReport:
     from .invariants import REGISTRY  # the fast engines, never imported at module level
 
     rows = [row for row in REGISTRY.values() if g.n >= row.min_n]
-    oracle = _score(g, [row.id for row in rows])
+    oracle = oracle_invariants(g, [row.id for row in rows], size_cap)
     scope = budget.Scope()  # the fast solvers share chi and the set walks
     entries = []
     for row in rows:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from irrcolor import coloring
 from irrcolor.coloring import (
     Coloring,
     add_clique,
@@ -149,6 +150,18 @@ def test_partition_solvers_match_oracle():
         assert (gd[0] if gd else None) == oracle_invariant(g, "chi_gd").value
 
 
+def _alive(g, v, created, cap, remaining, masks, anti):
+    """Vertex v dominates one of the ``created`` classes in ``masks`` (and
+    with ``anti`` also avoids one), or, while fewer than ``cap`` classes
+    exist, can still do so through a class opened by a vertex of
+    ``remaining``."""
+    nb, closed = g.adj[v], g.closed(v)
+    more = created < cap
+    dom = any(m & ~nb == 0 or m == 1 << v for m in masks[:created]) or (more and nb & remaining)
+    avoid = any(m & closed == 0 for m in masks[:created]) or (more and remaining & ~closed)
+    return bool(dom and (avoid or not anti))
+
+
 def _reference_with_k(g, k, anti):
     """The first canonical proper k-partition in which every vertex
     dominates a class (and with ``anti`` also avoids one), pruning every
@@ -157,13 +170,6 @@ def _reference_with_k(g, k, anti):
     later = [(g.vertices >> (i + 1)) << (i + 1) for i in range(n)]
     colors = [-1] * n
     masks = [0] * k
-
-    def alive(v, created, remaining):
-        nb, closed = g.adj[v], g.closed(v)
-        more = created < k
-        dom = any(m & ~nb == 0 or m == 1 << v for m in masks[:created]) or (more and nb & remaining)
-        avoid = any(m & closed == 0 for m in masks[:created]) or (more and remaining & ~closed)
-        return bool(dom and (avoid or not anti))
 
     def rec(i, created):
         if created + n - i < k:
@@ -176,7 +182,7 @@ def _reference_with_k(g, k, anti):
             colors[i] = c
             masks[c] |= 1 << i
             nxt = max(created, c + 1)
-            if all(alive(v, nxt, later[i]) for v in range(i + 1)):
+            if all(_alive(g, v, nxt, k, later[i], masks, anti) for v in range(i + 1)):
                 found = rec(i + 1, nxt)
                 if found is not None:
                     return found
@@ -203,6 +209,39 @@ def test_dominator_search_matches_reference(connected_le6, bipartite_le7):
         assert dominator_chromatic_number(g) == _reference_dominator(g, anti=False)
         if g.n >= 2:
             assert global_dominator_chromatic_number(g) == _reference_dominator(g, anti=True)
+
+
+def test_dominator_fits_agrees_with_the_per_vertex_rule(monkeypatch, connected_le6, bipartite_le7):
+    """The class-table check accepts exactly the placements at which every
+    placed vertex passes ``_alive``."""
+    search = coloring._restricted_growth_search
+    calls = 0
+
+    def checked(g, lo, hi, fits, token=None, fewest=False):
+        later = [(g.vertices >> (i + 1)) << (i + 1) for i in range(g.n)]
+
+        def both(i, created, masks, colors, cap):
+            nonlocal calls
+            calls += 1
+            verdict = fits(i, created, masks, colors, cap)
+            assert verdict == all(_alive(g, v, created, cap, later[i], masks, anti) for v in range(i + 1))
+            return verdict
+
+        return search(g, lo, hi, both, token, fewest)
+
+    monkeypatch.setattr(coloring, "_restricted_growth_search", checked)
+    graphs = connected_le6 + bipartite_le7 + [cycle(12), path(12)]
+    for n in range(8, 13):
+        for p in (0.2, 0.4):
+            rng = random.Random(f"dominator-differential:{n}:{p}")
+            graphs += [random_connected(rng, n, p) for _ in range(2)]
+    for g in graphs:
+        anti = False
+        dominator_chromatic_number(g)
+        if g.n >= 2:
+            anti = True
+            global_dominator_chromatic_number(g)
+    assert calls > 0
 
 
 # polls of chi_d and chi_gd on C14, P14 and three sparse 12-vertex graphs;

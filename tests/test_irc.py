@@ -37,6 +37,14 @@ def test_c4_two_coloring_is_committee_safe():
     assert verdict.is_irc and verdict.violating_rc is None
 
 
+def test_verifier_checks_the_bare_definition_not_the_degree_convention():
+    k1_c4 = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 0)])  # vertex 4 isolated
+    for g, col in ((k1_c4, Coloring((0, 1, 0, 1, 2), 3)), (complete(1), Coloring((0,), 1))):
+        assert is_irc_coloring(g, col).is_irc
+        assert irc_colorability(g) is None
+        assert oracle_invariant(g, "irc_colorable").value is False
+
+
 def test_no_c5_coloring_is_committee_safe():
     c5 = cycle(5)
     for k in range(3, 6):
