@@ -6,7 +6,8 @@ caller can bound a whole run without killing the process.
 A ``Scope`` is a token that also keeps the results its solvers share, so a
 caller that asks several invariants of one graph computes each shared part
 (chi, the irredundant-set families, the committee obstruction check and
-``fits`` tables) once.
+the committee check's tables, which the searches and the verifier read)
+once.
 It answers ``expired()`` like the token it wraps, so it travels as the
 ``token`` argument and no solver signature changes.
 """

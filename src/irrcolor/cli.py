@@ -110,10 +110,11 @@ def _graph_record(idx: int, g: Graph, names, token=None, witnesses=False) -> dic
 
 
 def _map_graphs(fn, graphs: list[Graph], jobs: int) -> list:
-    """``fn(idx, g)`` for each input graph, in input order; in a pool of
-    ``jobs`` worker processes when there are several graphs."""
+    """``fn(idx, g)`` for each input graph, in input order; when there are
+    several graphs, in a pool of ``jobs`` worker processes or one per graph,
+    whichever is fewer."""
     if jobs > 1 and len(graphs) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(graphs))) as pool:
             return list(pool.map(fn, range(len(graphs)), graphs))
     return [fn(i, g) for i, g in enumerate(graphs)]
 

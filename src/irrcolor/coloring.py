@@ -260,18 +260,20 @@ def _validate_cert(g: Graph, cert: RainbowCert, member) -> None:
 # in no N[u].
 
 
-def _restricted_growth_search(g: Graph, lo: int, hi: int, fits, token=None, fewest: bool = False) -> Optional[Coloring]:
+def _restricted_growth_search(g: Graph, lo: int, hi: int, fault, token=None, fewest: bool = False) -> Optional[Coloring]:
     """The first canonical proper partition, in restricted-growth order, with
-    the most classes between ``lo`` and ``hi`` that ``fits`` accepts at every
-    placement, or with ``fewest`` the fewest; None when there is none.
+    the most classes between ``lo`` and ``hi`` in which ``fault`` finds
+    nothing at any placement, or with ``fewest`` the fewest; None when there
+    is none.
 
     Vertex i joins an existing class or opens the next one, and then
-    ``fits(i, created, masks, colors, cap)`` may reject the prefix and every
-    extension; ``cap`` is the most classes a partition found from here on
-    may have.  The call on the last vertex is the final test.  Each
-    partition found raises ``lo`` above its class count, or with ``fewest``
-    lowers the cap below it.  The order does not depend on the bounds, so
-    the last partition found is the first in that order with its count.
+    ``fault(i, created, masks, colors, cap)`` rejects the prefix and every
+    extension by returning what it found (anything truthy); ``cap`` is the
+    most classes a partition found from here on may have.  The call on the
+    last vertex is the final test.  Each partition found raises ``lo``
+    above its class count, or with ``fewest`` lowers the cap below it.  The
+    order does not depend on the bounds, so the last partition found is the
+    first in that order with its count.
     """
     n = g.n
     if not 1 <= lo <= hi <= n:
@@ -301,7 +303,7 @@ def _restricted_growth_search(g: Graph, lo: int, hi: int, fits, token=None, fewe
                 continue
             colors[i] = c
             masks[c] |= 1 << i
-            if fits(i, nxt, masks, colors, hi) and rec(i + 1, nxt):
+            if not fault(i, nxt, masks, colors, hi) and rec(i + 1, nxt):
                 return True
             colors[i] = -1
             masks[c] ^= 1 << i
@@ -323,7 +325,7 @@ def _dominator_search(g: Graph, anti: bool, token=None) -> Coloring:
         union, inter = ahead[i + 1]
         ahead[i] = (union | g.adj[i + 1], inter & closed[i + 1])
 
-    def fits(i: int, created: int, masks: list[int], colors: list[int], cap: int) -> bool:
+    def fault(i: int, created: int, masks: list[int], colors: list[int], cap: int) -> int:
         inter, union = [everyone] * created, [0] * created
         for v in range(i + 1):
             inter[colors[v]] &= closed[v]
@@ -334,10 +336,11 @@ def _dominator_search(g: Graph, anti: bool, token=None) -> Coloring:
             dominating |= inter[c]
             everywhere &= union[c]
         placed = (2 << i) - 1
-        return placed & ~dominating == 0 and not (anti and placed & everywhere)
+        # the placed vertices that dominate no class, or with anti avoid none
+        return placed & (~dominating | everywhere) if anti else placed & ~dominating
 
     chi, _ = _chi(g, token)
-    return _restricted_growth_search(g, chi, g.n, fits, token, fewest=True)
+    return _restricted_growth_search(g, chi, g.n, fault, token, fewest=True)
 
 
 def dominator_chromatic_number(g: Graph, token=None) -> tuple[int, Coloring]:

@@ -2,15 +2,17 @@
 
 A rainbow committee picks exactly one vertex from each color class.  A
 coloring qualifies when no committee contains a member with an empty private
-neighborhood.  The verifier searches for a violating committee victim-first:
-it tries to cover N[v] with the closed neighborhoods of members drawn from
-the other classes, which is exactly what annihilates pn[v, RC].  The
-partition searches run the same cover at every placement, so a prefix with
-a violating committee is dropped with all its extensions.
+neighborhood.  One check decides this one placement at a time: it covers a
+victim's N[v] with the closed neighborhoods of members drawn from the other
+classes, which is exactly what annihilates pn[v, RC].  The partition
+searches run it at every placement, so a prefix with a violating committee
+is dropped with all its extensions, and the verifier replays it over the
+placements of a whole coloring.
 
 Two necessary conditions prune everything cheap:
-  * minimum degree at least 2 (a pendant plus its support vertex always
-    yields a bad committee; the one-vertex graph is excluded by convention);
+  * minimum degree at least 2 for the searches (a pendant plus its support
+    vertex always yields a bad committee; the one-vertex graph is excluded
+    by convention);
   * every vertex needs two same-colored neighbors, otherwise a committee
     through its rainbow neighborhood kills it.
 """
@@ -74,61 +76,6 @@ def _cover(closed: list[int], classes: list[list[int]], reach: list[int], target
         return False
 
     return chosen if not target & ~suffix[0] and rec(0, target) else None
-
-
-def _committee_violation(g: Graph, class_masks: list[int], token=None):
-    """Find (victim, committee) with pn[victim, committee] empty, else None."""
-    n = g.n
-    closed = [g.closed(v) for v in range(n)]
-    color_of = [0] * n
-    class_lists = [list(bits(m)) for m in class_masks]
-    reach = [0] * len(class_masks)
-    for c, members in enumerate(class_lists):
-        for v in members:
-            color_of[v] = c
-            reach[c] |= closed[v]
-
-    # quick reject: a vertex whose neighbors are pairwise distinctly colored
-    # is annihilated by any committee through its closed neighborhood
-    for v in range(n):
-        per_class = [(g.adj[v] & m).bit_count() for m in class_masks]
-        if g.degree(v) >= 1 and max(per_class) <= 1:
-            rc = closed[v]
-            for c, m in enumerate(class_masks):
-                if not rc & m:
-                    rc |= (m & -m)  # lowest member fills the class
-            return v, rc
-
-    order = sorted(range(n), key=lambda v: (g.degree(v), v))
-    for v in order:
-        budget.check(token)
-        others = [c for c in range(len(class_masks)) if c != color_of[v]]
-        picked = _cover(closed, [class_lists[c] for c in others], [reach[c] for c in others], closed[v])
-        if picked is not None:
-            rc = 1 << v
-            for u in picked:
-                rc |= 1 << u
-            return v, rc
-    return None
-
-
-def is_irc_coloring(g: Graph, coloring: Coloring, token=None) -> IrcVerdict:
-    """Check that every rainbow committee of ``coloring`` is irredundant.
-
-    This is the bare definition, without the minimum-degree convention of
-    ``irc_colorability`` and the oracle: it accepts ``(0, 1, 0, 1, 2)`` on C4
-    plus an isolated vertex, and ``(0,)`` on K1, though both of those report
-    the graph not committee-colorable."""
-    if len(coloring.color_of) != g.n:
-        raise PreconditionError("coloring does not cover the graph")
-    if not is_proper(g, coloring):
-        raise PreconditionError("coloring is not proper")
-    hit = _committee_violation(g, coloring.classes(), token)
-    if hit is None:
-        return IrcVerdict(True)
-    victim, rc = hit
-    assert private_neighbors(g, victim, rc) == 0
-    return IrcVerdict(False, rc, victim)
 
 
 def _maximal_cliques(g: Graph, token=None):
@@ -198,10 +145,11 @@ def _obstructed(g: Graph, token=None) -> bool:
     return g.n == 0 or next(_obstructions(g, token), None) is not None
 
 
-def _committee_fits(g: Graph):
-    """The committee search's ``fits``: it rejects a prefix that already has
-    a violating committee, or a vertex whose placed neighbors all differ in
-    color.  Assumes minimum degree >= 2 was checked.
+def _committee_fault(g: Graph):
+    """The committee check at each placement: ``(victim, committee)`` when
+    the prefix has a violating committee, or a vertex whose placed neighbors
+    all differ in color (then the committee is N[victim], which every
+    completion makes rainbow), else None.
 
     A violating committee of a prefix stays violating in every extension:
     more members and more classes only shrink pn[v, RC].  A new one must
@@ -234,13 +182,13 @@ def _committee_fits(g: Graph):
             between |= closed[v]
         victims.append(row)
 
-    def fits(i: int, created: int, masks: list[int], colors: list[int], cap: int) -> bool:
+    def fault(i: int, created: int, masks: list[int], colors: list[int], cap: int) -> Optional[tuple[int, VertexSet]]:
         for u in complete_at[i]:
             # every vertex needs two same-colored neighbors
             if all((g.adj[u] & masks[j]).bit_count() <= 1 for j in range(created)):
-                return False
+                return u, closed[u]
         if not victims[i]:
-            return True
+            return None
         c = colors[i]
         members: list[list[int]] = [[] for _ in range(created)]
         reach = [0] * created
@@ -258,36 +206,76 @@ def _committee_fits(g: Graph):
             if (cv == c and v != i) or target & ~without[cv]:
                 continue
             eligible = [j for j in range(created) if j != c and j != cv]
-            if _cover(closed, [members[j] for j in eligible], [reach[j] for j in eligible], target) is not None:
-                return False
-        return True
+            picked = _cover(closed, [members[j] for j in eligible], [reach[j] for j in eligible], target)
+            if picked is not None:
+                return v, sum(1 << u for u in picked) | 1 << v | 1 << i
+        return None
 
-    return fits
+    return fault
 
 
-def _fits_unless_obstructed(g: Graph, token):
-    """The committee search's ``fits``, or None when a first obstruction
-    (or the empty graph) rules every coloring out; both once per
+def _shared_fault(g: Graph, token):
+    """``_committee_fault(g)``, built once per ``budget.Scope``."""
+    return budget.shared(token, ("committee_fault", g), lambda: _committee_fault(g))
+
+
+def is_irc_coloring(g: Graph, coloring: Coloring, token=None) -> IrcVerdict:
+    """Check that every rainbow committee of ``coloring`` is irredundant, by
+    replaying the partition search's check over the placements of its
+    canonical form; a violating committee is completed with the lowest
+    member of each class it misses.
+
+    This is the bare definition, without the minimum-degree convention of
+    ``irc_colorability`` and the oracle: it accepts ``(0, 1, 0, 1, 2)`` on C4
+    plus an isolated vertex, and ``(0,)`` on K1, though both of those report
+    the graph not committee-colorable."""
+    if len(coloring.color_of) != g.n:
+        raise PreconditionError("coloring does not cover the graph")
+    if not is_proper(g, coloring):
+        raise PreconditionError("coloring is not proper")
+    fault = _shared_fault(g, token)
+    canonical = coloring.canonical()
+    colors = list(canonical.color_of)
+    masks = [0] * canonical.k
+    created = 0
+    for i, c in enumerate(colors):
+        budget.check(token)
+        masks[c] |= 1 << i
+        created = max(created, c + 1)
+        hit = fault(i, created, masks, colors, canonical.k)
+        if hit:
+            victim, rc = hit
+            for m in canonical.classes():
+                if not rc & m:
+                    rc |= m & -m
+            assert private_neighbors(g, victim, rc) == 0
+            return IrcVerdict(False, rc, victim)
+    return IrcVerdict(True)
+
+
+def _fault_unless_obstructed(g: Graph, token):
+    """The committee search's check, or None when a first obstruction (or
+    the empty graph) rules every coloring out; both once per
     ``budget.Scope``."""
     if budget.shared(token, ("obstructed", g), lambda: _obstructed(g, token)):
         return None
-    return budget.shared(token, ("committee_fits", g), lambda: _committee_fits(g))
+    return _shared_fault(g, token)
 
 
 def irc_colorability(g: Graph, token=None) -> Optional[Coloring]:
     """A witness committee-safe coloring if one exists, else None: the first
     one with the fewest colors."""
-    fits = _fits_unless_obstructed(g, token)
-    if fits is None:
+    fault = _fault_unless_obstructed(g, token)
+    if fault is None:
         return None
     chi, _ = _chi(g, token)
-    return _restricted_growth_search(g, chi, g.n, fits, token, fewest=True)
+    return _restricted_growth_search(g, chi, g.n, fault, token, fewest=True)
 
 
 def irc_with_k_colors(g: Graph, k: int, token=None) -> Optional[Coloring]:
     """A committee-safe coloring with exactly k colors, else None."""
-    fits = _fits_unless_obstructed(g, token)
-    return None if fits is None else _restricted_growth_search(g, k, k, fits, token)
+    fault = _fault_unless_obstructed(g, token)
+    return None if fault is None else _restricted_growth_search(g, k, k, fault, token)
 
 
 def irc_chromatic_number(g: Graph, token=None) -> Optional[tuple[int, Coloring]]:
@@ -298,8 +286,8 @@ def irc_chromatic_number(g: Graph, token=None) -> Optional[tuple[int, Coloring]]
     over every class count up to n-1 finds the first coloring with the most
     colors.
     """
-    fits = _fits_unless_obstructed(g, token)
-    if fits is None:
+    fault = _fault_unless_obstructed(g, token)
+    if fault is None:
         return None
-    col = _restricted_growth_search(g, 1, g.n - 1, fits, token)
+    col = _restricted_growth_search(g, 1, g.n - 1, fault, token)
     return None if col is None else (col.k, col)

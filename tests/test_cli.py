@@ -137,6 +137,35 @@ def test_invariants_parallel_matches_serial(tmp_path, capsys):
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+def test_jobs_pool_is_bounded_by_the_input(monkeypatch, tmp_path, capsys):
+    # the pool forks all its workers at the first task, so --jobs 5000 on
+    # two graphs must ask for two; the fake pool runs the tasks in process
+    from irrcolor import cli
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    src = tmp_path / "two.g6"
+    src.write_text("\n".join(to_graph6(cycle(n)).decode() for n in (4, 5)) + "\n")
+    for argv in (["invariants", str(src), "--invariants", "chi"], ["scan", "chain", str(src)]):
+        code, _, _ = run_cli(capsys, argv + ["--jobs", "5000", "--json"])
+        assert code == 0
+    assert sizes == [2, 2]
+
+
 def test_gen_writes_graph_and_sidecar(tmp_path, capsys):
     out = tmp_path / "a63.g6"
     code, _, _ = run_cli(capsys, ["gen", "A", "6", "3", "--out", str(out)])

@@ -212,20 +212,20 @@ def test_dominator_search_matches_reference(connected_le6, bipartite_le7):
 
 
 def test_dominator_fits_agrees_with_the_per_vertex_rule(monkeypatch, connected_le6, bipartite_le7):
-    """The class-table check accepts exactly the placements at which every
-    placed vertex passes ``_alive``."""
+    """The class-table check returns, at every placement, exactly the placed
+    vertices that fail ``_alive``."""
     search = coloring._restricted_growth_search
     calls = 0
 
-    def checked(g, lo, hi, fits, token=None, fewest=False):
+    def checked(g, lo, hi, fault, token=None, fewest=False):
         later = [(g.vertices >> (i + 1)) << (i + 1) for i in range(g.n)]
 
         def both(i, created, masks, colors, cap):
             nonlocal calls
             calls += 1
-            verdict = fits(i, created, masks, colors, cap)
-            assert verdict == all(_alive(g, v, created, cap, later[i], masks, anti) for v in range(i + 1))
-            return verdict
+            failing = fault(i, created, masks, colors, cap)
+            assert failing == sum(1 << v for v in range(i + 1) if not _alive(g, v, created, cap, later[i], masks, anti))
+            return failing
 
         return search(g, lo, hi, both, token, fewest)
 

@@ -4,7 +4,7 @@ from itertools import islice
 
 import pytest
 
-from irrcolor import coloring, irc
+from irrcolor import budget, coloring, irc
 from irrcolor.budget import Deadline
 from irrcolor.coloring import Coloring, chromatic_number
 from irrcolor.errors import PreconditionError, SearchCancelled
@@ -356,31 +356,48 @@ def test_committee_search_matches_reference_on_families(kind, param):
         assert col == fewest
 
 
-def test_verdict_names_the_same_victim_and_committee_as_before(connected_le6):
+def test_verdict_matches_the_reference_verifier(connected_le6, bipartite_le7):
+    # the verdict of the replayed placement check against the old whole-
+    # coloring verifier, on every partition of both assets and of one graph
+    # whose only victim is the vertex placed last, and the first 40 per
+    # class count of seeded 7- to 9-vertex graphs; a reported committee has
+    # one member per class and a victim without a private neighbor
     rng = random.Random(61)
-    graphs = connected_le6 + [random_connected(rng, rng.randint(7, 9), 0.5) for _ in range(30)]
-    for g in graphs:
-        for k in range(2, g.n + 1):
-            for col in islice(independent_partitions(g, k), 3):
+    seeded = [random_connected(rng, rng.randint(7, 9), 0.5) for _ in range(30)]
+    # K(4,2) on {0..3} and {4, 5}, and vertex 6 joined to 1 and 3: under
+    # (0, 0, 0, 0, 1, 1, 2) only the committees {1 or 3, 4 or 5, 6} violate,
+    # each with victim 6
+    last_victim = from_edge_list(7, [(u, v) for u in range(4) for v in (4, 5)] + [(1, 6), (3, 6)])
+    assert not is_irc_coloring(last_victim, Coloring((0, 0, 0, 0, 1, 1, 2), 3)).is_irc
+    runs = [(g, None) for g in connected_le6 + bipartite_le7 + [last_victim]] + [(g, 40) for g in seeded]
+    checked = 0
+    for g, first in runs:
+        for k in range(1, g.n + 1):
+            for col in islice(independent_partitions(g, k), first):
                 verdict = is_irc_coloring(g, col)
-                hit = _reference_violation(g, col.classes())
-                assert (verdict.violating_vertex, verdict.violating_rc) == (hit or (None, None))
+                assert verdict.is_irc == (_reference_violation(g, col.classes()) is None)
+                if not verdict.is_irc:
+                    rc, victim = verdict.violating_rc, verdict.violating_vertex
+                    assert all((rc & m).bit_count() == 1 for m in col.classes())
+                    assert rc >> victim & 1 and private_neighbors(g, victim, rc) == 0
+                checked += 1
+    assert checked == 13_319
 
 
 def test_colorability_ascends_past_chi(monkeypatch):
     # no known graph is committee-colorable only with more than chi colors
     # (one would refute the conjecture `scan conjecture` looks for), so a
-    # fits that also rejects every partition into at most `fewest` classes
+    # check that also rejects every partition into at most `fewest` classes
     # stands in for one; chi = 2 and chi_irc = 4 here
     g = generate("bipartite_star_of_cycles", 4).graph
-    real = irc._committee_fits
+    real = irc._committee_fault
     for fewest in (2, 3):
-        def fits_above(g, fewest=fewest):
-            fits = real(g)
+        def fault_at_most(g, fewest=fewest):
+            fault = real(g)
             return lambda i, created, masks, colors, cap: (
-                fits(i, created, masks, colors, cap) and (i < g.n - 1 or created > fewest))
+                fault(i, created, masks, colors, cap) or (i == g.n - 1 and created <= fewest))
 
-        monkeypatch.setattr(irc, "_committee_fits", fits_above)
+        monkeypatch.setattr(irc, "_committee_fault", fault_at_most)
         col = irc_colorability(g)
         assert col.k == fewest + 1
         assert col == irc_with_k_colors(g, fewest + 1)
@@ -405,7 +422,7 @@ def test_chromatic_number_checks_committees_inside_one_search(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    spy(irc, "_committee_violation")
+    spy(irc, "is_irc_coloring")
     spy(coloring, "chromatic_number")  # every chi computation, irc's included
     for seed, polls in _PINNED_POLLS:
         token = Polls()
@@ -426,3 +443,22 @@ def test_chromatic_number_polls_the_budget():
     with pytest.raises(SearchCancelled):
         irc_chromatic_number(g, Deadline(0.5))
     assert time.monotonic() - t0 < 1.0
+
+
+def test_verifier_polls_once_per_placement_and_shares_the_check(monkeypatch):
+    g = generate("bipartite_star_of_cycles", 4).graph
+    col = irc_colorability(g)
+    token = Polls()
+    assert is_irc_coloring(g, col, token).is_irc
+    assert token.polls == g.n
+    token = Polls(20)
+    with pytest.raises(SearchCancelled):
+        is_irc_coloring(g, col, token)
+    assert token.polls == 20
+    # one scope builds the check's tables once for the search and the verifier
+    builds = []
+    real = irc._committee_fault
+    monkeypatch.setattr(irc, "_committee_fault", lambda g: builds.append(g) or real(g))
+    scope = budget.Scope()
+    assert is_irc_coloring(g, irc_colorability(g, scope), scope).is_irc
+    assert builds == [g]
