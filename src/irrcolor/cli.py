@@ -20,7 +20,6 @@ import os
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from importlib.resources import files as resource_files
 from itertools import chain, product
@@ -114,6 +113,8 @@ def _map_graphs(fn, graphs: list[Graph], jobs: int) -> list:
     several graphs, in a pool of ``jobs`` worker processes or one per graph,
     whichever is fewer."""
     if jobs > 1 and len(graphs) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only here
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(graphs))) as pool:
             return list(pool.map(fn, range(len(graphs)), graphs))
     return [fn(i, g) for i, g in enumerate(graphs)]

@@ -47,35 +47,32 @@ class Obstruction:
     clique: Optional[VertexSet] = None
 
 
-def _cover(closed: list[int], classes: list[list[int]], reach: list[int], target: int) -> Optional[list[int]]:
-    """One member from each class in ``classes`` (ascending member lists),
-    in class order, whose closed neighborhoods together cover ``target``;
-    None when there is none.
+def _cover(closed: list[int], classes: list[int], reach: list[int], target: int) -> Optional[int]:
+    """At most one member from each nonempty class mask in ``classes``
+    whose closed neighborhoods together cover ``target``, as one mask (0
+    for an empty target); None when there is none.
 
     ``closed[u]`` is N[u] and ``reach[j]`` the union of N[u] over class j.
     Members covering more of what is left are tried first, ties toward the
-    lowest index; once nothing is left, each later class gives its lowest.
+    lowest index.
     """
     # suffix[j]: all that classes j.. can still cover
     suffix = list(accumulate(reversed(reach), or_, initial=0))[::-1]
-    chosen: list[int] = []
 
-    def rec(j: int, remaining: int) -> bool:
+    def rec(j: int, remaining: int) -> Optional[int]:
         # what is left lies within suffix[j]
         if not remaining:
-            chosen.extend(members[0] for members in classes[j:])
-            return True
+            return 0
         rest = suffix[j + 1]
-        for u in sorted(classes[j], key=lambda u: -(closed[u] & remaining).bit_count()):
+        for u in sorted(bits(classes[j]), key=lambda u: -(closed[u] & remaining).bit_count()):
             left = remaining & ~closed[u]
             if not left & ~rest:
-                chosen.append(u)
-                if rec(j + 1, left):
-                    return True
-                chosen.pop()
-        return False
+                picked = rec(j + 1, left)
+                if picked is not None:
+                    return picked | 1 << u
+        return None
 
-    return chosen if not target & ~suffix[0] and rec(0, target) else None
+    return None if target & ~suffix[0] else rec(0, target)
 
 
 def _maximal_cliques(g: Graph, token=None):
@@ -146,10 +143,10 @@ def _obstructed(g: Graph, token=None) -> bool:
 
 
 def _committee_fault(g: Graph):
-    """The committee check at each placement: ``(victim, committee)`` when
-    the prefix has a violating committee, or a vertex whose placed neighbors
-    all differ in color (then the committee is N[victim], which every
-    completion makes rainbow), else None.
+    """The committee check at each placement: ``(victim, members)`` when
+    the prefix has a violating committee (at most one member per class),
+    or a vertex whose placed neighbors all differ in color (then N[victim],
+    which every completion makes rainbow), else None.
 
     A violating committee of a prefix stays violating in every extension:
     more members and more classes only shrink pn[v, RC].  A new one must
@@ -190,25 +187,17 @@ def _committee_fault(g: Graph):
         if not victims[i]:
             return None
         c = colors[i]
-        members: list[list[int]] = [[] for _ in range(created)]
-        reach = [0] * created
+        reach = [0] * created  # reach[j]: the union of N[u] over class j
         for u in range(i + 1):
-            members[colors[u]].append(u)
             reach[colors[u]] |= closed[u]
-        reach[c] = 0  # class c is never a cover's
-        # without[j]: all that the classes other than c and j reach, which
-        # a target must lie in
-        up = list(accumulate(reach, or_, initial=0))
-        down = list(accumulate(reversed(reach), or_, initial=0))[::-1]
-        without = [up[j] | down[j + 1] for j in range(created)]
         for v, target in victims[i]:
             cv = colors[v]  # c for the victim i, which leaves out class c only
-            if (cv == c and v != i) or target & ~without[cv]:
+            if cv == c and v != i:
                 continue
             eligible = [j for j in range(created) if j != c and j != cv]
-            picked = _cover(closed, [members[j] for j in eligible], [reach[j] for j in eligible], target)
+            picked = _cover(closed, [masks[j] for j in eligible], [reach[j] for j in eligible], target)
             if picked is not None:
-                return v, sum(1 << u for u in picked) | 1 << v | 1 << i
+                return v, picked | 1 << v | 1 << i
         return None
 
     return fault
@@ -222,8 +211,8 @@ def _shared_fault(g: Graph, token):
 def is_irc_coloring(g: Graph, coloring: Coloring, token=None) -> IrcVerdict:
     """Check that every rainbow committee of ``coloring`` is irredundant, by
     replaying the partition search's check over the placements of its
-    canonical form; a violating committee is completed with the lowest
-    member of each class it misses.
+    canonical form; here alone the check's members become a committee,
+    with the lowest member of each class they miss.
 
     This is the bare definition, without the minimum-degree convention of
     ``irc_colorability`` and the oracle: it accepts ``(0, 1, 0, 1, 2)`` on C4

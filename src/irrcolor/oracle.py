@@ -125,31 +125,38 @@ _COMMITTEE = frozenset({"irc_colorable", "chi_irc"})
 def _tally(g: Graph, ids: tuple[str, ...], token=None) -> tuple[dict[str, OracleResult], dict[int, Coloring]]:
     """Every non-committee id in ``ids`` by definition, and with a committee
     id the first committee-safe partition at each class count, from one
-    subset table and one walk over the independent partitions in
-    restricted-growth order.  Each definition keeps the first passing
-    partition at its fewest classes as the witness; the walk's class bound
-    stays below the largest of those counts, or at n with a committee id.
-    Polls ``token`` at each subset and at each node of the walk."""
+    subset table, with only the columns those ids read, and one walk over
+    the independent partitions in restricted-growth order.  Each definition
+    keeps the first passing partition at its fewest classes as the witness;
+    the walk's class bound stays below the largest of those counts, or at n
+    with a committee id.  Polls ``token`` at each subset and at each node of
+    the walk."""
     n = g.n
     for which in ids:
         if n < _DEFINITIONS[which]:
             raise ParameterError(f"{which} is undefined on {n} vertices")
     committee = bool(_COMMITTEE.intersection(ids)) and g.min_degree() >= 2
+    wants_maximal = not {"ir", "chi_i"}.isdisjoint(ids)
+    wants_irr = committee or wants_maximal
     full = (1 << n) - 1
     # per subset S, each from S minus its lowest member: N[S]; the common
     # closed neighborhood, which for an independent S is the set of vertices
-    # that dominate S (adjacent to all of it, or all of it); the singletons
-    # of S; whether S is irredundant
+    # that dominate S (adjacent to all of it, or all of it); and, only for
+    # the ids that read them, the singletons of S and whether S is irredundant
     closed, common, members, irr = [0] * (1 << n), [full] * (1 << n), [()] * (1 << n), [True] * (1 << n)
     for s in range(1, 1 << n):
         budget.check(token)
         low = s & -s
         closed[s] = closed[s ^ low] | g.adj[low.bit_length() - 1] | low
         common[s] = common[s ^ low] & closed[low]
-        members[s] = (low, *members[s ^ low])
-        irr[s] = _irredundant(closed, members, s)
-    maximal = [s for s in range(1, 1 << n) if irr[s] and not any(irr[s | v] for v in members[full ^ s])]
-    dominating = [s for s in range(1 << n) if closed[s] == full]
+        if wants_irr:
+            members[s] = (low, *members[s ^ low])
+            irr[s] = _irredundant(closed, members, s)
+    maximal, dominating = [], []
+    if wants_maximal:
+        maximal = [s for s in range(1, 1 << n) if irr[s] and not any(irr[s | v] for v in members[full ^ s])]
+    if not {"gamma", "chi_gamma"}.isdisjoint(ids):
+        dominating = [s for s in range(1 << n) if closed[s] == full]
     out: dict[str, OracleResult] = {}
     # min keeps the first set of fewest members in numeric order
     for which, family in (("ir", maximal), ("gamma", dominating)):

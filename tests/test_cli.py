@@ -140,7 +140,7 @@ def test_invariants_parallel_matches_serial(tmp_path, capsys):
 def test_jobs_pool_is_bounded_by_the_input(monkeypatch, tmp_path, capsys):
     # the pool forks all its workers at the first task, so --jobs 5000 on
     # two graphs must ask for two; the fake pool runs the tasks in process
-    from irrcolor import cli
+    import concurrent.futures
 
     sizes = []
 
@@ -157,7 +157,7 @@ def test_jobs_pool_is_bounded_by_the_input(monkeypatch, tmp_path, capsys):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     src = tmp_path / "two.g6"
     src.write_text("\n".join(to_graph6(cycle(n)).decode() for n in (4, 5)) + "\n")
     for argv in (["invariants", str(src), "--invariants", "chi"], ["scan", "chain", str(src)]):

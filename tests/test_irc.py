@@ -9,7 +9,7 @@ from irrcolor.budget import Deadline
 from irrcolor.coloring import Coloring, chromatic_number
 from irrcolor.errors import PreconditionError, SearchCancelled
 from irrcolor.families import generate
-from irrcolor.graphs import bits, from_edge_list
+from irrcolor.graphs import bits, closed_neighborhood_of_set, from_edge_list
 from irrcolor.irc import (
     _obstructed,
     irc_chromatic_number,
@@ -162,6 +162,45 @@ def test_committee_checker_matches_naive_products():
                 assert is_irc_coloring(g, col).is_irc == naive
                 checked += 1
     assert checked > 100
+
+
+def test_cover_matches_the_product_over_classes():
+    # _cover finds members, at most one per class, whose closed
+    # neighborhoods cover the target exactly when some choice from the
+    # product over the classes does, and returns them as one mask; 0 for an
+    # empty target, which a caller must tell apart from None
+    from itertools import product
+
+    rng = random.Random(67)
+    outcomes = {"empty": 0, "none": 0, "found": 0}
+    for _ in range(300):
+        g = random_connected(rng, rng.randint(3, 9), rng.choice((0.25, 0.4, 0.6)))
+        closed = [g.closed(v) for v in range(g.n)]
+        labels = [rng.randrange(-1, 4) for _ in range(g.n)]  # -1: in no class
+        classes = [m for c in range(4) if (m := sum(1 << v for v in range(g.n) if labels[v] == c))]
+        reach = [closed_neighborhood_of_set(g, m) for m in classes]
+        for target in (0, rng.randrange(1, 1 << g.n), g.vertices):
+            # each class gives one member or none
+            picks = product(*[[0, *(1 << u for u in bits(m))] for m in classes])
+            coverable = any(not target & ~closed_neighborhood_of_set(g, sum(p)) for p in picks)
+            picked = irc._cover(closed, classes, reach, target)
+            if picked is None:
+                assert not coverable
+                outcomes["none"] += 1
+                continue
+            assert all((picked & m).bit_count() <= 1 for m in classes)
+            assert not picked & ~sum(classes)
+            assert not target & ~closed_neighborhood_of_set(g, picked)
+            outcomes["found" if target else "empty"] += 1
+    assert outcomes["empty"] == 300 and outcomes["none"] > 50 and outcomes["found"] > 50
+
+
+def test_check_reports_a_victim_whose_cover_is_empty():
+    # N[0] lies within N[1], so once 1 is placed every committee through 0
+    # and 1 silences 0: the cover of N[0] - N[1] is the empty mask, not None
+    g = from_edge_list(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+    assert irc._committee_fault(g)(1, 2, [0b01, 0b10], [0, 1, -1, -1], 3) == (0, 0b11)
+    assert is_irc_coloring(g, Coloring((0, 1, 2, 0), 3)) == irc.IrcVerdict(False, 0b111, 0)
 
 
 def test_cheap_check_agrees_with_obstruction_list():

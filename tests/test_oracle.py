@@ -360,6 +360,20 @@ def test_cross_check_walks_the_partitions_once_and_the_subsets_once(monkeypatch)
         assert counts == {"calls": 1, "yielded": yielded, "irredundant": 2**g.n - 1}
 
 
+def test_single_ids_build_only_the_columns_they_read(monkeypatch):
+    # a single-id call tests irredundance only for the ids that read it; on a
+    # graph with a leaf the committee ids are decided without it
+    calls = []
+    irredundant = oracle._irredundant
+    monkeypatch.setattr(oracle, "_irredundant", lambda *args: calls.append(1) or irredundant(*args))
+    for g in (cycle(6), tree7()):
+        for which in oracle._DEFINITIONS:
+            calls.clear()
+            oracle_invariant(g, which)
+            reads = which in ("ir", "chi_i") or (which in oracle._COMMITTEE and g.min_degree() >= 2)
+            assert len(calls) == (2**g.n - 1 if reads else 0), (which, g.n)
+
+
 def test_oracle_polls_the_budget():
     # both run out in the subset table; test_the_walk_polls_at_every_node covers the walk
     for which in ("chi_irc", "chi_gd"):
