@@ -19,6 +19,7 @@ from . import budget
 from .errors import ParameterError
 from .graphs import Graph, VertexSet, bits
 from .irredundance import (
+    _greedy_dominating,
     is_maximal_irredundant,
     is_dominating,
     maximal_irredundant_sets,
@@ -205,7 +206,7 @@ def irredundance_chromatic_number(g: Graph, token=None) -> tuple[int, RainbowCer
         cert = RainbowCert(chi_col, 1 << full)
         _validate_cert(g, cert, is_maximal_irredundant)
         return chi, cert
-    return _min_rainbow(g, chi, maximal_irredundant_sets(g, token=token), is_maximal_irredundant, token)
+    return _min_rainbow(g, chi, maximal_irredundant_sets, is_maximal_irredundant, token)
 
 
 def gamma_chromatic_number(g: Graph, token=None) -> tuple[int, RainbowCert]:
@@ -217,18 +218,41 @@ def gamma_chromatic_number(g: Graph, token=None) -> tuple[int, RainbowCert]:
     if g.n < 1:
         raise ParameterError("needs at least one vertex")
     chi, _ = _chi(g, token)
-    return _min_rainbow(g, chi, minimal_dominating_sets(g, token), is_dominating, token)
+    return _min_rainbow(g, chi, minimal_dominating_sets, is_dominating, token)
 
 
-def _min_rainbow(g: Graph, chi: int, candidates, member, token) -> tuple[int, RainbowCert]:
-    """The fewest colors over the clique reductions of ``candidates``, tried
-    smallest first.  A rainbow candidate needs as many colors as it has
-    members, so the search stops early at max(chi, smallest candidate size),
-    which is max(chi, ir) or max(chi, gamma).  ``member`` is the predicate
-    every candidate satisfies, checked on the result."""
-    ordered = sorted(candidates, key=lambda s: (s.bit_count(), s))
+def _min_rainbow(g: Graph, chi: int, family, member, token) -> tuple[int, RainbowCert]:
+    """The fewest colors over the clique reductions of the sets that
+    ``family(g, token, size_cap)`` yields, tried in (size, mask) order.
+
+    A rainbow candidate needs as many colors as it has members, so the
+    search stops early at max(chi, smallest candidate size), which is
+    max(chi, ir) or max(chi, gamma), and skips every candidate with as many
+    members as the best count.  The candidates are first read up to g0, the
+    size of a greedy dominating set, which holds the smallest one since
+    ir <= gamma <= g0; the larger ones are read from the uncapped family
+    only when the best count is still above both that bound and g0 + 1.
+    ``member`` is the predicate every candidate satisfies, checked on the
+    result."""
+    cap = _greedy_dominating(g).bit_count()
+    ordered = sorted(family(g, token, cap), key=_size_then_mask)
     lower = max(chi, ordered[0].bit_count())
-    best: Optional[tuple[int, RainbowCert]] = None
+    best = _rainbow_pass(g, ordered, lower, None, token)
+    if best[0] > max(lower, cap + 1):
+        larger = sorted((s for s in family(g, token) if s.bit_count() > cap), key=_size_then_mask)
+        best = _rainbow_pass(g, larger, lower, best, token)
+    _validate_cert(g, best[1], member)
+    return best
+
+
+def _size_then_mask(s: VertexSet) -> tuple[int, int]:
+    return s.bit_count(), s
+
+
+def _rainbow_pass(g: Graph, ordered, lower: int, best, token) -> tuple[int, RainbowCert]:
+    """``best`` improved by the clique reductions of ``ordered``, tried in
+    order until one needs only ``lower`` colors; a candidate with as many
+    members as the best count so far is skipped."""
     for s in ordered:
         budget.check(token)
         if best is not None and s.bit_count() >= best[0]:
@@ -238,8 +262,6 @@ def _min_rainbow(g: Graph, chi: int, candidates, member, token) -> tuple[int, Ra
             best = (k, RainbowCert(col, s))
             if k == lower:
                 break
-    assert best is not None
-    _validate_cert(g, best[1], member)
     return best
 
 

@@ -4,10 +4,15 @@ solvers for the lower irredundance number ir(G) and domination number γ(G).
 Set arguments and results are vertex bitmasks.  Every search here reads one
 walk over the irredundant sets: the enumerators yield its sets in ascending
 numeric mask order (lexicographic over the bit string read from vertex 0
-upward); ir, γ and ``ir_verify`` walk the sets up to a size cap and keep
-the smallest accepted one, ties going to ``itertools.combinations`` order.
-Uncapped, the two enumerators read one walk, made in full on first use;
-a ``budget.Scope`` token keeps it for every later enumeration of the graph.
+upward); ir, γ and ``ir_verify`` keep the smallest accepted set up to a size
+cap, ties going to ``itertools.combinations`` order.  At each size cap
+(None for none) the two enumerators read one walk, made in full on first
+use; a ``budget.Scope`` token keeps it for every later enumeration of the
+graph at that cap.  ir reads the maximal irredundant sets up to the size
+of a greedy dominating set, the cap at which the rainbow solvers of
+``coloring`` read both families first, so under one Scope one walk serves
+ir, chi_i and chi_gamma.  ``ir_verify`` reads the family up to the claimed
+value; γ makes its own walk below the greedy size.
 """
 
 from __future__ import annotations
@@ -99,29 +104,28 @@ def _irredundant_sets(
         yield s, covered, not joiners
 
 
-def maximal_irredundant_sets(g: Graph, token=None) -> Iterator[VertexSet]:
-    """Yield every maximal irredundant set, ascending numeric mask order.
+def maximal_irredundant_sets(g: Graph, token=None, size_cap: Optional[int] = None) -> Iterator[VertexSet]:
+    """Yield every maximal irredundant set, ascending numeric mask order;
+    with ``size_cap``, only those of at most that many vertices.
 
     The empty set is never yielded, not even on the null graph.
     """
-    yield from budget.shared(token, ("families", g), lambda: _families(g, token))[0]
+    yield from budget.shared(token, ("families", g, size_cap), lambda: _families(g, token, size_cap))[0]
 
 
-def _smallest(g: Graph, token, size_cap: int, accept) -> Optional[VertexSet]:
-    """The smallest irredundant set of at most ``size_cap`` vertices that
-    ``accept(N[S], maximal)`` takes, or None.  Ties go to the lowest sorted
-    vertex list, the order of ``itertools.combinations``."""
-    walk = _irredundant_sets(g, token, size_cap)
-    hits = (s for s, covered, maximal in walk if accept(covered, maximal))
-    return min(hits, key=lambda s: (s.bit_count(), tuple(bits(s))), default=None)
+def _combinations_order(s: VertexSet) -> tuple:
+    """Sort key: size, then the sorted vertex list, the order of
+    ``itertools.combinations``."""
+    return s.bit_count(), tuple(bits(s))
 
 
 def ir_number(g: Graph, token=None) -> tuple[int, VertexSet]:
-    """Minimum cardinality of a maximal irredundant set, with a witness.
-    Sought up to the size of a greedy cover, since ir <= gamma."""
+    """Minimum cardinality of a maximal irredundant set, with a witness
+    (ties in combinations order).  Sought up to the size of a greedy cover,
+    since ir <= gamma."""
     if g.n == 0:
         raise ParameterError("ir is undefined on the empty graph")
-    s = _smallest(g, token, _greedy_dominating(g).bit_count(), lambda covered, maximal: maximal)
+    s = min(maximal_irredundant_sets(g, token, _greedy_dominating(g).bit_count()), key=_combinations_order)
     return s.bit_count(), s
 
 
@@ -133,7 +137,10 @@ def ir_verify(g: Graph, claimed: int, witness: Optional[VertexSet] = None, token
     when the target value is known by construction and full discovery would
     be wasteful.
     """
-    s = _smallest(g, token, claimed, lambda covered, maximal: maximal)
+    # the empty set is maximal irredundant on the null graph, where the
+    # enumerator does not yield it
+    sets = maximal_irredundant_sets(g, token, claimed) if g.n else [0]
+    s = min(sets, key=_combinations_order, default=None)
     if s is not None and s.bit_count() < claimed:
         return False
     if witness is not None:
@@ -146,25 +153,27 @@ def is_dominating(g: Graph, s: VertexSet) -> bool:
     return closed_neighborhood_of_set(g, s) == g.vertices
 
 
-def minimal_dominating_sets(g: Graph, token=None) -> Iterator[VertexSet]:
+def minimal_dominating_sets(g: Graph, token=None, size_cap: Optional[int] = None) -> Iterator[VertexSet]:
     """Yield dominating sets none of whose proper subsets dominate,
-    ascending numeric mask order.
+    ascending numeric mask order; with ``size_cap``, only those of at most
+    that many vertices.
 
     A dominating set is minimal exactly when it is irredundant (Cockayne,
     Hedetniemi and Miller, 1978), so these are the irredundant sets that
     dominate.  On the null graph the empty set is the one such set.
     """
-    yield from budget.shared(token, ("families", g), lambda: _families(g, token))[1]
+    yield from budget.shared(token, ("families", g, size_cap), lambda: _families(g, token, size_cap))[1]
 
 
-def _families(g: Graph, token) -> tuple[list[VertexSet], list[VertexSet]]:
-    """The maximal irredundant sets and the minimal dominating sets, as the
-    two enumerators yield them, from one uncapped walk.  The enumerators
-    make it in full before they yield, so a consumer that stops early
-    leaves no partial family in a scope."""
+def _families(g: Graph, token, size_cap: Optional[int]) -> tuple[list[VertexSet], list[VertexSet]]:
+    """The maximal irredundant sets and the minimal dominating sets of at
+    most ``size_cap`` vertices (None for no cap), as the two enumerators
+    yield them, from one walk capped there.  The enumerators make it in
+    full before they yield, so a consumer that stops early leaves no
+    partial family in a scope."""
     maximal_sets, dominating_sets = [], []
     vertices = g.vertices
-    for s, covered, maximal in _irredundant_sets(g, token):
+    for s, covered, maximal in _irredundant_sets(g, token, size_cap):
         if maximal and s:
             maximal_sets.append(s)
         if covered == vertices:
@@ -194,5 +203,6 @@ def gamma_number(g: Graph, token=None) -> tuple[int, VertexSet]:
         return 0, 0
     greedy = _greedy_dominating(g)
     vertices = g.vertices
-    s = _smallest(g, token, greedy.bit_count() - 1, lambda covered, maximal: covered == vertices)
+    walk = _irredundant_sets(g, token, greedy.bit_count() - 1)
+    s = min((s for s, covered, _ in walk if covered == vertices), key=_combinations_order, default=None)
     return (greedy.bit_count(), greedy) if s is None else (s.bit_count(), s)

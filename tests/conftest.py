@@ -63,6 +63,12 @@ def spy(monkeypatch, module, name, seen):
             monkeypatch.setattr(mod, name, counted)
 
 
+def walk_caps(walks) -> list:
+    """The size cap of each ``_irredundant_sets`` call that ``spy`` saw,
+    None for an uncapped walk."""
+    return [args[2] if len(args) > 2 else None for args in walks]
+
+
 class Polls:
     """A budget token that counts its polls and expires from its
     ``limit``-th poll on; with no limit it never expires."""

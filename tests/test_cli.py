@@ -15,7 +15,7 @@ from irrcolor.coloring import Coloring
 from irrcolor.errors import SearchCancelled
 from irrcolor.graphs import parse_graph6, to_graph6
 
-from conftest import Polls, complete, cycle, random_bipartite, spy
+from conftest import Polls, complete, cycle, random_bipartite, spy, walk_caps
 
 
 C4_EDGELIST = "4 4\n0 1\n1 2\n2 3\n3 0\n"
@@ -423,7 +423,7 @@ def test_budget_marks_skipped():
     assert rec["invariants"]["chi_i"]["status"] == "skipped(budget)"
 
 
-def test_scan_chain_shares_the_cells_walk_and_polls_the_budget(monkeypatch):
+def test_scan_chain_check_makes_the_one_uncapped_walk_and_polls_the_budget(monkeypatch):
     from irrcolor import irredundance
     from irrcolor.cli import _graph_record, _scan_graph
 
@@ -431,29 +431,51 @@ def test_scan_chain_shares_the_cells_walk_and_polls_the_budget(monkeypatch):
     cells = Polls()
     rec = _graph_record(0, g, ("chi", "ir", "gamma", "chi_i", "chi_gamma", "chi_d", "chi_gd"), cells)
     assert all(cell["status"] == "ok" for cell in rec["invariants"].values())
-    # the minimal dominating set check after the cells reads the walk the
-    # chi_i and chi_gamma cells made, so it polls nothing of its own
-    chain = Polls()
-    rec, violations = _scan_graph(0, g, "chain", chain, oracle_cap=8)
-    assert violations == [] and rec["invariants"]["chi_gd"]["status"] == "ok"
-    assert chain.polls <= cells.polls
-
-    # a budget that runs out inside the shared walk still skips the mode
+    uncapped = Polls()
+    list(irredundance.minimal_dominating_sets(g, uncapped))
+    # the cells walk up to the size of a greedy dominating set; the minimal
+    # dominating set check after them makes the one uncapped walk, and
+    # polls nothing else
     token = Polls()
     starts = []
     walk = irredundance._irredundant_sets
 
     def spied(g, tok=None, size_cap=None):
-        if size_cap is None:
-            starts.append(token.polls)
+        starts.append((size_cap, token.polls))
         return walk(g, tok, size_cap)
 
     monkeypatch.setattr(irredundance, "_irredundant_sets", spied)
-    _scan_graph(0, g, "chain", token, oracle_cap=8)
-    assert len(starts) == 1
-    token = Polls(starts[0] + 1)  # expires on the walk's first poll
+    rec, violations = _scan_graph(0, g, "chain", token, oracle_cap=8)
+    assert violations == [] and rec["invariants"]["chi_gd"]["status"] == "ok"
+    greedy = irredundance._greedy_dominating(g).bit_count()
+    *capped, (last, start) = starts
+    assert sorted(cap for cap, _ in capped) == [greedy - 1, greedy] and last is None
+    assert start == cells.polls and token.polls == cells.polls + uncapped.polls
+
+    # a budget that runs out inside the check's walk still skips the mode
+    token = Polls(start + 1)  # expires on the walk's first poll
     rec, _ = _scan_graph(0, g, "chain", token, oracle_cap=8)
     assert rec["invariants"] == {"chain": {"status": "skipped(budget)", "value": None}}
+
+
+def test_scans_walk_once_per_size_cap(monkeypatch, connected_le6):
+    from irrcolor import budget, irredundance
+    from irrcolor.cli import _SCAN_MODES, CHAIN, _graph_record
+
+    walks = []
+    spy(monkeypatch, irredundance, "_irredundant_sets", walks)
+    for g in connected_le6:
+        greedy = irredundance._greedy_dominating(g).bit_count()
+        del walks[:]
+        _SCAN_MODES["bounds"](0, g, budget.scope(None), 8)
+        assert walk_caps(walks) == [greedy]  # ir and chi_i share it
+        del walks[:]
+        _graph_record(0, g, ("chi", "ir", "gamma", *CHAIN[1:]), budget.scope(None))
+        assert sorted(walk_caps(walks)) == [greedy - 1, greedy]  # the cells of scan chain
+        del walks[:]
+        _SCAN_MODES["chain"](0, g, budget.scope(None), 8)
+        *caps, last = walk_caps(walks)
+        assert sorted(caps) == [greedy - 1, greedy] and last is None  # the domination check's
 
 
 def _module_env() -> dict:
@@ -618,14 +640,14 @@ def test_an_asset_row_stops_after_the_graph_the_budget_ran_out_under():
 # passes.  A change here is a change in the work the CLI asks for.
 ENGINE_CALLS = {
     ("scan", "chain", "connected_le6.g6"): (193, 429, 0, 233, 0),
-    ("scan", "bounds", "connected_le6.g6"): (187, 233, 0, 0, 0),
+    ("scan", "bounds", "connected_le6.g6"): (187, 143, 0, 0, 0),
     ("scan", "conjecture", "connected_le6.g6"): (143, 0, 143, 11, 0),
     ("scan", "characterization", "bipartite_connected_le7.g6"): (117, 65, 0, 0, 0),
     ("verify", "full-degree"): (13, 0, 0, 0, 0),
-    ("verify", "bounds"): (187, 233, 0, 0, 0),
+    ("verify", "bounds"): (187, 143, 0, 0, 0),
     ("verify", "chain"): (193, 143, 0, 233, 0),
     ("verify", "dominating-irredundant"): (0, 429, 0, 0, 0),
-    ("verify", "family-a"): (3, 6, 0, 0, 3),
+    ("verify", "family-a"): (3, 3, 0, 0, 3),
     ("verify", "family-z"): (7, 3, 0, 0, 1),
     ("verify", "realizable"): (4, 0, 0, 0, 4),
     ("verify", "two-color"): (117, 65, 0, 0, 0),  # the scan characterization counts

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from irrcolor import coloring
+from irrcolor import budget, coloring, irredundance
 from irrcolor.coloring import (
     Coloring,
+    RainbowCert,
     add_clique,
     chromatic_number,
     dominator_chromatic_number,
@@ -16,11 +17,20 @@ from irrcolor.coloring import (
     max_clique,
 )
 from irrcolor.errors import ParameterError, SearchCancelled
-from irrcolor.graphs import from_edge_list, mask_from
-from irrcolor.irredundance import is_dominating, is_maximal_irredundant
+from irrcolor.families import gen_family_z
+from irrcolor.graphs import bits, from_edge_list, mask_from, parse_graph6
+from irrcolor.irredundance import (
+    gamma_number,
+    ir_number,
+    ir_verify,
+    is_dominating,
+    is_maximal_irredundant,
+    maximal_irredundant_sets,
+    minimal_dominating_sets,
+)
 from irrcolor.oracle import oracle_invariant
 
-from conftest import Polls, complete, complete_bipartite, cycle, path, random_connected, tree7
+from conftest import Polls, complete, complete_bipartite, cycle, path, random_connected, random_graph, spy, tree7, walk_caps
 
 
 def test_coloring_type():
@@ -291,3 +301,100 @@ def test_chi_i_equals_order_only_for_complete_graphs(connected_le6):
         g = random_connected(rng, 7)
         is_complete = g.m == 21
         assert (irredundance_chromatic_number(g)[0] == 7) == is_complete
+
+
+# --- the full-family references ---------------------------------------------
+#
+# Copies of the rainbow solvers as they were when they read every candidate
+# from the uncapped families, and of ir, gamma and ir_verify as they were
+# when each kept the smallest accepted set of its own capped walk.  The
+# solvers must give the same values and witnesses with and without a scope.
+
+
+def _reference_min_rainbow(g, chi, candidates):
+    ordered = sorted(candidates, key=lambda s: (s.bit_count(), s))
+    lower = max(chi, ordered[0].bit_count())
+    best = None
+    for s in ordered:
+        if best is not None and s.bit_count() >= best[0]:
+            continue
+        k, col = chromatic_number(add_clique(g, s))
+        if best is None or k < best[0]:
+            best = (k, RainbowCert(col, s))
+            if k == lower:
+                break
+    return best
+
+
+def _reference_chi_i(g):
+    chi, chi_col = chromatic_number(g)
+    full = [v for v in range(g.n) if g.degree(v) == g.n - 1]
+    if full:
+        return chi, RainbowCert(chi_col, 1 << full[0])
+    return _reference_min_rainbow(g, chi, maximal_irredundant_sets(g))
+
+
+def _reference_chi_gamma(g):
+    return _reference_min_rainbow(g, chromatic_number(g)[0], minimal_dominating_sets(g))
+
+
+def _reference_smallest(g, size_cap, accept):
+    hits = (s for s, covered, maximal in irredundance._irredundant_sets(g, None, size_cap) if accept(covered, maximal))
+    return min(hits, key=lambda s: (s.bit_count(), tuple(bits(s))), default=None)
+
+
+def _reference_ir_verify(g, claimed, witness=None):
+    s = _reference_smallest(g, claimed, lambda covered, maximal: maximal)
+    if s is not None and s.bit_count() < claimed:
+        return False
+    if witness is not None:
+        return witness.bit_count() == claimed and is_maximal_irredundant(g, witness)
+    return s is not None
+
+
+def _differential_graphs(connected_le6, bipartite_le7):
+    rng = random.Random(17)
+    yield from connected_le6
+    yield from bipartite_le7
+    for n in range(1, 13):
+        for tenths in range(2, 10):
+            yield random_graph(rng, n, tenths / 10)
+    for n in range(1, 15):
+        yield path(n)
+        if n >= 3:
+            yield cycle(n)
+    yield from _FALLBACKS
+
+
+# The graphs of the set whose rainbow solvers read candidates larger than a
+# greedy dominating set.  Z(3,2): n = 14, greedy size 2, chi = 3, chi_i =
+# chi_gamma = 4.  The G(10, 0.4) graph: greedy size 2, chi = 3, and every
+# candidate of at most two vertices needs 4 colors while one of three
+# needs 3, so chi_i = chi_gamma = 3 only with the larger candidates.
+_FALLBACKS = [gen_family_z(3, 2).graph, parse_graph6("IFBRvMAJ?")]
+
+
+def test_set_invariants_match_the_full_family_references(monkeypatch, connected_le6, bipartite_le7):
+    walks = []
+    spy(monkeypatch, irredundance, "_irredundant_sets", walks)
+    fallbacks = []
+    for g in _differential_graphs(connected_le6, bipartite_le7):
+        chi_i, chi_gamma = _reference_chi_i(g), _reference_chi_gamma(g)
+        del walks[:]
+        assert irredundance_chromatic_number(g) == chi_i
+        assert gamma_chromatic_number(g) == chi_gamma
+        scope = budget.scope(None)
+        assert (irredundance_chromatic_number(g, scope), gamma_chromatic_number(g, scope)) == (chi_i, chi_gamma)
+        if None in walk_caps(walks):
+            fallbacks.append(g)
+        greedy = irredundance._greedy_dominating(g)
+        ir_set = _reference_smallest(g, greedy.bit_count(), lambda covered, maximal: maximal)
+        assert ir_number(g) == ir_number(g, scope) == (ir_set.bit_count(), ir_set)
+        gamma_set = _reference_smallest(g, greedy.bit_count() - 1, lambda covered, maximal: covered == g.vertices)
+        gamma_set = greedy if gamma_set is None else gamma_set
+        assert gamma_number(g) == gamma_number(g, scope) == (gamma_set.bit_count(), gamma_set)
+        for claimed in range(ir_set.bit_count() - 1, ir_set.bit_count() + 2):
+            for witness in (None, ir_set):
+                expected = _reference_ir_verify(g, claimed, witness)
+                assert ir_verify(g, claimed, witness) == ir_verify(g, claimed, witness, scope) == expected
+    assert fallbacks == _FALLBACKS

@@ -8,6 +8,7 @@ from irrcolor import irredundance
 from irrcolor.budget import Deadline
 from irrcolor.coloring import gamma_chromatic_number, irredundance_chromatic_number
 from irrcolor.errors import ParameterError, PreconditionError, SearchCancelled
+from irrcolor.families import gen_family_z
 from irrcolor.graphs import bits, from_edge_list, mask_from
 from irrcolor.irredundance import (
     gamma_number,
@@ -81,6 +82,17 @@ def test_maximal_irredundant_sets_cap_and_order():
     full = list(maximal_irredundant_sets(g))
     assert full == sorted(full)
     assert _capped_maximal(g, 2) == [s for s in full if s.bit_count() <= 2]
+
+
+def test_capped_enumerators_keep_the_sets_up_to_the_cap(connected_le6):
+    rng = random.Random(12)
+    graphs = [complete(0), tree7(), *connected_le6, *(random_graph(rng, n, 0.3) for n in range(8, 13))]
+    for g in graphs:
+        for enumerate_sets in (maximal_irredundant_sets, minimal_dominating_sets):
+            full = list(enumerate_sets(g))
+            for cap in range(g.n + 1):
+                assert list(enumerate_sets(g, None, cap)) == [s for s in full if s.bit_count() <= cap]
+    assert list(minimal_dominating_sets(complete(0), None, 0)) == [0]
 
 
 def test_fig_tree_contains_named_maximal_set():
@@ -269,14 +281,31 @@ def test_enumerators_poll_the_budget():
             next(sets)
 
 
-def test_rainbow_invariants_pass_their_budget_to_the_enumerators():
-    # chi, ir and gamma are quick on C24 with hubs joined to every cycle
-    # vertex; the candidate sets are not
-    cycle_edges = [(i, (i + 1) % 24) for i in range(24)]
-    one_hub = from_edge_list(25, cycle_edges + [(i, 24) for i in range(24)])
-    two_hubs = from_edge_list(26, cycle_edges + [(i, h) for i in range(24) for h in (24, 25)])
-    _assert_cancelled_quickly(lambda token: gamma_chromatic_number(one_hub, token))
-    _assert_cancelled_quickly(lambda token: irredundance_chromatic_number(two_hubs, token))
+def test_rainbow_invariants_pass_their_budget_to_the_enumerators(monkeypatch):
+    # chi(C24) is quick; the candidates up to the greedy size 8 take seconds
+    c24 = cycle(24)
+    for solve in (gamma_chromatic_number, irredundance_chromatic_number):
+        _assert_cancelled_quickly(lambda token: solve(c24, token))
+    # Z(3,2) reads its larger candidates from the uncapped walk, and a
+    # budget that runs out there cancels the solve
+    z = gen_family_z(3, 2).graph
+    walk = irredundance._irredundant_sets
+    for solve in (gamma_chromatic_number, irredundance_chromatic_number):
+        token = Polls()
+        starts = []
+
+        def spied(g, tok=None, size_cap=None):
+            starts.append((size_cap, token.polls))
+            return walk(g, tok, size_cap)
+
+        monkeypatch.setattr(irredundance, "_irredundant_sets", spied)
+        solve(z, token)
+        [(cap, _), (uncapped, start)] = starts
+        assert cap == 2 and uncapped is None
+        token = Polls(start + 2)  # expires on the walk's second poll
+        with pytest.raises(SearchCancelled):
+            solve(z, token)
+        assert token.polls == start + 2
 
 
 def test_ir_gamma_and_ir_verify_poll_the_budget_inside_a_size():

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from irrcolor import budget, coloring, irc, irredundance
-from irrcolor.cli import _compute_invariant, _graph_record, _scan_graph
+from irrcolor.cli import DEFAULT_INVARIANTS, _compute_invariant, _graph_record, _scan_graph
 from irrcolor.coloring import chromatic_number, gamma_chromatic_number, irredundance_chromatic_number
 from irrcolor.errors import SearchCancelled
 from irrcolor.graphs import from_edge_list
@@ -14,7 +14,7 @@ from irrcolor.invariants import REGISTRY
 from irrcolor.irredundance import maximal_irredundant_sets, minimal_dominating_sets
 from irrcolor.oracle import cross_check
 
-from conftest import Polls, cycle, random_connected, spy
+from conftest import Polls, cycle, random_connected, spy, walk_caps
 
 
 def petersen():
@@ -29,11 +29,11 @@ PINNED = [cycle(7), petersen(), random_connected(random.Random("n12"), 12, 0.4)]
 
 def _fresh(key):
     """What the memo entry ``key`` holds, computed without a scope."""
-    kind, g = key
+    kind, g, *cap = key
     if kind == "chi":
         return chromatic_number(g)
     if kind == "families":
-        return list(maximal_irredundant_sets(g)), list(minimal_dominating_sets(g))
+        return list(maximal_irredundant_sets(g, None, *cap)), list(minimal_dominating_sets(g, None, *cap))
     if kind == "obstructed":
         return irc._obstructed(g)
     raise AssertionError(f"unexpected memo key {kind!r}")
@@ -65,24 +65,28 @@ def test_cancelled_computations_leave_no_memo_entry():
 
 def test_cancelled_walk_is_recomputed_on_the_next_request():
     g = PINNED[2]
-    token = Polls(3)  # inside the walk
-    scope = budget.scope(token)
-    with pytest.raises(SearchCancelled):
-        list(minimal_dominating_sets(g, scope))
-    assert scope.memo == {}
-    token.limit = None
-    assert list(minimal_dominating_sets(g, scope)) == list(minimal_dominating_sets(g))
-    assert list(scope.memo) == [("families", g)]
+    for cap in (None, 3):
+        token = Polls(3)  # inside the walk
+        scope = budget.scope(token)
+        with pytest.raises(SearchCancelled):
+            list(minimal_dominating_sets(g, scope, cap))
+        assert scope.memo == {}
+        token.limit = None
+        assert list(minimal_dominating_sets(g, scope, cap)) == list(minimal_dominating_sets(g, None, cap))
+        assert list(scope.memo) == [("families", g, cap)]
 
 
 def test_a_consumer_that_stops_early_leaves_the_whole_family():
     for g in PINNED:
-        scope = budget.scope(None)
-        first = next(maximal_irredundant_sets(g, token=scope))
-        everything = list(maximal_irredundant_sets(g))
-        assert first == everything[0]
-        assert scope.memo[("families", g)] == (everything, list(minimal_dominating_sets(g)))
-        assert list(maximal_irredundant_sets(g, token=scope)) == everything
+        for cap in (None, irredundance._greedy_dominating(g).bit_count()):
+            scope = budget.scope(None)
+            first = next(maximal_irredundant_sets(g, scope, cap))
+            everything = list(maximal_irredundant_sets(g, None, cap))
+            assert first == everything[0]
+            assert scope.memo[("families", g, cap)] == (everything, list(minimal_dominating_sets(g, None, cap)))
+            assert list(maximal_irredundant_sets(g, scope, cap)) == everything
+            # and no entry under another cap
+            assert list(scope.memo) == [("families", g, cap)]
 
 
 def test_one_record_computes_chi_once_and_walks_once(monkeypatch):
@@ -90,12 +94,15 @@ def test_one_record_computes_chi_once_and_walks_once(monkeypatch):
     spy(monkeypatch, coloring, "chromatic_number", chi_of)
     spy(monkeypatch, irredundance, "_irredundant_sets", walks)
     for g in PINNED:
-        del chi_of[:], walks[:]
-        rec = _graph_record(0, g, tuple(REGISTRY), witnesses=True)
-        assert all(cell["status"] in ("ok", "absent") for cell in rec["invariants"].values())
-        assert [args[0] for args in chi_of].count(g) == 1
-        # ir, gamma keep their own walks up to a size cap
-        assert sum(1 for args in walks if len(args) < 3 or args[2] is None) == 1
+        greedy = irredundance._greedy_dominating(g).bit_count()
+        for ids in (DEFAULT_INVARIANTS, tuple(REGISTRY)):
+            del chi_of[:], walks[:]
+            rec = _graph_record(0, g, ids, witnesses=True)
+            assert all(cell["status"] in ("ok", "absent") for cell in rec["invariants"].values())
+            assert [args[0] for args in chi_of].count(g) == 1
+            # ir, chi_i and chi_gamma read one walk up to the size of a
+            # greedy dominating set, gamma its own below it; none is uncapped
+            assert sorted(walk_caps(walks)) == [greedy - 1, greedy]
 
 
 def test_scan_conjecture_scans_for_obstructions_once(monkeypatch):
