@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import budget
 from .errors import ParameterError
-from .graphs import Graph, VertexSet, bits
+from .graphs import Graph, VertexSet, _unchecked, bits
 from .irredundance import (
     _greedy_dominating,
     is_maximal_irredundant,
@@ -79,10 +79,12 @@ def is_rainbow(coloring: Coloring, s: VertexSet) -> bool:
 
 def add_clique(g: Graph, s: VertexSet) -> Graph:
     """Graph with all missing edges inside ``s`` added."""
+    if s & ~g.vertices:
+        raise ParameterError("clique set has bits outside the graph")
     adj = list(g.adj)
     for v in bits(s):
         adj[v] |= s & ~(1 << v)
-    return Graph(g.n, tuple(adj))
+    return _unchecked(g.n, tuple(adj))
 
 
 def _dsatur_greedy(g: Graph) -> list[int]:

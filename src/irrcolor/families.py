@@ -21,6 +21,7 @@ from .coloring import Coloring, is_proper
 from .errors import ParameterError, PreconditionError
 from .graphs import (
     Graph,
+    _unchecked,
     bipartition,
     bits,
     component_count,
@@ -401,19 +402,20 @@ def _prufer_tree(seq: tuple[int, ...], n: int) -> Graph:
     degree = [1] * n
     for s in seq:
         degree[s] += 1
-    edges = []
+    adj = [0] * n
     leaves = [v for v in range(n) if degree[v] == 1]
     heapq.heapify(leaves)
     for s in seq:
         leaf = heapq.heappop(leaves)
-        edges.append((leaf, s))
+        adj[leaf] |= 1 << s
+        adj[s] |= 1 << leaf
         degree[s] -= 1
         if degree[s] == 1:
             heapq.heappush(leaves, s)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    edges.append((u, v))
-    return from_edge_list(n, edges)
+    u, v = leaves
+    adj[u] |= 1 << v
+    adj[v] |= 1 << u
+    return _unchecked(n, tuple(adj))
 
 
 # --- fixtures -----------------------------------------------------------------

@@ -2,8 +2,11 @@
 
 Vertices are the integers 0..n-1.  A vertex set is a plain ``int`` used as a
 bitmask (type alias ``VertexSet``); adjacency is one mask per vertex.  Graph
-values are frozen and validated on construction, so they can be shared freely
-across threads and all operations here are pure functions.
+values are frozen, so they can be shared freely across threads and all
+operations here are pure functions.  A direct ``Graph(n, adj)`` checks its
+rows; the package's own constructors (the codecs, ``from_edge_list`` and the
+structural operations) check their own inputs and build rows that are
+correct by construction, so they skip that check through ``_unchecked``.
 """
 
 from __future__ import annotations
@@ -38,8 +41,9 @@ def mask_from(vertices: Iterable[int]) -> VertexSet:
 class Graph:
     """Simple undirected graph: ``adj[v]`` is the open neighborhood of v.
 
-    Invariants (checked on construction): adjacency is symmetric, loop-free,
-    and no mask has bits at or beyond index n.
+    Invariants: adjacency is symmetric, loop-free, and no mask has bits at
+    or beyond index n.  The public constructor ``Graph(n, adj)`` checks them;
+    the package's own constructors build through ``_unchecked`` instead.
     """
 
     n: int
@@ -87,6 +91,15 @@ class Graph:
                 yield (u, v)
 
 
+def _unchecked(n: int, adj: tuple[int, ...]) -> Graph:
+    """A Graph whose rows the caller built symmetric, loop-free and in range,
+    without the public constructor's check."""
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "adj", adj)
+    return g
+
+
 @dataclass(frozen=True)
 class ConnectivityProfile:
     """Connectivity facts at the granularity the solvers need."""
@@ -108,7 +121,7 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise LoopError(f"loop at vertex {u}")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return Graph(n, tuple(adj))
+    return _unchecked(n, tuple(adj))
 
 
 def closed_neighborhood_of_set(g: Graph, s: VertexSet) -> VertexSet:
@@ -140,7 +153,7 @@ def induced_subgraph(g: Graph, s: VertexSet) -> tuple[Graph, tuple[int, ...]]:
     for i, v in enumerate(old):
         for u in bits(g.adj[v] & s):
             adj[i] |= 1 << pos[u]
-    return Graph(len(old), tuple(adj)), tuple(old)
+    return _unchecked(len(old), tuple(adj)), tuple(old)
 
 
 def _two_coloring(g: Graph) -> tuple[list[int], list[int], Optional[tuple[int, int]]]:
@@ -272,7 +285,7 @@ def corona_k1(g: Graph) -> Graph:
     for v in range(n):
         adj[v] |= 1 << (n + v)
         adj[n + v] = 1 << v
-    return Graph(2 * n, tuple(adj))
+    return _unchecked(2 * n, tuple(adj))
 
 
 def merge_copies(g: Graph, shared: VertexSet, copies: int) -> Graph:
@@ -365,7 +378,7 @@ def parse_graph6(data) -> Graph:
             idx += 1
     if any(bitstream[idx:]):
         raise FormatError("nonzero padding bits")
-    return Graph(n, tuple(adj))
+    return _unchecked(n, tuple(adj))
 
 
 # --- edge-list text format ---------------------------------------------------

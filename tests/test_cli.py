@@ -661,6 +661,27 @@ ENGINE_CALLS = {
 }
 
 
+def test_scan_and_verify_build_no_graph_through_the_public_check(monkeypatch, capsys):
+    from irrcolor.graphs import Graph
+
+    checks = []
+    real = Graph.__post_init__
+
+    def counted(self):
+        checks.append(self.n)
+        real(self)
+
+    monkeypatch.setattr(Graph, "__post_init__", counted)
+    Graph(2, (2, 1))
+    assert checks == [2]  # the counter sees a direct construction
+    data = Path(irrcolor.__file__).parent / "data"
+    for argv in (["scan", "chain", str(data / "connected_le6.g6")], ["verify", "min-degree"]):
+        del checks[:]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert checks == [], argv
+
+
 def test_engine_calls_are_pinned(monkeypatch, capsys):
     from irrcolor import coloring, irc, irredundance, oracle
 

@@ -81,6 +81,13 @@ def test_add_clique():
     assert g.m == c4.m + 1
 
 
+def test_add_clique_rejects_a_set_outside_the_graph():
+    c4 = cycle(4)
+    for s in (1 << 4, mask_from([0, 5]), -1):
+        with pytest.raises(ParameterError):
+            add_clique(c4, s)
+
+
 def test_chi_i_full_degree_equals_chi():
     for n in range(2, 7):
         k, cert = irredundance_chromatic_number(complete(n))

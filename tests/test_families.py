@@ -1,14 +1,28 @@
+import heapq
+import random
+from itertools import product
+
 import pytest
 
 from irrcolor import families as F
 from irrcolor.coloring import (
+    add_clique,
     chromatic_number,
     irredundance_chromatic_number,
     is_proper,
     is_rainbow,
 )
 from irrcolor.errors import ParameterError, PreconditionError
-from irrcolor.graphs import bipartition, component_count, mask_from
+from irrcolor.graphs import (
+    Graph,
+    bipartition,
+    component_count,
+    corona_k1,
+    from_edge_list,
+    induced_subgraph,
+    mask_from,
+    merge_copies,
+)
 from irrcolor.irc import irc_colorability, is_irc_coloring
 from irrcolor.irredundance import ir_number, is_maximal_irredundant
 from irrcolor.oracle import oracle_invariant
@@ -48,6 +62,48 @@ def test_instances_are_connected_with_proper_colorings(inst):
         assert inst.coloring.canonical() == inst.coloring
     if inst.labels is not None:
         assert len(inst.labels) == inst.graph.n
+
+
+def test_package_built_graphs_pass_the_public_check(connected_le6, bipartite_le7):
+    # the package's constructors skip Graph's check; each graph they build
+    # must still be one the check accepts
+    rng = random.Random(18)
+    for g in connected_le6 + bipartite_le7 + [inst.graph for inst in ALL_SMALL_INSTANCES]:
+        s = rng.randrange(1 << g.n)
+        for h in (g, add_clique(g, s), induced_subgraph(g, s)[0], corona_k1(g), merge_copies(g, s, 2)):
+            assert Graph(h.n, h.adj) == h
+
+
+def _edge_list_prufer_tree(seq, n):
+    """Reference decoder: the heap decode into an edge list, built by
+    from_edge_list."""
+    degree = [1] * n
+    for s in seq:
+        degree[s] += 1
+    edges = []
+    leaves = [v for v in range(n) if degree[v] == 1]
+    heapq.heapify(leaves)
+    for s in seq:
+        leaf = heapq.heappop(leaves)
+        edges.append((leaf, s))
+        degree[s] -= 1
+        if degree[s] == 1:
+            heapq.heappush(leaves, s)
+    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
+    return from_edge_list(n, edges)
+
+
+def test_prufer_tree_matches_the_edge_list_decoder():
+    # every sequence with n <= 7, then the seeded n = 8 sequences of the
+    # verify min-degree trees row
+    rng = random.Random(88)
+    seqs = [(seq, n) for n in range(2, 8) for seq in product(range(n), repeat=n - 2)]
+    seqs += [(tuple(rng.randrange(8) for _ in range(6)), 8) for _ in range(4096)]
+    assert len(seqs) == 22344
+    for seq, n in seqs:
+        g = F._prufer_tree(seq, n)
+        assert g.adj == _edge_list_prufer_tree(seq, n).adj, seq
+        assert g.m == n - 1 and component_count(g) == 1, seq
 
 
 def test_basic_dispatch_and_errors():

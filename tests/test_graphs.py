@@ -5,6 +5,7 @@ import pytest
 
 from irrcolor.errors import FormatError, LoopError, ParameterError, UnsupportedSizeError
 from irrcolor.graphs import (
+    Graph,
     bipartition,
     bits,
     component_count,
@@ -40,6 +41,21 @@ def test_from_edge_list_errors():
         from_edge_list(3, [(0, 3)])
     with pytest.raises(LoopError):
         from_edge_list(3, [(1, 1)])
+
+
+def test_graph_constructor_rejects_each_outside_fault():
+    assert Graph(2, (2, 1)) == from_edge_list(2, [(0, 1)])
+    with pytest.raises(ValueError, match="length"):
+        Graph(3, (2, 1))
+    with pytest.raises(ValueError, match="length"):
+        Graph(-1, ())
+    for adj in ((4, 0), (2, 1 | 1 << 9), (-2, 1)):  # a bit at n, far beyond it, and a negative row
+        with pytest.raises(ValueError, match="beyond"):
+            Graph(2, adj)
+    with pytest.raises(LoopError):
+        Graph(3, (1, 0, 0))
+    with pytest.raises(ValueError, match="asymmetric"):
+        Graph(3, (2, 0, 0))
 
 
 def test_fig_tree_degrees():
