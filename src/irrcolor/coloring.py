@@ -189,26 +189,12 @@ class RainbowCert:
     rainbow_set: VertexSet
 
 
-def _full_degree_vertex(g: Graph) -> Optional[int]:
-    for v in range(g.n):
-        if g.degree(v) == g.n - 1:
-            return v
-    return None
-
-
 def irredundance_chromatic_number(g: Graph, token=None) -> tuple[int, RainbowCert]:
     """Minimum colors of a proper coloring with some maximal irredundant set
     rainbow.  Minimizes chi over the clique reductions of the candidates."""
     if g.n < 1:
         raise ParameterError("needs at least one vertex")
-    chi, chi_col = _chi(g, token)
-    full = _full_degree_vertex(g)
-    if full is not None:
-        # a full-degree vertex is itself a maximal irredundant singleton
-        cert = RainbowCert(chi_col, 1 << full)
-        _validate_cert(g, cert, is_maximal_irredundant)
-        return chi, cert
-    return _min_rainbow(g, chi, maximal_irredundant_sets, is_maximal_irredundant, token)
+    return _min_rainbow(g, maximal_irredundant_sets, is_maximal_irredundant, token)
 
 
 def gamma_chromatic_number(g: Graph, token=None) -> tuple[int, RainbowCert]:
@@ -219,23 +205,26 @@ def gamma_chromatic_number(g: Graph, token=None) -> tuple[int, RainbowCert]:
     """
     if g.n < 1:
         raise ParameterError("needs at least one vertex")
-    chi, _ = _chi(g, token)
-    return _min_rainbow(g, chi, minimal_dominating_sets, is_dominating, token)
+    return _min_rainbow(g, minimal_dominating_sets, is_dominating, token)
 
 
-def _min_rainbow(g: Graph, chi: int, family, member, token) -> tuple[int, RainbowCert]:
+def _min_rainbow(g: Graph, family, member, token) -> tuple[int, RainbowCert]:
     """The fewest colors over the clique reductions of the sets that
     ``family(g, token, size_cap)`` yields, tried in (size, mask) order.
 
-    A rainbow candidate needs as many colors as it has members, so the
-    search stops early at max(chi, smallest candidate size), which is
-    max(chi, ir) or max(chi, gamma), and skips every candidate with as many
-    members as the best count.  The candidates are first read up to g0, the
-    size of a greedy dominating set, which holds the smallest one since
-    ir <= gamma <= g0; the larger ones are read from the uncapped family
-    only when the best count is still above both that bound and g0 + 1.
-    ``member`` is the predicate every candidate satisfies, checked on the
-    result."""
+    chi is read first, then the family.  A rainbow candidate needs as many
+    colors as it has members, so the search stops early at max(chi,
+    smallest candidate size), which is max(chi, ir) or max(chi, gamma), and
+    skips every candidate with as many members as the best count.  The
+    candidates are first read up to g0, the size of a greedy dominating
+    set, which holds the smallest one since ir <= gamma <= g0; the larger
+    ones are read from the uncapped family only when the best count is
+    still above both that bound and g0 + 1.  On a graph with a full-degree
+    vertex, greedy takes it first, so g0 = 1; the maximal irredundant
+    singletons are the full-degree vertices, and the lowest one's reduction
+    is g itself, which stops the pass at chi.  ``member`` is the predicate
+    every candidate satisfies, checked on the result."""
+    chi, _ = _chi(g, token)
     cap = _greedy_dominating(g).bit_count()
     ordered = sorted(family(g, token, cap), key=_size_then_mask)
     lower = max(chi, ordered[0].bit_count())
@@ -385,7 +374,7 @@ def global_dominator_chromatic_number(g: Graph, token=None) -> Optional[tuple[in
     """
     if g.n < 2:
         raise ParameterError("anti-domination needs a class to avoid")
-    if _full_degree_vertex(g) is not None:
+    if any(g.degree(v) == g.n - 1 for v in range(g.n)):
         return None
     # otherwise singleton classes both dominate and avoid, so there is one
     col = _dominator_search(g, anti=True, token=token)

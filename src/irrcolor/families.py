@@ -17,7 +17,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .coloring import Coloring, is_proper
+from .coloring import Coloring, chromatic_number, is_proper
 from .errors import ParameterError, PreconditionError
 from .graphs import (
     Graph,
@@ -202,8 +202,6 @@ def gen_block_h(k: int, l: int) -> FamilyInstance:
         + ("u", "a", "b", "v")
         + tuple(f"p{j+1}" for j in range(k + l - 2))
     )
-    from .coloring import chromatic_number
-
     _, col = chromatic_number(g)
     claims = {"chi": Claim(k), "ir": Claim(1), "chi_i": Claim(k)}
     return _instance(g, labels, claims, col, f"H({k},{l})")
@@ -221,8 +219,6 @@ def gen_family_z(k: int, l: int) -> FamilyInstance:
     for i in range(1, l + 1):
         labels += [f"a{i}", f"b{i}", f"v{i}"]
         labels += [f"p{i}.{j+1}" for j in range(k + l - 2)]
-    from .coloring import chromatic_number
-
     _, col = chromatic_number(g)
     claims = {"chi": Claim(k), "ir": Claim(l), "chi_i": Claim(k + l - 1)}
     return _instance(g, tuple(labels), claims, col, f"Z({k},{l})")

@@ -12,7 +12,8 @@ graph at that cap.  ir reads the maximal irredundant sets up to the size
 of a greedy dominating set, the cap at which the rainbow solvers of
 ``coloring`` read both families first, so under one Scope one walk serves
 ir, chi_i and chi_gamma.  ``ir_verify`` reads the family up to the claimed
-value; γ makes its own walk below the greedy size.
+value, and γ the minimal dominating sets below the greedy size; only the
+enumerators read the walk.
 """
 
 from __future__ import annotations
@@ -199,10 +200,6 @@ def _greedy_dominating(g: Graph) -> VertexSet:
 def gamma_number(g: Graph, token=None) -> tuple[int, VertexSet]:
     """Minimum cardinality of a dominating set, with a witness.  A smallest
     one is minimal, so irredundant: sought below the size of a greedy cover."""
-    if g.n == 0:
-        return 0, 0
     greedy = _greedy_dominating(g)
-    vertices = g.vertices
-    walk = _irredundant_sets(g, token, greedy.bit_count() - 1)
-    s = min((s for s, covered, _ in walk if covered == vertices), key=_combinations_order, default=None)
+    s = min(minimal_dominating_sets(g, token, greedy.bit_count() - 1), key=_combinations_order, default=None)
     return (greedy.bit_count(), greedy) if s is None else (s.bit_count(), s)

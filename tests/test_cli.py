@@ -643,13 +643,13 @@ ENGINE_CALLS = {
     ("scan", "bounds", "connected_le6.g6"): (187, 143, 0, 0, 0),
     ("scan", "conjecture", "connected_le6.g6"): (143, 0, 143, 11, 0),
     ("scan", "characterization", "bipartite_connected_le7.g6"): (117, 65, 0, 0, 0),
-    ("verify", "full-degree"): (13, 0, 0, 0, 0),
+    ("verify", "full-degree"): (13, 13, 0, 0, 0),  # chi_i reads the one-vertex walk
     ("verify", "bounds"): (187, 143, 0, 0, 0),
     ("verify", "chain"): (193, 143, 0, 233, 0),
     ("verify", "dominating-irredundant"): (0, 429, 0, 0, 0),
     ("verify", "family-a"): (3, 3, 0, 0, 3),
     ("verify", "family-z"): (7, 3, 0, 0, 1),
-    ("verify", "realizable"): (4, 0, 0, 0, 4),
+    ("verify", "realizable"): (4, 4, 0, 0, 4),  # so does each B(k, l), a full-degree graph
     ("verify", "two-color"): (117, 65, 0, 0, 0),  # the scan characterization counts
     ("verify", "min-degree"): (0, 0, 22344, 0, 0),
     ("verify", "cut-vertex"): (0, 0, 0, 0, 0),

@@ -17,7 +17,8 @@ from irrcolor.coloring import (
     max_clique,
 )
 from irrcolor.errors import ParameterError, SearchCancelled
-from irrcolor.families import gen_family_z
+from irrcolor.cli import _FULL_DEGREE
+from irrcolor.families import gen_family_z, generate
 from irrcolor.graphs import bits, from_edge_list, mask_from, parse_graph6
 from irrcolor.irredundance import (
     gamma_number,
@@ -88,13 +89,27 @@ def test_add_clique_rejects_a_set_outside_the_graph():
             add_clique(c4, s)
 
 
-def test_chi_i_full_degree_equals_chi():
+def test_chi_i_full_degree_equals_chi(connected_le6, bipartite_le7):
     for n in range(2, 7):
         k, cert = irredundance_chromatic_number(complete(n))
         assert k == n
         assert is_maximal_irredundant(complete(n), cert.rainbow_set)
     star = from_edge_list(5, [(0, i) for i in range(1, 5)])
     assert irredundance_chromatic_number(star)[0] == 2
+    # the general path certifies chi's coloring with the lowest full-degree
+    # vertex: the maximal irredundant singletons are the full-degree vertices
+    specs = (*_FULL_DEGREE, *(("B", params) for params in ((6, 4), (5, 2), (6, 6), (8, 3))))
+    instances = [generate(kind, *params).graph for kind, params in specs]
+    checked = 0
+    for g in (*connected_le6, *bipartite_le7, *instances):
+        full = [v for v in range(g.n) if g.degree(v) == g.n - 1]
+        if not full:
+            continue
+        chi, col = chromatic_number(g)
+        expected = (chi, RainbowCert(col, 1 << full[0]))
+        assert irredundance_chromatic_number(g) == irredundance_chromatic_number(g, budget.scope(None)) == expected
+        checked += 1
+    assert checked == 53 + 7 + len(instances)
 
 
 def test_chi_i_examples():

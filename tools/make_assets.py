@@ -52,36 +52,28 @@ def canonical_key(n: int, edges: frozenset[tuple[int, int]]) -> tuple:
     return (n, best)
 
 
-def connected_graphs(n: int) -> list[Graph]:
-    pairs = list(combinations(range(n), 2))
+def _connected_classes(n: int, pair_lists) -> list[Graph]:
+    """One connected graph per isomorphism class among the edge subsets of
+    each list of vertex pairs, the first found with the lists and subsets
+    taken in order, listed by canonical key."""
     seen = {}
-    for picks in range(1 << len(pairs)):
-        edges = frozenset(pairs[i] for i in range(len(pairs)) if picks >> i & 1)
-        g = from_edge_list(n, edges)
-        if component_count(g) != 1:
-            continue
-        key = canonical_key(n, edges)
-        if key not in seen:
-            seen[key] = g
+    for pairs in pair_lists:
+        for picks in range(1 << len(pairs)):
+            edges = frozenset(pairs[i] for i in range(len(pairs)) if picks >> i & 1)
+            g = from_edge_list(n, edges)
+            if component_count(g) == 1:
+                seen.setdefault(canonical_key(n, edges), g)
     return [seen[k] for k in sorted(seen)]
+
+
+def connected_graphs(n: int) -> list[Graph]:
+    return _connected_classes(n, [list(combinations(range(n), 2))])
 
 
 def connected_bipartite_graphs(n: int) -> list[Graph]:
-    seen = {}
-    for a in range(1, n // 2 + 1):
-        b = n - a
-        cross = [(i, a + j) for i in range(a) for j in range(b)]
-        for picks in range(1 << len(cross)):
-            edges = frozenset(cross[i] for i in range(len(cross)) if picks >> i & 1)
-            g = from_edge_list(n, edges)
-            if component_count(g) != 1:
-                continue
-            key = canonical_key(n, edges)
-            if key not in seen:
-                seen[key] = g
-    if n == 1:
-        seen[(1, ())] = from_edge_list(1, [])
-    return [seen[k] for k in sorted(seen)]
+    # parts of a and n - a vertices; a = 0 gives the one vertex when n = 1,
+    # and an edgeless, so disconnected, graph otherwise
+    return _connected_classes(n, ([(i, a + j) for i in range(a) for j in range(n - a)] for a in range(n // 2 + 1)))
 
 
 def main() -> None:
