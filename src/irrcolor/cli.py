@@ -275,8 +275,8 @@ def _chain_breaks(g: Graph, val: dict, token):
 def _domination_breaks(g: Graph, val: dict, token):
     """(check, detail) for ir > gamma, when ``val`` holds both, and for each
     minimal dominating set that is not maximal irredundant on graphs up to
-    chi_gamma's vertex cap.  The check reads the uncapped walk; the cells
-    read walks capped at the greedy dominating size, gamma's one below."""
+    chi_gamma's vertex cap.  The check reads the whole walk; the cells
+    share the one capped at the greedy dominating size."""
     ir, gamma = val.get("ir"), val.get("gamma")
     if ir is not None and gamma is not None and ir > gamma:
         yield "ir<=gamma", f"ir={ir} > gamma={gamma}"

@@ -18,13 +18,7 @@ from typing import Optional
 from . import budget
 from .errors import ParameterError
 from .graphs import Graph, VertexSet, _unchecked, bits
-from .irredundance import (
-    _greedy_dominating,
-    is_maximal_irredundant,
-    is_dominating,
-    maximal_irredundant_sets,
-    minimal_dominating_sets,
-)
+from .irredundance import _families, is_dominating, is_maximal_irredundant
 
 
 @dataclass(frozen=True)
@@ -194,7 +188,7 @@ def irredundance_chromatic_number(g: Graph, token=None) -> tuple[int, RainbowCer
     rainbow.  Minimizes chi over the clique reductions of the candidates."""
     if g.n < 1:
         raise ParameterError("needs at least one vertex")
-    return _min_rainbow(g, maximal_irredundant_sets, is_maximal_irredundant, token)
+    return _min_rainbow(g, 1, is_maximal_irredundant, token)
 
 
 def gamma_chromatic_number(g: Graph, token=None) -> tuple[int, RainbowCert]:
@@ -205,32 +199,34 @@ def gamma_chromatic_number(g: Graph, token=None) -> tuple[int, RainbowCert]:
     """
     if g.n < 1:
         raise ParameterError("needs at least one vertex")
-    return _min_rainbow(g, minimal_dominating_sets, is_dominating, token)
+    return _min_rainbow(g, 2, is_dominating, token)
 
 
-def _min_rainbow(g: Graph, family, member, token) -> tuple[int, RainbowCert]:
+def _min_rainbow(g: Graph, family: int, member, token) -> tuple[int, RainbowCert]:
     """The fewest colors over the clique reductions of the sets that
-    ``family(g, token, size_cap)`` yields, tried in (size, mask) order.
+    ``irredundance._families`` holds at index ``family`` (1: maximal
+    irredundant, 2: minimal dominating), tried in (size, mask) order.
 
     chi is read first, then the family.  A rainbow candidate needs as many
     colors as it has members, so the search stops early at max(chi,
     smallest candidate size), which is max(chi, ir) or max(chi, gamma), and
     skips every candidate with as many members as the best count.  The
-    candidates are first read up to g0, the size of a greedy dominating
-    set, which holds the smallest one since ir <= gamma <= g0; the larger
-    ones are read from the uncapped family only when the best count is
-    still above both that bound and g0 + 1.  On a graph with a full-degree
-    vertex, greedy takes it first, so g0 = 1; the maximal irredundant
-    singletons are the full-degree vertices, and the lowest one's reduction
-    is g itself, which stops the pass at chi.  ``member`` is the predicate
-    every candidate satisfies, checked on the result."""
+    candidates are first read from the family capped at g0, the size of a
+    greedy dominating set, which holds the smallest one since ir <= gamma
+    <= g0; the larger ones are read from the whole family only when the
+    best count is still above both that bound and g0 + 1.  On a graph with
+    a full-degree vertex, greedy takes it first, so g0 = 1; the maximal
+    irredundant singletons are the full-degree vertices, and the lowest
+    one's reduction is g itself, which stops the pass at chi.  ``member``
+    is the predicate every candidate satisfies, checked on the result."""
     chi, _ = _chi(g, token)
-    cap = _greedy_dominating(g).bit_count()
-    ordered = sorted(family(g, token, cap), key=_size_then_mask)
+    capped = _families(g, token)
+    cap = capped[0].bit_count()
+    ordered = sorted(capped[family], key=_size_then_mask)
     lower = max(chi, ordered[0].bit_count())
     best = _rainbow_pass(g, ordered, lower, None, token)
     if best[0] > max(lower, cap + 1):
-        larger = sorted((s for s in family(g, token) if s.bit_count() > cap), key=_size_then_mask)
+        larger = sorted((s for s in _families(g, token, capped=False)[family] if s.bit_count() > cap), key=_size_then_mask)
         best = _rainbow_pass(g, larger, lower, best, token)
     _validate_cert(g, best[1], member)
     return best

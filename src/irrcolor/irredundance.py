@@ -2,18 +2,15 @@
 solvers for the lower irredundance number ir(G) and domination number γ(G).
 
 Set arguments and results are vertex bitmasks.  Every search here reads one
-walk over the irredundant sets: the enumerators yield its sets in ascending
-numeric mask order (lexicographic over the bit string read from vertex 0
-upward); ir, γ and ``ir_verify`` keep the smallest accepted set up to a size
-cap, ties going to ``itertools.combinations`` order.  At each size cap
-(None for none) the two enumerators read one walk, made in full on first
-use; a ``budget.Scope`` token keeps it for every later enumeration of the
-graph at that cap.  ir reads the maximal irredundant sets up to the size
-of a greedy dominating set, the cap at which the rainbow solvers of
-``coloring`` read both families first, so under one Scope one walk serves
-ir, chi_i and chi_gamma.  ``ir_verify`` reads the family up to the claimed
-value, and γ the minimal dominating sets below the greedy size; only the
-enumerators read the walk.
+walk over the irredundant sets, in ascending numeric mask order
+(lexicographic over the bit string read from vertex 0 upward), made in full
+on first use and kept by a ``budget.Scope`` token for every later read of
+the graph.  The walk capped at g0, the size of a greedy dominating set,
+holds the smallest sets of both kinds, since ir <= γ <= g0: ir, γ and
+``ir_verify`` read it, ties going to ``itertools.combinations`` order, and
+so does the first pass of the rainbow solvers of ``coloring``, so under one
+Scope one walk serves ir, γ, chi_i and chi_gamma.  The whole walk serves
+the two enumerators and the rainbow solvers' rare pass over larger sets.
 """
 
 from __future__ import annotations
@@ -44,11 +41,14 @@ def is_irredundant(g: Graph, s: VertexSet) -> bool:
 
 
 def is_maximal_irredundant(g: Graph, s: VertexSet) -> bool:
-    """Irredundant, and no single-vertex extension stays irredundant."""
+    """Irredundant, and no single-vertex extension stays irredundant.  The
+    joining vertex v is checked first: its private neighbors in S + v are
+    N[v] - N[S]."""
     if not is_irredundant(g, s):
         return False
+    covered = closed_neighborhood_of_set(g, s)
     for v in bits(g.vertices & ~s):
-        if is_irredundant(g, s | (1 << v)):
+        if g.closed(v) & ~covered and is_irredundant(g, s | (1 << v)):
             return False
     return True
 
@@ -105,13 +105,12 @@ def _irredundant_sets(
         yield s, covered, not joiners
 
 
-def maximal_irredundant_sets(g: Graph, token=None, size_cap: Optional[int] = None) -> Iterator[VertexSet]:
-    """Yield every maximal irredundant set, ascending numeric mask order;
-    with ``size_cap``, only those of at most that many vertices.
+def maximal_irredundant_sets(g: Graph, token=None) -> Iterator[VertexSet]:
+    """Yield every maximal irredundant set, ascending numeric mask order.
 
     The empty set is never yielded, not even on the null graph.
     """
-    yield from budget.shared(token, ("families", g, size_cap), lambda: _families(g, token, size_cap))[0]
+    yield from _families(g, token, capped=False)[1]
 
 
 def _combinations_order(s: VertexSet) -> tuple:
@@ -126,27 +125,17 @@ def ir_number(g: Graph, token=None) -> tuple[int, VertexSet]:
     since ir <= gamma."""
     if g.n == 0:
         raise ParameterError("ir is undefined on the empty graph")
-    s = min(maximal_irredundant_sets(g, token, _greedy_dominating(g).bit_count()), key=_combinations_order)
+    s = min(_families(g, token)[1], key=_combinations_order)
     return s.bit_count(), s
 
 
 def ir_verify(g: Graph, claimed: int, witness: Optional[VertexSet] = None, token=None) -> bool:
-    """Size-capped check that ir(G) equals ``claimed``.
-
-    Confirms no maximal irredundant set of size < claimed exists, and that the
-    witness (or some set of the claimed size) is maximal irredundant.  Useful
-    when the target value is known by construction and full discovery would
-    be wasteful.
-    """
-    # the empty set is maximal irredundant on the null graph, where the
-    # enumerator does not yield it
-    sets = maximal_irredundant_sets(g, token, claimed) if g.n else [0]
-    s = min(sets, key=_combinations_order, default=None)
-    if s is not None and s.bit_count() < claimed:
-        return False
-    if witness is not None:
-        return witness.bit_count() == claimed and is_maximal_irredundant(g, witness)
-    return s is not None
+    """True when ir(G) equals ``claimed`` and the witness, if given, is a
+    maximal irredundant set of that size."""
+    # the empty set is maximal irredundant on the null graph, where ir_number
+    # is undefined
+    value = ir_number(g, token)[0] if g.n else 0
+    return value == claimed and (witness is None or witness.bit_count() == claimed and is_maximal_irredundant(g, witness))
 
 
 def is_dominating(g: Graph, s: VertexSet) -> bool:
@@ -154,32 +143,35 @@ def is_dominating(g: Graph, s: VertexSet) -> bool:
     return closed_neighborhood_of_set(g, s) == g.vertices
 
 
-def minimal_dominating_sets(g: Graph, token=None, size_cap: Optional[int] = None) -> Iterator[VertexSet]:
+def minimal_dominating_sets(g: Graph, token=None) -> Iterator[VertexSet]:
     """Yield dominating sets none of whose proper subsets dominate,
-    ascending numeric mask order; with ``size_cap``, only those of at most
-    that many vertices.
+    ascending numeric mask order.
 
     A dominating set is minimal exactly when it is irredundant (Cockayne,
     Hedetniemi and Miller, 1978), so these are the irredundant sets that
     dominate.  On the null graph the empty set is the one such set.
     """
-    yield from budget.shared(token, ("families", g, size_cap), lambda: _families(g, token, size_cap))[1]
+    yield from _families(g, token, capped=False)[2]
 
 
-def _families(g: Graph, token, size_cap: Optional[int]) -> tuple[list[VertexSet], list[VertexSet]]:
-    """The maximal irredundant sets and the minimal dominating sets of at
-    most ``size_cap`` vertices (None for no cap), as the two enumerators
-    yield them, from one walk capped there.  The enumerators make it in
-    full before they yield, so a consumer that stops early leaves no
-    partial family in a scope."""
-    maximal_sets, dominating_sets = [], []
-    vertices = g.vertices
-    for s, covered, maximal in _irredundant_sets(g, token, size_cap):
-        if maximal and s:
-            maximal_sets.append(s)
-        if covered == vertices:
-            dominating_sets.append(s)
-    return maximal_sets, dominating_sets
+def _families(g: Graph, token, capped: bool = True) -> tuple[VertexSet, list[VertexSet], list[VertexSet]]:
+    """``(greedy, maximal, dominating)``, once per scope: with ``capped``, a
+    greedy dominating set and the maximal irredundant and minimal dominating
+    sets of at most as many vertices; else 0 and both whole families.  The
+    families are in the enumerators' order, from one walk made in full, so
+    a consumer that stops early leaves no partial family in a scope."""
+
+    def walk():
+        greedy = _greedy_dominating(g) if capped else 0
+        maximal_sets, dominating_sets = [], []
+        for s, covered, maximal in _irredundant_sets(g, token, greedy.bit_count() if capped else None):
+            if maximal and s:
+                maximal_sets.append(s)
+            if covered == g.vertices:
+                dominating_sets.append(s)
+        return greedy, maximal_sets, dominating_sets
+
+    return budget.shared(token, ("families", g, capped), walk)
 
 
 def _greedy_dominating(g: Graph) -> VertexSet:
@@ -199,7 +191,8 @@ def _greedy_dominating(g: Graph) -> VertexSet:
 
 def gamma_number(g: Graph, token=None) -> tuple[int, VertexSet]:
     """Minimum cardinality of a dominating set, with a witness.  A smallest
-    one is minimal, so irredundant: sought below the size of a greedy cover."""
-    greedy = _greedy_dominating(g)
-    s = min(minimal_dominating_sets(g, token, greedy.bit_count() - 1), key=_combinations_order, default=None)
-    return (greedy.bit_count(), greedy) if s is None else (s.bit_count(), s)
+    one is minimal, so irredundant: sought up to the size of a greedy cover,
+    which is the witness when no smaller set dominates."""
+    greedy, _, dominating = _families(g, token)
+    s = min(dominating, key=_combinations_order)
+    return (s.bit_count(), s) if s.bit_count() < greedy.bit_count() else (greedy.bit_count(), greedy)

@@ -129,8 +129,8 @@ def _tally(g: Graph, ids: tuple[str, ...], token=None) -> tuple[dict[str, Oracle
     the independent partitions in restricted-growth order.  Each definition
     keeps the first passing partition at its fewest classes as the witness;
     the walk's class bound stays below the largest of those counts, or at n
-    with a committee id.  Polls ``token`` at each subset and at each node of
-    the walk."""
+    with a committee id.  Polls ``token`` at each subset the table is built
+    for and at each node of the walk."""
     n = g.n
     for which in ids:
         if n < _DEFINITIONS[which]:
@@ -138,17 +138,22 @@ def _tally(g: Graph, ids: tuple[str, ...], token=None) -> tuple[dict[str, Oracle
     committee = bool(_COMMITTEE.intersection(ids)) and g.min_degree() >= 2
     wants_maximal = not {"ir", "chi_i"}.isdisjoint(ids)
     wants_irr = committee or wants_maximal
+    wants_closed = wants_irr or not {"gamma", "chi_gamma", "chi_gd"}.isdisjoint(ids)
+    wants_common = not {"chi_d", "chi_gd"}.isdisjoint(ids)
     full = (1 << n) - 1
-    # per subset S, each from S minus its lowest member: N[S]; the common
-    # closed neighborhood, which for an independent S is the set of vertices
-    # that dominate S (adjacent to all of it, or all of it); and, only for
-    # the ids that read them, the singletons of S and whether S is irredundant
+    # per subset S, each from S minus its lowest member, and only for the
+    # ids that read them: N[S]; the common closed neighborhood, which for an
+    # independent S is the set of vertices that dominate S (adjacent to all
+    # of it, or all of it); the singletons of S and whether S is irredundant
     closed, common, members, irr = [0] * (1 << n), [full] * (1 << n), [()] * (1 << n), [True] * (1 << n)
-    for s in range(1, 1 << n):
+    for s in range(1, 1 << n if wants_closed or wants_common else 1):
         budget.check(token)
         low = s & -s
-        closed[s] = closed[s ^ low] | g.adj[low.bit_length() - 1] | low
-        common[s] = common[s ^ low] & closed[low]
+        around = g.adj[low.bit_length() - 1] | low
+        if wants_closed:
+            closed[s] = closed[s ^ low] | around
+        if wants_common:
+            common[s] = common[s ^ low] & around
         if wants_irr:
             members[s] = (low, *members[s ^ low])
             irr[s] = _irredundant(closed, members, s)

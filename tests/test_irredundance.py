@@ -52,10 +52,9 @@ def test_is_maximal_irredundant():
         assert is_maximal_irredundant(complete(n), 1)
 
 
-def test_maximal_irredundant_definitional_identity():
+def test_maximal_irredundant_definitional_identity(connected_le6):
     rng = random.Random(23)
-    for _ in range(60):
-        g = random_graph(rng, rng.randint(1, 7))
+    for g in [*(random_graph(rng, rng.randint(1, 7)) for _ in range(60)), *connected_le6]:
         for s in range(1 << g.n):
             expected = is_irredundant(g, s) and all(
                 not is_irredundant(g, s | (1 << v))
@@ -84,15 +83,21 @@ def test_maximal_irredundant_sets_cap_and_order():
     assert _capped_maximal(g, 2) == [s for s in full if s.bit_count() <= 2]
 
 
-def test_capped_enumerators_keep_the_sets_up_to_the_cap(connected_le6):
+def test_capped_walk_keeps_the_sets_up_to_the_cap(connected_le6):
+    # every node keeps its N[S] and its maximal flag under a cap, so both
+    # set kinds, maximal irredundant and minimal dominating, are kept
     rng = random.Random(12)
     graphs = [complete(0), tree7(), *connected_le6, *(random_graph(rng, n, 0.3) for n in range(8, 13))]
     for g in graphs:
-        for enumerate_sets in (maximal_irredundant_sets, minimal_dominating_sets):
-            full = list(enumerate_sets(g))
-            for cap in range(g.n + 1):
-                assert list(enumerate_sets(g, None, cap)) == [s for s in full if s.bit_count() <= cap]
-    assert list(minimal_dominating_sets(complete(0), None, 0)) == [0]
+        whole = list(irredundance._irredundant_sets(g))
+        for cap in range(g.n + 1):
+            capped = list(irredundance._irredundant_sets(g, None, cap))
+            assert capped == [node for node in whole if node[0].bit_count() <= cap]
+            maximal = [s for s, _, is_maximal in capped if is_maximal and s]
+            dominating = [s for s, covered, _ in capped if covered == g.vertices]
+            assert maximal == [s for s in maximal_irredundant_sets(g) if s.bit_count() <= cap]
+            assert dominating == [s for s in minimal_dominating_sets(g) if s.bit_count() <= cap]
+    assert list(irredundance._irredundant_sets(complete(0), None, 0)) == [(0, 0, True)]
 
 
 def test_fig_tree_contains_named_maximal_set():

@@ -374,6 +374,23 @@ def test_single_ids_build_only_the_columns_they_read(monkeypatch):
             assert len(calls) == (2**g.n - 1 if reads else 0), (which, g.n)
 
 
+def test_ids_that_read_no_column_poll_only_in_the_walk():
+    # chi reads no column of the subset table, nor do the committee ids on a
+    # graph with a leaf, so the table is not scanned: every poll is a node
+    # of the partition walk
+    rng = random.Random(5)
+    for g in [random_connected(rng, 8, 0.3) for _ in range(40)]:
+        for which in ("chi", "irc_colorable", "chi_irc"):
+            if which != "chi" and g.min_degree() >= 2:
+                continue
+            token, walk = Polls(), Polls()
+            oracle_invariant(g, which, token=token)
+            bound = [g.n if which == "chi" else 0]
+            for masks in independent_partitions(g, None, bound, walk):
+                bound[0] = len(masks) - 1  # chi's bound falls below each count found
+            assert token.polls == walk.polls, (to_graph6(g), which)
+
+
 def test_oracle_polls_the_budget():
     # both run out in the subset table; test_the_walk_polls_at_every_node covers the walk
     for which in ("chi_irc", "chi_gd"):

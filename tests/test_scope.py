@@ -28,12 +28,17 @@ PINNED = [cycle(7), petersen(), random_connected(random.Random("n12"), 12, 0.4)]
 
 
 def _fresh(key):
-    """What the memo entry ``key`` holds, computed without a scope."""
-    kind, g, *cap = key
+    """What the memo entry ``key`` holds, computed without a scope: for
+    ("families", g, capped), the whole families, cut at the size of a
+    greedy dominating set when capped."""
+    kind, g, *capped = key
     if kind == "chi":
         return chromatic_number(g)
     if kind == "families":
-        return list(maximal_irredundant_sets(g, None, *cap)), list(minimal_dominating_sets(g, None, *cap))
+        greedy = irredundance._greedy_dominating(g) if capped[0] else 0
+        cap = greedy.bit_count() if capped[0] else g.n
+        return (greedy, [s for s in maximal_irredundant_sets(g) if s.bit_count() <= cap],
+                [s for s in minimal_dominating_sets(g) if s.bit_count() <= cap])
     if kind == "obstructed":
         return irc._obstructed(g)
     raise AssertionError(f"unexpected memo key {kind!r}")
@@ -65,44 +70,45 @@ def test_cancelled_computations_leave_no_memo_entry():
 
 def test_cancelled_walk_is_recomputed_on_the_next_request():
     g = PINNED[2]
-    for cap in (None, 3):
+    for capped in (False, True):
+        key = ("families", g, capped)
         token = Polls(3)  # inside the walk
         scope = budget.scope(token)
         with pytest.raises(SearchCancelled):
-            list(minimal_dominating_sets(g, scope, cap))
+            irredundance._families(g, scope, capped)
         assert scope.memo == {}
         token.limit = None
-        assert list(minimal_dominating_sets(g, scope, cap)) == list(minimal_dominating_sets(g, None, cap))
-        assert list(scope.memo) == [("families", g, cap)]
+        assert irredundance._families(g, scope, capped) == _fresh(key)
+        assert list(scope.memo) == [key]
 
 
 def test_a_consumer_that_stops_early_leaves_the_whole_family():
     for g in PINNED:
-        for cap in (None, irredundance._greedy_dominating(g).bit_count()):
-            scope = budget.scope(None)
-            first = next(maximal_irredundant_sets(g, scope, cap))
-            everything = list(maximal_irredundant_sets(g, None, cap))
-            assert first == everything[0]
-            assert scope.memo[("families", g, cap)] == (everything, list(minimal_dominating_sets(g, None, cap)))
-            assert list(maximal_irredundant_sets(g, scope, cap)) == everything
-            # and no entry under another cap
-            assert list(scope.memo) == [("families", g, cap)]
+        scope = budget.scope(None)
+        first = next(maximal_irredundant_sets(g, scope))
+        everything = list(maximal_irredundant_sets(g))
+        assert first == everything[0]
+        # and no capped entry
+        assert scope.memo == {("families", g, False): _fresh(("families", g, False))}
+        assert list(maximal_irredundant_sets(g, scope)) == everything
 
 
 def test_one_record_computes_chi_once_and_walks_once(monkeypatch):
-    chi_of, walks = [], []
+    chi_of, walks, greedies = [], [], []
     spy(monkeypatch, coloring, "chromatic_number", chi_of)
     spy(monkeypatch, irredundance, "_irredundant_sets", walks)
+    spy(monkeypatch, irredundance, "_greedy_dominating", greedies)
     for g in PINNED:
         greedy = irredundance._greedy_dominating(g).bit_count()
         for ids in (DEFAULT_INVARIANTS, tuple(REGISTRY)):
-            del chi_of[:], walks[:]
+            del chi_of[:], walks[:], greedies[:]
             rec = _graph_record(0, g, ids, witnesses=True)
             assert all(cell["status"] in ("ok", "absent") for cell in rec["invariants"].values())
             assert [args[0] for args in chi_of].count(g) == 1
-            # ir, chi_i and chi_gamma read one walk up to the size of a
-            # greedy dominating set, gamma its own below it; none is uncapped
-            assert sorted(walk_caps(walks)) == [greedy - 1, greedy]
+            # ir, gamma, chi_i and chi_gamma read one walk up to the size of
+            # a greedy dominating set, found once; none is uncapped
+            assert walk_caps(walks) == [greedy]
+            assert len(greedies) == 1
 
 
 def test_scan_conjecture_scans_for_obstructions_once(monkeypatch):
