@@ -91,7 +91,7 @@ def _violation(check: str, record: dict, detail: str) -> dict:
 
 
 def _graph_record(idx: int, g: Graph, names, token=None, witnesses=False) -> dict:
-    token = budget.scope(token)  # the cells share chi and the set walks
+    token = budget.scope(token)  # the cells share chi and the set walk
     record = _record(idx, g)
     if witnesses:
         record["witnesses"] = {}
@@ -275,8 +275,8 @@ def _chain_breaks(g: Graph, val: dict, token):
 def _domination_breaks(g: Graph, val: dict, token):
     """(check, detail) for ir > gamma, when ``val`` holds both, and for each
     minimal dominating set that is not maximal irredundant on graphs up to
-    chi_gamma's vertex cap.  The check reads the whole walk; the cells
-    share the one capped at the greedy dominating size."""
+    chi_gamma's vertex cap.  The check reads every layer of the set walk
+    that the cells began."""
     ir, gamma = val.get("ir"), val.get("gamma")
     if ir is not None and gamma is not None and ir > gamma:
         yield "ir<=gamma", f"ir={ir} > gamma={gamma}"

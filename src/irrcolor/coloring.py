@@ -18,7 +18,7 @@ from typing import Optional
 from . import budget
 from .errors import ParameterError
 from .graphs import Graph, VertexSet, _unchecked, bits
-from .irredundance import _families, is_dominating, is_maximal_irredundant
+from .irredundance import _layers, is_dominating, is_maximal_irredundant
 
 
 @dataclass(frozen=True)
@@ -82,21 +82,28 @@ def add_clique(g: Graph, s: VertexSet) -> Graph:
 
 
 def _dsatur_greedy(g: Graph) -> list[int]:
+    """Color the most saturated vertex next, ties to the highest degree and
+    then the lowest index, with its lowest free color."""
     n = g.n
     colors = [-1] * n
     sat = [0] * n
+    # (saturation, degree, -u) as one integer: the degree and index part
+    # stays below n * n
+    rank = [g.degree(u) * n + n - 1 - u for u in range(n)]
+    square = n * n
+    uncolored = list(range(n))
     for _ in range(n):
-        v = max(
-            (u for u in range(n) if colors[u] < 0),
-            key=lambda u: (sat[u].bit_count(), g.degree(u), -u),
-        )
-        c = 0
-        while sat[v] >> c & 1:
-            c += 1
+        top = -1
+        for u in uncolored:
+            key = sat[u].bit_count() * square + rank[u]
+            if key > top:
+                top, v = key, u
+        uncolored.remove(v)
+        s = sat[v]
+        c = (~s & (s + 1)).bit_length() - 1
         colors[v] = c
         for u in bits(g.adj[v]):
-            if colors[u] < 0:
-                sat[u] |= 1 << c
+            sat[u] |= 1 << c
     return colors
 
 
@@ -188,7 +195,7 @@ def irredundance_chromatic_number(g: Graph, token=None) -> tuple[int, RainbowCer
     rainbow.  Minimizes chi over the clique reductions of the candidates."""
     if g.n < 1:
         raise ParameterError("needs at least one vertex")
-    return _min_rainbow(g, 1, is_maximal_irredundant, token)
+    return _min_rainbow(g, 0, is_maximal_irredundant, token)
 
 
 def gamma_chromatic_number(g: Graph, token=None) -> tuple[int, RainbowCert]:
@@ -199,56 +206,39 @@ def gamma_chromatic_number(g: Graph, token=None) -> tuple[int, RainbowCert]:
     """
     if g.n < 1:
         raise ParameterError("needs at least one vertex")
-    return _min_rainbow(g, 2, is_dominating, token)
+    return _min_rainbow(g, 1, is_dominating, token)
 
 
 def _min_rainbow(g: Graph, family: int, member, token) -> tuple[int, RainbowCert]:
-    """The fewest colors over the clique reductions of the sets that
-    ``irredundance._families`` holds at index ``family`` (1: maximal
-    irredundant, 2: minimal dominating), tried in (size, mask) order.
+    """The fewest colors over the clique reductions of the sets of
+    ``irredundance._layers`` at index ``family`` (0: maximal irredundant,
+    1: minimal dominating), tried in (size, mask) order.
 
-    chi is read first, then the family.  A rainbow candidate needs as many
-    colors as it has members, so the search stops early at max(chi,
-    smallest candidate size), which is max(chi, ir) or max(chi, gamma), and
-    skips every candidate with as many members as the best count.  The
-    candidates are first read from the family capped at g0, the size of a
-    greedy dominating set, which holds the smallest one since ir <= gamma
-    <= g0; the larger ones are read from the whole family only when the
-    best count is still above both that bound and g0 + 1.  On a graph with
-    a full-degree vertex, greedy takes it first, so g0 = 1; the maximal
-    irredundant singletons are the full-degree vertices, and the lowest
-    one's reduction is g itself, which stops the pass at chi.  ``member``
-    is the predicate every candidate satisfies, checked on the result."""
+    chi is read first, then the candidates, one layer at a time.  A rainbow
+    candidate needs as many colors as it has members, so the search stops
+    at max(chi, smallest candidate size), which is max(chi, ir) or max(chi,
+    gamma), and no candidate with as many members as the best count so far
+    is tried: the next layer is asked for only while its size is below the
+    best count and that count is above the bound.  On a graph with a
+    full-degree vertex, the maximal irredundant singletons are the
+    full-degree vertices, and the lowest one's reduction is g itself, which
+    stops the search at chi.  ``member`` is the predicate every candidate
+    satisfies, checked on the result."""
     chi, _ = _chi(g, token)
-    capped = _families(g, token)
-    cap = capped[0].bit_count()
-    ordered = sorted(capped[family], key=_size_then_mask)
-    lower = max(chi, ordered[0].bit_count())
-    best = _rainbow_pass(g, ordered, lower, None, token)
-    if best[0] > max(lower, cap + 1):
-        larger = sorted((s for s in _families(g, token, capped=False)[family] if s.bit_count() > cap), key=_size_then_mask)
-        best = _rainbow_pass(g, larger, lower, best, token)
+    best = lower = None
+    for size, layer in enumerate(_layers(g, token)):
+        for s in layer[family]:
+            budget.check(token)
+            if lower is None:
+                lower = max(chi, size)
+            k, col = _chi(add_clique(g, s), token)
+            if best is None or k < best[0]:
+                best = (k, RainbowCert(col, s))
+                if k == max(lower, size):  # the bound, or none of this size can need fewer
+                    break
+        if best is not None and best[0] <= max(lower, size + 1):  # the bound, or none larger can
+            break
     _validate_cert(g, best[1], member)
-    return best
-
-
-def _size_then_mask(s: VertexSet) -> tuple[int, int]:
-    return s.bit_count(), s
-
-
-def _rainbow_pass(g: Graph, ordered, lower: int, best, token) -> tuple[int, RainbowCert]:
-    """``best`` improved by the clique reductions of ``ordered``, tried in
-    order until one needs only ``lower`` colors; a candidate with as many
-    members as the best count so far is skipped."""
-    for s in ordered:
-        budget.check(token)
-        if best is not None and s.bit_count() >= best[0]:
-            continue
-        k, col = _chi(add_clique(g, s), token)
-        if best is None or k < best[0]:
-            best = (k, RainbowCert(col, s))
-            if k == lower:
-                break
     return best
 
 

@@ -2,15 +2,16 @@
 solvers for the lower irredundance number ir(G) and domination number γ(G).
 
 Set arguments and results are vertex bitmasks.  Every search here reads one
-walk over the irredundant sets, in ascending numeric mask order
-(lexicographic over the bit string read from vertex 0 upward), made in full
-on first use and kept by a ``budget.Scope`` token for every later read of
-the graph.  The walk capped at g0, the size of a greedy dominating set,
-holds the smallest sets of both kinds, since ir <= γ <= g0: ir, γ and
-``ir_verify`` read it, ties going to ``itertools.combinations`` order, and
-so does the first pass of the rainbow solvers of ``coloring``, so under one
-Scope one walk serves ir, γ, chi_i and chi_gamma.  The whole walk serves
-the two enumerators and the rainbow solvers' rare pass over larger sets.
+walk over the irredundant sets by size, which builds the layer of d-vertex
+sets only when a reader asks for it, and which a ``budget.Scope`` token
+keeps for every later read of the graph.  Under one Scope one walk serves
+ir, γ, chi_i and chi_gamma, as deep as the deepest of them reads: ir to the
+first layer with a maximal irredundant set, γ to the first with a
+dominating set below g0, the size of a greedy dominating set, and the
+rainbow solvers of ``coloring`` while a smaller candidate could still lower
+their count.  Ties in ir and γ go to ``itertools.combinations`` order.  The
+two enumerators read every layer, merged into ascending numeric mask order
+(lexicographic over the bit string read from vertex 0 upward).
 """
 
 from __future__ import annotations
@@ -53,56 +54,91 @@ def is_maximal_irredundant(g: Graph, s: VertexSet) -> bool:
     return True
 
 
-def _irredundant_sets(
-    g: Graph, token=None, size_cap: Optional[int] = None
-) -> Iterator[tuple[VertexSet, VertexSet, bool]]:
-    """Walk every irredundant set once, in ascending numeric mask order.
+class _Walk:
+    """The irredundant sets of one graph, one size layer at a time, built as
+    far as a reader has asked.
 
-    Yields ``(S, N[S], maximal)``, where ``maximal`` says that no vertex can
-    join S and keep it irredundant.  Irredundance is hereditary, so each
-    irredundant set is reached from the one without its lowest vertex: a
-    child adds a vertex below every member, and the children are walked
-    lowest first, which is what puts the walk in numeric order.  With
-    ``size_cap`` no set larger than the cap is visited.
+    ``layers[d]`` holds the maximal irredundant and the minimal dominating
+    sets of d vertices, each in ascending numeric mask order; the empty set
+    counts as dominating on the null graph and as maximal nowhere.
+    Irredundance is hereditary, so each irredundant set is reached from the
+    one without its lowest vertex by adding a vertex below every member.
+    ``frontier`` holds the sets of the last layer that have such children,
+    the children still as a mask; taking them set by set, each set's
+    children lowest first, puts the next layer in mask order.
 
-    Each node keeps ``covered`` = N[S] and ``once``, the vertices covered by
-    exactly one member; a member u's private neighbors are N[u] & once.
+    Each set carries ``covered`` = N[S] and ``once``, the vertices covered
+    by exactly one member; a member u's private neighbors are N[u] & once.
     A vertex w can join when N[w] reaches outside ``covered`` and, for every
     member u, N[w] leaves some private neighbor of u uncovered.  The w
     whose N[w] holds all of a set P are the intersection of N[x] over x in
-    P, so both tests are a few mask operations per member.
+    P, so both tests are a few mask operations per member.  A set no vertex
+    can join is maximal, and so is every dominating one.
     """
-    closed = [g.closed(v) for v in range(g.n)]
-    vertices = g.vertices
-    stack = [(0, 0, 0, g.n)]  # (S, covered, once, lowest member or n)
-    while stack:
-        budget.check(token)
-        s, covered, once, low = stack.pop()
-        joiners = 0
-        uncovered = vertices & ~covered
-        while uncovered:  # N[V - N[S]]: members of S are never in it
-            x = uncovered.bit_length() - 1
-            uncovered ^= 1 << x
-            joiners |= closed[x]
-        rest = s if joiners else 0
-        while rest:
-            u = rest.bit_length() - 1
-            rest ^= 1 << u
-            private = closed[u] & once
-            killers = -1
-            while private:
-                x = private.bit_length() - 1
-                private ^= 1 << x
-                killers &= closed[x]
-            joiners &= ~killers
-        if size_cap is None or s.bit_count() < size_cap:
-            children = joiners & ((1 << low) - 1)
-            while children:  # pushed highest first, so popped lowest first
-                w = children.bit_length() - 1
-                children ^= 1 << w
+
+    __slots__ = ("closed", "vertices", "layers", "frontier")
+
+    def __init__(self, g: Graph, token):
+        budget.check(token)  # the empty set is the walk's first node
+        self.closed = [g.closed(v) for v in range(g.n)]
+        self.vertices = g.vertices
+        self.layers: list[tuple[list[VertexSet], list[VertexSet]]] = [([], [] if g.n else [0])]
+        # (S, covered, once, children): every vertex can join the empty set
+        self.frontier = [(0, 0, 0, g.vertices)] if g.n else []
+
+    def grow(self, token) -> bool:
+        """Add the next layer; False when the last one has no children.  A
+        layer is kept only when it is complete, so a cancelled call leaves
+        the walk as it was."""
+        if not self.frontier:
+            return False
+        closed, vertices = self.closed, self.vertices
+        maximal_sets, dominating_sets, frontier = [], [], []
+        for s, covered, once, children in self.frontier:
+            while children:  # lowest first
+                low = children & -children
+                children ^= low
+                budget.check(token)
+                w = low.bit_length() - 1
                 fresh = closed[w] & ~covered
-                stack.append((s | 1 << w, covered | fresh, once & ~closed[w] | fresh, w))
-        yield s, covered, not joiners
+                child, child_covered, child_once = s | low, covered | fresh, once & ~closed[w] | fresh
+                joiners = 0
+                uncovered = vertices & ~child_covered
+                while uncovered:  # N[V - N[S]]: members of S are never in it
+                    x = uncovered.bit_length() - 1
+                    uncovered ^= 1 << x
+                    joiners |= closed[x]
+                rest = child if joiners else 0
+                while rest:
+                    u = rest.bit_length() - 1
+                    rest ^= 1 << u
+                    private = closed[u] & child_once
+                    killers = -1
+                    while private:
+                        x = private.bit_length() - 1
+                        private ^= 1 << x
+                        killers &= closed[x]
+                    joiners &= ~killers
+                if not joiners:
+                    maximal_sets.append(child)
+                    if child_covered == vertices:
+                        dominating_sets.append(child)
+                elif joiners & (low - 1):
+                    frontier.append((child, child_covered, child_once, joiners & (low - 1)))
+        self.layers.append((maximal_sets, dominating_sets))
+        self.frontier = frontier
+        return True
+
+
+def _layers(g: Graph, token) -> Iterator[tuple[list[VertexSet], list[VertexSet]]]:
+    """The layers of the graph's one walk per scope, size 0 up, each built
+    only when the reader asks for it: ``(maximal, dominating)`` as in
+    ``_Walk.layers``."""
+    walk = budget.shared(token, ("walk", g), lambda: _Walk(g, token))
+    size = 0
+    while size < len(walk.layers) or walk.grow(token):
+        yield walk.layers[size]
+        size += 1
 
 
 def maximal_irredundant_sets(g: Graph, token=None) -> Iterator[VertexSet]:
@@ -110,22 +146,22 @@ def maximal_irredundant_sets(g: Graph, token=None) -> Iterator[VertexSet]:
 
     The empty set is never yielded, not even on the null graph.
     """
-    yield from _families(g, token, capped=False)[1]
+    yield from sorted(s for maximal, _ in _layers(g, token) for s in maximal)
 
 
-def _combinations_order(s: VertexSet) -> tuple:
-    """Sort key: size, then the sorted vertex list, the order of
-    ``itertools.combinations``."""
-    return s.bit_count(), tuple(bits(s))
+def _first_combination(sets: list[VertexSet]) -> VertexSet:
+    """The first of the same-size ``sets`` in ``itertools.combinations``
+    order, that of their sorted vertex lists."""
+    return min(sets, key=lambda s: tuple(bits(s)))
 
 
 def ir_number(g: Graph, token=None) -> tuple[int, VertexSet]:
     """Minimum cardinality of a maximal irredundant set, with a witness
-    (ties in combinations order).  Sought up to the size of a greedy cover,
-    since ir <= gamma."""
+    (ties in combinations order): the walk is read up to the first layer
+    that holds one."""
     if g.n == 0:
         raise ParameterError("ir is undefined on the empty graph")
-    s = min(_families(g, token)[1], key=_combinations_order)
+    s = _first_combination(next(maximal for maximal, _ in _layers(g, token) if maximal))
     return s.bit_count(), s
 
 
@@ -151,27 +187,7 @@ def minimal_dominating_sets(g: Graph, token=None) -> Iterator[VertexSet]:
     Hedetniemi and Miller, 1978), so these are the irredundant sets that
     dominate.  On the null graph the empty set is the one such set.
     """
-    yield from _families(g, token, capped=False)[2]
-
-
-def _families(g: Graph, token, capped: bool = True) -> tuple[VertexSet, list[VertexSet], list[VertexSet]]:
-    """``(greedy, maximal, dominating)``, once per scope: with ``capped``, a
-    greedy dominating set and the maximal irredundant and minimal dominating
-    sets of at most as many vertices; else 0 and both whole families.  The
-    families are in the enumerators' order, from one walk made in full, so
-    a consumer that stops early leaves no partial family in a scope."""
-
-    def walk():
-        greedy = _greedy_dominating(g) if capped else 0
-        maximal_sets, dominating_sets = [], []
-        for s, covered, maximal in _irredundant_sets(g, token, greedy.bit_count() if capped else None):
-            if maximal and s:
-                maximal_sets.append(s)
-            if covered == g.vertices:
-                dominating_sets.append(s)
-        return greedy, maximal_sets, dominating_sets
-
-    return budget.shared(token, ("families", g, capped), walk)
+    yield from sorted(s for _, dominating in _layers(g, token) for s in dominating)
 
 
 def _greedy_dominating(g: Graph) -> VertexSet:
@@ -191,8 +207,12 @@ def _greedy_dominating(g: Graph) -> VertexSet:
 
 def gamma_number(g: Graph, token=None) -> tuple[int, VertexSet]:
     """Minimum cardinality of a dominating set, with a witness.  A smallest
-    one is minimal, so irredundant: sought up to the size of a greedy cover,
-    which is the witness when no smaller set dominates."""
-    greedy, _, dominating = _families(g, token)
-    s = min(dominating, key=_combinations_order)
-    return (s.bit_count(), s) if s.bit_count() < greedy.bit_count() else (greedy.bit_count(), greedy)
+    one is minimal, so irredundant: the walk is read only below the size g0
+    of a greedy cover, which is the witness when no smaller set dominates."""
+    greedy = _greedy_dominating(g)
+    # zip takes the size first, so no layer of g0 members is built
+    for _, (_, dominating) in zip(range(greedy.bit_count()), _layers(g, token)):
+        if dominating:
+            s = _first_combination(dominating)
+            return s.bit_count(), s
+    return greedy.bit_count(), greedy

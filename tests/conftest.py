@@ -3,7 +3,9 @@ import sys
 
 import pytest
 
+from irrcolor import irredundance
 from irrcolor.graphs import Graph, component_count, from_edge_list
+from irrcolor.irredundance import is_irredundant
 from irrcolor.cli import _asset_graphs
 
 
@@ -63,10 +65,39 @@ def spy(monkeypatch, module, name, seen):
             monkeypatch.setattr(mod, name, counted)
 
 
-def walk_caps(walks) -> list:
-    """The size cap of each ``_irredundant_sets`` call that ``spy`` saw,
-    None for an uncapped walk."""
-    return [args[2] if len(args) > 2 else None for args in walks]
+def spy_walks(monkeypatch) -> list:
+    """Every set walk that irrcolor starts from here on, in start order."""
+    walks = []
+    real = irredundance._Walk
+
+    def started(*args):
+        walks.append(real(*args))
+        return walks[-1]
+
+    monkeypatch.setattr(irredundance, "_Walk", started)
+    return walks
+
+
+def walk_depths(walks) -> list:
+    """The largest set size whose layer each walk built: the deepest layer
+    its readers asked for."""
+    return [len(walk.layers) - 1 for walk in walks]
+
+
+def walk_nodes(g: Graph, depth=None) -> list:
+    """The number of irredundant sets of each size, up to ``depth`` or the
+    largest, by a plain depth-first walk that tests each extension with
+    ``is_irredundant``."""
+    counts = [0] * (g.n + 1)
+    stack = [(0, g.n)]
+    while stack:
+        s, low = stack.pop()
+        counts[s.bit_count()] += 1
+        if depth is None or s.bit_count() < depth:
+            stack += [(s | 1 << w, w) for w in range(low) if is_irredundant(g, s | 1 << w)]
+    while not counts[-1]:
+        counts.pop()
+    return counts
 
 
 class Polls:

@@ -15,7 +15,7 @@ from irrcolor.coloring import Coloring
 from irrcolor.errors import SearchCancelled
 from irrcolor.graphs import parse_graph6, to_graph6
 
-from conftest import Polls, complete, cycle, random_bipartite, spy, walk_caps
+from conftest import Polls, complete, cycle, random_bipartite, spy, spy_walks, walk_depths, walk_nodes
 
 
 C4_EDGELIST = "4 4\n0 1\n1 2\n2 3\n3 0\n"
@@ -423,58 +423,54 @@ def test_budget_marks_skipped():
     assert rec["invariants"]["chi_i"]["status"] == "skipped(budget)"
 
 
-def test_scan_chain_check_makes_the_one_uncapped_walk_and_polls_the_budget(monkeypatch):
-    from irrcolor import irredundance
+def test_scan_chain_check_finishes_the_cells_walk_and_polls_the_budget(monkeypatch):
     from irrcolor.cli import _graph_record, _scan_graph
 
-    g = cycle(7)
+    g = cycle(8)
+    nodes = walk_nodes(g)
+    walks = spy_walks(monkeypatch)
     cells = Polls()
     rec = _graph_record(0, g, ("chi", "ir", "gamma", "chi_i", "chi_gamma", "chi_d", "chi_gd"), cells)
     assert all(cell["status"] == "ok" for cell in rec["invariants"].values())
-    uncapped = Polls()
-    list(irredundance.minimal_dominating_sets(g, uncapped))
-    # the cells share one walk up to the size of a greedy dominating set;
-    # the minimal dominating set check after them makes the one uncapped walk,
-    # and polls nothing else
+    [depth] = walk_depths(walks)
+    assert depth < len(nodes) - 1
+    # the cells share one walk up to the deepest layer they read; the
+    # minimal dominating set check after them reads the same walk to its
+    # last layer, and polls nothing else
+    del walks[:]
     token = Polls()
-    starts = []
-    walk = irredundance._irredundant_sets
-
-    def spied(g, tok=None, size_cap=None):
-        starts.append((size_cap, token.polls))
-        return walk(g, tok, size_cap)
-
-    monkeypatch.setattr(irredundance, "_irredundant_sets", spied)
     rec, violations = _scan_graph(0, g, "chain", token, oracle_cap=8)
     assert violations == [] and rec["invariants"]["chi_gd"]["status"] == "ok"
-    greedy = irredundance._greedy_dominating(g).bit_count()
-    [(capped, _), (last, start)] = starts
-    assert capped == greedy and last is None
-    assert start == cells.polls and token.polls == cells.polls + uncapped.polls
+    assert walk_depths(walks) == [len(nodes) - 1]
+    assert token.polls == cells.polls + sum(nodes[depth + 1:])
 
-    # a budget that runs out inside the check's walk still skips the mode
-    token = Polls(start + 1)  # expires on the walk's first poll
+    # a budget that runs out inside the check's layers still skips the mode
+    token = Polls(cells.polls + 1)  # expires on the check's first poll
     rec, _ = _scan_graph(0, g, "chain", token, oracle_cap=8)
     assert rec["invariants"] == {"chain": {"status": "skipped(budget)", "value": None}}
 
 
-def test_scans_walk_once_per_size_cap(monkeypatch, connected_le6):
-    from irrcolor import budget, irredundance
+def test_scans_walk_once_per_graph(monkeypatch, connected_le6):
+    from irrcolor import budget
     from irrcolor.cli import _SCAN_MODES, CHAIN, _graph_record
 
-    walks = []
-    spy(monkeypatch, irredundance, "_irredundant_sets", walks)
+    walks = spy_walks(monkeypatch)
+    depths = {"bounds": 0, "cells": 0}
     for g in connected_le6:
-        greedy = irredundance._greedy_dominating(g).bit_count()
         del walks[:]
         _SCAN_MODES["bounds"](0, g, budget.scope(None), 8)
-        assert walk_caps(walks) == [greedy]  # ir and chi_i share it
+        [depth] = walk_depths(walks)  # ir and chi_i share it
+        depths["bounds"] += depth
         del walks[:]
         _graph_record(0, g, ("chi", "ir", "gamma", *CHAIN[1:]), budget.scope(None))
-        assert walk_caps(walks) == [greedy]  # the cells of scan chain
+        [depth] = walk_depths(walks)  # the cells of scan chain
+        depths["cells"] += depth
         del walks[:]
         _SCAN_MODES["chain"](0, g, budget.scope(None), 8)
-        assert walk_caps(walks) == [greedy, None]  # then the domination check's
+        assert walk_depths(walks) == [len(walk_nodes(g)) - 1]  # then the domination check's read to the end
+    # the deepest layers read, summed over the 143 graphs; their greedy
+    # dominating sets have 236 vertices in all
+    assert depths == {"bounds": 235, "cells": 235}
 
 
 def _module_env() -> dict:
@@ -635,28 +631,28 @@ def test_an_asset_row_stops_after_the_graph_the_budget_ran_out_under():
 
 
 # engine calls per command on the packaged assets: chi, irredundant-set
-# walks, obstruction scans, restricted-growth partition searches, oracle
-# passes.  A change here is a change in the work the CLI asks for.
+# walk layers built (the empty set's included), obstruction scans,
+# restricted-growth partition searches, oracle passes.  A change here is a change in the work the CLI asks for.
 ENGINE_CALLS = {
-    ("scan", "chain", "connected_le6.g6"): (193, 286, 0, 233, 0),
-    ("scan", "bounds", "connected_le6.g6"): (187, 143, 0, 0, 0),
+    ("scan", "chain", "connected_le6.g6"): (193, 527, 0, 233, 0),  # the check reads every layer
+    ("scan", "bounds", "connected_le6.g6"): (187, 378, 0, 0, 0),
     ("scan", "conjecture", "connected_le6.g6"): (143, 0, 143, 11, 0),
-    ("scan", "characterization", "bipartite_connected_le7.g6"): (117, 65, 0, 0, 0),
-    ("verify", "full-degree"): (13, 13, 0, 0, 0),  # chi_i reads the one-vertex walk
-    ("verify", "bounds"): (187, 143, 0, 0, 0),
-    ("verify", "chain"): (193, 143, 0, 233, 0),
-    ("verify", "dominating-irredundant"): (0, 286, 0, 0, 0),
-    ("verify", "family-a"): (3, 3, 0, 0, 3),
-    ("verify", "family-z"): (7, 3, 0, 0, 1),
-    ("verify", "realizable"): (4, 4, 0, 0, 4),  # so does each B(k, l), a full-degree graph
-    ("verify", "two-color"): (117, 65, 0, 0, 0),  # the scan characterization counts
+    ("scan", "characterization", "bipartite_connected_le7.g6"): (117, 208, 0, 0, 0),
+    ("verify", "full-degree"): (13, 26, 0, 0, 0),  # chi_i reads no layer past one vertex
+    ("verify", "bounds"): (187, 378, 0, 0, 0),
+    ("verify", "chain"): (193, 378, 0, 233, 0),
+    ("verify", "dominating-irredundant"): (0, 527, 0, 0, 0),
+    ("verify", "family-a"): (3, 13, 0, 0, 3),
+    ("verify", "family-z"): (7, 13, 0, 0, 1),
+    ("verify", "realizable"): (4, 8, 0, 0, 4),  # nor does each B(k, l), a full-degree graph
+    ("verify", "two-color"): (117, 208, 0, 0, 0),  # the scan characterization counts
     ("verify", "min-degree"): (0, 0, 22344, 0, 0),
     ("verify", "cut-vertex"): (0, 0, 0, 0, 0),
     ("verify", "bridge"): (0, 0, 0, 0, 0),
     ("verify", "max-colors"): (0, 0, 0, 0, 0),
     ("verify", "even-bipartite"): (0, 0, 0, 0, 0),
     ("verify", "epn-family"): (0, 0, 0, 0, 0),
-    ("verify", "dominator-gamma"): (76, 76, 4, 84, 0),
+    ("verify", "dominator-gamma"): (76, 119, 4, 84, 0),
 }
 
 
@@ -682,19 +678,21 @@ def test_scan_and_verify_build_no_graph_through_the_public_check(monkeypatch, ca
 
 
 def test_engine_calls_are_pinned(monkeypatch, capsys):
-    from irrcolor import coloring, irc, irredundance, oracle
+    from irrcolor import coloring, irc, oracle
 
-    engines = ((coloring, "chromatic_number"), (irredundance, "_irredundant_sets"), (irc, "_obstructions"),
-               (coloring, "_restricted_growth_search"), (oracle, "_tally"))
+    engines = ((coloring, "chromatic_number"), (irc, "_obstructions"), (coloring, "_restricted_growth_search"),
+               (oracle, "_tally"))
     seen = [[] for _ in engines]
     for (module, name), calls in zip(engines, seen):
         spy(monkeypatch, module, name, calls)
+    walks = spy_walks(monkeypatch)
     data = Path(irrcolor.__file__).parent / "data"
     got = {}
     for argv in ENGINE_CALLS:
-        for calls in seen:
+        for calls in (*seen, walks):
             del calls[:]
         main([str(data / arg) if arg.endswith(".g6") else arg for arg in argv])
         capsys.readouterr()
-        got[argv] = tuple(len(calls) for calls in seen)
+        chi, *rest = (len(calls) for calls in seen)
+        got[argv] = (chi, sum(len(walk.layers) for walk in walks), *rest)
     assert got == ENGINE_CALLS

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -25,13 +26,14 @@ from irrcolor.irredundance import (
     ir_number,
     ir_verify,
     is_dominating,
+    is_irredundant,
     is_maximal_irredundant,
     maximal_irredundant_sets,
     minimal_dominating_sets,
 )
 from irrcolor.oracle import oracle_invariant
 
-from conftest import Polls, complete, complete_bipartite, cycle, path, random_connected, random_graph, spy, tree7, walk_caps
+from conftest import Polls, complete, complete_bipartite, cycle, path, random_connected, random_graph, spy_walks, tree7, walk_depths
 
 
 def test_coloring_type():
@@ -73,6 +75,36 @@ def test_chromatic_number_matches_oracle():
     for _ in range(30):
         g = random_connected(rng, rng.randint(1, 7))
         assert chromatic_number(g)[0] == oracle_invariant(g, "chi").value
+
+
+def _reference_dsatur_greedy(g):
+    """The greedy coloring as it was when it scanned the uncolored vertices
+    by (saturation, degree, -u) and counted up to the lowest free color."""
+    n = g.n
+    colors = [-1] * n
+    sat = [0] * n
+    for _ in range(n):
+        v = max(
+            (u for u in range(n) if colors[u] < 0),
+            key=lambda u: (sat[u].bit_count(), g.degree(u), -u),
+        )
+        c = 0
+        while sat[v] >> c & 1:
+            c += 1
+        colors[v] = c
+        for u in bits(g.adj[v]):
+            if colors[u] < 0:
+                sat[u] |= 1 << c
+    return colors
+
+
+def test_dsatur_greedy_matches_the_reference(connected_le6, bipartite_le7):
+    rng = random.Random(67)
+    graphs = [*connected_le6, *bipartite_le7]
+    graphs += [add_clique(g, ir_number(g)[1]) for g in graphs]
+    graphs += [random_graph(rng, n, tenths / 10) for n in range(0, 23) for tenths in range(1, 10)]
+    for g in graphs:
+        assert coloring._dsatur_greedy(g) == _reference_dsatur_greedy(g)
 
 
 def test_add_clique():
@@ -328,9 +360,9 @@ def test_chi_i_equals_order_only_for_complete_graphs(connected_le6):
 # --- the full-family references ---------------------------------------------
 #
 # Copies of the rainbow solvers as they were when they read every candidate
-# from the uncapped families, and of ir, gamma and ir_verify as they were
-# when each kept the smallest accepted set of its own capped walk.  The
-# solvers must give the same values and witnesses with and without a scope.
+# from the whole families, and of ir, gamma and ir_verify as they were when
+# each kept the smallest accepted set of its own capped walk.  The solvers
+# must give the same values and witnesses with and without a scope.
 
 
 def _reference_min_rainbow(g, chi, candidates):
@@ -361,12 +393,17 @@ def _reference_chi_gamma(g):
 
 
 def _reference_smallest(g, size_cap, accept):
-    hits = (s for s, covered, maximal in irredundance._irredundant_sets(g, None, size_cap) if accept(covered, maximal))
-    return min(hits, key=lambda s: (s.bit_count(), tuple(bits(s))), default=None)
+    """The first irredundant set of at most ``size_cap`` vertices, in
+    ``itertools.combinations`` order, that ``accept`` takes."""
+    for size in range(size_cap + 1):
+        for combo in combinations(range(g.n), size):
+            if is_irredundant(g, mask_from(combo)) and accept(g, mask_from(combo)):
+                return mask_from(combo)
+    return None
 
 
 def _reference_ir_verify(g, claimed, witness=None):
-    s = _reference_smallest(g, claimed, lambda covered, maximal: maximal)
+    s = _reference_smallest(g, claimed, is_maximal_irredundant)
     if s is not None and s.bit_count() < claimed:
         return False
     if witness is not None:
@@ -389,34 +426,35 @@ def _differential_graphs(connected_le6, bipartite_le7):
 
 
 # The graphs of the set whose rainbow solvers read candidates larger than a
-# greedy dominating set.  Z(3,2): n = 14, greedy size 2, chi = 3, chi_i =
-# chi_gamma = 4.  The G(10, 0.4) graph: greedy size 2, chi = 3, and every
-# candidate of at most two vertices needs 4 colors while one of three
-# needs 3, so chi_i = chi_gamma = 3 only with the larger candidates.
+# greedy dominating set, each with the deepest layer that chi_i and
+# chi_gamma read.  Z(3,2): n = 14, greedy size 2, chi = 3, chi_i =
+# chi_gamma = 4, so the candidates of three vertices are still read.  The
+# G(10, 0.4) graph: greedy size 2, chi = 3, and every candidate of at most
+# two vertices needs 4 colors while one of three needs 3, so chi_i =
+# chi_gamma = 3 only with the larger candidates.
 _FALLBACKS = [gen_family_z(3, 2).graph, parse_graph6("IFBRvMAJ?")]
 
 
 def test_set_invariants_match_the_full_family_references(monkeypatch, connected_le6, bipartite_le7):
-    walks = []
-    spy(monkeypatch, irredundance, "_irredundant_sets", walks)
+    walks = spy_walks(monkeypatch)
     fallbacks = []
     for g in _differential_graphs(connected_le6, bipartite_le7):
         chi_i, chi_gamma = _reference_chi_i(g), _reference_chi_gamma(g)
         del walks[:]
         assert irredundance_chromatic_number(g) == chi_i
         assert gamma_chromatic_number(g) == chi_gamma
+        greedy = irredundance._greedy_dominating(g)
+        if max(walk_depths(walks)) > greedy.bit_count():
+            fallbacks.append((g, walk_depths(walks)))
         scope = budget.scope(None)
         assert (irredundance_chromatic_number(g, scope), gamma_chromatic_number(g, scope)) == (chi_i, chi_gamma)
-        if None in walk_caps(walks):
-            fallbacks.append(g)
-        greedy = irredundance._greedy_dominating(g)
-        ir_set = _reference_smallest(g, greedy.bit_count(), lambda covered, maximal: maximal)
+        ir_set = _reference_smallest(g, greedy.bit_count(), is_maximal_irredundant)
         assert ir_number(g) == ir_number(g, scope) == (ir_set.bit_count(), ir_set)
-        gamma_set = _reference_smallest(g, greedy.bit_count() - 1, lambda covered, maximal: covered == g.vertices)
+        gamma_set = _reference_smallest(g, greedy.bit_count() - 1, is_dominating)
         gamma_set = greedy if gamma_set is None else gamma_set
         assert gamma_number(g) == gamma_number(g, scope) == (gamma_set.bit_count(), gamma_set)
         for claimed in range(ir_set.bit_count() - 1, ir_set.bit_count() + 2):
             for witness in (None, ir_set):
                 expected = _reference_ir_verify(g, claimed, witness)
                 assert ir_verify(g, claimed, witness) == ir_verify(g, claimed, witness, scope) == expected
-    assert fallbacks == _FALLBACKS
+    assert fallbacks == [(_FALLBACKS[0], [3, 3]), (_FALLBACKS[1], [3, 3])]

@@ -1,6 +1,6 @@
 import random
 import time
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
@@ -22,7 +22,7 @@ from irrcolor.irredundance import (
     private_neighbors,
 )
 
-from conftest import Polls, complete, cycle, random_graph, tree7
+from conftest import Polls, complete, cycle, random_graph, tree7, walk_nodes
 
 
 def test_private_neighbors_examples():
@@ -70,34 +70,34 @@ def test_maximal_irredundant_sets_c4():
     assert list(maximal_irredundant_sets(complete(3))) == [1, 2, 4]
 
 
-def _capped_maximal(g, cap):
-    """The maximal irredundant sets of at most ``cap`` vertices, as the
-    size-capped walk behind ir, gamma and ir_verify finds them."""
-    return [s for s, _, maximal in irredundance._irredundant_sets(g, None, cap) if maximal and s]
+def _layer_sets(g, depth):
+    """The maximal irredundant and the minimal dominating sets of the walk's
+    layers 0..depth, each family in ascending mask order."""
+    layers = list(islice(irredundance._layers(g, None), depth + 1))
+    return [sorted(s for layer in layers for s in layer[family]) for family in (0, 1)]
 
 
 def test_maximal_irredundant_sets_cap_and_order():
     g = tree7()
     full = list(maximal_irredundant_sets(g))
     assert full == sorted(full)
-    assert _capped_maximal(g, 2) == [s for s in full if s.bit_count() <= 2]
+    assert _layer_sets(g, 2)[0] == [s for s in full if s.bit_count() <= 2]
 
 
-def test_capped_walk_keeps_the_sets_up_to_the_cap(connected_le6):
-    # every node keeps its N[S] and its maximal flag under a cap, so both
-    # set kinds, maximal irredundant and minimal dominating, are kept
+def test_walk_layers_hold_the_sets_of_their_size(connected_le6):
+    # layer d keeps both set kinds, maximal irredundant and minimal
+    # dominating, of d vertices each in mask order, and the layers end at
+    # the largest irredundant set
     rng = random.Random(12)
     graphs = [complete(0), tree7(), *connected_le6, *(random_graph(rng, n, 0.3) for n in range(8, 13))]
     for g in graphs:
-        whole = list(irredundance._irredundant_sets(g))
-        for cap in range(g.n + 1):
-            capped = list(irredundance._irredundant_sets(g, None, cap))
-            assert capped == [node for node in whole if node[0].bit_count() <= cap]
-            maximal = [s for s, _, is_maximal in capped if is_maximal and s]
-            dominating = [s for s, covered, _ in capped if covered == g.vertices]
-            assert maximal == [s for s in maximal_irredundant_sets(g) if s.bit_count() <= cap]
-            assert dominating == [s for s in minimal_dominating_sets(g) if s.bit_count() <= cap]
-    assert list(irredundance._irredundant_sets(complete(0), None, 0)) == [(0, 0, True)]
+        layers = list(irredundance._layers(g, None))
+        assert len(layers) == len(walk_nodes(g))
+        mir, mds = _definitional_maximal_irredundant(g), _definitional_minimal_dominating(g)
+        for size, (maximal, dominating) in enumerate(layers):
+            assert maximal == [s for s in mir if s.bit_count() == size]
+            assert dominating == [s for s in mds if s.bit_count() == size]
+    assert list(irredundance._layers(complete(0), None)) == [([], [0])]
 
 
 def test_fig_tree_contains_named_maximal_set():
@@ -224,8 +224,8 @@ def test_enumerators_match_definitional_scan(connected_le6, bipartite_le7):
     for g in graphs:
         mir = _definitional_maximal_irredundant(g)
         assert list(maximal_irredundant_sets(g)) == mir
-        for cap in (1, 2, 3):
-            assert _capped_maximal(g, cap) == [s for s in mir if s.bit_count() <= cap]
+        for depth in (1, 2, 3):
+            assert _layer_sets(g, depth)[0] == [s for s in mir if s.bit_count() <= depth]
         assert list(minimal_dominating_sets(g)) == _definitional_minimal_dominating(g)
         # gamma: the first dominating combination below a greedy cover's size,
         # else the cover itself
@@ -291,26 +291,37 @@ def test_rainbow_invariants_pass_their_budget_to_the_enumerators(monkeypatch):
     c24 = cycle(24)
     for solve in (gamma_chromatic_number, irredundance_chromatic_number):
         _assert_cancelled_quickly(lambda token: solve(c24, token))
-    # Z(3,2) reads its larger candidates from the uncapped walk, and a
-    # budget that runs out there cancels the solve
+    # Z(3,2) reads its candidates of three vertices, one layer past its
+    # greedy dominating size 2, and a budget that runs out inside that layer
+    # cancels the solve
     z = gen_family_z(3, 2).graph
-    walk = irredundance._irredundant_sets
+    grow = irredundance._Walk.grow
     for solve in (gamma_chromatic_number, irredundance_chromatic_number):
         token = Polls()
         starts = []
 
-        def spied(g, tok=None, size_cap=None):
-            starts.append((size_cap, token.polls))
-            return walk(g, tok, size_cap)
+        def spied(walk, tok):
+            starts.append((len(walk.layers), token.polls))
+            return grow(walk, tok)
 
-        monkeypatch.setattr(irredundance, "_irredundant_sets", spied)
+        monkeypatch.setattr(irredundance._Walk, "grow", spied)
         solve(z, token)
-        [(cap, _), (uncapped, start)] = starts
-        assert cap == 2 and uncapped is None
-        token = Polls(start + 2)  # expires on the walk's second poll
+        assert [size for size, _ in starts] == [1, 2, 3]
+        start = starts[-1][1]
+        token = Polls(start + 2)  # expires on the layer's second set
         with pytest.raises(SearchCancelled):
             solve(z, token)
         assert token.polls == start + 2
+
+
+def test_unscoped_gamma_walks_only_below_the_greedy_size():
+    # gamma(C16) = 6 = g0, so gamma_number returns the greedy set after the
+    # layers of at most five vertices, and polls once per set in them
+    g = cycle(16)
+    g0 = irredundance._greedy_dominating(g).bit_count()
+    token = Polls()
+    assert gamma_number(g, token) == (g0, irredundance._greedy_dominating(g)) and g0 == 6
+    assert token.polls == sum(walk_nodes(g, g0 - 1)) == 3861
 
 
 def test_ir_gamma_and_ir_verify_poll_the_budget_inside_a_size():

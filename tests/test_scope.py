@@ -9,12 +9,12 @@ from irrcolor import budget, coloring, irc, irredundance
 from irrcolor.cli import DEFAULT_INVARIANTS, _compute_invariant, _graph_record, _scan_graph
 from irrcolor.coloring import chromatic_number, gamma_chromatic_number, irredundance_chromatic_number
 from irrcolor.errors import SearchCancelled
-from irrcolor.graphs import from_edge_list
+from irrcolor.graphs import component_count, from_edge_list
 from irrcolor.invariants import REGISTRY
-from irrcolor.irredundance import maximal_irredundant_sets, minimal_dominating_sets
+from irrcolor.irredundance import gamma_number, ir_number, maximal_irredundant_sets
 from irrcolor.oracle import cross_check
 
-from conftest import Polls, cycle, random_connected, spy, walk_caps
+from conftest import Polls, cycle, random_connected, spy, spy_walks, walk_depths, walk_nodes
 
 
 def petersen():
@@ -27,20 +27,16 @@ def petersen():
 PINNED = [cycle(7), petersen(), random_connected(random.Random("n12"), 12, 0.4)]
 
 
-def _fresh(key):
-    """What the memo entry ``key`` holds, computed without a scope: for
-    ("families", g, capped), the whole families, cut at the size of a
-    greedy dominating set when capped."""
-    kind, g, *capped = key
+def _complete(key, value) -> bool:
+    """True when the memo entry ``key`` holds what the computation gives
+    without a scope; for ("walk", g), the layers it has built."""
+    kind, g = key
+    if kind == "walk":
+        return value.layers == list(irredundance._layers(g, None))[:len(value.layers)]
     if kind == "chi":
-        return chromatic_number(g)
-    if kind == "families":
-        greedy = irredundance._greedy_dominating(g) if capped[0] else 0
-        cap = greedy.bit_count() if capped[0] else g.n
-        return (greedy, [s for s in maximal_irredundant_sets(g) if s.bit_count() <= cap],
-                [s for s in minimal_dominating_sets(g) if s.bit_count() <= cap])
+        return value == chromatic_number(g)
     if kind == "obstructed":
-        return irc._obstructed(g)
+        return value == irc._obstructed(g)
     raise AssertionError(f"unexpected memo key {kind!r}")
 
 
@@ -62,7 +58,7 @@ def test_cancelled_computations_leave_no_memo_entry():
         else:
             assert got == expected
         # whatever the scope kept is complete
-        assert all(value == _fresh(key) for key, value in scope.memo.items())
+        assert all(_complete(key, value) for key, value in scope.memo.items())
         token.limit = None  # the budget is live again
         assert [solve(g, scope) for solve in solvers] == expected
     assert cancelled >= 20
@@ -70,16 +66,52 @@ def test_cancelled_computations_leave_no_memo_entry():
 
 def test_cancelled_walk_is_recomputed_on_the_next_request():
     g = PINNED[2]
-    for capped in (False, True):
-        key = ("families", g, capped)
-        token = Polls(3)  # inside the walk
+    whole = list(irredundance._layers(g, None))
+    # the first poll is the empty set's, before the walk is kept; the third
+    # falls inside the layer of one vertex
+    for limit, kept in ((1, None), (3, 1)):
+        token = Polls(limit)
         scope = budget.scope(token)
         with pytest.raises(SearchCancelled):
-            irredundance._families(g, scope, capped)
-        assert scope.memo == {}
+            list(maximal_irredundant_sets(g, scope))
+        assert [len(walk.layers) for walk in scope.memo.values()] == ([] if kept is None else [kept])
         token.limit = None
-        assert irredundance._families(g, scope, capped) == _fresh(key)
-        assert list(scope.memo) == [key]
+        assert list(maximal_irredundant_sets(g, scope)) == list(maximal_irredundant_sets(g))
+        assert list(scope.memo) == [("walk", g)] and scope.memo[("walk", g)].layers == whole
+
+
+def test_a_walk_cancelled_inside_a_layer_keeps_the_layers_before_it(monkeypatch):
+    # a budget that runs out inside layer 2 or later keeps the layers
+    # before it, and the same scope then gives the answers a fresh one does
+    g = PINNED[2]
+    solvers = (ir_number, gamma_number, irredundance_chromatic_number, gamma_chromatic_number)
+    expected = [solve(g) for solve in solvers]
+    whole = list(irredundance._layers(g, None))
+    counted = Polls()
+    starts = []
+    grow = irredundance._Walk.grow
+
+    def spied(walk, tok):
+        starts.append(counted.polls)
+        return grow(walk, tok)
+
+    def run(scope):
+        [solve(g, scope) for solve in solvers[2:]]
+        list(maximal_irredundant_sets(g, scope))
+
+    monkeypatch.setattr(irredundance._Walk, "grow", spied)
+    run(budget.scope(counted))
+    assert len(starts) == len(whole) >= 4  # the last call finds no next layer
+    for size in range(2, len(whole)):
+        token = Polls(starts[size - 1] + 2)  # expires on the layer's second set
+        scope = budget.scope(token)
+        with pytest.raises(SearchCancelled):
+            run(scope)
+        assert scope.memo[("walk", g)].layers == whole[:size]
+        token.limit = None
+        assert [solve(g, scope) for solve in solvers] == expected
+        assert list(maximal_irredundant_sets(g, scope)) == list(maximal_irredundant_sets(g))
+        assert scope.memo[("walk", g)].layers == whole
 
 
 def test_a_consumer_that_stops_early_leaves_the_whole_family():
@@ -88,16 +120,19 @@ def test_a_consumer_that_stops_early_leaves_the_whole_family():
         first = next(maximal_irredundant_sets(g, scope))
         everything = list(maximal_irredundant_sets(g))
         assert first == everything[0]
-        # and no capped entry
-        assert scope.memo == {("families", g, False): _fresh(("families", g, False))}
+        # every layer, and nothing else
+        assert list(scope.memo) == [("walk", g)]
+        walk = scope.memo[("walk", g)]
+        assert walk.layers == list(irredundance._layers(g, None)) and not walk.frontier
         assert list(maximal_irredundant_sets(g, scope)) == everything
 
 
 def test_one_record_computes_chi_once_and_walks_once(monkeypatch):
-    chi_of, walks, greedies = [], [], []
+    chi_of, greedies = [], []
     spy(monkeypatch, coloring, "chromatic_number", chi_of)
-    spy(monkeypatch, irredundance, "_irredundant_sets", walks)
     spy(monkeypatch, irredundance, "_greedy_dominating", greedies)
+    walks = spy_walks(monkeypatch)
+    depths = []
     for g in PINNED:
         greedy = irredundance._greedy_dominating(g).bit_count()
         for ids in (DEFAULT_INVARIANTS, tuple(REGISTRY)):
@@ -105,10 +140,43 @@ def test_one_record_computes_chi_once_and_walks_once(monkeypatch):
             rec = _graph_record(0, g, ids, witnesses=True)
             assert all(cell["status"] in ("ok", "absent") for cell in rec["invariants"].values())
             assert [args[0] for args in chi_of].count(g) == 1
-            # ir, gamma, chi_i and chi_gamma read one walk up to the size of
-            # a greedy dominating set, found once; none is uncapped
-            assert walk_caps(walks) == [greedy]
-            assert len(greedies) == 1
+            # ir, gamma, chi_i and chi_gamma read one walk, as deep as the
+            # deepest of them reads; gamma finds a greedy dominating set
+            assert len(walks) == 1 and len(greedies) == 1
+            depths.append((greedy, *walk_depths(walks)))
+    assert depths == [(3, 3), (3, 3), (3, 3), (3, 3), (2, 2), (2, 2)]
+
+
+def _rainbow_gnp_graphs():
+    """The 15 base graphs of the rainbow_gnp benchmark workload: connected
+    G(n, 0.4), three for each n = 12..16, drawn as perfbench/inputs.py
+    draws them."""
+    rng = random.Random("rainbow_gnp:base")
+    graphs = []
+    for n in range(12, 17):
+        for _ in range(3):
+            g = None
+            while g is None or component_count(g) != 1:
+                g = from_edge_list(n, [(u, v) for v in range(1, n) for u in range(v) if rng.random() < 0.4])
+            graphs.append(g)
+    return graphs
+
+
+def test_default_ids_walk_only_the_layers_they_read(monkeypatch):
+    # the default six read the layers up to max(ir, gamma, the largest
+    # rainbow candidate tried); a walk capped at the greedy dominating size
+    # g0 walks the g0 layer too on the graphs where gamma < g0
+    walks = spy_walks(monkeypatch)
+    built = capped = 0
+    for g in _rainbow_gnp_graphs():
+        del walks[:]
+        _graph_record(0, g, DEFAULT_INVARIANTS)
+        [depth] = walk_depths(walks)
+        g0 = irredundance._greedy_dominating(g).bit_count()
+        nodes = walk_nodes(g, max(depth, g0))
+        built += sum(nodes[:depth + 1])
+        capped += sum(nodes[:g0 + 1])
+    assert (built, capped) == (4683, 6753)
 
 
 def test_scan_conjecture_scans_for_obstructions_once(monkeypatch):
