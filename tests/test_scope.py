@@ -96,7 +96,8 @@ def test_a_walk_cancelled_inside_a_layer_keeps_the_layers_before_it(monkeypatch)
         return grow(walk, tok)
 
     def run(scope):
-        [solve(g, scope) for solve in solvers[2:]]
+        for solve in solvers[2:]:
+            solve(g, scope)
         list(maximal_irredundant_sets(g, scope))
 
     monkeypatch.setattr(irredundance._Walk, "grow", spied)
