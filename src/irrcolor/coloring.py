@@ -81,32 +81,6 @@ def add_clique(g: Graph, s: VertexSet) -> Graph:
     return _unchecked(g.n, tuple(adj))
 
 
-def _dsatur_greedy(g: Graph) -> list[int]:
-    """Color the most saturated vertex next, ties to the highest degree and
-    then the lowest index, with its lowest free color."""
-    n = g.n
-    colors = [-1] * n
-    sat = [0] * n
-    # (saturation, degree, -u) as one integer: the degree and index part
-    # stays below n * n
-    rank = [g.degree(u) * n + n - 1 - u for u in range(n)]
-    square = n * n
-    uncolored = list(range(n))
-    for _ in range(n):
-        top = -1
-        for u in uncolored:
-            key = sat[u].bit_count() * square + rank[u]
-            if key > top:
-                top, v = key, u
-        uncolored.remove(v)
-        s = sat[v]
-        c = (~s & (s + 1)).bit_length() - 1
-        colors[v] = c
-        for u in bits(g.adj[v]):
-            sat[u] |= 1 << c
-    return colors
-
-
 def max_clique(g: Graph) -> VertexSet:
     """A maximum clique, found by branch and bound over candidate masks."""
     best = 0
@@ -128,20 +102,52 @@ def max_clique(g: Graph) -> VertexSet:
 
 
 def chromatic_number(g: Graph, token=None) -> tuple[int, Coloring]:
-    """Exact chi(G) and a witness proper coloring."""
+    """Exact chi(G) and a witness proper coloring, by Brelaz's DSATUR.
+
+    A greedy pass, then a branch and bound from a maximum clique, each color
+    next the uncolored vertex with the most colors on its neighbors, ties to
+    the highest degree and then the lowest index.  Both read ``sat[u]``, the
+    colors on u's colored neighbors, kept as vertices are colored and
+    uncolored."""
     n = g.n
     if n == 0:
         return 0, Coloring((), 0)
-    greedy = _dsatur_greedy(g)
-    best = greedy[:]
-    best_k = max(greedy) + 1
+    adj = g.adj
+    colors = [-1] * n
+    sat = [0] * n
+    # (saturation, degree, -u) as one integer: the degree and index part
+    # stays below n * n
+    rank = [g.degree(u) * n + n - 1 - u for u in range(n)]
+    square = n * n
+
+    def most_saturated(uncolored: list[int]) -> int:
+        top = -1
+        for u in uncolored:
+            key = sat[u].bit_count() * square + rank[u]
+            if key > top:
+                top, v = key, u
+        return v
+
+    uncolored = list(range(n))
+    while uncolored:
+        v = most_saturated(uncolored)
+        uncolored.remove(v)
+        s = sat[v]
+        c = (~s & (s + 1)).bit_length() - 1
+        colors[v] = c
+        for u in bits(adj[v]):
+            sat[u] |= 1 << c
+    best = colors
+    best_k = max(colors) + 1
     clique = max_clique(g)
-    lb = clique.bit_count()
-    if lb < best_k:
+    if clique.bit_count() < best_k:
         colors = [-1] * n
-        clique_vs = list(bits(clique))
-        for i, v in enumerate(clique_vs):
-            colors[v] = i
+        sat = [0] * n
+        nbrs = [list(bits(a)) for a in adj]
+        for c, v in enumerate(bits(clique)):
+            colors[v] = c
+            for u in nbrs[v]:
+                sat[u] |= 1 << c
 
         def search(uncolored: list[int], used: int) -> None:
             nonlocal best, best_k
@@ -152,28 +158,21 @@ def chromatic_number(g: Graph, token=None) -> tuple[int, Coloring]:
                 best = colors[:]
                 best_k = used
                 return
-
-            def saturation(u: int) -> tuple[int, int, int]:
-                forb = 0
-                for w in bits(g.adj[u]):
-                    if colors[w] >= 0:
-                        forb |= 1 << colors[w]
-                return (forb.bit_count(), g.degree(u), -u)
-
-            v = max(uncolored, key=saturation)
+            v = most_saturated(uncolored)
             rest = [u for u in uncolored if u != v]
-            forb = 0
-            for w in bits(g.adj[v]):
-                if colors[w] >= 0:
-                    forb |= 1 << colors[w]
             for c in range(min(used + 1, best_k - 1)):
-                if forb >> c & 1:
+                bit = 1 << c
+                if sat[v] & bit:
                     continue
                 colors[v] = c
+                lacking = [u for u in nbrs[v] if not sat[u] & bit]
+                for u in lacking:
+                    sat[u] |= bit
                 search(rest, max(used, c + 1))
-                colors[v] = -1
+                for u in lacking:
+                    sat[u] ^= bit
 
-        search([v for v in range(n) if colors[v] < 0], lb)
+        search([v for v in range(n) if colors[v] < 0], clique.bit_count())
     return best_k, Coloring(tuple(best), best_k).canonical()
 
 

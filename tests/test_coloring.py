@@ -1,9 +1,11 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
 
 from irrcolor import budget, coloring, irredundance
+from irrcolor.budget import Deadline
 from irrcolor.coloring import (
     Coloring,
     RainbowCert,
@@ -20,7 +22,7 @@ from irrcolor.coloring import (
 from irrcolor.errors import ParameterError, SearchCancelled
 from irrcolor.cli import _FULL_DEGREE
 from irrcolor.families import gen_family_z, generate
-from irrcolor.graphs import bits, from_edge_list, mask_from, parse_graph6
+from irrcolor.graphs import from_edge_list, mask_from, parse_graph6
 from irrcolor.irredundance import (
     gamma_number,
     ir_number,
@@ -33,6 +35,7 @@ from irrcolor.irredundance import (
 )
 from irrcolor.oracle import oracle_invariant
 
+from chi_reference import reference_chromatic_number
 from conftest import Polls, complete, complete_bipartite, cycle, path, random_connected, random_graph, spy_walks, tree7, walk_depths
 
 
@@ -77,34 +80,37 @@ def test_chromatic_number_matches_oracle():
         assert chromatic_number(g)[0] == oracle_invariant(g, "chi").value
 
 
-def _reference_dsatur_greedy(g):
-    """The greedy coloring as it was when it scanned the uncolored vertices
-    by (saturation, degree, -u) and counted up to the lowest free color."""
-    n = g.n
-    colors = [-1] * n
-    sat = [0] * n
-    for _ in range(n):
-        v = max(
-            (u for u in range(n) if colors[u] < 0),
-            key=lambda u: (sat[u].bit_count(), g.degree(u), -u),
-        )
-        c = 0
-        while sat[v] >> c & 1:
-            c += 1
-        colors[v] = c
-        for u in bits(g.adj[v]):
-            if colors[u] < 0:
-                sat[u] |= 1 << c
-    return colors
-
-
-def test_dsatur_greedy_matches_the_reference(connected_le6, bipartite_le7):
+def test_chromatic_number_matches_the_reference(connected_le6, bipartite_le7):
+    """The same value, witness and polls as the search that kept no
+    saturation table, so the same decisions at every node."""
     rng = random.Random(67)
     graphs = [*connected_le6, *bipartite_le7]
     graphs += [add_clique(g, ir_number(g)[1]) for g in graphs]
-    graphs += [random_graph(rng, n, tenths / 10) for n in range(0, 23) for tenths in range(1, 10)]
+    graphs += [random_graph(rng, n, tenths / 10) for n in range(0, 31) for tenths in range(1, 10)]
     for g in graphs:
-        assert coloring._dsatur_greedy(g) == _reference_dsatur_greedy(g)
+        fast, slow = Polls(), Polls()
+        assert chromatic_number(g, fast) == reference_chromatic_number(g, slow)
+        assert fast.polls == slow.polls
+
+
+def _seeded_gnp(n, p):
+    return random_graph(random.Random(f"{n}:{p}"), n, p)
+
+
+def test_chromatic_number_polls_the_budget():
+    for n, p, polls in ((45, 0.5, 563), (60, 0.2, 10_845)):
+        token = Polls()
+        chromatic_number(_seeded_gnp(n, p), token)
+        assert token.polls == polls
+    token = Polls(50)
+    with pytest.raises(SearchCancelled):
+        chromatic_number(_seeded_gnp(45, 0.5), token)
+    assert token.polls == 50
+    # this graph takes seconds without a budget
+    t0 = time.monotonic()
+    with pytest.raises(SearchCancelled):
+        chromatic_number(_seeded_gnp(60, 0.5), Deadline(0.5))
+    assert time.monotonic() - t0 < 1.0
 
 
 def test_add_clique():

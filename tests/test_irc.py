@@ -449,7 +449,7 @@ def test_colorability_ascends_past_chi(monkeypatch):
 _PINNED_POLLS = [(0, 223), (1, 67), (2, 61)]
 
 
-def test_chromatic_number_checks_committees_inside_one_search(monkeypatch):
+def test_irc_chromatic_number_checks_committees_inside_one_search(monkeypatch):
     calls = []
 
     def spy(module, name):
@@ -470,7 +470,7 @@ def test_chromatic_number_checks_committees_inside_one_search(monkeypatch):
     assert calls == []
 
 
-def test_chromatic_number_polls_the_budget():
+def test_irc_chromatic_number_polls_the_budget():
     g = random_bipartite(random.Random(0), 11, 0.6)
     token = Polls(50)
     with pytest.raises(SearchCancelled):
