@@ -20,7 +20,7 @@ import os
 import random
 import sys
 import time
-from functools import partial
+from functools import cache, partial
 from importlib.resources import files as resource_files
 from itertools import chain, product
 from typing import Optional, Sequence
@@ -648,7 +648,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(65, f"{self.prog}: error: {message}\n")
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused by every later
+    ``main()`` in the process.  Its ``set_defaults(fn=cmd_*)`` therefore binds
+    the command functions once per process; each subcommand's parser is bound
+    too, as ``parser``, so that ``main`` reports range errors under its usage."""
     parser = _Parser(
         prog="irrcolor",
         description="Exact irredundance-flavored coloring invariants for small graphs",
@@ -687,6 +692,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--oracle-cap", type=int, default=DEFAULT_SIZE_CAP)
     p_scan.set_defaults(fn=cmd_scan)
 
+    for command in sub.choices.values():
+        command.set_defaults(parser=command)
     return parser
 
 
@@ -696,7 +703,7 @@ def main(argv=None) -> int:
     for flag, least in (("jobs", 1), ("budget_seconds", 0), ("oracle_cap", 0)):
         value = getattr(args, flag, least)
         if not value >= least:  # a nan budget fails too
-            parser.error(f"--{flag.replace('_', '-')} must be at least {least}, not {value}")
+            args.parser.error(f"--{flag.replace('_', '-')} must be at least {least}, not {value}")
     return args.fn(args)
 
 

@@ -13,7 +13,6 @@ Fixture graphs are frozen literal edge lists.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -394,23 +393,28 @@ def generate(kind: str, *params: int) -> FamilyInstance:
 
 
 def _prufer_tree(seq: tuple[int, ...], n: int) -> Graph:
-    """The labeled tree on n >= 2 vertices with Pruefer sequence ``seq``."""
+    """The labeled tree on n >= 2 vertices with Pruefer sequence ``seq``.
+
+    Linear decode: ``low`` is the lowest leaf not yet used, and a vertex that
+    becomes a leaf below it is the next leaf at once."""
     degree = [1] * n
     for s in seq:
         degree[s] += 1
     adj = [0] * n
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaves)
+    low = leaf = degree.index(1)
     for s in seq:
-        leaf = heapq.heappop(leaves)
         adj[leaf] |= 1 << s
         adj[s] |= 1 << leaf
         degree[s] -= 1
-        if degree[s] == 1:
-            heapq.heappush(leaves, s)
-    u, v = leaves
-    adj[u] |= 1 << v
-    adj[v] |= 1 << u
+        if degree[s] == 1 and s < low:
+            leaf = s
+        else:
+            low += 1
+            while degree[low] != 1:
+                low += 1
+            leaf = low
+    adj[leaf] |= 1 << (n - 1)
+    adj[n - 1] |= 1 << leaf
     return _unchecked(n, tuple(adj))
 
 

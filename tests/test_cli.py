@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import os
@@ -580,13 +581,96 @@ def test_jobs_below_one_and_negative_budget_exit_65(tmp_path, capsys):
         ["scan", "bounds", str(src), "--budget-seconds", "-0.5"],
         ["verify", "bounds", "--budget-seconds", "-1"],
     ):
-        assert "--budget-seconds must be at least 0" in _usage_error(capsys, argv)
+        assert "--budget-seconds must be at least 0" in _command_usage_error(capsys, argv)
     for argv in (["invariants", str(src), "--jobs", "0"], ["scan", "chain", str(src), "--jobs", "-2"]):
-        assert "--jobs must be at least 1" in _usage_error(capsys, argv)
+        assert "--jobs must be at least 1" in _command_usage_error(capsys, argv)
     for argv in (["verify", "family-a", "--oracle-cap", "-3"], ["scan", "conjecture", str(src), "--oracle-cap", "-1"]):
-        assert "--oracle-cap must be at least 0" in _usage_error(capsys, argv)
+        assert "--oracle-cap must be at least 0" in _command_usage_error(capsys, argv)
+    # argparse's own errors for a subcommand print the same usage line
+    assert "invalid int value" in _command_usage_error(capsys, ["scan", "chain", str(src), "--jobs", "abc"])
     code, out, _ = run_cli(capsys, ["invariants", str(src), "--budget-seconds", "0", "--jobs", "1"])
     assert code == 0 and "skipped" not in out.splitlines()[0]
+
+
+def _command_usage_error(capsys, argv):
+    """A usage error, reported under the usage line of the command it names."""
+    err = _usage_error(capsys, argv)
+    assert err.startswith(f"usage: irrcolor {argv[0]} ")
+    return err
+
+
+def _count_parsers(monkeypatch) -> list:
+    """Every argparse parser constructed from here on."""
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    return built
+
+
+def test_importing_the_cli_builds_no_parser():
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "real = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(self) or real(self, *a, **k)\n"
+        "import irrcolor.cli\n"
+        "print(len(built))\n"
+        "irrcolor.cli.main(['gen', 'complete', '3'])\n"
+        "print(len(built) > 0)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_module_env())
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("0", "True")  # the first main() builds it
+
+
+def test_main_reuses_one_parser(tmp_path, capsys, monkeypatch):
+    src = tmp_path / "k3.g6"
+    src.write_text(to_graph6(complete(3)).decode() + "\n")
+    run_cli(capsys, ["gen", "complete", "3"])  # builds the parser, unless an earlier call has
+    built = _count_parsers(monkeypatch)
+    assert run_cli(capsys, ["invariants", str(src), "--invariants", "chi"])[0] == 0
+    _usage_error(capsys, ["scan", "chain", str(src), "--jobs", "0"])
+    assert built == []
+
+
+def test_a_usage_error_leaves_no_state_for_the_next_call(tmp_path, capsys):
+    src = tmp_path / "k3.g6"
+    src.write_text(to_graph6(complete(3)).decode() + "\n")
+    valid = ["invariants", str(src), "--json"]
+    alone = strip_timings(json.loads(run_cli(capsys, valid)[1]))
+    # each error sets options that the valid call leaves at their defaults
+    for argv in (
+        ["invariants", str(src), "--invariants", "chi", "--witnesses", "--jobs", "0"],
+        ["invariants", str(src), "--format", "edgelist", "--witnesses", "--jobs", "abc"],
+    ):
+        _usage_error(capsys, argv)
+        code, out, _ = run_cli(capsys, valid)
+        assert code == 0 and strip_timings(json.loads(out)) == alone
+
+
+def _help(capsys, argv) -> str:
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_help_is_the_same_after_other_calls(tmp_path, capsys):
+    src = tmp_path / "k3.g6"
+    src.write_text(to_graph6(complete(3)).decode() + "\n")
+    helps = [["--help"], ["scan", "--help"], ["invariants", "--help"]]
+    before = [_help(capsys, argv) for argv in helps]
+    run_cli(capsys, ["invariants", str(src), "--witnesses", "--json"])
+    _usage_error(capsys, ["scan", "chain", str(src), "--oracle-cap", "-1"])
+    _usage_error(capsys, ["nosuch"])
+    assert [_help(capsys, argv) for argv in helps] == before
+    assert before[1].startswith("usage: irrcolor scan ")
 
 
 def test_verify_scan_scopes_skip_on_budget_overrun(capsys):
