@@ -413,6 +413,7 @@ def _prufer_tree(seq: tuple[int, ...], n: int) -> Graph:
             while degree[low] != 1:
                 low += 1
             leaf = low
+    # n - 1 is never the lowest leaf while another is left, so it ends the tree
     adj[leaf] |= 1 << (n - 1)
     adj[n - 1] |= 1 << leaf
     return _unchecked(n, tuple(adj))
