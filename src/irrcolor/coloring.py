@@ -265,19 +265,24 @@ def _restricted_growth_search(g: Graph, lo: int, hi: int, fault, token=None, few
     is none.
 
     Vertex i joins an existing class or opens the next one, and then
-    ``fault(i, created, masks, colors, cap)`` rejects the prefix and every
-    extension by returning what it found (anything truthy); ``cap`` is the
-    most classes a partition found from here on may have.  The call on the
-    last vertex is the final test.  Each partition found raises ``lo``
-    above its class count, or with ``fewest`` lowers the cap below it.  The
-    order does not depend on the bounds, so the last partition found is the
-    first in that order with its count.
+    ``fault(i, created, masks, colors, union, inter, cap)`` rejects the
+    prefix and every extension by returning what it found (anything
+    truthy); ``union[c]`` and ``inter[c]`` are the union and the
+    intersection of N[u] over the placed members u of class c, kept as
+    vertices are placed and removed, and ``cap`` is the most classes a
+    partition found from here on may have.  The call on the last vertex is
+    the final test.  Each partition found raises ``lo`` above its class
+    count, or with ``fewest`` lowers the cap below it.  The order does not
+    depend on the bounds, so the last partition found is the first in that
+    order with its count.
     """
     n = g.n
     if not 1 <= lo <= hi <= n:
         return None
+    closed = [g.closed(v) for v in range(n)]
     colors = [-1] * n
     masks = [0] * hi
+    union, inter = [0] * hi, [g.vertices] * hi
     best: Optional[Coloring] = None
 
     def rec(i: int, created: int) -> bool:
@@ -301,10 +306,16 @@ def _restricted_growth_search(g: Graph, lo: int, hi: int, fault, token=None, few
                 continue
             colors[i] = c
             masks[c] |= 1 << i
-            if not fault(i, nxt, masks, colors, hi) and rec(i + 1, nxt):
+            # an intersection cannot be undone from N[i], so the old values
+            # are kept for the return
+            was = union[c], inter[c]
+            union[c] |= closed[i]
+            inter[c] &= closed[i]
+            if not fault(i, nxt, masks, colors, union, inter, hi) and rec(i + 1, nxt):
                 return True
             colors[i] = -1
             masks[c] ^= 1 << i
+            union[c], inter[c] = was
         return False
 
     rec(0, 0)
@@ -323,11 +334,8 @@ def _dominator_search(g: Graph, anti: bool, token=None) -> Coloring:
         union, inter = ahead[i + 1]
         ahead[i] = (union | g.adj[i + 1], inter & closed[i + 1])
 
-    def fault(i: int, created: int, masks: list[int], colors: list[int], cap: int) -> int:
-        inter, union = [everyone] * created, [0] * created
-        for v in range(i + 1):
-            inter[colors[v]] &= closed[v]
-            union[colors[v]] |= closed[v]
+    def fault(i: int, created: int, masks: list[int], colors: list[int], union: list[int], inter: list[int],
+              cap: int) -> int:
         # the vertices that dominate some class, and those that avoid none
         dominating, everywhere = ahead[i] if created < cap else (0, everyone)
         for c in range(created):

@@ -7,12 +7,18 @@ victim's N[v] with the closed neighborhoods of members drawn from the other
 classes, which is exactly what annihilates pn[v, RC].  The partition
 searches run it at every placement, so a prefix with a violating committee
 is dropped with all its extensions, and the verifier replays it over the
-placements of a whole coloring.
+placements of a whole coloring.  It reads the per-class unions of N[u]
+that the search keeps as it places vertices, and skips a victim whose
+target reaches outside the union of the classes that may supply members
+before any cover search starts.
 
 Two necessary conditions prune everything cheap:
-  * minimum degree at least 2 for the searches (a pendant plus its support
-    vertex always yields a bad committee; the one-vertex graph is excluded
-    by convention);
+  * no obstruction for the searches: minimum degree at least 2 (a pendant
+    plus its support vertex always yields a bad committee; the one-vertex
+    graph is excluded by convention), and no maximal clique with a member
+    that has no private neighbor in it, found by a clique walk over the
+    vertices on a triangle and those of degree at most 1 with their
+    neighbors;
   * every vertex needs two same-colored neighbors, otherwise a committee
     through its rainbow neighborhood kills it.
 """
@@ -53,8 +59,9 @@ def _cover(closed: list[int], classes: list[int], reach: list[int], target: int)
     for an empty target); None when there is none.
 
     ``closed[u]`` is N[u] and ``reach[j]`` the union of N[u] over class j.
-    Members covering more of what is left are tried first, ties toward the
-    lowest index.
+    The caller has tested that ``target`` lies within the union of
+    ``reach``; no cover exists otherwise.  Members covering more of what is
+    left are tried first, ties toward the lowest index.
     """
     # suffix[j]: all that classes j.. can still cover
     suffix = list(accumulate(reversed(reach), or_, initial=0))[::-1]
@@ -72,11 +79,12 @@ def _cover(closed: list[int], classes: list[int], reach: list[int], target: int)
                     return picked | 1 << u
         return None
 
-    return None if target & ~suffix[0] else rec(0, target)
+    return rec(0, target)
 
 
-def _maximal_cliques(g: Graph, token=None):
-    """Bron-Kerbosch with pivoting; yields clique masks."""
+def _maximal_cliques(g: Graph, pool: int, token=None):
+    """Bron-Kerbosch with pivoting on the subgraph induced by ``pool``;
+    yields its maximal cliques as masks."""
 
     def bk(r: int, p: int, x: int):
         budget.check(token)
@@ -90,14 +98,16 @@ def _maximal_cliques(g: Graph, token=None):
             p &= ~(1 << v)
             x |= 1 << v
 
-    if g.n:
-        yield from bk(0, g.vertices, 0)
+    if pool:
+        yield from bk(0, pool, 0)
 
 
 def _obstructions(g: Graph, token=None) -> Iterator[Obstruction]:
     # low degree first: it costs one pass over the vertices, the cliques more
+    leaves = 0  # the vertices of degree at most 1, with their neighbors
     for v in range(g.n):
         if g.degree(v) <= 1:
+            leaves |= g.closed(v)
             yield Obstruction("low_degree", v)
 
     def clique_private(q: int) -> Optional[Obstruction]:
@@ -106,18 +116,29 @@ def _obstructions(g: Graph, token=None) -> Iterator[Obstruction]:
                 return Obstruction("clique_private", v, q)
         return None
 
+    triangles = 0  # the vertices on a triangle: the ends of each edge with a common neighbor
+    for v in range(g.n):
+        for u in bits(g.adj[v] & ((1 << v) - 1)):
+            if g.adj[u] & g.adj[v]:
+                triangles |= 1 << u | 1 << v
     # then the simplicial cliques: when N[v] is a clique it is a maximal one,
     # and v has no private neighbor in it, since every other member u has
-    # N[u] containing N[v]; this finds them without the clique walk
+    # N[u] containing N[v]; this finds them without the clique walk.  With
+    # two or more neighbors such a v lies on a triangle
     simplicial_cliques = set()
-    for v in range(g.n):
+    for v in bits(triangles):
         q = g.closed(v)
-        if g.degree(v) >= 2 and q not in simplicial_cliques and all(
-            g.closed(u) & q == q for u in bits(g.adj[v])
-        ):
+        if q not in simplicial_cliques and all(g.closed(u) & q == q for u in bits(g.adj[v])):
             simplicial_cliques.add(q)
             yield clique_private(q)
-    for q in _maximal_cliques(g, token):
+    # the clique walk last, over a pool: the vertices on a triangle, which
+    # hold every clique of three or more, and those of degree at most 1 with
+    # their neighbors.  An edge on no triangle blocks only at an end of
+    # degree 1, since an end with more neighbors keeps them as private ones;
+    # and a pair maximal in the pool is maximal in g, since a third vertex
+    # would close a triangle, which lies inside the pool
+    pool = triangles | leaves
+    for q in _maximal_cliques(g, pool, token):
         if q.bit_count() >= 2 and q not in simplicial_cliques:
             found = clique_private(q)
             if found is not None:
@@ -155,7 +176,9 @@ def _committee_fault(g: Graph):
     be swapped for another member of c, or dropped if it opened c, to give
     a violating committee of the previous prefix).  The victim i is hit
     when one member from each other class covers N[i]; a victim v when one
-    member from each class other than c and v's covers N[v] - N[i].
+    member from each class other than c and v's covers N[v] - N[i].  The
+    cover search runs only when the target lies within the union of those
+    classes' ``union`` entries, the search's per-class unions of N[u].
     """
     n = g.n
     closed = [g.closed(v) for v in range(n)]
@@ -179,23 +202,25 @@ def _committee_fault(g: Graph):
             between |= closed[v]
         victims.append(row)
 
-    def fault(i: int, created: int, masks: list[int], colors: list[int], cap: int) -> Optional[tuple[int, VertexSet]]:
+    def fault(i: int, created: int, masks: list[int], colors: list[int], union: list[int], inter: list[int],
+              cap: int) -> Optional[tuple[int, VertexSet]]:
         for u in complete_at[i]:
             # every vertex needs two same-colored neighbors
             if all((g.adj[u] & masks[j]).bit_count() <= 1 for j in range(created)):
                 return u, closed[u]
-        if not victims[i]:
-            return None
         c = colors[i]
-        reach = [0] * created  # reach[j]: the union of N[u] over class j
-        for u in range(i + 1):
-            reach[colors[u]] |= closed[u]
         for v, target in victims[i]:
             cv = colors[v]  # c for the victim i, which leaves out class c only
             if cv == c and v != i:
                 continue
-            eligible = [j for j in range(created) if j != c and j != cv]
-            picked = _cover(closed, [masks[j] for j in eligible], [reach[j] for j in eligible], target)
+            eligible, reach = [], 0  # reach: all that the eligible classes cover
+            for j in range(created):
+                if j != c and j != cv:
+                    eligible.append(j)
+                    reach |= union[j]
+            if target & ~reach:
+                continue
+            picked = _cover(closed, [masks[j] for j in eligible], [union[j] for j in eligible], target)
             if picked is not None:
                 return v, picked | 1 << v | 1 << i
         return None
@@ -211,8 +236,9 @@ def _shared_fault(g: Graph, token):
 def is_irc_coloring(g: Graph, coloring: Coloring, token=None) -> IrcVerdict:
     """Check that every rainbow committee of ``coloring`` is irredundant, by
     replaying the partition search's check over the placements of its
-    canonical form; here alone the check's members become a committee,
-    with the lowest member of each class they miss.
+    canonical form, with the per-class tables the search keeps; here alone
+    the check's members become a committee, with the lowest member of each
+    class they miss.
 
     This is the bare definition, without the minimum-degree convention of
     ``irc_colorability`` and the oracle: it accepts ``(0, 1, 0, 1, 2)`` on C4
@@ -225,13 +251,15 @@ def is_irc_coloring(g: Graph, coloring: Coloring, token=None) -> IrcVerdict:
     fault = _shared_fault(g, token)
     canonical = coloring.canonical()
     colors = list(canonical.color_of)
-    masks = [0] * canonical.k
+    masks, union, inter = [0] * canonical.k, [0] * canonical.k, [g.vertices] * canonical.k
     created = 0
     for i, c in enumerate(colors):
         budget.check(token)
         masks[c] |= 1 << i
+        union[c] |= g.closed(i)
+        inter[c] &= g.closed(i)
         created = max(created, c + 1)
-        hit = fault(i, created, masks, colors, canonical.k)
+        hit = fault(i, created, masks, colors, union, inter, canonical.k)
         if hit:
             victim, rc = hit
             for m in canonical.classes():

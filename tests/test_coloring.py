@@ -290,10 +290,10 @@ def test_dominator_fits_agrees_with_the_per_vertex_rule(monkeypatch, connected_l
     def checked(g, lo, hi, fault, token=None, fewest=False):
         later = [(g.vertices >> (i + 1)) << (i + 1) for i in range(g.n)]
 
-        def both(i, created, masks, colors, cap):
+        def both(i, created, masks, colors, union, inter, cap):
             nonlocal calls
             calls += 1
-            failing = fault(i, created, masks, colors, cap)
+            failing = fault(i, created, masks, colors, union, inter, cap)
             assert failing == sum(1 << v for v in range(i + 1) if not _alive(g, v, created, cap, later[i], masks, anti))
             return failing
 

@@ -21,7 +21,7 @@ from irrcolor.irc import (
 from irrcolor.irredundance import is_irredundant, private_neighbors
 from irrcolor.oracle import independent_partitions, oracle_invariant
 
-from conftest import Polls, complete, cycle, path, random_bipartite, random_connected, tree7
+from conftest import Polls, complete, complete_bipartite, cycle, path, random_bipartite, random_connected, tree7
 
 
 def test_is_irc_coloring_preconditions():
@@ -168,21 +168,28 @@ def test_cover_matches_the_product_over_classes():
     # _cover finds members, at most one per class, whose closed
     # neighborhoods cover the target exactly when some choice from the
     # product over the classes does, and returns them as one mask; 0 for an
-    # empty target, which a caller must tell apart from None
+    # empty target, which a caller must tell apart from None.  A target
+    # beyond the classes' reach has no cover; the caller tests for it and
+    # _cover is not called
     from itertools import product
 
     rng = random.Random(67)
-    outcomes = {"empty": 0, "none": 0, "found": 0}
+    outcomes = {"empty": 0, "outside": 0, "none": 0, "found": 0}
     for _ in range(300):
         g = random_connected(rng, rng.randint(3, 9), rng.choice((0.25, 0.4, 0.6)))
         closed = [g.closed(v) for v in range(g.n)]
         labels = [rng.randrange(-1, 4) for _ in range(g.n)]  # -1: in no class
         classes = [m for c in range(4) if (m := sum(1 << v for v in range(g.n) if labels[v] == c))]
         reach = [closed_neighborhood_of_set(g, m) for m in classes]
-        for target in (0, rng.randrange(1, 1 << g.n), g.vertices):
+        within = closed_neighborhood_of_set(g, sum(classes))
+        for target in (0, rng.randrange(1, 1 << g.n), g.vertices, within):
             # each class gives one member or none
             picks = product(*[[0, *(1 << u for u in bits(m))] for m in classes])
             coverable = any(not target & ~closed_neighborhood_of_set(g, sum(p)) for p in picks)
+            if target & ~within:
+                assert not coverable
+                outcomes["outside"] += 1
+                continue
             picked = irc._cover(closed, classes, reach, target)
             if picked is None:
                 assert not coverable
@@ -192,14 +199,16 @@ def test_cover_matches_the_product_over_classes():
             assert not picked & ~sum(classes)
             assert not target & ~closed_neighborhood_of_set(g, picked)
             outcomes["found" if target else "empty"] += 1
-    assert outcomes["empty"] == 300 and outcomes["none"] > 50 and outcomes["found"] > 50
+    assert outcomes["empty"] == 300 and outcomes["outside"] > 20
+    assert outcomes["none"] > 50 and outcomes["found"] > 50
 
 
 def test_check_reports_a_victim_whose_cover_is_empty():
     # N[0] lies within N[1], so once 1 is placed every committee through 0
     # and 1 silences 0: the cover of N[0] - N[1] is the empty mask, not None
     g = from_edge_list(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
-    assert irc._committee_fault(g)(1, 2, [0b01, 0b10], [0, 1, -1, -1], 3) == (0, 0b11)
+    union, inter = [g.closed(0), g.closed(1)], [g.closed(0), g.closed(1)]
+    assert irc._committee_fault(g)(1, 2, [0b01, 0b10], [0, 1, -1, -1], union, inter, 3) == (0, 0b11)
     assert is_irc_coloring(g, Coloring((0, 1, 2, 0), 3)) == irc.IrcVerdict(False, 0b111, 0)
 
 
@@ -232,8 +241,34 @@ def test_simplicial_obstruction_precedes_the_clique_walk():
     assert time.monotonic() - t0 < 1.0
 
 
-def test_listed_obstructions_are_genuine_and_complete(connected_le6):
-    for g in connected_le6:
+def test_clique_walk_skips_triangle_free_graphs_without_leaves():
+    # no vertex lies on a triangle or has degree below 2, so the pool is
+    # empty; the walk over the whole graph polled 43 and 15 times
+    for g in (complete_bipartite(6, 6), cycle(8)):
+        token = Polls()
+        assert not _obstructed(g, token)
+        assert token.polls == 0
+
+
+def _leaves_and_triangles():
+    """Seeded connected graphs at n = 8..10 with a vertex of degree 1 and
+    a triangle, four per n."""
+    for n in (8, 9, 10):
+        rng, found = random.Random(f"leaves-and-triangles:{n}"), 0
+        while found < 4:
+            g = random_connected(rng, n, rng.choice((0.25, 0.35)))
+            if g.min_degree() == 1 and any(g.adj[u] & g.adj[v] for u, v in g.edges()):
+                found += 1
+                yield g
+
+
+def test_listed_obstructions_are_genuine_and_complete(connected_le6, bipartite_le7):
+    # the brute-force maximal cliques against the pooled clique walk; the
+    # committee references call _obstructed, so this is its one
+    # independent check
+    graphs = connected_le6 + bipartite_le7 + list(_leaves_and_triangles())
+    assert len(graphs) == 143 + 72 + 12
+    for g in graphs:
         def is_clique(q):
             return all(g.adj[v] | 1 << v | ~q == -1 for v in bits(q))
 
@@ -433,8 +468,8 @@ def test_colorability_ascends_past_chi(monkeypatch):
     for fewest in (2, 3):
         def fault_at_most(g, fewest=fewest):
             fault = real(g)
-            return lambda i, created, masks, colors, cap: (
-                fault(i, created, masks, colors, cap) or (i == g.n - 1 and created <= fewest))
+            return lambda i, created, masks, colors, union, inter, cap: (
+                fault(i, created, masks, colors, union, inter, cap) or (i == g.n - 1 and created <= fewest))
 
         monkeypatch.setattr(irc, "_committee_fault", fault_at_most)
         col = irc_colorability(g)
@@ -445,8 +480,9 @@ def test_colorability_ascends_past_chi(monkeypatch):
 
 # (seed, polls) for random_bipartite(random.Random(seed), 11, 0.6); the
 # search that checked committees at the leaves only, one k at a time, polled
-# 8,494, 6,937 and 10,949 times on these
-_PINNED_POLLS = [(0, 223), (1, 67), (2, 61)]
+# 8,494, 6,937 and 10,949 times on these, and the clique walk over the whole
+# graph added 28, 28 and 27 to the 195, 39 and 34 of the search
+_PINNED_POLLS = [(0, 195), (1, 39), (2, 34)]
 
 
 def test_irc_chromatic_number_checks_committees_inside_one_search(monkeypatch):
