@@ -298,24 +298,24 @@ def _restricted_growth_search(g: Graph, lo: int, hi: int, fault, token=None, few
             else:
                 lo = created + 1
             return lo > hi
+        here, neighbors = closed[i], g.adj[i]
         for c in range(created + 1):
             nxt = max(created, c + 1)
             if nxt > hi:  # the cap may fall while the loop runs
                 break
-            if masks[c] & g.adj[i]:
+            if masks[c] & neighbors:
                 continue
             colors[i] = c
             masks[c] |= 1 << i
             # an intersection cannot be undone from N[i], so the old values
             # are kept for the return
-            was = union[c], inter[c]
-            union[c] |= closed[i]
-            inter[c] &= closed[i]
+            was_union, was_inter = union[c], inter[c]
+            union[c], inter[c] = was_union | here, was_inter & here
             if not fault(i, nxt, masks, colors, union, inter, hi) and rec(i + 1, nxt):
                 return True
             colors[i] = -1
             masks[c] ^= 1 << i
-            union[c], inter[c] = was
+            union[c], inter[c] = was_union, was_inter
         return False
 
     rec(0, 0)
