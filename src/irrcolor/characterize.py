@@ -20,15 +20,13 @@ literally, but their pair witnesses degenerate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import PreconditionError
 from .graphs import Graph, bits, bipartition
 
 
-@dataclass(frozen=True)
-class PairWitness:
+class PairWitness(NamedTuple):
     """Named witness; v1/v2 meaning depends on ``kind``."""
 
     kind: str

@@ -12,17 +12,15 @@ so results are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import budget
 from .errors import ParameterError
-from .graphs import Graph, VertexSet, _unchecked, bits
+from .graphs import Graph, VertexSet, _Frozen, _unchecked, bits
 from .irredundance import _layers, is_dominating, is_maximal_irredundant
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(_Frozen):
     """Surjective assignment of vertices to color ids 0..k-1.
 
     Properness is a predicate, not an invariant: search intermediates may be
@@ -32,6 +30,22 @@ class Coloring:
 
     color_of: tuple[int, ...]
     k: int
+
+    def __init__(self, color_of: tuple[int, ...], k: int):
+        object.__setattr__(self, "color_of", color_of)
+        object.__setattr__(self, "k", k)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.color_of == other.color_of and self.k == other.k
+
+    def __hash__(self):
+        return hash((self.color_of, self.k))
+
+    def __repr__(self):
+        return f"Coloring(color_of={self.color_of!r}, k={self.k!r})"
 
     def __post_init__(self):
         used = set(self.color_of)
@@ -181,8 +195,7 @@ def _chi(g: Graph, token) -> tuple[int, Coloring]:
     return budget.shared(token, ("chi", g), lambda: chromatic_number(g, token))
 
 
-@dataclass(frozen=True)
-class RainbowCert:
+class RainbowCert(NamedTuple):
     """A proper coloring together with the set it renders rainbow."""
 
     coloring: Coloring

@@ -13,8 +13,7 @@ Fixture graphs are frozen literal edge lists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .coloring import Coloring, chromatic_number, is_proper
 from .errors import ParameterError, PreconditionError
@@ -31,19 +30,17 @@ from .graphs import (
 )
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     """A claimed invariant value; ``exact=False`` marks a lower bound."""
 
     value: object
     exact: bool = True
 
 
-@dataclass(frozen=True)
-class FamilyInstance:
+class FamilyInstance(NamedTuple):
     graph: Graph
     labels: Optional[tuple[str, ...]]
-    claims: dict[str, Claim] = field(default_factory=dict)
+    claims: dict[str, Claim]
     coloring: Optional[Coloring] = None
     source: str = ""
 

@@ -15,8 +15,7 @@ the first request for the graph and read from the scope after that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .coloring import (
     _chi,
@@ -30,8 +29,7 @@ from .irc import _obstructed, irc_chromatic_number, irc_colorability
 from .irredundance import gamma_number, ir_number
 
 
-@dataclass(frozen=True)
-class Invariant:
+class Invariant(NamedTuple):
     id: str
     cap: int  # the CLI marks larger graphs skipped(cap)
     min_n: int  # on fewer vertices the invariant is absent

@@ -25,10 +25,9 @@ Two necessary conditions prune everything cheap:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import or_
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from . import budget
 from .coloring import Coloring, _chi, _restricted_growth_search, is_proper
@@ -37,8 +36,7 @@ from .graphs import Graph, VertexSet, bits
 from .irredundance import private_neighbors
 
 
-@dataclass(frozen=True)
-class IrcVerdict:
+class IrcVerdict(NamedTuple):
     """Outcome of a committee check; carries a violating committee if any."""
 
     is_irc: bool
@@ -46,8 +44,7 @@ class IrcVerdict:
     violating_vertex: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class Obstruction:
+class Obstruction(NamedTuple):
     kind: str  # "low_degree" or "clique_private"
     vertex: int
     clique: Optional[VertexSet] = None

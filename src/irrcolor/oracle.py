@@ -21,9 +21,8 @@ already implies this; the convention only pins down the trivial cases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from . import budget
 from .coloring import Coloring
@@ -95,8 +94,7 @@ def _coloring(n: int, masks: tuple[VertexSet, ...]) -> Coloring:
     return Coloring(tuple(c for v in range(n) for c, m in enumerate(masks) if m >> v & 1), len(masks))
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     value: object
     witness: object = None
 
@@ -244,8 +242,7 @@ def irc_class_counts(g: Graph, size_cap: int = DEFAULT_SIZE_CAP, token=None) -> 
     return tuple(_tally(g, ("chi_irc",), token)[1])
 
 
-@dataclass(frozen=True)
-class CrossCheckEntry:
+class CrossCheckEntry(NamedTuple):
     invariant: str
     fast: object
     oracle: object
@@ -255,8 +252,7 @@ class CrossCheckEntry:
         return self.fast == self.oracle
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
+class CrossCheckReport(NamedTuple):
     entries: tuple[CrossCheckEntry, ...]
 
     @property

@@ -1,5 +1,7 @@
+import pickle
 import random
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -49,6 +51,26 @@ def random_bipartite(rng: random.Random, n: int, p: float) -> Graph:
         g = from_edge_list(n, [(u, v) for u in range(left) for v in range(left, n) if rng.random() < p])
         if g.min_degree() >= 2 and component_count(g) == 1:
             return g
+
+
+def assert_frozen_value(a, b) -> None:
+    """``a`` and ``b`` are separately built, equal instances of a frozen
+    value type: they key the same memo entry, equal nothing of another
+    type, refuse assignment and deletion, and survive a pickle round trip."""
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert {("walk", a): 1}.get(("walk", b)) == 1  # how a Scope memo reads them
+    fields = dict(vars(a))
+    assert a != SimpleNamespace(**fields) and a != tuple(fields.values())
+    for name in (*fields, "other"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert vars(a) == fields
+    back = pickle.loads(pickle.dumps(a))  # as the --jobs pool sends graphs
+    assert back == a and type(back) is type(a) and vars(back) == fields
+    with pytest.raises(AttributeError):
+        setattr(back, next(iter(fields)), None)
 
 
 def spy(monkeypatch, module, name, seen):

@@ -618,8 +618,9 @@ def test_importing_the_cli_builds_no_parser():
         "built = []\n"
         "real = argparse.ArgumentParser.__init__\n"
         "argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(self) or real(self, *a, **k)\n"
-        "import irrcolor.cli\n"
+        "import irrcolor.cli, sys\n"
         "print(len(built))\n"
+        "print('dataclasses' in sys.modules)\n"
         "irrcolor.cli.main(['gen', 'complete', '3'])\n"
         "print(len(built) > 0)\n"
     )
@@ -627,6 +628,7 @@ def test_importing_the_cli_builds_no_parser():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert (lines[0], lines[-1]) == ("0", "True")  # the first main() builds it
+    assert lines[1] == "False"  # nor does the import pull in dataclasses, and inspect behind it
 
 
 def test_main_reuses_one_parser(tmp_path, capsys, monkeypatch):

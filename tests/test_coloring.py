@@ -36,7 +36,7 @@ from irrcolor.irredundance import (
 from irrcolor.oracle import oracle_invariant
 
 from chi_reference import reference_chromatic_number
-from conftest import Polls, complete, complete_bipartite, cycle, path, random_connected, random_graph, spy_walks, tree7, walk_depths
+from conftest import Polls, assert_frozen_value, complete, complete_bipartite, cycle, path, random_connected, random_graph, spy_walks, tree7, walk_depths
 
 
 def test_coloring_type():
@@ -45,6 +45,16 @@ def test_coloring_type():
     assert c.canonical() == Coloring((0, 1, 0), 2)
     with pytest.raises(ValueError):
         Coloring((0, 2), 3)  # color 1 unused
+    for color_of in ((0, 2), (-1, 0)):
+        with pytest.raises(ValueError, match="out of range"):
+            Coloring(color_of, 2)
+
+
+def test_coloring_is_a_frozen_value():
+    c = Coloring((0, 1, 0), 2)
+    assert_frozen_value(c, Coloring((1, 0, 1), 2).canonical())
+    assert repr(c) == "Coloring(color_of=(0, 1, 0), k=2)"
+    assert c != Coloring((0, 1, 1), 2) and c != Coloring((0, 1, 2), 3)
 
 
 def test_is_rainbow():

@@ -23,7 +23,7 @@ from irrcolor.graphs import (
     to_graph6,
 )
 
-from conftest import complete, cycle, path, random_graph, tree7
+from conftest import assert_frozen_value, complete, cycle, path, random_graph, tree7
 
 
 def test_from_edge_list_basics():
@@ -56,6 +56,13 @@ def test_graph_constructor_rejects_each_outside_fault():
         Graph(3, (1, 0, 0))
     with pytest.raises(ValueError, match="asymmetric"):
         Graph(3, (2, 0, 0))
+
+
+def test_graph_is_a_frozen_value():
+    g = Graph(3, (6, 5, 3))
+    assert_frozen_value(g, complete(3))  # the checked and the unchecked constructor
+    assert repr(g) == "Graph(n=3, adj=(6, 5, 3))"
+    assert g != Graph(3, (2, 1, 0)) and g != Graph(4, (6, 5, 3, 0))
 
 
 def test_fig_tree_degrees():
