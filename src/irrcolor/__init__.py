@@ -40,11 +40,8 @@ from .graphs import (
     corona_k1,
     from_edge_list,
     format_edge_list,
-    induced_subgraph,
     mask_from,
     merge_copies,
-    neighborhood,
-    odd_closed_walk,
     parse_edge_list,
     parse_graph6,
     to_graph6,

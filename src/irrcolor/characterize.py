@@ -15,7 +15,8 @@ stars (two stars joined through a degree-2 middle vertex, with optional extra
 edges from the first star's leaves to the second center), a dominating edge
 (both endpoints complete to the opposite side), or near twins again.  Stars
 are carved out separately: they satisfy the dominating-edge condition
-literally, but their pair witnesses degenerate.
+literally, but their pair witnesses degenerate.  ``epn_rich_vertex`` finds
+the hub of the three-class construction on bipartite graphs.
 """
 
 from __future__ import annotations
@@ -99,6 +100,23 @@ def find_near_twin_pair(g: Graph) -> Optional[PairWitness]:
         for v2 in bits(side2 & ~g.adj[v1]):
             if g.adj[v1] == side2 & ~(1 << v2) and g.adj[v2] == side1 & ~(1 << v1):
                 return PairWitness("near_twin", v1, v2)
+    return None
+
+
+def epn_rich_vertex(g: Graph) -> Optional[int]:
+    """A vertex v* such that every same-side partner pair {v, v*} leaves both
+    vertices at least two external private neighbors.  The side of v* must
+    hold at least two vertices so the three-class coloring built on it is
+    well formed.
+    """
+    side1, side2 = _sides(g)
+    for star in range(g.n):
+        partners = (side1 if side1 >> star & 1 else side2) & ~(1 << star)
+        if partners and all(
+            (g.adj[star] & ~g.adj[v]).bit_count() >= 2 and (g.adj[v] & ~g.adj[star]).bit_count() >= 2
+            for v in bits(partners)
+        ):
+            return star
     return None
 
 

@@ -21,13 +21,12 @@ import random
 import sys
 import time
 from functools import cache, partial
-from importlib.resources import files as resource_files
 from itertools import chain, product
 from typing import Optional, Sequence
 
 from . import budget, families
 from .budget import Deadline
-from .characterize import bipartite_two_family, find_anchor_edge, find_near_twin_pair, is_star
+from .characterize import bipartite_two_family, epn_rich_vertex, find_anchor_edge, find_near_twin_pair, is_star
 from .errors import FormatError, ParameterError, SearchCancelled, UnsupportedSizeError
 from .graphs import (
     Graph,
@@ -421,8 +420,8 @@ def cmd_scan(args) -> int:
 
 
 def _asset_graphs(name: str) -> list[Graph]:
-    text = resource_files("irrcolor").joinpath(f"data/{name}").read_text(encoding="ascii")
-    return [parse_graph6(line) for line in text.splitlines() if line.strip()]
+    with open(os.path.join(os.path.dirname(__file__), "data", name), encoding="ascii") as fh:
+        return [parse_graph6(line) for line in fh if line.strip()]
 
 
 def _asset_row(scan, asset: str, claim: str):
@@ -539,7 +538,7 @@ def _bridge_hubs(inst, scope):
 
 
 def _epn_hub(inst, scope):
-    star = families.epn_rich_vertex(inst.graph)
+    star = epn_rich_vertex(inst.graph)
     return star == inst.label_index("v*"), f"found={star}"
 
 

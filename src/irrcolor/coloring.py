@@ -34,7 +34,7 @@ class Coloring(_Frozen):
     def __init__(self, color_of: tuple[int, ...], k: int):
         object.__setattr__(self, "color_of", color_of)
         object.__setattr__(self, "k", k)
-        self.__post_init__()
+        self._check()
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -47,7 +47,7 @@ class Coloring(_Frozen):
     def __repr__(self):
         return f"Coloring(color_of={self.color_of!r}, k={self.k!r})"
 
-    def __post_init__(self):
+    def _check(self):
         used = set(self.color_of)
         if self.color_of and (min(used) < 0 or max(used) >= self.k):
             raise ValueError("color id out of range")

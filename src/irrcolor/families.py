@@ -16,12 +16,11 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .coloring import Coloring, chromatic_number, is_proper
-from .errors import ParameterError, PreconditionError
+from .errors import ParameterError
 from .graphs import (
     Graph,
     _unchecked,
     bipartition,
-    bits,
     component_count,
     corona_k1,
     from_edge_list,
@@ -481,30 +480,3 @@ def fixture(fixture_id: str) -> FamilyInstance:
         spec.get("coloring"),
         f"fixture:{fixture_id}",
     )
-
-
-def epn_rich_vertex(g: Graph) -> Optional[int]:
-    """A vertex v* such that every same-side partner pair {v, v*} leaves both
-    vertices at least two external private neighbors.  Sides come from the
-    bipartition; the side of v* must hold at least two vertices so the
-    three-class coloring built on it is well formed.
-    """
-    parts = bipartition(g)
-    if parts is None:
-        raise PreconditionError("graph is not bipartite")
-    for star in range(g.n):
-        side = parts[0] if parts[0] >> star & 1 else parts[1]
-        partners = side & ~(1 << star)
-        if not partners:
-            continue
-        ok = True
-        for v in bits(partners):
-            if (g.adj[star] & ~g.adj[v]).bit_count() < 2:
-                ok = False
-                break
-            if (g.adj[v] & ~g.adj[star]).bit_count() < 2:
-                ok = False
-                break
-        if ok:
-            return star
-    return None

@@ -63,7 +63,7 @@ class Graph(_Frozen):
     def __init__(self, n: int, adj: tuple[int, ...]):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", adj)
-        self.__post_init__()
+        self._check()
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -76,7 +76,7 @@ class Graph(_Frozen):
     def __repr__(self):
         return f"Graph(n={self.n!r}, adj={self.adj!r})"
 
-    def __post_init__(self):
+    def _check(self):
         if self.n < 0 or len(self.adj) != self.n:
             raise ValueError("adjacency length does not match vertex count")
         full = (1 << self.n) - 1
@@ -107,9 +107,6 @@ class Graph(_Frozen):
     def closed(self, v: int) -> VertexSet:
         """Closed neighborhood mask N[v]."""
         return self.adj[v] | (1 << v)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as ordered pairs (u, v) with u < v, ascending."""
@@ -158,89 +155,26 @@ def closed_neighborhood_of_set(g: Graph, s: VertexSet) -> VertexSet:
     return out
 
 
-def neighborhood(g: Graph, v: int, closed: bool = False) -> VertexSet:
-    """Open neighborhood N(v), or N[v] when ``closed`` is set."""
-    if not 0 <= v < g.n:
-        raise IndexError(f"vertex {v} out of range for n={g.n}")
-    nb = g.adj[v]
-    return nb | (1 << v) if closed else nb
-
-
-def induced_subgraph(g: Graph, s: VertexSet) -> tuple[Graph, tuple[int, ...]]:
-    """Subgraph induced by ``s``, relabeled 0..|s|-1 preserving index order.
-
-    Returns the subgraph and the index map (new index -> original vertex).
-    """
-    if s & ~g.vertices:
-        raise ParameterError("vertex set has bits outside the graph")
-    old = list(bits(s))
-    pos = {v: i for i, v in enumerate(old)}
-    adj = [0] * len(old)
-    for i, v in enumerate(old):
-        for u in bits(g.adj[v] & s):
-            adj[i] |= 1 << pos[u]
-    return _unchecked(len(old), tuple(adj)), tuple(old)
-
-
-def _two_coloring(g: Graph) -> tuple[list[int], list[int], Optional[tuple[int, int]]]:
-    """BFS 2-coloring, lowest vertex of each component on side 0.
-
-    Returns the side of each vertex, its BFS parent (-1 at a root) and the
-    first edge found inside a side, or None when there is none.  The search
-    stops at that edge, so the sides are whole only when it is None.
-    """
-    side = [-1] * g.n
-    parent = [-1] * g.n
-    for start in range(g.n):
-        if side[start] >= 0:
-            continue
-        side[start] = 0
-        queue = [start]
-        while queue:
-            v = queue.pop(0)
-            for u in bits(g.adj[v]):
-                if side[u] < 0:
-                    side[u] = 1 - side[v]
-                    parent[u] = v
-                    queue.append(u)
-                elif side[u] == side[v]:
-                    return side, parent, (u, v)
-    return side, parent, None
-
-
 def bipartition(g: Graph) -> Optional[tuple[VertexSet, VertexSet]]:
     """2-color by BFS, lowest vertex of each component on side one.
 
     Returns ``(V1, V2)`` or ``None`` when an odd cycle exists.
     """
-    side, _, clash = _two_coloring(g)
-    if clash is not None:
-        return None
+    side = [-1] * g.n
+    for start in range(g.n):
+        if side[start] >= 0:
+            continue
+        side[start] = 0
+        queue = [start]
+        for v in queue:  # the loop reaches what the body appends
+            for u in bits(g.adj[v]):
+                if side[u] < 0:
+                    side[u] = 1 - side[v]
+                    queue.append(u)
+                elif side[u] == side[v]:
+                    return None
     v1 = mask_from(v for v in range(g.n) if side[v] == 0)
     return v1, g.vertices & ~v1
-
-
-def odd_closed_walk(g: Graph) -> Optional[list[int]]:
-    """A closed walk of odd length witnessing non-bipartiteness, else None.
-
-    The walk is returned as a vertex list whose first and last entries agree.
-    """
-    _, parent, clash = _two_coloring(g)
-    if clash is None:
-        return None
-
-    def up(w):
-        path = [w]
-        while parent[path[-1]] != -1:
-            path.append(parent[path[-1]])
-        return path
-
-    pu, pv = (up(w) for w in clash)
-    # trim to the lowest common ancestor
-    while len(pu) > 1 and len(pv) > 1 and pu[-2] == pv[-2]:
-        pu.pop()
-        pv.pop()
-    return list(reversed(pu)) + pv
 
 
 def connectivity_profile(g: Graph) -> ConnectivityProfile:

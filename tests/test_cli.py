@@ -620,15 +620,17 @@ def test_importing_the_cli_builds_no_parser():
         "argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(self) or real(self, *a, **k)\n"
         "import irrcolor.cli, sys\n"
         "print(len(built))\n"
-        "print('dataclasses' in sys.modules)\n"
+        "print('dataclasses' in sys.modules, 'importlib.resources' in sys.modules)\n"
         "irrcolor.cli.main(['gen', 'complete', '3'])\n"
         "print(len(built) > 0)\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_module_env())
+    # -S: a .pth file that site runs could import importlib.resources first
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, env=_module_env())
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert (lines[0], lines[-1]) == ("0", "True")  # the first main() builds it
-    assert lines[1] == "False"  # nor does the import pull in dataclasses, and inspect behind it
+    # nor does the import pull in dataclasses (and inspect behind it) or importlib.resources
+    assert lines[1] == "False False"
 
 
 def test_main_reuses_one_parser(tmp_path, capsys, monkeypatch):
@@ -746,13 +748,13 @@ def test_scan_and_verify_build_no_graph_through_the_public_check(monkeypatch, ca
     from irrcolor.graphs import Graph
 
     checks = []
-    real = Graph.__post_init__
+    real = Graph._check
 
     def counted(self):
         checks.append(self.n)
         real(self)
 
-    monkeypatch.setattr(Graph, "__post_init__", counted)
+    monkeypatch.setattr(Graph, "_check", counted)
     Graph(2, (2, 1))
     assert checks == [2]  # the counter sees a direct construction
     data = Path(irrcolor.__file__).parent / "data"

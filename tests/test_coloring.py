@@ -126,7 +126,7 @@ def test_chromatic_number_polls_the_budget():
 def test_add_clique():
     c4 = cycle(4)
     g = add_clique(c4, mask_from([0, 1, 2]))
-    assert g.has_edge(0, 2)
+    assert g.adj[0] >> 2 & 1
     assert g.m == c4.m + 1
 
 

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from irrcolor import families as F
+from irrcolor.characterize import epn_rich_vertex
 from irrcolor.coloring import (
     add_clique,
     chromatic_number,
@@ -19,7 +20,6 @@ from irrcolor.graphs import (
     component_count,
     corona_k1,
     from_edge_list,
-    induced_subgraph,
     mask_from,
     merge_copies,
 )
@@ -70,7 +70,7 @@ def test_package_built_graphs_pass_the_public_check(connected_le6, bipartite_le7
     rng = random.Random(18)
     for g in connected_le6 + bipartite_le7 + [inst.graph for inst in ALL_SMALL_INSTANCES]:
         s = rng.randrange(1 << g.n)
-        for h in (g, add_clique(g, s), induced_subgraph(g, s)[0], corona_k1(g), merge_copies(g, s, 2)):
+        for h in (g, add_clique(g, s), corona_k1(g), merge_copies(g, s, 2)):
             assert Graph(h.n, h.adj) == h
 
 
@@ -217,10 +217,8 @@ def test_irc_family_shapes():
 def test_gadget_union_is_bipartite():
     inst = F.gen_cut_vertex(3)
     g = inst.graph
-    # dropping the hub leaves a bipartite union of gadgets
-    from irrcolor.graphs import induced_subgraph
-
-    hubless, _ = induced_subgraph(g, g.vertices & ~(1 << 30))
+    # dropping the hub's edges leaves a bipartite union of gadgets
+    hubless = from_edge_list(g.n, [e for e in g.edges() if 30 not in e])
     assert bipartition(hubless) is not None
 
 
@@ -279,8 +277,9 @@ def test_small_exact_claims_match_oracle():
 
 
 def test_epn_rich_vertex():
-    assert F.epn_rich_vertex(F.fixture("epn_sample").graph) == 0
-    assert F.epn_rich_vertex(cycle(4)) is None
-    assert F.epn_rich_vertex(complete_bipartite(3, 3)) is None
+    assert epn_rich_vertex(F.fixture("epn_sample").graph) == 0
+    assert epn_rich_vertex(cycle(4)) is None
+    assert epn_rich_vertex(complete_bipartite(3, 3)) is None
+    assert epn_rich_vertex(complete_bipartite(1, 3)) is None  # the center has no partner, the leaves are twins
     with pytest.raises(PreconditionError):
-        F.epn_rich_vertex(cycle(5))
+        epn_rich_vertex(cycle(5))
