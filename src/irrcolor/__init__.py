@@ -58,7 +58,6 @@ from .irc import (
 from .irredundance import (
     gamma_number,
     ir_number,
-    ir_verify,
     is_dominating,
     is_irredundant,
     is_maximal_irredundant,

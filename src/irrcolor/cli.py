@@ -40,7 +40,7 @@ from .graphs import (
     to_graph6,
 )
 from .irc import is_irc_coloring
-from .irredundance import ir_verify, is_maximal_irredundant, maximal_irredundant_sets, minimal_dominating_sets
+from .irredundance import ir_number, is_maximal_irredundant, maximal_irredundant_sets, minimal_dominating_sets
 from .invariants import REGISTRY
 from .oracle import DEFAULT_SIZE_CAP, irc_class_counts, oracle_invariants
 
@@ -512,7 +512,7 @@ def _committee_passes(inst, scope):
 
 def _z_ir_witness(inst, scope):
     witness = mask_from(inst.label_index(f"v{i}") for i in (1, 2))
-    return ir_verify(inst.graph, 2, witness, scope), "witness = {v1, v2}"
+    return ir_number(inst.graph, scope)[0] == 2 and is_maximal_irredundant(inst.graph, witness), "witness = {v1, v2}"
 
 
 def _z_pendants(inst, scope):
@@ -557,7 +557,7 @@ def _trees_row(token, oracle_cap):
 
 
 _CHI_IR_CHI_I = ("chi", "ir", "chi_i")
-_COMMITTEE = _fact("{chi_irc}-class coloring passes the committee check", _committee_passes)
+_IRC_PASSES = _fact("{chi_irc}-class coloring passes the committee check", _committee_passes)
 _MAX_COLORS = _fact("attached {chi_irc}-coloring passes, certifying max committee colors >= {chi_irc}", _committee_passes)
 _FULL_DEGREE = [*(("complete", (n,)) for n in range(2, 7)), *(("star", (n,)) for n in range(3, 8)),
                 ("B", (6, 4)), ("B", (5, 2)), ("B", (7, 3))]
@@ -577,6 +577,7 @@ VERIFY_SCOPES = {
         _instance_row("family {source}", ("Z", (3, 1)),
                       _values("chi={chi} ir={ir} chi_i={chi_i}", _CHI_IR_CHI_I, confirm=("chi_i",), terse=True)),
         _instance_row("family {source}", ("Z", (3, 2)), _vertices(14), _values("chi = {chi}", ("chi",)),
+                      # this claim text is pinned by perfbench/golden/scan_n7.json
                       _fact("ir = 2 (size-capped verify mode)", _z_ir_witness), _values("chi_i = {chi_i}", ("chi_i",)),
                       _fact("every maximal irredundant set holds v_i or all its pendants, per copy", _z_pendants)),
     ),
@@ -587,15 +588,15 @@ VERIFY_SCOPES = {
         "two-color equivalence (chi_i=2 <=> pair witness <=> family member) on {} bipartite non-star graphs (n <= 7)"),),
     "min-degree": (_trees_row,),
     "cut-vertex": (_instance_row("cut-vertex family G(3)", ("cut_vertex", (3,)), _vertices(31),
-                                 _fact("hub is the unique cut vertex, no bridges", _cut_vertex_hub), _COMMITTEE),),
+                                 _fact("hub is the unique cut vertex, no bridges", _cut_vertex_hub), _IRC_PASSES),),
     "bridge": (_instance_row("bridge family G(3,3)", ("bridge", (3, 3)),
-                             _fact("the hub-hub edge is a bridge", _bridge_hubs), _COMMITTEE),),
+                             _fact("the hub-hub edge is a bridge", _bridge_hubs), _IRC_PASSES),),
     "max-colors": (_instance_row("clique-core family tilde(3)", ("tilde", (3,)), _vertices(27), _MAX_COLORS),),
     "even-bipartite": (_instance_row(
         "cycle-core family gstar(4)", ("bipartite_star_of_cycles", (4,)),
         _fact("bipartite", lambda inst, scope: (bipartition(inst.graph) is not None, "")), _MAX_COLORS),),
     "epn-family": (_instance_row("epn fixture", ("fixture", ("epn_sample",)),
-                                 _fact("hub vertex with mutual double external privates found", _epn_hub), _COMMITTEE),),
+                                 _fact("hub vertex with mutual double external privates found", _epn_hub), _IRC_PASSES),),
     "dominator-gamma": (_asset_row(
         _dominator_gamma_scan, "connected_le6.g6",
         "chi_d = gamma implies committee-colorable with max colors >= gamma ({} matching graphs, min degree >= 2, n <= 6)"),),

@@ -16,7 +16,7 @@ two enumerators read every layer, merged into ascending numeric mask order
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator
 
 from . import budget
 from .errors import ParameterError, PreconditionError
@@ -163,15 +163,6 @@ def ir_number(g: Graph, token=None) -> tuple[int, VertexSet]:
         raise ParameterError("ir is undefined on the empty graph")
     s = _first_combination(next(maximal for maximal, _ in _layers(g, token) if maximal))
     return s.bit_count(), s
-
-
-def ir_verify(g: Graph, claimed: int, witness: Optional[VertexSet] = None, token=None) -> bool:
-    """True when ir(G) equals ``claimed`` and the witness, if given, is a
-    maximal irredundant set of that size."""
-    # the empty set is maximal irredundant on the null graph, where ir_number
-    # is undefined
-    value = ir_number(g, token)[0] if g.n else 0
-    return value == claimed and (witness is None or witness.bit_count() == claimed and is_maximal_irredundant(g, witness))
 
 
 def is_dominating(g: Graph, s: VertexSet) -> bool:

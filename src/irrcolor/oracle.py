@@ -116,54 +116,39 @@ _DEFINITIONS = {
     "irc_colorable": 0,
     "chi_irc": 0,
 }
-# decided by the class counts that admit a committee-safe partition
-_COMMITTEE = frozenset({"irc_colorable", "chi_irc"})
 
 
-def _tally(g: Graph, ids: tuple[str, ...], token=None) -> tuple[dict[str, OracleResult], dict[int, Coloring]]:
-    """Every non-committee id in ``ids`` by definition, and with a committee
-    id the first committee-safe partition at each class count, from one
-    subset table, with only the columns those ids read, and one walk over
+def _tally(g: Graph, token=None) -> tuple[dict[str, OracleResult], dict[int, Coloring]]:
+    """Every id defined on g by definition, and the first committee-safe
+    partition at each class count, from one subset table and one walk over
     the independent partitions in restricted-growth order.  Each definition
     keeps the first passing partition at its fewest classes as the witness;
     the walk's class bound stays below the largest of those counts, or at n
-    with a committee id.  Polls ``token`` at each subset the table is built
-    for and at each node of the walk."""
+    when g has minimum degree 2 and the committee check runs.  Polls
+    ``token`` at each subset the table is built for and at each node of the
+    walk."""
     n = g.n
-    for which in ids:
-        if n < _DEFINITIONS[which]:
-            raise ParameterError(f"{which} is undefined on {n} vertices")
-    committee = bool(_COMMITTEE.intersection(ids)) and g.min_degree() >= 2
-    wants_maximal = not {"ir", "chi_i"}.isdisjoint(ids)
-    wants_irr = committee or wants_maximal
-    wants_closed = wants_irr or not {"gamma", "chi_gamma", "chi_gd"}.isdisjoint(ids)
-    wants_common = not {"chi_d", "chi_gd"}.isdisjoint(ids)
+    committee = g.min_degree() >= 2
     full = (1 << n) - 1
-    # per subset S, each from S minus its lowest member, and only for the
-    # ids that read them: N[S]; the common closed neighborhood, which for an
-    # independent S is the set of vertices that dominate S (adjacent to all
-    # of it, or all of it); the singletons of S and whether S is irredundant
+    # per subset S, each from S minus its lowest member: N[S]; the common
+    # closed neighborhood, which for an independent S is the set of vertices
+    # that dominate S (adjacent to all of it, or all of it); the singletons
+    # of S and whether S is irredundant
     closed, common, members, irr = [0] * (1 << n), [full] * (1 << n), [()] * (1 << n), [True] * (1 << n)
-    for s in range(1, 1 << n if wants_closed or wants_common else 1):
+    for s in range(1, 1 << n):
         budget.check(token)
         low = s & -s
         around = g.adj[low.bit_length() - 1] | low
-        if wants_closed:
-            closed[s] = closed[s ^ low] | around
-        if wants_common:
-            common[s] = common[s ^ low] & around
-        if wants_irr:
-            members[s] = (low, *members[s ^ low])
-            irr[s] = _irredundant(closed, members, s)
-    maximal, dominating = [], []
-    if wants_maximal:
-        maximal = [s for s in range(1, 1 << n) if irr[s] and not any(irr[s | v] for v in members[full ^ s])]
-    if not {"gamma", "chi_gamma"}.isdisjoint(ids):
-        dominating = [s for s in range(1 << n) if closed[s] == full]
+        closed[s] = closed[s ^ low] | around
+        common[s] = common[s ^ low] & around
+        members[s] = (low, *members[s ^ low])
+        irr[s] = _irredundant(closed, members, s)
+    maximal = [s for s in range(1, 1 << n) if irr[s] and not any(irr[s | v] for v in members[full ^ s])]
+    dominating = [s for s in range(1 << n) if closed[s] == full]
     out: dict[str, OracleResult] = {}
     # min keeps the first set of fewest members in numeric order
     for which, family in (("ir", maximal), ("gamma", dominating)):
-        if which in ids:
+        if n >= _DEFINITIONS[which]:
             best = min(family, key=int.bit_count)
             out[which] = OracleResult(best.bit_count(), best)
 
@@ -189,7 +174,7 @@ def _tally(g: Graph, ids: tuple[str, ...], token=None) -> tuple[dict[str, Oracle
         "chi_d": lambda masks: _coloring(n, masks) if dominator(masks) else None,
         "chi_gd": lambda masks: _coloring(n, masks) if dominator(masks, anti=True) else None,
     }
-    fewest = {which: n + 1 for which in tests if which in ids}  # class count of the witness so far
+    fewest = {which: n + 1 for which in tests if n >= _DEFINITIONS[which]}  # class count of the witness so far
     safe: dict[int, Coloring] = {}
     bound = [n if committee else max(fewest.values(), default=1) - 1]
     for masks in independent_partitions(g, None, bound, token):
@@ -206,30 +191,32 @@ def _tally(g: Graph, ids: tuple[str, ...], token=None) -> tuple[dict[str, Oracle
             bound[0] = max(fewest.values(), default=1) - 1
     for which in fewest:
         out.setdefault(which, OracleResult(None))  # no partition passes
+    best = max(safe, default=None)
+    out["irc_colorable"] = OracleResult(best is not None, safe.get(best))
+    out["chi_irc"] = OracleResult(best, safe.get(best))
     return out, safe
 
 
 def oracle_invariants(
     g: Graph, ids: Iterable[str], size_cap: int = DEFAULT_SIZE_CAP, token=None
 ) -> dict[str, OracleResult]:
-    """Recompute several invariants by definition alone, in one pass.
-    Raises SizeCapError when the graph is larger than ``size_cap``."""
+    """Recompute invariants by definition alone: one pass decides every id
+    defined on g, and ``ids`` selects from it.  Raises SizeCapError when the
+    graph is larger than ``size_cap``."""
     _check_cap(g, size_cap)
     ids = tuple(ids)
     for which in ids:
         if which not in _DEFINITIONS:
             raise ParameterError(f"unknown invariant id {which!r}")
-    out, safe = _tally(g, ids, token)
-    best = max(safe, default=None)
-    for which, value in (("irc_colorable", best is not None), ("chi_irc", best)):
-        if which in ids:
-            out[which] = OracleResult(value, safe.get(best))
-    return out
+        if g.n < _DEFINITIONS[which]:
+            raise ParameterError(f"{which} is undefined on {g.n} vertices")
+    out = _tally(g, token)[0]
+    return {which: out[which] for which in ids}
 
 
 def oracle_invariant(g: Graph, which: str, size_cap: int = DEFAULT_SIZE_CAP, token=None) -> OracleResult:
-    """Recompute one invariant by definition alone.  Raises SizeCapError when
-    the graph is larger than ``size_cap``."""
+    """Recompute one invariant by definition alone, at the cost of the whole
+    pass.  Raises SizeCapError when the graph is larger than ``size_cap``."""
     return oracle_invariants(g, (which,), size_cap, token)[which]
 
 
@@ -239,7 +226,7 @@ def irc_class_counts(g: Graph, size_cap: int = DEFAULT_SIZE_CAP, token=None) -> 
     not committee-colorable.  Used to confirm findings from the fast
     conjecture scan."""
     _check_cap(g, size_cap)
-    return tuple(_tally(g, ("chi_irc",), token)[1])
+    return tuple(_tally(g, token)[1])
 
 
 class CrossCheckEntry(NamedTuple):
@@ -268,13 +255,12 @@ def cross_check(g: Graph, size_cap: int = DEFAULT_SIZE_CAP) -> CrossCheckReport:
 
     Any disagreement is a defect by definition.
     """
-    _check_cap(g, size_cap)
     if g.n == 0:
         raise ParameterError("cross-check needs at least one vertex")
     from .invariants import REGISTRY  # the fast engines, never imported at module level
 
     rows = [row for row in REGISTRY.values() if g.n >= row.min_n]
-    oracle = oracle_invariants(g, [row.id for row in rows], size_cap)
+    oracle = oracle_invariants(g, [row.id for row in rows], size_cap)  # checks the cap before any fast solver
     scope = budget.Scope()  # the fast solvers share chi and the set walks
     entries = []
     for row in rows:

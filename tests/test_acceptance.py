@@ -13,7 +13,7 @@ from irrcolor.cli import main
 from irrcolor.coloring import chromatic_number, irredundance_chromatic_number
 from irrcolor.graphs import from_edge_list, parse_graph6, to_graph6
 from irrcolor.irc import irc_chromatic_number, irc_colorability, is_irc_coloring
-from irrcolor.irredundance import ir_number, ir_verify, maximal_irredundant_sets
+from irrcolor.irredundance import ir_number, is_maximal_irredundant, maximal_irredundant_sets
 from irrcolor.oracle import cross_check, oracle_invariant
 
 from conftest import complete, complete_bipartite, cycle, random_connected, tree7
@@ -63,7 +63,7 @@ def test_c2_family_constructions():
     assert g.n == 14
     assert chromatic_number(g)[0] == 3
     witness = (1 << inst.label_index("v1")) | (1 << inst.label_index("v2"))
-    assert ir_verify(g, 2, witness)
+    assert ir_number(g)[0] == 2 and is_maximal_irredundant(g, witness)
     assert irredundance_chromatic_number(g)[0] == 4
     vs = {i: inst.label_index(f"v{i}") for i in (1, 2)}
     pend = {

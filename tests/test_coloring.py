@@ -26,7 +26,6 @@ from irrcolor.graphs import from_edge_list, mask_from, parse_graph6
 from irrcolor.irredundance import (
     gamma_number,
     ir_number,
-    ir_verify,
     is_dominating,
     is_irredundant,
     is_maximal_irredundant,
@@ -376,9 +375,9 @@ def test_chi_i_equals_order_only_for_complete_graphs(connected_le6):
 # --- the full-family references ---------------------------------------------
 #
 # Copies of the rainbow solvers as they were when they read every candidate
-# from the whole families, and of ir, gamma and ir_verify as they were when
-# each kept the smallest accepted set of its own capped walk.  The solvers
-# must give the same values and witnesses with and without a scope.
+# from the whole families, and of ir and gamma as they were when each kept
+# the smallest accepted set of its own capped walk.  The solvers must give
+# the same values and witnesses with and without a scope.
 
 
 def _reference_min_rainbow(g, chi, candidates):
@@ -416,15 +415,6 @@ def _reference_smallest(g, size_cap, accept):
             if is_irredundant(g, mask_from(combo)) and accept(g, mask_from(combo)):
                 return mask_from(combo)
     return None
-
-
-def _reference_ir_verify(g, claimed, witness=None):
-    s = _reference_smallest(g, claimed, is_maximal_irredundant)
-    if s is not None and s.bit_count() < claimed:
-        return False
-    if witness is not None:
-        return witness.bit_count() == claimed and is_maximal_irredundant(g, witness)
-    return s is not None
 
 
 def _differential_graphs(connected_le6, bipartite_le7):
@@ -469,8 +459,4 @@ def test_set_invariants_match_the_full_family_references(monkeypatch, connected_
         gamma_set = _reference_smallest(g, greedy.bit_count() - 1, is_dominating)
         gamma_set = greedy if gamma_set is None else gamma_set
         assert gamma_number(g) == gamma_number(g, scope) == (gamma_set.bit_count(), gamma_set)
-        for claimed in range(ir_set.bit_count() - 1, ir_set.bit_count() + 2):
-            for witness in (None, ir_set):
-                expected = _reference_ir_verify(g, claimed, witness)
-                assert ir_verify(g, claimed, witness) == ir_verify(g, claimed, witness, scope) == expected
     assert fallbacks == [(_FALLBACKS[0], [3, 3]), (_FALLBACKS[1], [3, 3])]

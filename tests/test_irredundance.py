@@ -13,7 +13,6 @@ from irrcolor.graphs import bits, from_edge_list, mask_from
 from irrcolor.irredundance import (
     gamma_number,
     ir_number,
-    ir_verify,
     is_dominating,
     is_irredundant,
     is_maximal_irredundant,
@@ -122,14 +121,6 @@ def test_ir_number_matches_enumeration():
         assert ir_number(g)[0] == best
 
 
-def test_ir_verify():
-    c4 = cycle(4)
-    assert ir_verify(c4, 2)
-    assert ir_verify(c4, 2, witness=mask_from([0, 2]))
-    assert not ir_verify(c4, 1)
-    assert not ir_verify(c4, 2, witness=mask_from([0]))
-
-
 def test_is_dominating():
     c4 = cycle(4)
     assert is_dominating(c4, c4.vertices)
@@ -205,14 +196,6 @@ def _first_combination(g, sizes, accept):
     return None
 
 
-def _ir_verify_by_combinations(g, claimed, witness=None):
-    if _first_combination(g, range(1, claimed), lambda s: is_maximal_irredundant(g, s)) is not None:
-        return False
-    if witness is not None:
-        return witness.bit_count() == claimed and is_maximal_irredundant(g, witness)
-    return _first_combination(g, [claimed], lambda s: is_maximal_irredundant(g, s)) is not None
-
-
 def test_enumerators_match_definitional_scan(connected_le6, bipartite_le7):
     rng = random.Random(8)
     graphs = [
@@ -237,19 +220,12 @@ def test_enumerators_match_definitional_scan(connected_le6, bipartite_le7):
             continue
         ir_set = _first_combination(g, range(1, g.n + 1), lambda s: is_maximal_irredundant(g, s))
         assert ir_number(g) == (ir_set.bit_count(), ir_set)
-        for claimed in range(ir_set.bit_count() - 1, ir_set.bit_count() + 2):
-            for witness in (None, ir_set):
-                assert ir_verify(g, claimed, witness) == _ir_verify_by_combinations(g, claimed, witness)
     null = complete(0)
     assert list(maximal_irredundant_sets(null)) == []
     assert list(minimal_dominating_sets(null)) == [0]
     with pytest.raises(ParameterError):
         ir_number(null)
     assert gamma_number(null) == (0, 0)
-    # the empty set is maximal irredundant on the null graph, and only there
-    assert ir_verify(null, 0) is _ir_verify_by_combinations(null, 0) is True
-    assert ir_verify(null, 1) is _ir_verify_by_combinations(null, 1) is False
-    assert ir_verify(cycle(4), 0) is _ir_verify_by_combinations(cycle(4), 0) is False
 
 
 def test_enumerators_call_no_set_predicate(monkeypatch):
@@ -324,11 +300,11 @@ def test_unscoped_gamma_walks_only_below_the_greedy_size():
     assert token.polls == sum(walk_nodes(g, g0 - 1)) == 3861
 
 
-def test_ir_gamma_and_ir_verify_poll_the_budget_inside_a_size():
+def test_ir_and_gamma_poll_the_budget_inside_a_size():
     # ir(C24) = gamma(C24) = 8: a search that polled once per set size would
     # poll at most 8 times and return
     c24 = cycle(24)
-    for solve in (ir_number, gamma_number, lambda g, token: ir_verify(g, 8, token=token)):
+    for solve in (ir_number, gamma_number):
         token = Polls(50)
         with pytest.raises(SearchCancelled):
             solve(c24, token)

@@ -4,7 +4,7 @@ from typing import Optional
 
 import pytest
 
-from irrcolor import oracle
+from irrcolor import coloring, oracle
 from irrcolor.coloring import Coloring
 from irrcolor.errors import ParameterError, SearchCancelled, SizeCapError
 from irrcolor.graphs import Graph, bits, from_edge_list, mask_from, to_graph6
@@ -17,7 +17,7 @@ from irrcolor.oracle import (
     oracle_invariants,
 )
 
-from conftest import Polls, complete, complete_bipartite, cycle, random_bipartite, random_connected, random_graph, tree7
+from conftest import Polls, complete, complete_bipartite, cycle, random_bipartite, random_connected, random_graph, spy, tree7
 
 
 def bell_numbers(limit):
@@ -128,6 +128,17 @@ def test_cross_check_examples():
     rep = cross_check(complete_bipartite(3, 3))
     assert rep.ok
     assert {e.invariant: e.fast for e in rep.entries}["chi_i"] == 2
+
+
+def test_cross_check_checks_the_cap_before_any_fast_solver(monkeypatch):
+    big = cycle(9)
+    calls = []
+    spy(monkeypatch, coloring, "chromatic_number", calls)
+    with pytest.raises(SizeCapError):
+        cross_check(big)
+    assert calls == []
+    assert cross_check(big, size_cap=9).ok
+    assert calls  # the spy sees the fast chi solver
 
 
 def test_cross_check_random_graphs():
@@ -319,7 +330,7 @@ def test_oracle_matches_the_per_definition_reference(connected_le6, bipartite_le
         joint = oracle_invariants(g, defined)
         assert joint == {which: _REFERENCE[which](g) for which in defined}, to_graph6(g)
         safe = {k: col for k in range(1, g.n + 1) if (col := _committee_safe_partition(g, k))}
-        assert oracle._tally(g, ("chi_irc",))[1] == safe, to_graph6(g)
+        assert oracle._tally(g)[1] == safe, to_graph6(g)
         assert irc_class_counts(g) == tuple(safe)
 
 
@@ -360,35 +371,19 @@ def test_cross_check_walks_the_partitions_once_and_the_subsets_once(monkeypatch)
         assert counts == {"calls": 1, "yielded": yielded, "irredundant": 2**g.n - 1}
 
 
-def test_single_ids_build_only_the_columns_they_read(monkeypatch):
-    # a single-id call tests irredundance only for the ids that read it; on a
-    # graph with a leaf the committee ids are decided without it
+def test_every_call_builds_the_whole_table_and_scores_every_definition(monkeypatch):
+    # one shape: a single-id call tests irredundance at every nonempty
+    # subset, as cross_check's call for every id does, and gives its answer
     calls = []
     irredundant = oracle._irredundant
     monkeypatch.setattr(oracle, "_irredundant", lambda *args: calls.append(1) or irredundant(*args))
     for g in (cycle(6), tree7()):
-        for which in oracle._DEFINITIONS:
+        defined = [which for which, fewest in oracle._DEFINITIONS.items() if g.n >= fewest]
+        joint = oracle_invariants(g, defined)
+        for which in defined:
             calls.clear()
-            oracle_invariant(g, which)
-            reads = which in ("ir", "chi_i") or (which in oracle._COMMITTEE and g.min_degree() >= 2)
-            assert len(calls) == (2**g.n - 1 if reads else 0), (which, g.n)
-
-
-def test_ids_that_read_no_column_poll_only_in_the_walk():
-    # chi reads no column of the subset table, nor do the committee ids on a
-    # graph with a leaf, so the table is not scanned: every poll is a node
-    # of the partition walk
-    rng = random.Random(5)
-    for g in [random_connected(rng, 8, 0.3) for _ in range(40)]:
-        for which in ("chi", "irc_colorable", "chi_irc"):
-            if which != "chi" and g.min_degree() >= 2:
-                continue
-            token, walk = Polls(), Polls()
-            oracle_invariant(g, which, token=token)
-            bound = [g.n if which == "chi" else 0]
-            for masks in independent_partitions(g, None, bound, walk):
-                bound[0] = len(masks) - 1  # chi's bound falls below each count found
-            assert token.polls == walk.polls, (to_graph6(g), which)
+            assert oracle_invariant(g, which) == joint[which], (which, g.n)
+            assert len(calls) == 2**g.n - 1, (which, g.n)
 
 
 def test_oracle_polls_the_budget():
