@@ -259,7 +259,7 @@ def test_scan_conjecture_smoke(tmp_path, capsys):
 
 
 def _oracle_passes(monkeypatch) -> list:
-    """Record the graph of every pass the oracle makes."""
+    """Record the arguments of every pass the oracle makes."""
     from irrcolor import oracle
 
     passes = []
