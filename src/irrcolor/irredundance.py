@@ -74,14 +74,27 @@ class _Walk:
     whose N[w] holds all of a set P are the intersection of N[x] over x in
     P, so both tests are a few mask operations per member.  A set no vertex
     can join is maximal, and so is every dominating one.
+
+    The walk reads both through ``union`` and ``inter``, tables built once
+    per walk.  With h = min(ceil(n/2), 10), each holds a table for the
+    vertices [0, h) and one for [h, 2h), indexed by a set X's bits in that
+    part: ``union`` gives N[X] and ``inter`` the intersection of N[x] over x
+    in X (-1 for the empty X).  A part has at most 2^10 entries; vertices
+    from 2h up are folded in one at a time, and there are none when n <= 20.
     """
 
-    __slots__ = ("closed", "vertices", "layers", "frontier")
+    __slots__ = ("closed", "vertices", "split", "union", "inter", "layers", "frontier")
 
     def __init__(self, g: Graph, token):
         budget.check(token)  # the empty set is the walk's first node
-        self.closed = [g.closed(v) for v in range(g.n)]
+        self.closed = closed = [g.closed(v) for v in range(g.n)]
         self.vertices = g.vertices
+        self.split = h = min((g.n + 1) // 2, 10)
+        self.union, self.inter = ([0], [0]), ([-1], [-1])
+        for union, inter, first in zip(self.union, self.inter, (0, h)):
+            for x in closed[first:first + h]:  # doubling: the sets with x follow those without
+                union += [a | x for a in union]
+                inter += [a & x for a in inter]
         self.layers: list[tuple[list[VertexSet], list[VertexSet]]] = [([], [] if g.n else [0])]
         # (S, covered, once, children): every vertex can join the empty set
         self.frontier = [(0, 0, 0, g.vertices)] if g.n else []
@@ -92,7 +105,10 @@ class _Walk:
         the walk as it was."""
         if not self.frontier:
             return False
-        closed, vertices = self.closed, self.vertices
+        closed, vertices, h = self.closed, self.vertices, self.split
+        (lo_union, hi_union), (lo_inter, hi_inter) = self.union, self.inter
+        part = (1 << h) - 1
+        tail = vertices & ~(part | part << h)
         maximal_sets, dominating_sets, frontier = [], [], []
         for s, covered, once, children in self.frontier:
             while children:  # lowest first
@@ -102,9 +118,11 @@ class _Walk:
                 w = low.bit_length() - 1
                 fresh = closed[w] & ~covered
                 child, child_covered, child_once = s | low, covered | fresh, once & ~closed[w] | fresh
-                joiners = 0
+                # N[V - N[S]]: members of S are never in it
                 uncovered = vertices & ~child_covered
-                while uncovered:  # N[V - N[S]]: members of S are never in it
+                joiners = lo_union[uncovered & part] | hi_union[uncovered >> h & part]
+                uncovered &= tail
+                while uncovered:
                     x = uncovered.bit_length() - 1
                     uncovered ^= 1 << x
                     joiners |= closed[x]
@@ -113,7 +131,8 @@ class _Walk:
                     u = rest.bit_length() - 1
                     rest ^= 1 << u
                     private = closed[u] & child_once
-                    killers = -1
+                    killers = lo_inter[private & part] & hi_inter[private >> h & part]
+                    private &= tail
                     while private:
                         x = private.bit_length() - 1
                         private ^= 1 << x

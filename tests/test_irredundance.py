@@ -4,7 +4,7 @@ from itertools import combinations, islice
 
 import pytest
 
-from irrcolor import irredundance
+from irrcolor import budget, irredundance
 from irrcolor.budget import Deadline
 from irrcolor.coloring import gamma_chromatic_number, irredundance_chromatic_number
 from irrcolor.errors import ParameterError, PreconditionError, SearchCancelled
@@ -21,7 +21,17 @@ from irrcolor.irredundance import (
     private_neighbors,
 )
 
-from conftest import Polls, complete, cycle, random_graph, tree7, walk_nodes
+from conftest import (
+    Polls,
+    complete,
+    cycle,
+    path,
+    random_connected,
+    random_graph,
+    spy_walks,
+    tree7,
+    walk_nodes,
+)
 
 
 def test_private_neighbors_examples():
@@ -242,6 +252,86 @@ def test_enumerators_call_no_set_predicate(monkeypatch):
     mds = list(minimal_dominating_sets(g))
     assert mir and mds
     assert calls == []
+
+
+def _per_bit_grow(walk, token):
+    """The reference for ``_Walk.grow``: the same walk with no half tables,
+    building N[V - N[S]] and each member's killers one vertex at a time."""
+    if not walk.frontier:
+        return False
+    closed, vertices = walk.closed, walk.vertices
+    maximal_sets, dominating_sets, frontier = [], [], []
+    for s, covered, once, children in walk.frontier:
+        while children:
+            low = children & -children
+            children ^= low
+            budget.check(token)
+            w = low.bit_length() - 1
+            fresh = closed[w] & ~covered
+            child, child_covered, child_once = s | low, covered | fresh, once & ~closed[w] | fresh
+            joiners = 0
+            for x in bits(vertices & ~child_covered):
+                joiners |= closed[x]
+            for u in bits(child) if joiners else ():
+                killers = -1
+                for x in bits(closed[u] & child_once):
+                    killers &= closed[x]
+                joiners &= ~killers
+            if not joiners:
+                maximal_sets.append(child)
+                if child_covered == vertices:
+                    dominating_sets.append(child)
+            elif joiners & (low - 1):
+                frontier.append((child, child_covered, child_once, joiners & (low - 1)))
+    walk.layers.append((maximal_sets, dominating_sets))
+    walk.frontier = frontier
+    return True
+
+
+def _assert_kernel_matches_per_bit(g, depth=None):
+    """The table kernel and the per-bit reference build the same layers and
+    frontiers with the same polls, up to ``depth`` or the last layer."""
+    fast_token, slow_token = Polls(), Polls()
+    fast, slow = irredundance._Walk(g, fast_token), irredundance._Walk(g, slow_token)
+    while depth is None or len(fast.layers) <= depth:
+        grown = fast.grow(fast_token)
+        assert grown == _per_bit_grow(slow, slow_token)
+        assert (fast.layers, fast.frontier) == (slow.layers, slow.frontier)
+        assert fast_token.polls == slow_token.polls
+        if not grown:
+            break
+
+
+def test_walk_kernel_matches_the_per_bit_walk(connected_le6, bipartite_le7):
+    # n > 20 puts vertices past both half tables, on the per-bit tail
+    for g in (*connected_le6, *bipartite_le7, *_all_graphs_up_to_4()):
+        _assert_kernel_matches_per_bit(g)
+    rng = random.Random(29)
+    for n in range(8, 27):
+        for p in (0.15, 0.3, 0.5, 0.8):
+            _assert_kernel_matches_per_bit(random_connected(rng, n, p), depth=3)
+    _assert_kernel_matches_per_bit(cycle(24), depth=3)
+    _assert_kernel_matches_per_bit(path(24), depth=3)
+
+
+def test_walk_tables_stay_small(monkeypatch):
+    # halves of 20 vertices each would build 4 * 2^20 entries, for a walk
+    # that ends at its first layer
+    walks = spy_walks(monkeypatch)
+    assert ir_number(complete(40)) == (1, 1)
+    assert len(walks) == 1 and walks[0].split == 10
+    for table in (*walks[0].union, *walks[0].inter):
+        assert len(table) <= 1024
+
+
+def test_ir_and_gamma_closed_forms_on_paths_and_cycles():
+    """ir = gamma = ceil(n/3) on P_n and C_n.  gamma is textbook (Haynes,
+    Hedetniemi and Slater, Fundamentals of Domination in Graphs, 1998);
+    ir >= n / (2 Delta - 1) = n/3 (Bollobas and Cockayne, 1979) and ir <= gamma."""
+    for n in range(3, 22):
+        for g in (path(n), cycle(n)):
+            scope = budget.Scope()  # both read one walk
+            assert ir_number(g, scope)[0] == gamma_number(g, scope)[0] == -(-n // 3)
 
 
 def _assert_cancelled_quickly(run):
