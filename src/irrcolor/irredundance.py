@@ -75,12 +75,14 @@ class _Walk:
     P, so both tests are a few mask operations per member.  A set no vertex
     can join is maximal, and so is every dominating one.
 
-    The walk reads both through ``union`` and ``inter``, tables built once
-    per walk.  With h = min(ceil(n/2), 10), each holds a table for the
-    vertices [0, h) and one for [h, 2h), indexed by a set X's bits in that
-    part: ``union`` gives N[X] and ``inter`` the intersection of N[x] over x
-    in X (-1 for the empty X).  A part has at most 2^10 entries; vertices
-    from 2h up are folded in one at a time, and there are none when n <= 20.
+    Both tests read ``union`` and ``inter``, tables built once per walk.
+    With h = min(ceil(n/2), 10), each holds a table for the vertices [0, h)
+    and one for [h, 2h), indexed by a set X's bits in that part: ``union``
+    gives N[X] and ``inter`` the intersection of N[x] over x in X (-1 for
+    the empty X).  The cap of 10 keeps a table at 2^10 entries, where halves
+    of a 40-vertex graph would take 2^20 each even for a walk that ends at
+    its first layer; vertices from 2h up are folded in one at a time, and
+    there are none when n <= 20.
     """
 
     __slots__ = ("closed", "vertices", "split", "union", "inter", "layers", "frontier")
