@@ -48,10 +48,8 @@ from .graphs import (
 )
 from .irc import (
     IrcVerdict,
-    Obstruction,
     irc_chromatic_number,
     irc_colorability,
-    irc_obstructions,
     irc_with_k_colors,
     is_irc_coloring,
 )
@@ -73,5 +71,8 @@ from .oracle import (
     oracle_invariant,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+from types import ModuleType as _ModuleType
+
+# the imports above also bind the submodules; a star import leaves them out
+__all__ = [name for name in dir() if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]
 __version__ = "0.1.0"

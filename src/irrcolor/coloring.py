@@ -12,7 +12,7 @@ so results are deterministic.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 from . import budget
 from .errors import ParameterError
@@ -26,13 +26,14 @@ class Coloring(_Frozen):
     Properness is a predicate, not an invariant: search intermediates may be
     improper.  ``canonical()`` relabels so first occurrences of color ids
     ascend with vertex index, the form the partition searches enumerate.
+    The constructor stores ``color_of`` as a tuple.
     """
 
     color_of: tuple[int, ...]
     k: int
 
-    def __init__(self, color_of: tuple[int, ...], k: int):
-        object.__setattr__(self, "color_of", color_of)
+    def __init__(self, color_of: Sequence[int], k: int):
+        object.__setattr__(self, "color_of", tuple(color_of))
         object.__setattr__(self, "k", k)
         self._check()
 

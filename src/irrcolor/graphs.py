@@ -11,7 +11,7 @@ correct by construction, so they skip that check through ``_unchecked``.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import FormatError, LoopError, ParameterError, UnsupportedSizeError
 
@@ -53,16 +53,18 @@ class Graph(_Frozen):
     """Simple undirected graph: ``adj[v]`` is the open neighborhood of v.
 
     Invariants: adjacency is symmetric, loop-free, and no mask has bits at
-    or beyond index n.  The public constructor ``Graph(n, adj)`` checks them;
-    the package's own constructors build through ``_unchecked`` instead.
+    or beyond index n.  The public constructor ``Graph(n, adj)`` checks them
+    and stores ``adj`` as a tuple, so a graph built from a list hashes and
+    compares like one built from a tuple; the package's own constructors
+    build through ``_unchecked`` instead.
     """
 
     n: int
     adj: tuple[int, ...]
 
-    def __init__(self, n: int, adj: tuple[int, ...]):
+    def __init__(self, n: int, adj: Sequence[int]):
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "adj", adj)
+        object.__setattr__(self, "adj", tuple(adj))
         self._check()
 
     def __eq__(self, other):

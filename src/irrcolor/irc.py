@@ -13,12 +13,13 @@ target reaches outside the union of the classes that may supply members
 before any cover search starts.
 
 Two necessary conditions prune everything cheap:
-  * no obstruction for the searches: minimum degree at least 2 (a pendant
-    plus its support vertex always yields a bad committee; the one-vertex
-    graph is excluded by convention), and no maximal clique with a member
-    that has no private neighbor in it, found by a clique walk over the
-    vertices on a triangle and those of degree at most 1 with their
-    neighbors;
+  * no obstruction, one predicate the searches ask once per graph:
+    minimum degree at least 2 (a pendant plus its support vertex always
+    yields a bad committee; the one-vertex graph is excluded by convention),
+    and no maximal clique with a member that has no private neighbor in it
+    (private sets only shrink as a clique grows, so maximal ones suffice),
+    found first among the simplicial vertices and then by a clique walk
+    over the vertices on a triangle;
   * every vertex needs two same-colored neighbors, otherwise a committee
     through its rainbow neighborhood kills it.
 """
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 from operator import or_
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from . import budget
 from .coloring import Coloring, _chi, _restricted_growth_search, is_proper
@@ -42,12 +43,6 @@ class IrcVerdict(NamedTuple):
     is_irc: bool
     violating_rc: Optional[VertexSet] = None
     violating_vertex: Optional[int] = None
-
-
-class Obstruction(NamedTuple):
-    kind: str  # "low_degree" or "clique_private"
-    vertex: int
-    clique: Optional[VertexSet] = None
 
 
 def _cover(closed: list[int], classes: list[int], reach: list[int], target: int) -> Optional[int]:
@@ -99,20 +94,12 @@ def _maximal_cliques(g: Graph, pool: int, token=None):
         yield from bk(0, pool, 0)
 
 
-def _obstructions(g: Graph, token=None) -> Iterator[Obstruction]:
-    # low degree first: it costs one pass over the vertices, the cliques more
-    leaves = 0  # the vertices of degree at most 1, with their neighbors
-    for v in range(g.n):
-        if g.degree(v) <= 1:
-            leaves |= g.closed(v)
-            yield Obstruction("low_degree", v)
-
-    def clique_private(q: int) -> Optional[Obstruction]:
-        for v in bits(q):
-            if private_neighbors(g, v, q) == 0:
-                return Obstruction("clique_private", v, q)
-        return None
-
+def _obstructed(g: Graph, token=None) -> bool:
+    """The cheap non-colorability check of the module docstring.  It
+    returns True at the first certificate; False guarantees nothing."""
+    # low degree first: it costs one pass over the rows, the cliques more
+    if g.n == 0 or any(row.bit_count() <= 1 for row in g.adj):
+        return True
     triangles = 0  # the vertices on a triangle: the ends of each edge with a common neighbor
     for v in range(g.n):
         for u in bits(g.adj[v] & ((1 << v) - 1)):
@@ -122,42 +109,16 @@ def _obstructions(g: Graph, token=None) -> Iterator[Obstruction]:
     # and v has no private neighbor in it, since every other member u has
     # N[u] containing N[v]; this finds them without the clique walk.  With
     # two or more neighbors such a v lies on a triangle
-    simplicial_cliques = set()
     for v in bits(triangles):
         q = g.closed(v)
-        if q not in simplicial_cliques and all(g.closed(u) & q == q for u in bits(g.adj[v])):
-            simplicial_cliques.add(q)
-            yield clique_private(q)
-    # the clique walk last, over a pool: the vertices on a triangle, which
-    # hold every clique of three or more, and those of degree at most 1 with
-    # their neighbors.  An edge on no triangle blocks only at an end of
-    # degree 1, since an end with more neighbors keeps them as private ones;
-    # and a pair maximal in the pool is maximal in g, since a third vertex
-    # would close a triangle, which lies inside the pool
-    pool = triangles | leaves
-    for q in _maximal_cliques(g, pool, token):
-        if q.bit_count() >= 2 and q not in simplicial_cliques:
-            found = clique_private(q)
-            if found is not None:
-                yield found
-
-
-def irc_obstructions(g: Graph) -> list[Obstruction]:
-    """Known certificates of non-colorability.
-
-    An empty list is not a colorability guarantee.  Degree at most 1 blocks
-    (pendant/support committees, trivial graph by convention); so does any
-    maximal clique with a member whose private neighborhood in it is empty
-    (private sets only shrink as the clique grows, so maximal cliques
-    suffice).
-    """
-    return list(_obstructions(g))
-
-
-def _obstructed(g: Graph, token=None) -> bool:
-    """The cheap non-colorability check: the empty graph, or a first
-    obstruction."""
-    return g.n == 0 or next(_obstructions(g, token), None) is not None
+        if all(g.closed(u) & q == q for u in bits(g.adj[v])):
+            return True
+    # the clique walk last, over the vertices on a triangle, which hold
+    # every clique of three or more.  An edge on no triangle never blocks,
+    # since each end keeps its other neighbors as private ones; and a clique
+    # maximal in the pool is maximal in g, since a vertex extending it would
+    # close a triangle, which lies inside the pool
+    return any(any(private_neighbors(g, v, q) == 0 for v in bits(q)) for q in _maximal_cliques(g, triangles, token))
 
 
 def _committee_fault(g: Graph):
@@ -268,9 +229,8 @@ def is_irc_coloring(g: Graph, coloring: Coloring, token=None) -> IrcVerdict:
 
 
 def _fault_unless_obstructed(g: Graph, token):
-    """The committee search's check, or None when a first obstruction (or
-    the empty graph) rules every coloring out; both once per
-    ``budget.Scope``."""
+    """The committee search's check, or None when ``_obstructed`` rules
+    every coloring out; both once per ``budget.Scope``."""
     if budget.shared(token, ("obstructed", g), lambda: _obstructed(g, token)):
         return None
     return _shared_fault(g, token)

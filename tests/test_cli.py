@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -627,6 +628,16 @@ def test_importing_the_cli_builds_no_parser():
     assert lines[1] == "False False"
 
 
+def test_star_import_exports_no_submodule():
+    # the package's imports bind its submodules too; a star import that
+    # exported them would overwrite a caller's `graphs` or `budget`
+    assert not [name for name in irrcolor.__all__ if isinstance(getattr(irrcolor, name), ModuleType)]
+    assert {"Graph", "cross_check", "irc_colorability"} <= set(irrcolor.__all__)
+    namespace = {"graphs": []}
+    exec("from irrcolor import *", namespace)
+    assert namespace["graphs"] == []
+
+
 def test_main_reuses_one_parser(tmp_path, capsys, monkeypatch):
     src = tmp_path / "k3.g6"
     src.write_text(to_graph6(complete(3)).decode() + "\n")
@@ -762,7 +773,7 @@ def test_scan_and_verify_build_no_graph_through_the_public_check(monkeypatch, ca
 def test_engine_calls_are_pinned(monkeypatch, capsys):
     from irrcolor import coloring, irc, oracle
 
-    engines = ((coloring, "chromatic_number"), (irc, "_obstructions"), (coloring, "_restricted_growth_search"),
+    engines = ((coloring, "chromatic_number"), (irc, "_obstructed"), (coloring, "_restricted_growth_search"),
                (oracle, "_tally"))
     seen = [[] for _ in engines]
     for (module, name), calls in zip(engines, seen):

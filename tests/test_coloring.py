@@ -54,6 +54,7 @@ def test_coloring_is_a_frozen_value():
     assert_frozen_value(c, Coloring((1, 0, 1), 2).canonical())
     assert repr(c) == "Coloring(color_of=(0, 1, 0), k=2)"
     assert c != Coloring((0, 1, 1), 2) and c != Coloring((0, 1, 2), 3)
+    assert_frozen_value(Coloring([0, 1, 0], 2), c)  # a list is stored as a tuple
 
 
 def test_is_rainbow():

@@ -19,6 +19,7 @@ from irrcolor.graphs import (
     parse_graph6,
     to_graph6,
 )
+from irrcolor.oracle import cross_check
 
 from conftest import assert_frozen_value, complete, cycle, path, random_graph, tree7
 
@@ -60,6 +61,13 @@ def test_graph_is_a_frozen_value():
     assert_frozen_value(g, complete(3))  # the checked and the unchecked constructor
     assert repr(g) == "Graph(n=3, adj=(6, 5, 3))"
     assert g != Graph(3, (2, 1, 0)) and g != Graph(4, (6, 5, 3, 0))
+
+
+def test_graph_built_from_a_list_is_the_same_value():
+    g = Graph(3, [6, 5, 3])
+    assert g.adj == (6, 5, 3)
+    assert_frozen_value(g, Graph(3, (6, 5, 3)))
+    assert cross_check(g).ok  # its Scope memo keys on the graph
 
 
 def test_fig_tree_degrees():

@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 from itertools import islice
 
 import pytest
@@ -14,7 +15,6 @@ from irrcolor.irc import (
     _obstructed,
     irc_chromatic_number,
     irc_colorability,
-    irc_obstructions,
     irc_with_k_colors,
     is_irc_coloring,
 )
@@ -72,19 +72,6 @@ def test_verdict_witness_is_replayable():
                 seen.add(c)
             assert len(seen) == col.k
             assert not is_irredundant(g, rc)
-
-
-def test_obstructions():
-    recs = irc_obstructions(tree7())
-    assert {r.vertex for r in recs if r.kind == "low_degree"} == {2, 3, 5, 6}
-    assert irc_obstructions(cycle(4)) == []
-    # split graph with min degree two: clique obstruction
-    split = from_edge_list(
-        5, [(0, 1), (0, 2), (1, 2), (3, 0), (3, 1), (4, 1), (4, 2)]
-    )
-    assert split.min_degree() >= 2
-    kinds = {r.kind for r in irc_obstructions(split)}
-    assert "clique_private" in kinds
 
 
 def test_colorability_examples():
@@ -212,16 +199,6 @@ def test_check_reports_a_victim_whose_cover_is_empty():
     assert is_irc_coloring(g, Coloring((0, 1, 2, 0), 3)) == irc.IrcVerdict(False, 0b111, 0)
 
 
-def test_cheap_check_agrees_with_obstruction_list():
-    from irrcolor.irc import _obstructed
-
-    rng = random.Random(17)
-    for _ in range(40):
-        g = random_connected(rng, rng.randint(1, 8), 0.5)
-        assert _obstructed(g) == bool(irc_obstructions(g))
-    assert _obstructed(from_edge_list(0, []))
-
-
 def _cocktail_with_triangles(k: int = 34):
     # a cocktail party graph on k vertices, with 2^(k/2) maximal cliques,
     # and a triangle hung on each vertex
@@ -250,46 +227,60 @@ def test_clique_walk_skips_triangle_free_graphs_without_leaves():
         assert token.polls == 0
 
 
-def _leaves_and_triangles():
-    """Seeded connected graphs at n = 8..10 with a vertex of degree 1 and
-    a triangle, four per n."""
+def _reference_obstruction(g):
+    """How the definition rules out every committee-safe coloring of g:
+    "low degree" (n = 0 or a vertex of degree at most 1), else "simplicial"
+    (a blocking maximal clique that is some N[v]), else "clique" (another
+    blocking maximal clique), else None.  A maximal clique blocks when it
+    has two or more members and one without a private neighbor in it; the
+    maximal cliques come from subset enumeration."""
+    if g.n == 0 or any(g.degree(v) <= 1 for v in range(g.n)):
+        return "low degree"
+
+    def is_clique(q):
+        return all(g.adj[v] | 1 << v | ~q == -1 for v in bits(q))
+
+    blocking = [
+        q for q in range(1, 1 << g.n)
+        if q.bit_count() >= 2 and is_clique(q)
+        and not any(is_clique(q | 1 << v) for v in range(g.n) if not q >> v & 1)
+        and any(private_neighbors(g, v, q) == 0 for v in bits(q))
+    ]
+    if any(g.closed(v) in blocking for v in range(g.n)):
+        return "simplicial"
+    return "clique" if blocking else None
+
+
+def _seeded_with_triangles():
+    """Seeded connected graphs at n = 8..10 with minimum degree at least 2
+    and a triangle, eight per n: the clique stages decide these."""
     for n in (8, 9, 10):
-        rng, found = random.Random(f"leaves-and-triangles:{n}"), 0
-        while found < 4:
-            g = random_connected(rng, n, rng.choice((0.25, 0.35)))
-            if g.min_degree() == 1 and any(g.adj[u] & g.adj[v] for u, v in g.edges()):
+        rng, found = random.Random(f"min-degree-2-and-triangles:{n}"), 0
+        while found < 8:
+            g = random_connected(rng, n, 0.6)
+            if g.min_degree() >= 2 and any(g.adj[u] & g.adj[v] for u, v in g.edges()):
                 found += 1
                 yield g
 
 
-def test_listed_obstructions_are_genuine_and_complete(connected_le6, bipartite_le7):
-    # the brute-force maximal cliques against the pooled clique walk; the
-    # committee references call _obstructed, so this is its one
-    # independent check
-    graphs = connected_le6 + bipartite_le7 + list(_leaves_and_triangles())
-    assert len(graphs) == 143 + 72 + 12
-    for g in graphs:
-        def is_clique(q):
-            return all(g.adj[v] | 1 << v | ~q == -1 for v in bits(q))
-
-        maximal_cliques = [
-            q for q in range(1, 1 << g.n)
-            if is_clique(q) and not any(is_clique(q | 1 << v) for v in range(g.n) if not q >> v & 1)
-        ]
-        blocked = {
-            q for q in maximal_cliques
-            if q.bit_count() >= 2 and any(private_neighbors(g, v, q) == 0 for v in bits(q))
-        }
-        listed = irc_obstructions(g)
-        cliques = [r.clique for r in listed if r.kind == "clique_private"]
-        assert len(cliques) == len(set(cliques))
-        assert set(cliques) == blocked
-        for r in listed:
-            if r.kind == "low_degree":
-                assert g.degree(r.vertex) <= 1
-            else:
-                assert r.clique >> r.vertex & 1
-                assert private_neighbors(g, r.vertex, r.clique) == 0
+def test_obstructed_matches_the_definition(connected_le6, bipartite_le7):
+    # the cheap check against subset enumeration; the committee references
+    # call _obstructed, so this is its one independent check
+    split = from_edge_list(5, [(0, 1), (0, 2), (1, 2), (3, 0), (3, 1), (4, 1), (4, 2)])
+    seeded = list(_seeded_with_triangles())
+    small = [from_edge_list(0, []), tree7(), cycle(4), split]
+    for g in connected_le6 + bipartite_le7 + seeded + small:
+        assert _obstructed(g) == (_reference_obstruction(g) is not None)
+    assert [_reference_obstruction(g) for g in small] == ["low degree", "low degree", None, "simplicial"]
+    assert Counter(map(_reference_obstruction, seeded)) == {"simplicial": 11, "clique": 13}
+    # every stage decides some of the connected graphs on up to six
+    # vertices, and the walk also runs on two that it finds unobstructed
+    decided = [_reference_obstruction(g) for g in connected_le6]
+    assert Counter(decided) == {"low degree": 67, "simplicial": 47, "clique": 18, None: 11}
+    assert sum(
+        1 for g, how in zip(connected_le6, decided)
+        if how is None and any(g.adj[u] & g.adj[v] for u, v in g.edges())
+    ) == 2
 
 
 # --- the committee search against the leaf-only, per-k search it replaced ----

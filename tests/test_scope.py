@@ -182,7 +182,7 @@ def test_default_ids_walk_only_the_layers_they_read(monkeypatch):
 
 def test_scan_conjecture_scans_for_obstructions_once(monkeypatch):
     scans, chi_of = [], []
-    spy(monkeypatch, irc, "_obstructions", scans)
+    spy(monkeypatch, irc, "_obstructed", scans)
     spy(monkeypatch, coloring, "chromatic_number", chi_of)
     for g in PINNED:
         del scans[:], chi_of[:]
