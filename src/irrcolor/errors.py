@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the oracle's default size
+cap, which the CLI's ``--oracle-cap`` reads without loading the oracle."""
 
 
 class LoopError(ValueError):
@@ -23,6 +24,9 @@ class PreconditionError(ValueError):
 
 class SizeCapError(RuntimeError):
     """Input exceeds a configured size cap."""
+
+
+DEFAULT_SIZE_CAP = 8  # the oracle's, re-exported as oracle.DEFAULT_SIZE_CAP
 
 
 class SearchCancelled(RuntimeError):

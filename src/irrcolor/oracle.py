@@ -26,10 +26,8 @@ from typing import Iterable, Iterator, NamedTuple
 
 from . import budget
 from .coloring import Coloring
-from .errors import ParameterError, SizeCapError
+from .errors import DEFAULT_SIZE_CAP, ParameterError, SizeCapError
 from .graphs import Graph, VertexSet
-
-DEFAULT_SIZE_CAP = 8
 
 
 def independent_partitions(

@@ -8,7 +8,13 @@ import pytest
 from irrcolor import irredundance
 from irrcolor.graphs import Graph, component_count, from_edge_list
 from irrcolor.irredundance import is_irredundant
-from irrcolor.cli import _asset_graphs
+from irrcolor.claims import _asset_graphs
+
+# The CLI and the package root load these modules on first use.  Load them
+# now, so that no first import runs inside a test that has rebound one of
+# their names (``spy``): the module would keep the stand-in for the rest of
+# the session.
+from irrcolor import characterize, claims, families, oracle  # noqa: F401
 
 
 def complete(n: int) -> Graph:

@@ -3,6 +3,7 @@ import ast
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -303,10 +304,10 @@ def test_scan_conjecture_keeps_a_finding_when_the_budget_ends_in_the_oracle(monk
 
 
 def test_verify_family_a_asks_the_oracle_once_per_graph(monkeypatch):
-    from irrcolor import cli
+    from irrcolor.claims import VERIFY_SCOPES
 
     passes = _oracle_passes(monkeypatch)
-    claims = [claim for row in cli.VERIFY_SCOPES["family-a"] for claim in row(None, 8)]
+    claims = [claim for row in VERIFY_SCOPES["family-a"] for claim in row(None, 8)]
     assert [ok for _, ok, _ in claims] == [True] * 3
     assert len(passes) == 3
 
@@ -363,10 +364,10 @@ def test_verify_scope(capsys):
 
 
 def test_verify_fails_a_claim_the_oracle_disagrees_with(monkeypatch, capsys):
-    from irrcolor import cli
+    from irrcolor import claims
     from irrcolor.oracle import OracleResult
 
-    monkeypatch.setattr(cli, "oracle_invariants", lambda g, ids, cap, token=None: {i: OracleResult(-1) for i in ids})
+    monkeypatch.setattr(claims, "oracle_invariants", lambda g, ids, cap, token=None: {i: OracleResult(-1) for i in ids})
     code, out, _ = run_cli(capsys, ["verify", "family-a", "--json"])
     report = json.loads(out)
     assert code == 2
@@ -380,12 +381,12 @@ def test_verify_fails_a_claim_the_oracle_disagrees_with(monkeypatch, capsys):
 
 
 def test_verify_fails_an_asset_claim_with_graph6_detail_pairs(monkeypatch, capsys):
-    from irrcolor import cli
+    from irrcolor import claims, cli
 
     # no minimal dominating set is maximal irredundant, and no graph has chi_irc
     monkeypatch.setattr(cli, "is_maximal_irredundant", lambda g, s: False)
-    value = cli._value
-    monkeypatch.setattr(cli, "_value", lambda g, name, token=None: None if name == "chi_irc" else value(g, name, token))
+    value = claims._value
+    monkeypatch.setattr(claims, "_value", lambda g, name, token=None: None if name == "chi_irc" else value(g, name, token))
     failed = {}
     for scope in ("dominating-irredundant", "dominator-gamma"):
         code, out, _ = run_cli(capsys, ["verify", scope, "--json"])
@@ -636,6 +637,63 @@ def test_star_import_exports_no_submodule():
     namespace = {"graphs": []}
     exec("from irrcolor import *", namespace)
     assert namespace["graphs"] == []
+    assert set(irrcolor.__all__) <= set(dir(irrcolor)) and set(irrcolor.__all__) <= namespace.keys()
+
+
+# the modules that only gen, verify, scan characterization and a scan
+# conjecture finding read; the other commands start without compiling them
+LAZY_MODULES = ("irrcolor.families", "irrcolor.oracle", "irrcolor.characterize", "irrcolor.claims")
+
+
+def _fresh(*args) -> subprocess.CompletedProcess:
+    """``python -S`` with ``args`` in a fresh process; -S, since a .pth file
+    that site runs could import anything first."""
+    proc = subprocess.run([sys.executable, "-S", *args], capture_output=True, text=True, env=_module_env())
+    assert proc.returncode in (0, 2), proc.stderr
+    return proc
+
+
+def test_invariants_and_the_cell_scans_load_no_claim_module(tmp_path):
+    src = tmp_path / "k3.g6"
+    src.write_text(to_graph6(complete(3)).decode() + "\n")
+    runs = [["invariants", str(src)], ["scan", "chain", str(src)], ["scan", "bounds", str(src)]]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import irrcolor.cli\n"
+        f"loaded = lambda: [m for m in {LAZY_MODULES!r} if m in sys.modules]\n"
+        "print(json.dumps([0, loaded()]))\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = irrcolor.cli.main(argv)\n"
+        "    print(json.dumps([code, loaded()]))\n"
+    )
+    lines = _fresh("-c", script, json.dumps(runs)).stdout.splitlines()
+    assert [json.loads(line) for line in lines] == [[0, []]] * 4
+
+
+def test_the_claim_commands_run_in_a_fresh_process(tmp_path):
+    data = Path(irrcolor.__file__).parent / "data"
+    gen = _fresh("-m", "irrcolor", "gen", "complete", "3").stdout
+    assert parse_graph6(gen.splitlines()[0]).n == 3
+    verify = json.loads(_fresh("-m", "irrcolor", "verify", "all", "--json").stdout)
+    assert verify["summary"]["failed"] == 0 and verify["summary"]["claims"] > 0
+    for mode, asset in (("characterization", "bipartite_connected_le7.g6"), ("conjecture", "connected_le6.g6")):
+        report = json.loads(_fresh("-m", "irrcolor", "scan", mode, str(data / asset), "--json").stdout)
+        assert report["summary"]["violations"] == 0 and report["summary"]["graphs"] > 0, mode
+
+
+def test_the_package_root_loads_the_oracle_on_first_use():
+    script = (
+        "import sys, irrcolor\n"
+        "names = dir(irrcolor)\n"
+        "print('irrcolor.oracle' in sys.modules, 'cross_check' in names, 'OracleResult' in names)\n"
+        "from irrcolor import cross_check\n"
+        "from irrcolor import oracle\n"
+        "print(cross_check is oracle.cross_check, irrcolor.independent_partitions is oracle.independent_partitions)\n"
+    )
+    assert _fresh("-c", script).stdout.splitlines() == ["False True True", "True True"]
+    with pytest.raises(AttributeError, match="no attribute 'nosuch'"):
+        irrcolor.nosuch
 
 
 def test_main_reuses_one_parser(tmp_path, capsys, monkeypatch):
@@ -670,23 +728,37 @@ def _help(capsys, argv) -> str:
     return capsys.readouterr().out
 
 
+def _listed(help_text: str) -> list[str]:
+    """The names after 'one of:' in a help text, unwrapped: the listing
+    ends at the first line indented less than its own continuation lines."""
+    listing = re.split(r"\n(?!   )", help_text.split("one of: ", 1)[1], maxsplit=1)[0]
+    return re.sub(r"\n +", " ", re.sub(r"-\n +", "-", listing)).split(", ")
+
+
 def test_help_is_the_same_after_other_calls(tmp_path, capsys):
+    from irrcolor.claims import VERIFY_SCOPES
+    from irrcolor.families import GENERATORS
+
     src = tmp_path / "k3.g6"
     src.write_text(to_graph6(complete(3)).decode() + "\n")
-    helps = [["--help"], ["scan", "--help"], ["invariants", "--help"]]
+    helps = [["--help"], ["scan", "--help"], ["invariants", "--help"], ["gen", "--help"], ["verify", "--help"]]
     before = [_help(capsys, argv) for argv in helps]
     run_cli(capsys, ["invariants", str(src), "--witnesses", "--json"])
     _usage_error(capsys, ["scan", "chain", str(src), "--oracle-cap", "-1"])
     _usage_error(capsys, ["nosuch"])
+    run_cli(capsys, ["gen", "complete", "3"])
     assert [_help(capsys, argv) for argv in helps] == before
     assert before[1].startswith("usage: irrcolor scan ")
+    # the family and scope lists, rendered when argparse formats the help
+    assert _listed(before[3]) == [*GENERATORS, "fixture"]
+    assert _listed(before[4]) == ["all", *VERIFY_SCOPES]
 
 
 def test_verify_scan_scopes_skip_on_budget_overrun(capsys):
     # every scope polls the budget before each row, so none passes a claim
     # once the budget is gone; the asset rows read the scan modes, which
     # record an overrun as a skipped cell, and skip the claim too
-    from irrcolor.cli import VERIFY_SCOPES
+    from irrcolor.claims import VERIFY_SCOPES
 
     for scope in VERIFY_SCOPES:
         code, out, _ = run_cli(capsys, ["verify", scope, "--budget-seconds", "1e-9", "--json"])
@@ -706,7 +778,8 @@ def test_verify_scan_scopes_skip_on_budget_overrun(capsys):
 
 def test_an_asset_row_stops_after_the_graph_the_budget_ran_out_under():
     from irrcolor import budget
-    from irrcolor.cli import _SCAN_MODES, VERIFY_SCOPES, _asset_graphs
+    from irrcolor.claims import VERIFY_SCOPES, _asset_graphs
+    from irrcolor.cli import _SCAN_MODES
 
     # the polls of the bounds scan up to and including the graph that makes the 50th
     spent = 0

@@ -20,7 +20,7 @@ from irrcolor.coloring import (
     max_clique,
 )
 from irrcolor.errors import ParameterError, SearchCancelled
-from irrcolor.cli import _FULL_DEGREE
+from irrcolor.claims import _FULL_DEGREE
 from irrcolor.families import gen_family_z, generate
 from irrcolor.graphs import from_edge_list, mask_from, parse_graph6
 from irrcolor.irredundance import (

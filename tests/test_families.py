@@ -18,12 +18,14 @@ from irrcolor.graphs import (
     Graph,
     bipartition,
     component_count,
+    connectivity_profile,
     corona_k1,
     from_edge_list,
     mask_from,
     merge_copies,
 )
-from irrcolor.irc import irc_colorability, is_irc_coloring
+from irrcolor.invariants import REGISTRY
+from irrcolor.irc import is_irc_coloring
 from irrcolor.irredundance import ir_number, is_maximal_irredundant
 from irrcolor.oracle import oracle_invariant
 
@@ -246,19 +248,29 @@ def test_fixtures():
 
 
 def test_small_exact_claims_match_engines():
+    # every exact claim: an invariant id through its registry solver up to
+    # the CLI cap, a connectivity of 1 through the connectivity profile
+    above_cap = []
     for inst in ALL_SMALL_INSTANCES:
         g = inst.graph
         for name, claim in inst.claims.items():
             if not claim.exact:
                 continue
-            if name == "chi" and g.n <= 16:
-                assert chromatic_number(g)[0] == claim.value, inst.source
-            elif name == "chi_i" and g.n <= 16:
-                assert irredundance_chromatic_number(g)[0] == claim.value, inst.source
-            elif name == "ir" and g.n <= 16:
-                assert ir_number(g)[0] == claim.value, inst.source
-            elif name == "irc_colorable" and g.n <= 12:
-                assert (irc_colorability(g) is not None) == claim.value, inst.source
+            if name in REGISTRY:
+                if g.n > REGISTRY[name].cap:
+                    above_cap.append((inst.source, name))
+                    continue
+                assert REGISTRY[name].solve(g, None)[0] == claim.value, (inst.source, name)
+            elif name in ("kappa", "kappa_prime"):
+                prof = connectivity_profile(g)
+                cut = prof.cut_vertices if name == "kappa" else prof.bridges  # a cut vertex, or a bridge
+                assert claim.value == 1 and prof.connected and cut, (inst.source, name)
+            else:
+                pytest.fail(f"{inst.source}: no check for the exact claim {name!r}")
+    # the committee searches on these families run in tests/test_irc.py
+    assert above_cap == [("cut_vertex(3)", "irc_colorable"), ("bridge(3,3)", "irc_colorable"),
+                         ("tilde(3)", "irc_colorable"), ("tilde(3)", "chi_irc"),
+                         ("bipartite_star_of_cycles(4)", "irc_colorable")]
 
 
 def test_small_exact_claims_match_oracle():
