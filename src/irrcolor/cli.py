@@ -433,14 +433,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_inv.set_defaults(fn=cmd_invariants)
 
     p_gen = sub.add_parser("gen", help="generate a family instance plus claims sidecar")
-    p_gen.add_argument("family", help="one of: %(names)s").names = _Names(_family_names)
+    # the listing helps are set once ``names`` exists: an argparse that checks
+    # a help string as the argument is added would find no ``%(names)s``
+    family = p_gen.add_argument("family")
+    family.names, family.help = _Names(_family_names), "one of: %(names)s"
     p_gen.add_argument("params", nargs="*", help="family parameters")
     p_gen.add_argument("--format", choices=("graph6", "edgelist"), default="graph6")
     p_gen.add_argument("--out", default=None, help="output path; sidecar goes to PATH.json")
     p_gen.set_defaults(fn=cmd_gen)
 
     p_ver = sub.add_parser("verify", parents=[shared], help="check the paper's claims")
-    p_ver.add_argument("scope", help="one of: %(names)s").names = _Names(_scope_names)
+    scope = p_ver.add_argument("scope")
+    scope.names, scope.help = _Names(_scope_names), "one of: %(names)s"
     p_ver.add_argument("--oracle-cap", type=int, default=DEFAULT_SIZE_CAP)
     p_ver.set_defaults(fn=cmd_verify)
 
