@@ -649,7 +649,7 @@ def _fresh(*args) -> subprocess.CompletedProcess:
     """``python -S`` with ``args`` in a fresh process; -S, since a .pth file
     that site runs could import anything first."""
     proc = subprocess.run([sys.executable, "-S", *args], capture_output=True, text=True, env=_module_env())
-    assert proc.returncode in (0, 2), proc.stderr
+    assert proc.returncode == 0, proc.stderr
     return proc
 
 
