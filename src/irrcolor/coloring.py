@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional, Sequence
 from . import budget
 from .errors import ParameterError
 from .graphs import Graph, VertexSet, _Frozen, _unchecked, bits
-from .irredundance import _layers, is_dominating, is_maximal_irredundant
+from .irredundance import _walk, is_dominating, is_maximal_irredundant
 
 
 class Coloring(_Frozen):
@@ -223,11 +223,13 @@ def gamma_chromatic_number(g: Graph, token=None) -> tuple[int, RainbowCert]:
 
 
 def _min_rainbow(g: Graph, family: int, member, token) -> tuple[int, RainbowCert]:
-    """The fewest colors over the clique reductions of the sets of
-    ``irredundance._layers`` at index ``family`` (0: maximal irredundant,
-    1: minimal dominating), tried in (size, mask) order.
+    """The fewest colors over the clique reductions of the sets of the
+    graph's walk in ``family`` (0: maximal irredundant, 1: minimal
+    dominating), tried in (size, mask) order.
 
-    chi is read first, then the candidates, one layer at a time.  A rainbow
+    chi is read first, then the candidates, one layer at a time, through
+    ``_Walk.sets``: the last layer read is built only up to the last
+    candidate tried.  A rainbow
     candidate needs as many colors as it has members, so the search stops
     at max(chi, smallest candidate size), which is max(chi, ir) or max(chi,
     gamma), and no candidate with as many members as the best count so far
@@ -238,9 +240,10 @@ def _min_rainbow(g: Graph, family: int, member, token) -> tuple[int, RainbowCert
     stops the search at chi.  ``member`` is the predicate every candidate
     satisfies, checked on the result."""
     chi, _ = _chi(g, token)
+    walk = _walk(g, token)
     best = lower = None
-    for size, layer in enumerate(_layers(g, token)):
-        for s in layer[family]:
+    for size in range(g.n + 1):
+        for s in walk.sets(size, family, token):
             budget.check(token)
             if lower is None:
                 lower = max(chi, size)
@@ -336,9 +339,9 @@ def _restricted_growth_search(g: Graph, lo: int, hi: int, fault, token=None, few
     return best
 
 
-def _dominator_search(g: Graph, anti: bool, token=None) -> Coloring:
+def _dominator_search(g: Graph, anti: bool, lo: int, token=None) -> Coloring:
     """The first dominator partition (with ``anti``, global dominator) with
-    the fewest classes, from chi up."""
+    the fewest classes, from ``lo`` up."""
     n, everyone = g.n, g.vertices
     closed = [g.closed(v) for v in range(n)]
     # ahead[i]: the union of N(w) and the intersection of N[w] over w > i,
@@ -359,8 +362,14 @@ def _dominator_search(g: Graph, anti: bool, token=None) -> Coloring:
         # the placed vertices that dominate no class, or with anti avoid none
         return placed & (~dominating | everywhere) if anti else placed & ~dominating
 
-    chi, _ = _chi(g, token)
-    return _restricted_growth_search(g, chi, g.n, fault, token, fewest=True)
+    return _restricted_growth_search(g, lo, g.n, fault, token, fewest=True)
+
+
+def _chi_d(g: Graph, token) -> Coloring:
+    """The first dominator partition with the fewest classes, from chi up,
+    computed once per ``budget.Scope``."""
+    # singleton classes always dominate, so there is one
+    return budget.shared(token, ("chi_d", g), lambda: _dominator_search(g, False, _chi(g, token)[0], token))
 
 
 def dominator_chromatic_number(g: Graph, token=None) -> tuple[int, Coloring]:
@@ -368,8 +377,7 @@ def dominator_chromatic_number(g: Graph, token=None) -> tuple[int, Coloring]:
     color class."""
     if g.n < 1:
         raise ParameterError("needs at least one vertex")
-    # singleton classes always dominate, so there is one
-    col = _dominator_search(g, anti=False, token=token)
+    col = _chi_d(g, token)
     return col.k, col
 
 
@@ -383,6 +391,9 @@ def global_dominator_chromatic_number(g: Graph, token=None) -> Optional[tuple[in
         raise ParameterError("anti-domination needs a class to avoid")
     if any(g.degree(v) == g.n - 1 for v in range(g.n)):
         return None
-    # otherwise singleton classes both dominate and avoid, so there is one
-    col = _dominator_search(g, anti=True, token=token)
+    # otherwise singleton classes both dominate and avoid, so there is one.
+    # Every global dominator coloring is a dominator coloring, so the search
+    # starts at chi_d; the first partition in restricted-growth order with
+    # the fewest classes does not depend on where it starts
+    col = _dominator_search(g, True, _chi_d(g, token).k, token)
     return col.k, col

@@ -16,7 +16,7 @@ two enumerators read every layer, merged into ascending numeric mask order
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Optional
 
 from . import budget
 from .errors import ParameterError, PreconditionError
@@ -54,6 +54,26 @@ def is_maximal_irredundant(g: Graph, s: VertexSet) -> bool:
     return True
 
 
+class _Part:
+    """The layer after the last complete one, as far as it is built.
+
+    The mask-order prefix is the children of ``parents[:at]`` and those of
+    ``parents[at]`` below its entry's children, which hold only what is
+    left to build; ``sets`` and ``frontier`` hold the prefix's maximal,
+    dominating and child-bearing sets.  ``aside`` maps each child built out
+    of that order to its ``(covered, once, joiners)``, which the prefix
+    reads instead of building the child again."""
+
+    __slots__ = ("parents", "at", "sets", "frontier", "aside")
+
+    def __init__(self, parents: list, aside: dict):
+        self.parents = parents
+        self.at = 0
+        self.sets: tuple[list[VertexSet], list[VertexSet]] = ([], [])
+        self.frontier: list = []
+        self.aside = aside
+
+
 class _Walk:
     """The irredundant sets of one graph, one size layer at a time, built as
     far as a reader has asked.
@@ -63,9 +83,23 @@ class _Walk:
     counts as dominating on the null graph and as maximal nowhere.
     Irredundance is hereditary, so each irredundant set is reached from the
     one without its lowest vertex by adding a vertex below every member.
-    ``frontier`` holds the sets of the last layer that have such children,
-    the children still as a mask; taking them set by set, each set's
-    children lowest first, puts the next layer in mask order.
+    ``frontier`` holds the sets of the last complete layer that have such
+    children, the children still as a mask; taking them set by set, each
+    set's children lowest first, puts the next layer in mask order.
+
+    That next layer is ``part``, a ``_Part`` built only as far as its
+    readers need, in one of two orders.  ``sets`` reads it in mask order
+    and builds up to the next set it yields.  ``first`` wants the first
+    set in ``itertools.combinations`` order, which compares the lowest
+    vertex first: it builds in mask order up to the first hit, and then,
+    one lowest vertex t at a time from 0, every unbuilt child whose lowest
+    vertex is t, until a bucket holds a hit.  The bound: the answer's
+    lowest vertex is at most that of any hit already built, and no built
+    hit has a lower one, so every hit with that lowest vertex is then in
+    hand.  Those children are kept in ``aside``, so the mask-order build
+    never builds a set twice, and each set built costs one budget poll.
+    Layers that readers take whole (``grow``) are built in mask order
+    alone.
 
     Each set carries ``covered`` = N[S] and ``once``, the vertices covered
     by exactly one member; a member u's private neighbors are N[u] & once.
@@ -85,7 +119,7 @@ class _Walk:
     there are none when n <= 20.
     """
 
-    __slots__ = ("closed", "vertices", "split", "union", "inter", "layers", "frontier")
+    __slots__ = ("closed", "vertices", "split", "union", "inter", "layers", "frontier", "part")
 
     def __init__(self, g: Graph, token):
         budget.check(token)  # the empty set is the walk's first node
@@ -100,62 +134,153 @@ class _Walk:
         self.layers: list[tuple[list[VertexSet], list[VertexSet]]] = [([], [] if g.n else [0])]
         # (S, covered, once, children): every vertex can join the empty set
         self.frontier = [(0, 0, 0, g.vertices)] if g.n else []
+        self.part = _Part(self.frontier, {})
 
     def grow(self, token) -> bool:
-        """Add the next layer; False when the last one has no children.  A
-        layer is kept only when it is complete, so a cancelled call leaves
-        the walk as it was."""
+        """Complete the next layer; False when the last one has no
+        children.  A cancelled call keeps every complete layer and leaves
+        the next one built as far as it got."""
         if not self.frontier:
             return False
+        self._extend(None, token)
+        return True
+
+    def sets(self, size: int, family: int, token) -> Iterator[VertexSet]:
+        """The sets of d = ``size`` vertices in ``family`` (0: maximal
+        irredundant, 1: minimal dominating), in mask order.  The next layer
+        is built only up to the set the reader asks for; nothing is yielded
+        past the last layer."""
+        if size < len(self.layers):
+            sets = self.layers[size][family]
+        elif size == len(self.layers) and self.frontier:
+            sets = self.part.sets[family]  # the list the completed layer keeps
+        else:
+            return
+        read = 0
+        while True:
+            while read < len(sets):
+                yield sets[read]
+                read += 1
+            if size < len(self.layers):
+                return
+            self._extend(family, token)
+
+    def first(self, size: int, family: int, token) -> Optional[VertexSet]:
+        """The first set of ``size`` vertices in ``family`` in combinations
+        order, or None; ``size`` is at most that of the next layer."""
+        if size == len(self.layers) and self.frontier and not self.part.sets[family]:
+            self._extend(family, token)
+        if size < len(self.layers):
+            sets = self.layers[size][family]
+            return _first_combination(sets) if sets else None
+        if size > len(self.layers) or not self.frontier:
+            return None
+        part = self.part
+        built = part.sets[family]
+        least = min(s & -s for s in built)
+        buckets = [[] for _ in range(least.bit_length())]
+        for s, covered, once, children in part.parents[part.at:]:
+            rest = children & (2 * least - 1)
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                buckets[low.bit_length() - 1].append((s, covered, once, low))
+        for bucket in buckets:
+            sub = _Part(bucket, part.aside)
+            self._build(sub, None, token, keep=True)
+            hits = sub.sets[family]
+            if bucket is buckets[-1]:
+                hits += [s for s in built if s & -s == least]
+            if hits:
+                return _first_combination(hits)
+
+    def _extend(self, stop: Optional[int], token) -> None:
+        """Build the next layer on in mask order through its next set in
+        family ``stop``, or with None to its end; a layer built to its end
+        is complete."""
+        part = self.part
+        if not self._build(part, stop, token):
+            self.layers.append(part.sets)
+            self.frontier = part.frontier
+            self.part = _Part(self.frontier, {})
+
+    def _build(self, part: _Part, stop: Optional[int], token, keep: bool = False) -> bool:
+        """Build ``part`` on in mask order; True when it stops after adding
+        a set in family ``stop``, False when its parents have no children
+        left.  A child in ``part.aside`` is read, not built; with ``keep``
+        each child built is put there.  However the call ends, ``part``
+        holds what it built."""
         closed, vertices, h = self.closed, self.vertices, self.split
         (lo_union, hi_union), (lo_inter, hi_inter) = self.union, self.inter
-        part = (1 << h) - 1
-        tail = vertices & ~(part | part << h)
-        maximal_sets, dominating_sets, frontier = [], [], []
-        for s, covered, once, children in self.frontier:
-            while children:  # lowest first
-                low = children & -children
-                children ^= low
-                budget.check(token)
-                w = low.bit_length() - 1
-                fresh = closed[w] & ~covered
-                child, child_covered, child_once = s | low, covered | fresh, once & ~closed[w] | fresh
-                # N[V - N[S]]: members of S are never in it
-                uncovered = vertices & ~child_covered
-                joiners = lo_union[uncovered & part] | hi_union[uncovered >> h & part]
-                uncovered &= tail
-                while uncovered:
-                    x = uncovered.bit_length() - 1
-                    uncovered ^= 1 << x
-                    joiners |= closed[x]
-                rest = child if joiners else 0
-                while rest:
-                    u = rest.bit_length() - 1
-                    rest ^= 1 << u
-                    private = closed[u] & child_once
-                    killers = lo_inter[private & part] & hi_inter[private >> h & part]
-                    private &= tail
-                    while private:
-                        x = private.bit_length() - 1
-                        private ^= 1 << x
-                        killers &= closed[x]
-                    joiners &= ~killers
-                if not joiners:
-                    maximal_sets.append(child)
-                    if child_covered == vertices:
-                        dominating_sets.append(child)
-                elif joiners & (low - 1):
-                    frontier.append((child, child_covered, child_once, joiners & (low - 1)))
-        self.layers.append((maximal_sets, dominating_sets))
-        self.frontier = frontier
-        return True
+        half = (1 << h) - 1
+        tail = vertices & ~(half | half << h)
+        parents, aside = part.parents, part.aside
+        (maximal_sets, dominating_sets), frontier = part.sets, part.frontier
+        i = part.at
+        try:
+            while i < len(parents):
+                s, covered, once, children = parents[i]
+                while children:  # lowest first
+                    low = children & -children
+                    child = s | low
+                    if aside and child in aside:
+                        child_covered, child_once, joiners = aside[child]
+                    else:
+                        budget.check(token)
+                        w = low.bit_length() - 1
+                        fresh = closed[w] & ~covered
+                        child_covered, child_once = covered | fresh, once & ~closed[w] | fresh
+                        # N[V - N[S]]: members of S are never in it
+                        uncovered = vertices & ~child_covered
+                        joiners = lo_union[uncovered & half] | hi_union[uncovered >> h & half]
+                        uncovered &= tail
+                        while uncovered:
+                            x = uncovered.bit_length() - 1
+                            uncovered ^= 1 << x
+                            joiners |= closed[x]
+                        rest = child if joiners else 0
+                        while rest:
+                            u = rest.bit_length() - 1
+                            rest ^= 1 << u
+                            private = closed[u] & child_once
+                            killers = lo_inter[private & half] & hi_inter[private >> h & half]
+                            private &= tail
+                            while private:
+                                x = private.bit_length() - 1
+                                private ^= 1 << x
+                                killers &= closed[x]
+                            joiners &= ~killers
+                        if keep:
+                            aside[child] = child_covered, child_once, joiners
+                    children ^= low
+                    if not joiners:
+                        maximal_sets.append(child)
+                        if child_covered == vertices:
+                            dominating_sets.append(child)
+                            if stop == 1:
+                                return True
+                        if stop == 0:
+                            return True
+                    elif joiners & (low - 1):
+                        frontier.append((child, child_covered, child_once, joiners & (low - 1)))
+                i += 1
+            return False
+        finally:
+            if i < len(parents):
+                parents[i] = s, covered, once, children
+            part.at = i
+
+
+def _walk(g: Graph, token) -> _Walk:
+    """The graph's one walk per scope."""
+    return budget.shared(token, ("walk", g), lambda: _Walk(g, token))
 
 
 def _layers(g: Graph, token) -> Iterator[tuple[list[VertexSet], list[VertexSet]]]:
-    """The layers of the graph's one walk per scope, size 0 up, each built
-    only when the reader asks for it: ``(maximal, dominating)`` as in
+    """The complete layers of the graph's walk, size 0 up, each built only
+    when the reader asks for it: ``(maximal, dominating)`` as in
     ``_Walk.layers``."""
-    walk = budget.shared(token, ("walk", g), lambda: _Walk(g, token))
+    walk = _walk(g, token)
     size = 0
     while size < len(walk.layers) or walk.grow(token):
         yield walk.layers[size]
@@ -182,7 +307,10 @@ def ir_number(g: Graph, token=None) -> tuple[int, VertexSet]:
     that holds one."""
     if g.n == 0:
         raise ParameterError("ir is undefined on the empty graph")
-    s = _first_combination(next(maximal for maximal, _ in _layers(g, token) if maximal))
+    walk = _walk(g, token)
+    size = 0
+    while (s := walk.first(size, 0, token)) is None:
+        size += 1
     return s.bit_count(), s
 
 
@@ -222,9 +350,9 @@ def gamma_number(g: Graph, token=None) -> tuple[int, VertexSet]:
     one is minimal, so irredundant: the walk is read only below the size g0
     of a greedy cover, which is the witness when no smaller set dominates."""
     greedy = _greedy_dominating(g)
-    # zip takes the size first, so no layer of g0 members is built
-    for _, (_, dominating) in zip(range(greedy.bit_count()), _layers(g, token)):
-        if dominating:
-            s = _first_combination(dominating)
+    walk = _walk(g, token)
+    for size in range(greedy.bit_count()):
+        s = walk.first(size, 1, token)
+        if s is not None:
             return s.bit_count(), s
     return greedy.bit_count(), greedy

@@ -112,6 +112,54 @@ def walk_depths(walks) -> list:
     return [len(walk.layers) - 1 for walk in walks]
 
 
+def walk_built(walks) -> list:
+    """The number of sets each walk has built, the empty set included:
+    every set of its complete layers, and of the next layer those below
+    the first set that the mask-order build has still to reach, plus those
+    past it that ``first`` built out of that order.  Counted from the graph
+    with ``is_irredundant``, not from the walk's own bookkeeping."""
+    counts = []
+    for walk in walks:
+        g = Graph(len(walk.closed), tuple(c & ~(1 << v) for v, c in enumerate(walk.closed)))
+        depth = len(walk.layers)
+        built = sum(walk_nodes(g, depth - 1)[:depth])
+        part = walk.part
+        if walk.frontier:
+            reached = next((s | c & -c for s, _, _, c in part.parents[part.at:] if c), 1 << g.n)
+            built += sum(1 for s in irredundant_sets(g, depth) if s < reached)
+            built += sum(1 for s in part.aside if s >= reached)
+        counts.append(built)
+    return counts
+
+
+def irredundant_sets(g: Graph, size: int) -> list:
+    """The irredundant sets of ``size`` vertices, each found from the set
+    without its lowest vertex and tested with ``is_irredundant``."""
+    found, stack = [], [(0, g.n)]
+    while stack:
+        s, low = stack.pop()
+        if s.bit_count() == size:
+            found.append(s)
+        else:
+            stack += [(s | 1 << w, w) for w in range(low) if is_irredundant(g, s | 1 << w)]
+    return found
+
+
+def rainbow_gnp_graphs() -> list:
+    """The 15 base graphs of the rainbow_gnp benchmark workload: connected
+    G(n, 0.4), three for each n = 12..16, drawn as perfbench/inputs.py
+    draws them."""
+    rng = random.Random("rainbow_gnp:base")
+    graphs = []
+    for n in range(12, 17):
+        for _ in range(3):
+            g = None
+            while g is None or component_count(g) != 1:
+                g = from_edge_list(n, [(u, v) for v in range(1, n) for u in range(v) if rng.random() < 0.4])
+            graphs.append(g)
+    return graphs
+
+
 def walk_nodes(g: Graph, depth=None) -> list:
     """The number of irredundant sets of each size, up to ``depth`` or the
     largest, by a plain depth-first walk that tests each extension with

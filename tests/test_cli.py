@@ -18,7 +18,7 @@ from irrcolor.coloring import Coloring
 from irrcolor.errors import SearchCancelled
 from irrcolor.graphs import parse_graph6, to_graph6
 
-from conftest import Polls, complete, cycle, random_bipartite, spy, spy_walks, walk_depths, walk_nodes
+from conftest import Polls, complete, cycle, random_bipartite, spy, spy_walks, walk_built, walk_depths, walk_nodes
 
 
 C4_EDGELIST = "4 4\n0 1\n1 2\n2 3\n3 0\n"
@@ -430,16 +430,17 @@ def test_scan_chain_check_finishes_the_cells_walk_and_polls_the_budget(monkeypat
     rec = _graph_record(0, g, ("chi", "ir", "gamma", "chi_i", "chi_gamma", "chi_d", "chi_gd"), cells)
     assert all(cell["status"] == "ok" for cell in rec["invariants"].values())
     [depth] = walk_depths(walks)
-    assert depth < len(nodes) - 1
+    [built] = walk_built(walks)
+    assert (depth, built, len(nodes) - 1, sum(nodes)) == (2, 49, 4, 75)
     # the cells share one walk up to the deepest layer they read; the
     # minimal dominating set check after them reads the same walk to its
-    # last layer, and polls nothing else
+    # last layer, builds each set the cells did not, and polls nothing else
     del walks[:]
     token = Polls()
     rec, violations = _scan_graph(0, g, "chain", token, oracle_cap=8)
     assert violations == [] and rec["invariants"]["chi_gd"]["status"] == "ok"
     assert walk_depths(walks) == [len(nodes) - 1]
-    assert token.polls == cells.polls + sum(nodes[depth + 1:])
+    assert token.polls == cells.polls + sum(nodes) - built
 
     # a budget that runs out inside the check's layers still skips the mode
     token = Polls(cells.polls + 1)  # expires on the check's first poll
@@ -452,22 +453,26 @@ def test_scans_walk_once_per_graph(monkeypatch, connected_le6):
     from irrcolor.cli import _SCAN_MODES, CHAIN, _graph_record
 
     walks = spy_walks(monkeypatch)
-    depths = {"bounds": 0, "cells": 0}
+    depths = {"bounds": [0, 0], "cells": [0, 0]}
     for g in connected_le6:
         del walks[:]
         _SCAN_MODES["bounds"](0, g, budget.scope(None), 8)
-        [depth] = walk_depths(walks)  # ir and chi_i share it
-        depths["bounds"] += depth
+        [depth], [built] = walk_depths(walks), walk_built(walks)  # ir and chi_i share it
+        depths["bounds"][0] += depth
+        depths["bounds"][1] += built
         del walks[:]
         _graph_record(0, g, ("chi", "ir", "gamma", *CHAIN[1:]), budget.scope(None))
-        [depth] = walk_depths(walks)  # the cells of scan chain
-        depths["cells"] += depth
+        [depth], [built] = walk_depths(walks), walk_built(walks)  # the cells of scan chain
+        depths["cells"][0] += depth
+        depths["cells"][1] += built
         del walks[:]
         _SCAN_MODES["chain"](0, g, budget.scope(None), 8)
         assert walk_depths(walks) == [len(walk_nodes(g)) - 1]  # then the domination check's read to the end
-    # the deepest layers read, summed over the 143 graphs; their greedy
-    # dominating sets have 236 vertices in all
-    assert depths == {"bounds": 235, "cells": 235}
+    # the deepest complete layers and the sets built, summed over the 143
+    # graphs; their greedy dominating sets have 236 vertices in all.  Each
+    # walk builds the layer after its deepest complete one in part: read
+    # whole, 235 layers of 1,979 sets
+    assert depths == {"bounds": [92, 1082], "cells": [92, 1089]}
 
 
 def _module_env() -> dict:
@@ -797,21 +802,21 @@ def test_an_asset_row_stops_after_the_graph_the_budget_ran_out_under():
 
 
 # engine calls per command on the packaged assets: chi, irredundant-set
-# walk layers built (the empty set's included), obstruction scans,
+# walk layers completed (the empty set's included), obstruction scans,
 # restricted-growth partition searches, oracle passes.  A change here is a change in the work the CLI asks for.
 ENGINE_CALLS = {
     ("scan", "chain", "connected_le6.g6"): (193, 527, 0, 233, 0),  # the check reads every layer
-    ("scan", "bounds", "connected_le6.g6"): (187, 378, 0, 0, 0),
+    ("scan", "bounds", "connected_le6.g6"): (187, 235, 0, 0, 0),  # complete layers: the last one read is built in part
     ("scan", "conjecture", "connected_le6.g6"): (143, 0, 143, 11, 0),
-    ("scan", "characterization", "bipartite_connected_le7.g6"): (117, 208, 0, 0, 0),
-    ("verify", "full-degree"): (13, 26, 0, 0, 0),  # chi_i reads no layer past one vertex
-    ("verify", "bounds"): (187, 378, 0, 0, 0),
-    ("verify", "chain"): (193, 378, 0, 233, 0),
+    ("scan", "characterization", "bipartite_connected_le7.g6"): (117, 143, 0, 0, 0),
+    ("verify", "full-degree"): (13, 13, 0, 0, 0),  # chi_i reads one set of one vertex
+    ("verify", "bounds"): (187, 235, 0, 0, 0),
+    ("verify", "chain"): (193, 235, 0, 233, 0),
     ("verify", "dominating-irredundant"): (0, 527, 0, 0, 0),
-    ("verify", "family-a"): (3, 13, 0, 0, 3),
-    ("verify", "family-z"): (7, 13, 0, 0, 1),
-    ("verify", "realizable"): (4, 8, 0, 0, 4),  # nor does each B(k, l), a full-degree graph
-    ("verify", "two-color"): (117, 208, 0, 0, 0),  # the scan characterization counts
+    ("verify", "family-a"): (3, 10, 0, 0, 3),
+    ("verify", "family-z"): (7, 12, 0, 0, 1),
+    ("verify", "realizable"): (4, 4, 0, 0, 4),  # so does each B(k, l), a full-degree graph
+    ("verify", "two-color"): (117, 143, 0, 0, 0),  # the scan characterization counts
     ("verify", "min-degree"): (0, 0, 22344, 0, 0),
     ("verify", "cut-vertex"): (0, 0, 0, 0, 0),
     ("verify", "bridge"): (0, 0, 0, 0, 0),

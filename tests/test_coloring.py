@@ -35,7 +35,7 @@ from irrcolor.irredundance import (
 from irrcolor.oracle import oracle_invariant
 
 from chi_reference import reference_chromatic_number
-from conftest import Polls, assert_frozen_value, complete, complete_bipartite, cycle, path, random_connected, random_graph, spy_walks, tree7, walk_depths
+from conftest import Polls, assert_frozen_value, complete, complete_bipartite, cycle, path, random_connected, random_graph, spy_walks, tree7, walk_built, walk_depths, walk_nodes
 
 
 def test_coloring_type():
@@ -316,20 +316,23 @@ def test_dominator_fits_agrees_with_the_per_vertex_rule(monkeypatch, connected_l
             rng = random.Random(f"dominator-differential:{n}:{p}")
             graphs += [random_connected(rng, n, p) for _ in range(2)]
     for g in graphs:
+        scope = budget.Scope()  # chi_gd reads chi_d from it and runs one search
         anti = False
-        dominator_chromatic_number(g)
+        dominator_chromatic_number(g, scope)
         if g.n >= 2:
             anti = True
-            global_dominator_chromatic_number(g)
+            global_dominator_chromatic_number(g, scope)
     assert calls > 0
 
 
-# polls of chi_d and chi_gd on C14, P14 and three sparse 12-vertex graphs;
-# the climb that restarted the search at each k from chi polled
-# 1,185 / 954 / 605 / 156 / 439 and 1,178 / 947 / 536 / 299 / 1,679
+# polls of chi_d, and of chi_gd in the same Scope after it, on C14, P14 and
+# three sparse 12-vertex graphs.  chi_gd searches from chi_d; from chi it
+# polled 973 / 763 / 488 / 221 / 1,436.  The climb that restarted the search
+# at each k from chi polled 1,185 / 954 / 605 / 156 / 439 and 1,178 / 947 /
+# 536 / 299 / 1,679
 _PINNED_POLLS = [
     (dominator_chromatic_number, [973, 763, 532, 113, 397]),
-    (global_dominator_chromatic_number, [973, 763, 488, 221, 1436]),
+    (global_dominator_chromatic_number, [87, 51, 13, 221, 1436]),
 ]
 
 
@@ -338,11 +341,19 @@ def _pinned_graphs():
 
 
 def test_dominator_search_polls_pinned():
-    for solve, pinned in _PINNED_POLLS:
-        for g, polls in zip(_pinned_graphs(), pinned):
-            token = Polls()
-            solve(g, token)
-            assert token.polls <= polls
+    (_, chi_d_polls), (_, chi_gd_polls) = _PINNED_POLLS
+    for g, chi_d, chi_gd in zip(_pinned_graphs(), chi_d_polls, chi_gd_polls):
+        token = Polls()
+        scope = budget.scope(token)
+        dominator_chromatic_number(g, scope)
+        assert token.polls <= chi_d
+        spent = token.polls
+        global_dominator_chromatic_number(g, scope)
+        assert token.polls - spent <= chi_gd
+        # alone, chi_gd pays for chi_d first
+        alone = Polls()
+        global_dominator_chromatic_number(g, alone)
+        assert alone.polls == token.polls
 
 
 def test_dominator_search_polls_the_budget():
@@ -433,8 +444,8 @@ def _differential_graphs(connected_le6, bipartite_le7):
 
 
 # The graphs of the set whose rainbow solvers read candidates larger than a
-# greedy dominating set, each with the deepest layer that chi_i and
-# chi_gamma read.  Z(3,2): n = 14, greedy size 2, chi = 3, chi_i =
+# greedy dominating set, each with the deepest complete layer and the sets
+# built of the walks of chi_i and chi_gamma.  Z(3,2): n = 14, greedy size 2, chi = 3, chi_i =
 # chi_gamma = 4, so the candidates of three vertices are still read.  The
 # G(10, 0.4) graph: greedy size 2, chi = 3, and every candidate of at most
 # two vertices needs 4 colors while one of three needs 3, so chi_i =
@@ -451,8 +462,9 @@ def test_set_invariants_match_the_full_family_references(monkeypatch, connected_
         assert irredundance_chromatic_number(g) == chi_i
         assert gamma_chromatic_number(g) == chi_gamma
         greedy = irredundance._greedy_dominating(g)
-        if max(walk_depths(walks)) > greedy.bit_count():
-            fallbacks.append((g, walk_depths(walks)))
+        g0 = greedy.bit_count()
+        if max(walk_depths(walks)) >= g0 and max(walk_built(walks)) > sum(walk_nodes(g, g0)):
+            fallbacks.append((g, walk_depths(walks), walk_built(walks)))
         scope = budget.scope(None)
         assert (irredundance_chromatic_number(g, scope), gamma_chromatic_number(g, scope)) == (chi_i, chi_gamma)
         ir_set = _reference_smallest(g, greedy.bit_count(), is_maximal_irredundant)
@@ -460,4 +472,7 @@ def test_set_invariants_match_the_full_family_references(monkeypatch, connected_
         gamma_set = _reference_smallest(g, greedy.bit_count() - 1, is_dominating)
         gamma_set = greedy if gamma_set is None else gamma_set
         assert gamma_number(g) == gamma_number(g, scope) == (gamma_set.bit_count(), gamma_set)
-    assert fallbacks == [(_FALLBACKS[0], [3, 3]), (_FALLBACKS[1], [3, 3])]
+    # Z(3,2) has no candidate of three vertices, so both read that layer
+    # whole; the G(10, 0.4) graph's are read in mask order up to the one
+    # that needs 3 colors
+    assert fallbacks == [(_FALLBACKS[0], [3, 3], [312, 312]), (_FALLBACKS[1], [2, 2], [67, 73])]

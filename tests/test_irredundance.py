@@ -27,11 +27,13 @@ from conftest import (
     cycle,
     path,
     random_connected,
+    rainbow_gnp_graphs,
     random_graph,
     spy_walks,
     tree7,
     walk_nodes,
 )
+from walk_reference import assert_reader_orders, reference_gamma, reference_ir, reference_layers, relabeled
 
 
 def test_private_neighbors_examples():
@@ -361,18 +363,20 @@ def test_rainbow_invariants_pass_their_budget_to_the_enumerators(monkeypatch):
     # greedy dominating size 2, and a budget that runs out inside that layer
     # cancels the solve
     z = gen_family_z(3, 2).graph
-    grow = irredundance._Walk.grow
+    extend = irredundance._Walk._extend
     for solve in (gamma_chromatic_number, irredundance_chromatic_number):
         token = Polls()
         starts = []
 
-        def spied(walk, tok):
+        def spied(walk, stop, tok):
             starts.append((len(walk.layers), token.polls))
-            return grow(walk, tok)
+            return extend(walk, stop, tok)
 
-        monkeypatch.setattr(irredundance._Walk, "grow", spied)
+        monkeypatch.setattr(irredundance._Walk, "_extend", spied)
         solve(z, token)
-        assert [size for size, _ in starts] == [1, 2, 3]
+        # the layer of two vertices is read in two steps, up to its first
+        # candidate and then on; that of three at once, to its end
+        assert starts == [(1, 1), (2, 15), (2, 57), (3, 93)]
         start = starts[-1][1]
         token = Polls(start + 2)  # expires on the layer's second set
         with pytest.raises(SearchCancelled):
@@ -399,3 +403,59 @@ def test_ir_and_gamma_poll_the_budget_inside_a_size():
         with pytest.raises(SearchCancelled):
             solve(c24, token)
         assert token.polls == 50
+
+
+def test_readers_in_every_order_match_the_whole_layer_walk(connected_le6, bipartite_le7):
+    # ir and gamma build the layer they stop in by buckets of lowest
+    # vertex, the rainbow solvers in mask order; whichever comes first, the
+    # others read what it built and the enumerators complete it
+    rng = random.Random("reader-orders")
+    graphs = [g for g in (*connected_le6, *bipartite_le7) if g.n]
+    graphs += [relabeled(g, rng) for g in rainbow_gnp_graphs() for _ in range(3)]
+    graphs += [path(n) for n in range(1, 17)] + [cycle(n) for n in range(3, 17)]
+    graphs += [random_connected(rng, n, p) for p in (0.15, 0.3, 0.5, 0.8) for n in range(5, 15)]
+    for g in graphs:
+        assert_reader_orders(g)
+
+
+@pytest.mark.parametrize("which", ["ir(C16)", "gamma(G(13, 0.4))"])
+def test_a_budget_inside_the_partial_layer_leaves_a_walk_that_reads_on(monkeypatch, which):
+    # ir(C16) = 6 = gamma(C16): the layers of at most five vertices hold
+    # 3,861 sets, the empty one included, and ir builds its layer in mask
+    # order up to a maximal set with vertex 0, then the rest of vertex 0's
+    # bucket.  The rainbow_gnp graph has gamma = 3 and builds its buckets
+    # of vertex 0 to 3 in one call each
+    if which == "ir(C16)":
+        g, solve, calls = cycle(16), ir_number, [(False, 3861), (True, 3892)]
+    else:
+        g, solve, calls = rainbow_gnp_graphs()[4], gamma_number, [(False, 88), (True, 135), (True, 167),
+                                                                    (True, 193), (True, 218)]
+    whole = list(reference_layers(g))
+    want = reference_ir(whole) if solve is ir_number else reference_gamma(whole, irredundance._greedy_dominating(g))
+    counted = Polls()
+    starts = []
+    build = irredundance._Walk._build
+
+    def spied(walk, part, stop, tok, keep=False):
+        if len(walk.layers) == want[0]:
+            starts.append((keep, counted.polls))
+        return build(walk, part, stop, tok, keep)
+
+    monkeypatch.setattr(irredundance._Walk, "_build", spied)
+    assert solve(g, budget.scope(counted)) == want
+    monkeypatch.undo()
+    assert starts == calls
+    # one limit expires inside the mask-order prefix, one inside a bucket
+    for limit in (calls[0][1] + 3, calls[1][1] + 2):
+        token = Polls(limit)
+        scope = budget.scope(token)
+        with pytest.raises(SearchCancelled):
+            solve(g, scope)
+        assert token.polls == limit
+        token.limit = None
+        assert solve(g, scope) == want
+        assert token.polls == counted.polls + 1  # only the set the budget stopped is built again
+        walk = scope.memo[("walk", g)]
+        assert walk.layers == whole[:len(walk.layers)]
+        assert list(maximal_irredundant_sets(g, scope)) == sorted(s for maximal, _ in whole for s in maximal)
+        assert walk.layers == whole

@@ -9,12 +9,12 @@ from irrcolor import budget, coloring, irc, irredundance
 from irrcolor.cli import DEFAULT_INVARIANTS, _compute_invariant, _graph_record, _scan_graph
 from irrcolor.coloring import chromatic_number, gamma_chromatic_number, irredundance_chromatic_number
 from irrcolor.errors import SearchCancelled
-from irrcolor.graphs import component_count, from_edge_list
+from irrcolor.graphs import from_edge_list
 from irrcolor.invariants import REGISTRY
 from irrcolor.irredundance import gamma_number, ir_number, maximal_irredundant_sets
 from irrcolor.oracle import cross_check
 
-from conftest import Polls, cycle, random_connected, spy, spy_walks, walk_depths, walk_nodes
+from conftest import Polls, cycle, rainbow_gnp_graphs, random_connected, spy, spy_walks, walk_built, walk_depths, walk_nodes
 
 
 def petersen():
@@ -88,23 +88,27 @@ def test_a_walk_cancelled_inside_a_layer_keeps_the_layers_before_it(monkeypatch)
     expected = [solve(g) for solve in solvers]
     whole = list(irredundance._layers(g, None))
     counted = Polls()
-    starts = []
-    grow = irredundance._Walk.grow
+    ends = {}  # size -> the polls when that layer was complete
+    extend = irredundance._Walk._extend
 
-    def spied(walk, tok):
-        starts.append(counted.polls)
-        return grow(walk, tok)
+    def spied(walk, stop, tok):
+        size = len(walk.layers)
+        extend(walk, stop, tok)
+        if len(walk.layers) > size:
+            ends.setdefault(size, counted.polls)
 
     def run(scope):
         for solve in solvers[2:]:
             solve(g, scope)
         list(maximal_irredundant_sets(g, scope))
 
-    monkeypatch.setattr(irredundance._Walk, "grow", spied)
+    monkeypatch.setattr(irredundance._Walk, "_extend", spied)
     run(budget.scope(counted))
-    assert len(starts) == len(whole) >= 4  # the last call finds no next layer
+    assert list(ends) == list(range(1, len(whole))) and len(whole) >= 4
     for size in range(2, len(whole)):
-        token = Polls(starts[size - 1] + 2)  # expires on the layer's second set
+        # expires on the second poll after the layer below is complete,
+        # inside the layer of ``size`` vertices
+        token = Polls(ends[size - 1] + 2)
         scope = budget.scope(token)
         with pytest.raises(SearchCancelled):
             run(scope)
@@ -144,40 +148,30 @@ def test_one_record_computes_chi_once_and_walks_once(monkeypatch):
             # ir, gamma, chi_i and chi_gamma read one walk, as deep as the
             # deepest of them reads; gamma finds a greedy dominating set
             assert len(walks) == 1 and len(greedies) == 1
-            depths.append((greedy, *walk_depths(walks)))
-    assert depths == [(3, 3), (3, 3), (3, 3), (3, 3), (2, 2), (2, 2)]
-
-
-def _rainbow_gnp_graphs():
-    """The 15 base graphs of the rainbow_gnp benchmark workload: connected
-    G(n, 0.4), three for each n = 12..16, drawn as perfbench/inputs.py
-    draws them."""
-    rng = random.Random("rainbow_gnp:base")
-    graphs = []
-    for n in range(12, 17):
-        for _ in range(3):
-            g = None
-            while g is None or component_count(g) != 1:
-                g = from_edge_list(n, [(u, v) for v in range(1, n) for u in range(v) if rng.random() < 0.4])
-            graphs.append(g)
-    return graphs
+            depths.append((greedy, *walk_depths(walks), *walk_built(walks)))
+    # the complete layers and the sets built: on C7 and G(12, 0.4) the
+    # layer of ir is built only in part, and on the Petersen graph whole
+    assert depths == [(3, 2, 35), (3, 2, 35), (3, 3, 176), (3, 3, 176), (2, 1, 48), (2, 1, 48)]
 
 
 def test_default_ids_walk_only_the_layers_they_read(monkeypatch):
     # the default six read the layers up to max(ir, gamma, the largest
-    # rainbow candidate tried); a walk capped at the greedy dominating size
-    # g0 walks the g0 layer too on the graphs where gamma < g0
+    # rainbow candidate tried), and of the last one only what ir, gamma and
+    # the rainbow solvers' first candidates need; a walk capped at the
+    # greedy dominating size g0 walks the g0 layer too on the graphs where
+    # gamma < g0.  The whole layers up to the last one read hold 4,683 sets
     walks = spy_walks(monkeypatch)
-    built = capped = 0
-    for g in _rainbow_gnp_graphs():
+    built = whole = capped = 0
+    for g in rainbow_gnp_graphs():
         del walks[:]
         _graph_record(0, g, DEFAULT_INVARIANTS)
         [depth] = walk_depths(walks)
         g0 = irredundance._greedy_dominating(g).bit_count()
-        nodes = walk_nodes(g, max(depth, g0))
-        built += sum(nodes[:depth + 1])
+        nodes = walk_nodes(g, max(depth + 1, g0))
+        built += sum(walk_built(walks))
+        whole += sum(nodes[:depth + 2])
         capped += sum(nodes[:g0 + 1])
-    assert (built, capped) == (4683, 6753)
+    assert (built, whole, capped) == (2479, 4683, 6753)
 
 
 def test_scan_conjecture_scans_for_obstructions_once(monkeypatch):
