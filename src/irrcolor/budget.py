@@ -5,12 +5,11 @@ caller can bound a whole run without killing the process.
 
 A ``Scope`` is a token that also keeps the results its solvers share, so a
 caller that asks several invariants of one graph computes each shared part
-(chi, the committee obstruction check and the committee check's tables,
-which the searches and the verifier read) once.  The irredundant-set walk is
-kept the same way but grows: each reader extends it by whole size layers,
-only as deep as it reads, and a later reader starts from the layers already
-built.
-It answers ``expired()`` like the token it wraps, so it travels as the
+(chi, chi_d, which chi_gd starts from, the committee obstruction check
+and the committee check's tables, which the searches and the verifier
+read) once.  The irredundant-set walk is kept the same way but grows: each
+reader extends it only as far as it reads, and a later reader starts from
+the sets already built.  It answers ``expired()`` like the token it wraps, so it travels as the
 ``token`` argument and no solver signature changes.
 """
 

@@ -228,13 +228,13 @@ def _min_rainbow(g: Graph, family: int, member, token) -> tuple[int, RainbowCert
     dominating), tried in (size, mask) order.
 
     chi is read first, then the candidates, one layer at a time, through
-    ``_Walk.sets``: the last layer read is built only up to the last
-    candidate tried.  A rainbow
-    candidate needs as many colors as it has members, so the search stops
-    at max(chi, smallest candidate size), which is max(chi, ir) or max(chi,
-    gamma), and no candidate with as many members as the best count so far
-    is tried: the next layer is asked for only while its size is below the
-    best count and that count is above the bound.  On a graph with a
+    ``_Walk.sets``, which builds the last layer read only up to the last
+    candidate tried.  A rainbow candidate needs as many colors as it has
+    members, so the search stops at max(chi, smallest candidate size),
+    which is max(chi, ir) or max(chi, gamma), and no candidate with as many
+    members as the best count so far is tried: the next layer is asked for
+    only while its size is below the best count and that count is above
+    the bound.  On a graph with a
     full-degree vertex, the maximal irredundant singletons are the
     full-degree vertices, and the lowest one's reduction is g itself, which
     stops the search at chi.  ``member`` is the predicate every candidate

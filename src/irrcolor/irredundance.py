@@ -2,16 +2,24 @@
 solvers for the lower irredundance number ir(G) and domination number γ(G).
 
 Set arguments and results are vertex bitmasks.  Every search here reads one
-walk over the irredundant sets by size, which builds the layer of d-vertex
-sets only when a reader asks for it, and which a ``budget.Scope`` token
-keeps for every later read of the graph.  Under one Scope one walk serves
-ir, γ, chi_i and chi_gamma, as deep as the deepest of them reads: ir to the
-first layer with a maximal irredundant set, γ to the first with a
-dominating set below g0, the size of a greedy dominating set, and the
-rainbow solvers of ``coloring`` while a smaller candidate could still lower
-their count.  Ties in ir and γ go to ``itertools.combinations`` order.  The
-two enumerators read every layer, merged into ascending numeric mask order
-(lexicographic over the bit string read from vertex 0 upward).
+walk over the irredundant sets by size, which a ``budget.Scope`` token
+keeps for every later read of the graph.  The layer of d-vertex sets is
+built only when a reader asks for it, and only as far as its readers
+need until one reads it whole; each set is built once, whoever asks
+first.  Under one Scope one walk serves ir, γ, chi_i and chi_gamma, as
+deep as the deepest of them reads: ir to the first layer with a maximal
+irredundant set, γ to the first with a dominating set below g0, the size
+of a greedy dominating set, and the rainbow solvers of ``coloring`` while
+a smaller candidate could still lower their count.
+
+A layer has two read orders.  The rainbow solvers try their candidates in
+ascending numeric mask order (lexicographic over the bit string read from
+vertex 0 upward), the order the walk builds in, and often stop at the
+first.  ir and γ take the first set in ``itertools.combinations`` order,
+which compares the lowest vertex first: once a set of the layer that they
+accept is built, the answer's lowest vertex is at most that set's, so of
+the rest of the layer only the sets with a lowest vertex no higher are
+built.  The two enumerators read every layer, merged into mask order.
 """
 
 from __future__ import annotations
@@ -87,19 +95,19 @@ class _Walk:
     children, the children still as a mask; taking them set by set, each
     set's children lowest first, puts the next layer in mask order.
 
-    That next layer is ``part``, a ``_Part`` built only as far as its
-    readers need, in one of two orders.  ``sets`` reads it in mask order
-    and builds up to the next set it yields.  ``first`` wants the first
-    set in ``itertools.combinations`` order, which compares the lowest
-    vertex first: it builds in mask order up to the first hit, and then,
-    one lowest vertex t at a time from 0, every unbuilt child whose lowest
-    vertex is t, until a bucket holds a hit.  The bound: the answer's
-    lowest vertex is at most that of any hit already built, and no built
-    hit has a lower one, so every hit with that lowest vertex is then in
-    hand.  Those children are kept in ``aside``, so the mask-order build
-    never builds a set twice, and each set built costs one budget poll.
-    Layers that readers take whole (``grow``) are built in mask order
-    alone.
+    That next layer is ``part``, a ``_Part``, built only as far as its
+    readers need, in one of two orders.  ``sets`` yields a family of it in
+    mask order, and builds it up to each set it yields.  ``first`` wants
+    the first set of a family (a hit) in ``itertools.combinations`` order,
+    which compares the lowest vertex first.  It builds in mask order up to
+    the first hit.  If the least lowest vertex of the hits built is t, the
+    answer's lowest vertex is at most t, so ``first`` then builds, for
+    each t' from 0 up to t, the unbuilt children whose lowest vertex is
+    t', one bucket at a time, and stops at the first t' that has a hit
+    built or in its bucket.  The children it builds out of mask order go
+    in ``aside``, where the mask-order build reads them: each set is
+    built, and polls the budget, once.  Layers that readers take whole
+    (``grow``) are built in mask order alone.
 
     Each set carries ``covered`` = N[S] and ``once``, the vertices covered
     by exactly one member; a member u's private neighbors are N[u] & once.
@@ -177,7 +185,8 @@ class _Walk:
             return None
         part = self.part
         built = part.sets[family]
-        least = min(s & -s for s in built)
+        least = min(s & -s for s in built)  # the lowest vertex of a built hit, as a bit
+        # the unbuilt children, by lowest vertex up to least's, in one pass
         buckets = [[] for _ in range(least.bit_length())]
         for s, covered, once, children in part.parents[part.at:]:
             rest = children & (2 * least - 1)
@@ -189,7 +198,7 @@ class _Walk:
             sub = _Part(bucket, part.aside)
             self._build(sub, None, token, keep=True)
             hits = sub.sets[family]
-            if bucket is buckets[-1]:
+            if bucket is buckets[-1]:  # no built hit has a lower lowest vertex
                 hits += [s for s in built if s & -s == least]
             if hits:
                 return _first_combination(hits)
