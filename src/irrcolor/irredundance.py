@@ -106,8 +106,8 @@ class _Walk:
     t', one bucket at a time, and stops at the first t' that has a hit
     built or in its bucket.  The children it builds out of mask order go
     in ``aside``, where the mask-order build reads them: each set is
-    built, and polls the budget, once.  Layers that readers take whole
-    (``grow``) are built in mask order alone.
+    built, and polls the budget, once.  ``grow`` builds in mask order,
+    and a layer that readers take whole is built in that order alone.
 
     Each set carries ``covered`` = N[S] and ``once``, the vertices covered
     by exactly one member; a member u's private neighbors are N[u] & once.
@@ -144,13 +144,19 @@ class _Walk:
         self.frontier = [(0, 0, 0, g.vertices)] if g.n else []
         self.part = _Part(self.frontier, {})
 
-    def grow(self, token) -> bool:
-        """Complete the next layer; False when the last one has no
-        children.  A cancelled call keeps every complete layer and leaves
-        the next one built as far as it got."""
+    def grow(self, token, stop: Optional[int] = None) -> bool:
+        """Build the next layer on in mask order through its next set in
+        family ``stop``, or with None to its end, which completes it;
+        False when the last complete layer has no children.  A cancelled
+        call keeps every complete layer and leaves the next one built as
+        far as it got."""
         if not self.frontier:
             return False
-        self._extend(None, token)
+        part = self.part
+        if not self._build(part, stop, token):
+            self.layers.append(part.sets)
+            self.frontier = part.frontier
+            self.part = _Part(self.frontier, {})
         return True
 
     def sets(self, size: int, family: int, token) -> Iterator[VertexSet]:
@@ -171,13 +177,13 @@ class _Walk:
                 read += 1
             if size < len(self.layers):
                 return
-            self._extend(family, token)
+            self.grow(token, family)
 
     def first(self, size: int, family: int, token) -> Optional[VertexSet]:
         """The first set of ``size`` vertices in ``family`` in combinations
         order, or None; ``size`` is at most that of the next layer."""
         if size == len(self.layers) and self.frontier and not self.part.sets[family]:
-            self._extend(family, token)
+            self.grow(token, family)
         if size < len(self.layers):
             sets = self.layers[size][family]
             return _first_combination(sets) if sets else None
@@ -203,16 +209,6 @@ class _Walk:
             if hits:
                 return _first_combination(hits)
 
-    def _extend(self, stop: Optional[int], token) -> None:
-        """Build the next layer on in mask order through its next set in
-        family ``stop``, or with None to its end; a layer built to its end
-        is complete."""
-        part = self.part
-        if not self._build(part, stop, token):
-            self.layers.append(part.sets)
-            self.frontier = part.frontier
-            self.part = _Part(self.frontier, {})
-
     def _build(self, part: _Part, stop: Optional[int], token, keep: bool = False) -> bool:
         """Build ``part`` on in mask order; True when it stops after adding
         a set in family ``stop``, False when its parents have no children
@@ -225,9 +221,9 @@ class _Walk:
         tail = vertices & ~(half | half << h)
         parents, aside = part.parents, part.aside
         (maximal_sets, dominating_sets), frontier = part.sets, part.frontier
-        i = part.at
+        i, end = part.at, len(parents)
         try:
-            while i < len(parents):
+            while i < end:
                 s, covered, once, children = parents[i]
                 while children:  # lowest first
                     low = children & -children
@@ -275,7 +271,7 @@ class _Walk:
                 i += 1
             return False
         finally:
-            if i < len(parents):
+            if i < end:
                 parents[i] = s, covered, once, children
             part.at = i
 

@@ -363,16 +363,16 @@ def test_rainbow_invariants_pass_their_budget_to_the_enumerators(monkeypatch):
     # greedy dominating size 2, and a budget that runs out inside that layer
     # cancels the solve
     z = gen_family_z(3, 2).graph
-    extend = irredundance._Walk._extend
+    grow = irredundance._Walk.grow
     for solve in (gamma_chromatic_number, irredundance_chromatic_number):
         token = Polls()
         starts = []
 
-        def spied(walk, stop, tok):
+        def spied(walk, tok, stop=None):
             starts.append((len(walk.layers), token.polls))
-            return extend(walk, stop, tok)
+            return grow(walk, tok, stop)
 
-        monkeypatch.setattr(irredundance._Walk, "_extend", spied)
+        monkeypatch.setattr(irredundance._Walk, "grow", spied)
         solve(z, token)
         # the layer of two vertices is read in two steps, up to its first
         # candidate and then on; that of three at once, to its end

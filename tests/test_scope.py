@@ -89,20 +89,21 @@ def test_a_walk_cancelled_inside_a_layer_keeps_the_layers_before_it(monkeypatch)
     whole = list(irredundance._layers(g, None))
     counted = Polls()
     ends = {}  # size -> the polls when that layer was complete
-    extend = irredundance._Walk._extend
+    grow = irredundance._Walk.grow
 
-    def spied(walk, stop, tok):
+    def spied(walk, tok, stop=None):
         size = len(walk.layers)
-        extend(walk, stop, tok)
+        grown = grow(walk, tok, stop)
         if len(walk.layers) > size:
             ends.setdefault(size, counted.polls)
+        return grown
 
     def run(scope):
         for solve in solvers[2:]:
             solve(g, scope)
         list(maximal_irredundant_sets(g, scope))
 
-    monkeypatch.setattr(irredundance._Walk, "_extend", spied)
+    monkeypatch.setattr(irredundance._Walk, "grow", spied)
     run(budget.scope(counted))
     assert list(ends) == list(range(1, len(whole))) and len(whole) >= 4
     for size in range(2, len(whole)):
