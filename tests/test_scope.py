@@ -7,7 +7,13 @@ import pytest
 
 from irrcolor import budget, coloring, irc, irredundance
 from irrcolor.cli import DEFAULT_INVARIANTS, _compute_invariant, _graph_record, _scan_graph
-from irrcolor.coloring import chromatic_number, gamma_chromatic_number, irredundance_chromatic_number
+from irrcolor.coloring import (
+    chromatic_number,
+    dominator_chromatic_number,
+    gamma_chromatic_number,
+    global_dominator_chromatic_number,
+    irredundance_chromatic_number,
+)
 from irrcolor.errors import SearchCancelled
 from irrcolor.graphs import from_edge_list
 from irrcolor.invariants import REGISTRY
@@ -35,14 +41,18 @@ def _complete(key, value) -> bool:
         return value.layers == list(irredundance._layers(g, None))[:len(value.layers)]
     if kind == "chi":
         return value == chromatic_number(g)
+    if kind == "chi_d":
+        return (value.k, value) == dominator_chromatic_number(g)
     if kind == "obstructed":
         return value == irc._obstructed(g)
     raise AssertionError(f"unexpected memo key {kind!r}")
 
 
 def test_cancelled_computations_leave_no_memo_entry():
+    # chi_gd reads chi_d through the scope, and a budget that runs out in
+    # either search keeps neither
     g = PINNED[2]
-    solvers = (irredundance_chromatic_number, gamma_chromatic_number)
+    solvers = (irredundance_chromatic_number, gamma_chromatic_number, global_dominator_chromatic_number)
     expected = [solve(g) for solve in solvers]
     total = Polls()
     for solve in solvers:
