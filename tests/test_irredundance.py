@@ -33,7 +33,7 @@ from conftest import (
     tree7,
     walk_nodes,
 )
-from walk_reference import assert_reader_orders, reference_gamma, reference_ir, reference_layers, relabeled
+from walk_reference import assert_reader_orders, per_bit_grow, reference_gamma, reference_ir, reference_layers, relabeled
 
 
 def test_private_neighbors_examples():
@@ -256,40 +256,6 @@ def test_enumerators_call_no_set_predicate(monkeypatch):
     assert calls == []
 
 
-def _per_bit_grow(walk, token):
-    """The reference for ``_Walk.grow``: the same walk with no half tables,
-    building N[V - N[S]] and each member's killers one vertex at a time."""
-    if not walk.frontier:
-        return False
-    closed, vertices = walk.closed, walk.vertices
-    maximal_sets, dominating_sets, frontier = [], [], []
-    for s, covered, once, children in walk.frontier:
-        while children:
-            low = children & -children
-            children ^= low
-            budget.check(token)
-            w = low.bit_length() - 1
-            fresh = closed[w] & ~covered
-            child, child_covered, child_once = s | low, covered | fresh, once & ~closed[w] | fresh
-            joiners = 0
-            for x in bits(vertices & ~child_covered):
-                joiners |= closed[x]
-            for u in bits(child) if joiners else ():
-                killers = -1
-                for x in bits(closed[u] & child_once):
-                    killers &= closed[x]
-                joiners &= ~killers
-            if not joiners:
-                maximal_sets.append(child)
-                if child_covered == vertices:
-                    dominating_sets.append(child)
-            elif joiners & (low - 1):
-                frontier.append((child, child_covered, child_once, joiners & (low - 1)))
-    walk.layers.append((maximal_sets, dominating_sets))
-    walk.frontier = frontier
-    return True
-
-
 def _assert_kernel_matches_per_bit(g, depth=None):
     """The table kernel and the per-bit reference build the same layers and
     frontiers with the same polls, up to ``depth`` or the last layer."""
@@ -297,7 +263,7 @@ def _assert_kernel_matches_per_bit(g, depth=None):
     fast, slow = irredundance._Walk(g, fast_token), irredundance._Walk(g, slow_token)
     while depth is None or len(fast.layers) <= depth:
         grown = fast.grow(fast_token)
-        assert grown == _per_bit_grow(slow, slow_token)
+        assert grown == per_bit_grow(slow, slow_token)
         assert (fast.layers, fast.frontier) == (slow.layers, slow.frontier)
         assert fast_token.polls == slow_token.polls
         if not grown:

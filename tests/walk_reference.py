@@ -1,8 +1,9 @@
 """The irredundant-set walk as it was before the layer after the last
 complete one could be built in part, and its four readers as they read
-it: every layer is built whole, ir and gamma take the first set of the
-first layer with one in ``itertools.combinations`` order, and the rainbow
-solvers try the candidates of whole layers in (size, mask) order.
+it: every layer is built whole, by ``per_bit_grow``, the table-free form
+of the walk's kernel; ir and gamma take the first set of the first layer
+with one in ``itertools.combinations`` order, and the rainbow solvers try
+the candidates of whole layers in (size, mask) order.
 
 The fast walk must give the same values, witnesses and families whatever
 order its readers come in.  Shared by ``tests/test_irredundance.py`` and
@@ -25,36 +26,48 @@ from irrcolor.irredundance import gamma_number, ir_number, maximal_irredundant_s
 from conftest import Polls
 
 
+def per_bit_grow(walk, token):
+    """The reference for ``_Walk.grow``: the same walk with no half tables,
+    building N[V - N[S]] and each member's killers one vertex at a time."""
+    if not walk.frontier:
+        return False
+    closed, vertices = walk.closed, walk.vertices
+    maximal_sets, dominating_sets, frontier = [], [], []
+    for s, covered, once, children in walk.frontier:
+        while children:
+            low = children & -children
+            children ^= low
+            budget.check(token)
+            w = low.bit_length() - 1
+            fresh = closed[w] & ~covered
+            child, child_covered, child_once = s | low, covered | fresh, once & ~closed[w] | fresh
+            joiners = 0
+            for x in bits(vertices & ~child_covered):
+                joiners |= closed[x]
+            for u in bits(child) if joiners else ():
+                killers = -1
+                for x in bits(closed[u] & child_once):
+                    killers &= closed[x]
+                joiners &= ~killers
+            if not joiners:
+                maximal_sets.append(child)
+                if child_covered == vertices:
+                    dominating_sets.append(child)
+            elif joiners & (low - 1):
+                frontier.append((child, child_covered, child_once, joiners & (low - 1)))
+    walk.layers.append((maximal_sets, dominating_sets))
+    walk.frontier = frontier
+    return True
+
+
 def reference_layers(g):
     """Yield the layers of the walk, ``(maximal, dominating)`` in mask
-    order, by the table-free per-bit form of the walk's kernel."""
-    closed, vertices = [g.closed(v) for v in range(g.n)], g.vertices
-    yield [], [] if g.n else [0]
-    frontier = [(0, 0, 0, vertices)] if g.n else []
-    while frontier:
-        maximal_sets, dominating_sets, parents, frontier = [], [], frontier, []
-        for s, covered, once, children in parents:
-            while children:
-                low = children & -children
-                children ^= low
-                w = low.bit_length() - 1
-                fresh = closed[w] & ~covered
-                child, child_covered, child_once = s | low, covered | fresh, once & ~closed[w] | fresh
-                joiners = 0
-                for x in bits(vertices & ~child_covered):
-                    joiners |= closed[x]
-                for u in bits(child if joiners else 0):
-                    killers = vertices
-                    for x in bits(closed[u] & child_once):
-                        killers &= closed[x]
-                    joiners &= ~killers
-                if not joiners:
-                    maximal_sets.append(child)
-                    if child_covered == vertices:
-                        dominating_sets.append(child)
-                elif joiners & (low - 1):
-                    frontier.append((child, child_covered, child_once, joiners & (low - 1)))
-        yield maximal_sets, dominating_sets
+    order, each built whole by ``per_bit_grow``; the walk object holds only
+    the graph's closed neighborhoods, its vertex mask and the frontier."""
+    walk = irredundance._Walk(g, None)
+    yield walk.layers[0]
+    while per_bit_grow(walk, None):
+        yield walk.layers[-1]
 
 
 class _Built:
