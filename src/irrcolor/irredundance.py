@@ -65,12 +65,13 @@ def is_maximal_irredundant(g: Graph, s: VertexSet) -> bool:
 class _Part:
     """The layer after the last complete one, as far as it is built.
 
-    The mask-order prefix is the children of ``parents[:at]`` and those of
-    ``parents[at]`` below its entry's children, which hold only what is
-    left to build; ``sets`` and ``frontier`` hold the prefix's maximal,
-    dominating and child-bearing sets.  ``aside`` maps each child built out
-    of that order to its ``(covered, once, joiners)``, which the prefix
-    reads instead of building the child again."""
+    The mask-order prefix holds the children of ``parents[:at]`` and those
+    of ``parents[at]`` that its entry no longer lists: the entry's children
+    mask keeps only what is left to build.  ``sets`` and ``frontier`` hold
+    the prefix's maximal, dominating and child-bearing sets.  ``aside``
+    maps each child built out of that order to its ``(covered, once,
+    joiners)``, which the prefix reads instead of building the child
+    again."""
 
     __slots__ = ("parents", "at", "sets", "frontier", "aside")
 
