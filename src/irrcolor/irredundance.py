@@ -356,7 +356,7 @@ def gamma_number(g: Graph, token=None) -> tuple[int, VertexSet]:
     one is minimal, so irredundant: the walk is read only below the size g0
     of a greedy cover, which is the witness when no smaller set dominates."""
     greedy = _greedy_dominating(g)
-    walk = _walk(g, token)
+    walk = _walk(g, token) if greedy else None  # the null graph starts no walk
     for size in range(greedy.bit_count()):
         s = walk.first(size, 1, token)
         if s is not None:

@@ -358,6 +358,9 @@ def test_unscoped_gamma_walks_only_below_the_greedy_size():
     token = Polls()
     assert gamma_number(g, token) == (g0, irredundance._greedy_dominating(g)) and g0 == 6
     assert token.polls == sum(walk_nodes(g, g0 - 1)) == 3861
+    # on the null graph g0 = 0, and no walk starts
+    token = Polls()
+    assert gamma_number(complete(0), token) == (0, 0) and token.polls == 0
 
 
 def test_ir_and_gamma_poll_the_budget_inside_a_size():
