@@ -23,37 +23,36 @@ from .irredundance import _walk, is_dominating, is_maximal_irredundant
 class Coloring(_Frozen):
     """Surjective assignment of vertices to color ids 0..k-1.
 
-    Properness is a predicate, not an invariant: search intermediates may be
-    improper.  ``canonical()`` relabels so first occurrences of color ids
-    ascend with vertex index, the form the partition searches enumerate.
-    The constructor stores ``color_of`` as a tuple.
+    k is the number of distinct ids, and ``Coloring(color_of)`` checks that
+    they lie in 0..k-1, so every id is used.  Equality, hashing and ``repr``
+    read only ``color_of``, stored as a tuple.  Properness is a predicate,
+    not an invariant: search intermediates may be improper.  ``canonical()``
+    relabels so first occurrences of color ids ascend with vertex index, the
+    form the partition searches enumerate.
     """
 
     color_of: tuple[int, ...]
     k: int
 
-    def __init__(self, color_of: Sequence[int], k: int):
-        object.__setattr__(self, "color_of", tuple(color_of))
+    def __init__(self, color_of: Sequence[int]):
+        color_of = tuple(color_of)
+        used = set(color_of)
+        k = len(used)
+        if used and (min(used) < 0 or max(used) >= k):
+            raise ValueError("color id out of range")
+        object.__setattr__(self, "color_of", color_of)
         object.__setattr__(self, "k", k)
-        self._check()
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.color_of == other.color_of and self.k == other.k
+        return self.color_of == other.color_of
 
     def __hash__(self):
-        return hash((self.color_of, self.k))
+        return hash(self.color_of)
 
     def __repr__(self):
-        return f"Coloring(color_of={self.color_of!r}, k={self.k!r})"
-
-    def _check(self):
-        used = set(self.color_of)
-        if self.color_of and (min(used) < 0 or max(used) >= self.k):
-            raise ValueError("color id out of range")
-        if len(used) != self.k:
-            raise ValueError("coloring must use every color id")
+        return f"Coloring(color_of={self.color_of!r})"
 
     def classes(self) -> list[VertexSet]:
         masks = [0] * self.k
@@ -68,7 +67,7 @@ class Coloring(_Frozen):
             if c not in relabel:
                 relabel[c] = len(relabel)
             out.append(relabel[c])
-        return Coloring(tuple(out), self.k)
+        return Coloring(tuple(out))
 
 
 def is_proper(g: Graph, coloring: Coloring) -> bool:
@@ -93,7 +92,7 @@ def add_clique(g: Graph, s: VertexSet) -> Graph:
     adj = list(g.adj)
     for v in bits(s):
         adj[v] |= s & ~(1 << v)
-    return _unchecked(g.n, tuple(adj))
+    return _unchecked(tuple(adj))
 
 
 def max_clique(g: Graph) -> VertexSet:
@@ -126,7 +125,7 @@ def chromatic_number(g: Graph, token=None) -> tuple[int, Coloring]:
     uncolored."""
     n = g.n
     if n == 0:
-        return 0, Coloring((), 0)
+        return 0, Coloring(())
     adj = g.adj
     colors = [-1] * n
     sat = [0] * n
@@ -188,7 +187,7 @@ def chromatic_number(g: Graph, token=None) -> tuple[int, Coloring]:
                     sat[u] ^= bit
 
         search([v for v in range(n) if colors[v] < 0], clique.bit_count())
-    return best_k, Coloring(tuple(best), best_k).canonical()
+    return best_k, Coloring(tuple(best)).canonical()
 
 
 def _chi(g: Graph, token) -> tuple[int, Coloring]:
@@ -309,7 +308,7 @@ def _restricted_growth_search(g: Graph, lo: int, hi: int, fault, token=None, few
         if created + n - i < lo:
             return False
         if i == n:
-            best = Coloring(tuple(colors), created)
+            best = Coloring(tuple(colors))
             if fewest:
                 hi = created - 1
             else:

@@ -64,7 +64,7 @@ def gen_complete(n: int) -> FamilyInstance:
     if n < 1:
         raise ParameterError("complete graph needs n >= 1")
     g = from_edge_list(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-    col = Coloring(tuple(range(n)), n)
+    col = Coloring(tuple(range(n)))
     return _instance(
         g,
         tuple(f"v{i+1}" for i in range(n)),
@@ -82,7 +82,7 @@ def gen_complete_bipartite(m: int, n: int) -> FamilyInstance:
     if m < 1 or n < 1:
         raise ParameterError("complete bipartite needs m, n >= 1")
     g = from_edge_list(m + n, [(i, m + j) for i in range(m) for j in range(n)])
-    col = Coloring(tuple([0] * m + [1] * n), 2)
+    col = Coloring(tuple([0] * m + [1] * n))
     return _instance(
         g,
         tuple(f"a{i+1}" for i in range(m)) + tuple(f"b{j+1}" for j in range(n)),
@@ -96,7 +96,7 @@ def gen_star(n: int) -> FamilyInstance:
     if n < 2:
         raise ParameterError("star needs n >= 2")
     g = from_edge_list(n, [(0, i) for i in range(1, n)])
-    col = Coloring(tuple([0] + [1] * (n - 1)), 2)
+    col = Coloring(tuple([0] + [1] * (n - 1)))
     return _instance(
         g,
         ("c",) + tuple(f"l{i}" for i in range(1, n)),
@@ -111,9 +111,9 @@ def gen_cycle(n: int) -> FamilyInstance:
         raise ParameterError("cycle needs n >= 3")
     g = from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
     if n % 2 == 0:
-        col = Coloring(tuple(i % 2 for i in range(n)), 2)
+        col = Coloring(tuple(i % 2 for i in range(n)))
     else:
-        col = Coloring(tuple([i % 2 for i in range(n - 1)] + [2]), 3)
+        col = Coloring(tuple([i % 2 for i in range(n - 1)] + [2]))
     claims: dict[str, Claim] = {}
     if n % 2 == 1:
         claims["irc_colorable"] = Claim(False)
@@ -127,7 +127,7 @@ def gen_path(n: int) -> FamilyInstance:
     if n < 1:
         raise ParameterError("path needs n >= 1")
     g = from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
-    col = Coloring(tuple(i % 2 for i in range(n)), min(n, 2))
+    col = Coloring(tuple(i % 2 for i in range(n)))
     claims = {"irc_colorable": Claim(False)} if n >= 2 else {}
     return _instance(g, None, claims, col, f"path({n})")
 
@@ -157,10 +157,10 @@ def gen_family_a(n: int, k: int) -> FamilyInstance:
     )
     if k >= 2:
         colors = list(range(k)) + [(i + 1) % k for i in range(k)] + [1] * (n - 2 * k)
-        col = Coloring(tuple(colors), k)
+        col = Coloring(tuple(colors))
         claims = {"chi": Claim(k), "ir": Claim(k), "chi_i": Claim(k)}
     else:
-        col = Coloring(tuple([0] + [1] * (n - 1)), min(n, 2))
+        col = Coloring(tuple([0] + [1] * (n - 1)))
         claims = {}
     return _instance(g, labels, claims, col, f"A({n},{k})")
 
@@ -230,7 +230,7 @@ def gen_family_b(n: int, k: int) -> FamilyInstance:
     edges += [(0, k + t) for t in range(n - k)]
     g = from_edge_list(n, edges)
     colors = list(range(k)) + [1] * (n - k)
-    col = Coloring(tuple(colors), k)
+    col = Coloring(tuple(colors))
     labels = tuple(f"v{i+1}" for i in range(k)) + tuple(
         f"u{t+1}" for t in range(n - k)
     )
@@ -268,7 +268,7 @@ def gen_cut_vertex(k: int) -> FamilyInstance:
     for i in range(k):
         colors += [j % 2 for j in range(10)]
     colors.append(2)
-    col = Coloring(tuple(colors), 3)
+    col = Coloring(tuple(colors))
     # each gadget must be bipartite for the 2-sided classes to be proper
     hubless = from_edge_list(hub, [e for e in edges if hub not in e])
     if bipartition(hubless) is None:
@@ -298,7 +298,7 @@ def gen_bridge(k: int, l: int) -> FamilyInstance:
     g = from_edge_list(off + right.graph.n, edges)
     # each side keeps its own classes, the right hub moving to a fourth
     colors = left.coloring.color_of + tuple(3 if c == 2 else c for c in right.coloring.color_of)
-    col = Coloring(colors, 4)
+    col = Coloring(colors)
     labels = tuple(f"L.{s}" for s in left.labels) + tuple(
         f"R.{s}" for s in right.labels
     )
@@ -329,7 +329,7 @@ def _square_family_edges(k: int, core_edges: list[tuple[int, int]]):
             f"u[{a},{b},1]", f"u[{a},{b},2]", f"u'[{a},{b},1]", f"u'[{a},{b},2]",
         ]
         colors += [nxt, i, i, nxt, nxt, i, i, nxt]
-    return 9 * k, edges, tuple(labels), Coloring(tuple(colors), k)
+    return 9 * k, edges, tuple(labels), Coloring(tuple(colors))
 
 
 def gen_tilde(k: int) -> FamilyInstance:
@@ -412,7 +412,7 @@ def _prufer_tree(seq: tuple[int, ...], n: int) -> Graph:
     # n - 1 is never the lowest leaf while another is left, so it ends the tree
     adj[leaf] |= 1 << (n - 1)
     adj[n - 1] |= 1 << leaf
-    return _unchecked(n, tuple(adj))
+    return _unchecked(tuple(adj))
 
 
 # --- fixtures -----------------------------------------------------------------
@@ -464,7 +464,7 @@ _FIXTURES = {
         ],
         labels=("v*", "v1", "v2", "v3", "v4", "w1", "w2", "w3", "w4", "w5", "w6"),
         claims={"chi_irc": Claim(3, exact=False), "irc_colorable": Claim(True)},
-        coloring=Coloring((0, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2), 3),
+        coloring=Coloring((0, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2)),
     ),
 }
 

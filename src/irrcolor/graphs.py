@@ -3,8 +3,9 @@
 Vertices are the integers 0..n-1.  A vertex set is a plain ``int`` used as a
 bitmask (type alias ``VertexSet``); adjacency is one mask per vertex.  Graph
 values are frozen, so they can be shared freely across threads and all
-operations here are pure functions.  A direct ``Graph(n, adj)`` checks its
-rows; the package's own constructors (the codecs, ``from_edge_list`` and the
+operations here are pure functions.  A graph is built from its rows alone,
+and its order is their count.  A direct ``Graph(adj)`` checks its rows; the
+package's own constructors (the codecs, ``from_edge_list`` and the
 structural operations) check their own inputs and build rows that are
 correct by construction, so they skip that check through ``_unchecked``.
 """
@@ -52,35 +53,35 @@ class _Frozen:
 class Graph(_Frozen):
     """Simple undirected graph: ``adj[v]`` is the open neighborhood of v.
 
-    Invariants: adjacency is symmetric, loop-free, and no mask has bits at
-    or beyond index n.  The public constructor ``Graph(n, adj)`` checks them
-    and stores ``adj`` as a tuple, so a graph built from a list hashes and
-    compares like one built from a tuple; the package's own constructors
-    build through ``_unchecked`` instead.
+    The order ``n`` is ``len(adj)``; equality, hashing and ``repr`` read
+    only the rows.  Invariants: adjacency is symmetric, loop-free, and no
+    mask has bits at or beyond index n.  The public constructor
+    ``Graph(adj)`` checks them and stores ``adj`` as a tuple, so a graph
+    built from a list hashes and compares like one built from a tuple; the
+    package's own constructors build through ``_unchecked`` instead.
     """
 
     n: int
     adj: tuple[int, ...]
 
-    def __init__(self, n: int, adj: Sequence[int]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "adj", tuple(adj))
+    def __init__(self, adj: Sequence[int]):
+        adj = tuple(adj)
+        object.__setattr__(self, "n", len(adj))
+        object.__setattr__(self, "adj", adj)
         self._check()
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.n == other.n and self.adj == other.adj
+        return self.adj == other.adj
 
     def __hash__(self):
-        return hash((self.n, self.adj))
+        return hash(self.adj)
 
     def __repr__(self):
-        return f"Graph(n={self.n!r}, adj={self.adj!r})"
+        return f"Graph(adj={self.adj!r})"
 
     def _check(self):
-        if self.n < 0 or len(self.adj) != self.n:
-            raise ValueError("adjacency length does not match vertex count")
         full = (1 << self.n) - 1
         for v, row in enumerate(self.adj):
             if row & ~full:
@@ -117,11 +118,11 @@ class Graph(_Frozen):
                 yield (u, v)
 
 
-def _unchecked(n: int, adj: tuple[int, ...]) -> Graph:
+def _unchecked(adj: tuple[int, ...]) -> Graph:
     """A Graph whose rows the caller built symmetric, loop-free and in range,
     without the public constructor's check."""
     g = object.__new__(Graph)
-    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "n", len(adj))
     object.__setattr__(g, "adj", adj)
     return g
 
@@ -146,7 +147,7 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise LoopError(f"loop at vertex {u}")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return _unchecked(n, tuple(adj))
+    return _unchecked(tuple(adj))
 
 
 def closed_neighborhood_of_set(g: Graph, s: VertexSet) -> VertexSet:
@@ -247,7 +248,7 @@ def corona_k1(g: Graph) -> Graph:
     for v in range(n):
         adj[v] |= 1 << (n + v)
         adj[n + v] = 1 << v
-    return _unchecked(2 * n, tuple(adj))
+    return _unchecked(tuple(adj))
 
 
 def merge_copies(g: Graph, shared: VertexSet, copies: int) -> Graph:
@@ -340,7 +341,7 @@ def parse_graph6(data) -> Graph:
             idx += 1
     if any(bitstream[idx:]):
         raise FormatError("nonzero padding bits")
-    return _unchecked(n, tuple(adj))
+    return _unchecked(tuple(adj))
 
 
 # --- edge-list text format ---------------------------------------------------

@@ -53,7 +53,7 @@ def independent_partitions(
     while i >= 0:
         budget.check(token)
         if i == n:
-            yield Coloring(tuple(colors), made[n]) if k else tuple(masks[: made[n]])
+            yield Coloring(tuple(colors)) if k else tuple(masks[: made[n]])
             i -= 1
             continue
         c, opened = colors[i] + 1, made[i]  # the next class to try for i
@@ -89,7 +89,7 @@ def _irredundant(closed: list[VertexSet], members: list[tuple[VertexSet, ...]], 
 
 def _coloring(n: int, masks: tuple[VertexSet, ...]) -> Coloring:
     """The coloring whose class c is ``masks[c]``."""
-    return Coloring(tuple(c for v in range(n) for c, m in enumerate(masks) if m >> v & 1), len(masks))
+    return Coloring(tuple(c for v in range(n) for c, m in enumerate(masks) if m >> v & 1))
 
 
 class OracleResult(NamedTuple):

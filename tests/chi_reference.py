@@ -39,7 +39,7 @@ def reference_dsatur_greedy(g):
 def reference_chromatic_number(g, token=None):
     n = g.n
     if n == 0:
-        return 0, Coloring((), 0)
+        return 0, Coloring(())
     greedy = reference_dsatur_greedy(g)
     best = greedy[:]
     best_k = max(greedy) + 1
@@ -82,4 +82,4 @@ def reference_chromatic_number(g, token=None):
                 colors[v] = -1
 
         search([v for v in range(n) if colors[v] < 0], lb)
-    return best_k, Coloring(tuple(best), best_k).canonical()
+    return best_k, Coloring(tuple(best)).canonical()

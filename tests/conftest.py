@@ -120,7 +120,7 @@ def walk_built(walks) -> list:
     with ``is_irredundant``, not from the walk's own bookkeeping."""
     counts = []
     for walk in walks:
-        g = Graph(len(walk.closed), tuple(c & ~(1 << v) for v, c in enumerate(walk.closed)))
+        g = Graph(tuple(c & ~(1 << v) for v, c in enumerate(walk.closed)))
         depth = len(walk.layers)
         built = sum(walk_nodes(g, depth - 1)[:depth])
         part = walk.part

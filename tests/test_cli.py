@@ -200,7 +200,7 @@ def test_gen_sidecar_coloring_replays(tmp_path, capsys):
     g = parse_graph6(out.read_text().strip())
     sidecar = json.loads((tmp_path / "t3.g6.json").read_text())
     colors = sidecar["coloring"]
-    col = Coloring(tuple(colors), max(colors) + 1)
+    col = Coloring(tuple(colors))
     assert is_irc_coloring(g, col).is_irc
 
 
@@ -274,7 +274,7 @@ def _miss_the_chi_coloring(monkeypatch):
     3-coloring, as if it had missed the 2-colorings."""
     from irrcolor import invariants
 
-    monkeypatch.setattr(invariants, "irc_colorability", lambda g, token=None: Coloring((0, 1, 2, 0, 1, 2), 3))
+    monkeypatch.setattr(invariants, "irc_colorability", lambda g, token=None: Coloring((0, 1, 2, 0, 1, 2)))
 
 
 def test_scan_conjecture_confirms_a_finding_with_one_oracle_pass(monkeypatch):
@@ -838,7 +838,7 @@ def test_scan_and_verify_build_no_graph_through_the_public_check(monkeypatch, ca
         real(self)
 
     monkeypatch.setattr(Graph, "_check", counted)
-    Graph(2, (2, 1))
+    Graph((2, 1))
     assert checks == [2]  # the counter sees a direct construction
     data = Path(irrcolor.__file__).parent / "data"
     for argv in (["scan", "chain", str(data / "connected_le6.g6")], ["verify", "min-degree"]):

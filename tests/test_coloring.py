@@ -39,26 +39,25 @@ from conftest import Polls, assert_frozen_value, complete, complete_bipartite, c
 
 
 def test_coloring_type():
-    c = Coloring((1, 0, 1), 2)
+    c = Coloring((1, 0, 1))
+    assert c.k == 2 and Coloring(()).k == 0  # k counts the distinct ids
     assert c.classes() == [mask_from([1]), mask_from([0, 2])]
-    assert c.canonical() == Coloring((0, 1, 0), 2)
-    with pytest.raises(ValueError):
-        Coloring((0, 2), 3)  # color 1 unused
-    for color_of in ((0, 2), (-1, 0)):
+    assert c.canonical() == Coloring((0, 1, 0))
+    for color_of in ((0, 2), (1, 1), (-1, 0)):  # color 1 unused, color 0 unused, a negative id
         with pytest.raises(ValueError, match="out of range"):
-            Coloring(color_of, 2)
+            Coloring(color_of)
 
 
 def test_coloring_is_a_frozen_value():
-    c = Coloring((0, 1, 0), 2)
-    assert_frozen_value(c, Coloring((1, 0, 1), 2).canonical())
-    assert repr(c) == "Coloring(color_of=(0, 1, 0), k=2)"
-    assert c != Coloring((0, 1, 1), 2) and c != Coloring((0, 1, 2), 3)
-    assert_frozen_value(Coloring([0, 1, 0], 2), c)  # a list is stored as a tuple
+    c = Coloring((0, 1, 0))
+    assert_frozen_value(c, Coloring((1, 0, 1)).canonical())
+    assert repr(c) == "Coloring(color_of=(0, 1, 0))"
+    assert c != Coloring((0, 1, 1)) and c != Coloring((0, 1, 2))
+    assert_frozen_value(Coloring([0, 1, 0]), c)  # a list is stored as a tuple
 
 
 def test_is_rainbow():
-    c = Coloring((0, 1, 0, 1), 2)
+    c = Coloring((0, 1, 0, 1))
     assert is_rainbow(c, mask_from([0]))
     assert is_rainbow(c, mask_from([0, 1]))
     assert not is_rainbow(c, mask_from([0, 2]))
@@ -187,6 +186,22 @@ def test_chi_gamma_examples():
     assert is_dominating(cycle(4), cert.rainbow_set)
 
 
+def test_rainbow_closed_forms_on_paths_and_cycles():
+    """chi_i = chi_gamma = max(chi, ceil(n/3)) on P_n and C_n for n >= 7,
+    where ceil(n/3) >= 3 >= chi.  Let k = ceil(n/3) = ir = gamma.
+    - chi_i >= max(chi, ir) = k.
+    - Give a minimum dominating set k distinct colors and extend greedily:
+      a vertex has at most 2 neighbors, so one of k >= 3 colors is free.
+      Hence chi_gamma <= k.
+    - A minimal dominating set is maximal irredundant (Cockayne, Hedetniemi
+      and Miller, 1978), so chi_i <= chi_gamma."""
+    for n in range(7, 17):
+        for g in (path(n), cycle(n)):
+            scope = budget.Scope()  # one chi and one walk for both
+            bound = max(coloring._chi(g, scope)[0], -(-n // 3))
+            assert irredundance_chromatic_number(g, scope)[0] == gamma_chromatic_number(g, scope)[0] == bound
+
+
 def test_chi_d_examples():
     for n in range(1, 6):
         assert dominator_chromatic_number(complete(n))[0] == n
@@ -255,7 +270,7 @@ def _reference_with_k(g, k, anti):
         if created + n - i < k:
             return None
         if i == n:
-            return Coloring(tuple(colors), k)
+            return Coloring(tuple(colors))
         for c in range(min(created + 1, k)):
             if masks[c] & g.adj[i]:
                 continue

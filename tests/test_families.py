@@ -73,7 +73,7 @@ def test_package_built_graphs_pass_the_public_check(connected_le6, bipartite_le7
     for g in connected_le6 + bipartite_le7 + [inst.graph for inst in ALL_SMALL_INSTANCES]:
         s = rng.randrange(1 << g.n)
         for h in (g, add_clique(g, s), corona_k1(g), merge_copies(g, s, 2)):
-            assert Graph(h.n, h.adj) == h
+            assert Graph(h.adj) == h
 
 
 def _edge_list_prufer_tree(seq, n):
@@ -271,6 +271,16 @@ def test_small_exact_claims_match_engines():
     assert above_cap == [("cut_vertex(3)", "irc_colorable"), ("bridge(3,3)", "irc_colorable"),
                          ("tilde(3)", "irc_colorable"), ("tilde(3)", "chi_irc"),
                          ("bipartite_star_of_cycles(4)", "irc_colorable")]
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_tilde_chi_irc_claim_above_the_caps(k):
+    # n = 9k, above the oracle's cap and the CLI's committee cap, which
+    # the claim test above skips; the registry solver confirms the claim
+    inst = F.gen_tilde(k)
+    assert inst.claims["chi_irc"] == F.Claim(k)
+    value, col = REGISTRY["chi_irc"].solve(inst.graph, None)
+    assert value == col.k == k and is_irc_coloring(inst.graph, col).is_irc
 
 
 def test_small_exact_claims_match_oracle():

@@ -27,19 +27,19 @@ from conftest import Polls, complete, complete_bipartite, cycle, path, random_bi
 def test_is_irc_coloring_preconditions():
     c4 = cycle(4)
     with pytest.raises(PreconditionError):
-        is_irc_coloring(c4, Coloring((0, 0, 1, 1), 2))  # improper
+        is_irc_coloring(c4, Coloring((0, 0, 1, 1)))  # improper
     with pytest.raises(PreconditionError):
-        is_irc_coloring(c4, Coloring((0, 1), 2))  # wrong length
+        is_irc_coloring(c4, Coloring((0, 1)))  # wrong length
 
 
 def test_c4_two_coloring_is_committee_safe():
-    verdict = is_irc_coloring(cycle(4), Coloring((0, 1, 0, 1), 2))
+    verdict = is_irc_coloring(cycle(4), Coloring((0, 1, 0, 1)))
     assert verdict.is_irc and verdict.violating_rc is None
 
 
 def test_verifier_checks_the_bare_definition_not_the_degree_convention():
     k1_c4 = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 0)])  # vertex 4 isolated
-    for g, col in ((k1_c4, Coloring((0, 1, 0, 1, 2), 3)), (complete(1), Coloring((0,), 1))):
+    for g, col in ((k1_c4, Coloring((0, 1, 0, 1, 2))), (complete(1), Coloring((0,)))):
         assert is_irc_coloring(g, col).is_irc
         assert irc_colorability(g) is None
         assert oracle_invariant(g, "irc_colorable").value is False
@@ -196,7 +196,7 @@ def test_check_reports_a_victim_whose_cover_is_empty():
     g = from_edge_list(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
     union, inter = [g.closed(0), g.closed(1)], [g.closed(0), g.closed(1)]
     assert irc._committee_fault(g)(1, 2, [0b01, 0b10], [0, 1, -1, -1], union, inter, 3) == (0, 0b11)
-    assert is_irc_coloring(g, Coloring((0, 1, 2, 0), 3)) == irc.IrcVerdict(False, 0b111, 0)
+    assert is_irc_coloring(g, Coloring((0, 1, 2, 0))) == irc.IrcVerdict(False, 0b111, 0)
 
 
 def _cocktail_with_triangles(k: int = 34):
@@ -341,7 +341,7 @@ def _reference_with_k(g, k):
         if n - i < k - created:
             return None
         if i == n:
-            return Coloring(tuple(colors), k)
+            return Coloring(tuple(colors))
         for c in range(min(created + 1, k)):
             if masks[c] & g.adj[i]:
                 continue
@@ -433,7 +433,7 @@ def test_verdict_matches_the_reference_verifier(connected_le6, bipartite_le7):
     # (0, 0, 0, 0, 1, 1, 2) only the committees {1 or 3, 4 or 5, 6} violate,
     # each with victim 6
     last_victim = from_edge_list(7, [(u, v) for u in range(4) for v in (4, 5)] + [(1, 6), (3, 6)])
-    assert not is_irc_coloring(last_victim, Coloring((0, 0, 0, 0, 1, 1, 2), 3)).is_irc
+    assert not is_irc_coloring(last_victim, Coloring((0, 0, 0, 0, 1, 1, 2))).is_irc
     runs = [(g, None) for g in connected_le6 + bipartite_le7 + [last_victim]] + [(g, 40) for g in seeded]
     checked = 0
     for g, first in runs:

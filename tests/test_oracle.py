@@ -202,7 +202,7 @@ def _fewest_classes(g: Graph, ok) -> OracleResult:
 
 def _oracle_chi(g: Graph) -> OracleResult:
     if g.n == 0:
-        return OracleResult(0, Coloring((), 0))
+        return OracleResult(0, Coloring(()))
     return _fewest_classes(g, lambda col: True)
 
 
