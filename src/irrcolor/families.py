@@ -79,14 +79,27 @@ def gen_complete(n: int) -> FamilyInstance:
 
 
 def gen_complete_bipartite(m: int, n: int) -> FamilyInstance:
+    """K(m,n), colored by its sides.  For m, n >= 2 it also claims that
+    K(m,n) is committee-colorable with chi_irc = 2:
+      * every class of a proper coloring lies inside one side;
+      * if one side holds two classes, take a and b from them and any r on
+        the other side: N[b] holds the other side and N[r] holds a, so
+        every committee through a, b and r leaves a no private neighbor;
+      * in the coloring by sides each committee is an edge {a, r}, and a
+        keeps the other n - 1 >= 1 vertices of r's side as private
+        neighbors, r the other m - 1 >= 1 of a's.
+    """
     if m < 1 or n < 1:
         raise ParameterError("complete bipartite needs m, n >= 1")
     g = from_edge_list(m + n, [(i, m + j) for i in range(m) for j in range(n)])
     col = Coloring(tuple([0] * m + [1] * n))
+    claims = {"chi": Claim(2), "chi_i": Claim(2)}
+    if m >= 2 and n >= 2:
+        claims.update(irc_colorable=Claim(True), chi_irc=Claim(2))
     return _instance(
         g,
         tuple(f"a{i+1}" for i in range(m)) + tuple(f"b{j+1}" for j in range(n)),
-        {"chi": Claim(2), "chi_i": Claim(2)},
+        claims,
         col,
         f"complete_bipartite({m},{n})",
     )
@@ -107,6 +120,9 @@ def gen_star(n: int) -> FamilyInstance:
 
 
 def gen_cycle(n: int) -> FamilyInstance:
+    """C_n, colored by parity, the last vertex of an odd cycle in a third
+    color.  It claims chi_i = chi_gamma = max(chi, ceil(n/3)), proved in
+    ``gen_path``."""
     if n < 3:
         raise ParameterError("cycle needs n >= 3")
     g = from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
@@ -114,7 +130,7 @@ def gen_cycle(n: int) -> FamilyInstance:
         col = Coloring(tuple(i % 2 for i in range(n)))
     else:
         col = Coloring(tuple([i % 2 for i in range(n - 1)] + [2]))
-    claims: dict[str, Claim] = {}
+    claims = _rainbow_claims(2 + n % 2, n)
     if n % 2 == 1:
         claims["irc_colorable"] = Claim(False)
     if n == 4:
@@ -124,12 +140,37 @@ def gen_cycle(n: int) -> FamilyInstance:
 
 
 def gen_path(n: int) -> FamilyInstance:
+    """P_n, colored by parity.  On P_n and C_n, chi_i = chi_gamma = k =
+    max(chi, ceil(n/3)), with ir = gamma = ceil(n/3) (gamma is textbook;
+    ir >= n / (2 Delta - 1) = n/3 by Bollobas and Cockayne, 1979, and
+    ir <= gamma):
+      * chi_i >= max(chi, ir) = k, since a rainbow set needs a color per
+        member;
+      * chi_i <= chi_gamma, since a minimal dominating set is maximal
+        irredundant (Cockayne, Hedetniemi and Miller, 1978);
+      * when k >= 3, give a minimum dominating set its ceil(n/3) <= k
+        distinct colors and extend greedily: a vertex has at most two
+        neighbors, so one of the k colors is free, and chi_gamma <= k;
+      * otherwise k <= 2 and the graph is P_1..P_6, C_4 or C_6.  With
+        gamma = 1 any proper chi-coloring serves; the others have a minimum
+        dominating set of two vertices at odd distance, rainbow under the
+        coloring by parity: {0, 3} on P_4 and C_6, {1, 4} on P_5 and P_6,
+        {0, 1} on C_4.
+    """
     if n < 1:
         raise ParameterError("path needs n >= 1")
     g = from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
     col = Coloring(tuple(i % 2 for i in range(n)))
-    claims = {"irc_colorable": Claim(False)} if n >= 2 else {}
+    claims = _rainbow_claims(min(n, 2), n)
+    if n >= 2:
+        claims["irc_colorable"] = Claim(False)
     return _instance(g, None, claims, col, f"path({n})")
+
+
+def _rainbow_claims(chi: int, n: int) -> dict[str, Claim]:
+    """chi_i = chi_gamma = max(chi, ceil(n/3)) on P_n and C_n (``gen_path``)."""
+    k = max(chi, -(-n // 3))
+    return {"chi_i": Claim(k), "chi_gamma": Claim(k)}
 
 
 # --- lower-bound family: clique corona plus extra pendants --------------------

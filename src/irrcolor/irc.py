@@ -52,23 +52,28 @@ def _cover(closed: list[int], classes: list[int], reach: list[int], target: int)
 
     ``closed[u]`` is N[u] and ``reach[j]`` the union of N[u] over class j.
     The caller has tested that ``target`` lies within the union of
-    ``reach``; no cover exists otherwise.  Members covering more of what is
-    left are tried first, ties toward the lowest index.
+    ``reach``; no cover exists otherwise.  Each class's members are tried
+    in index order: ranking them by what they cover cost more per call than
+    it saved in calls.
     """
-    # suffix[j]: all that classes j.. can still cover
-    suffix = list(accumulate(reversed(reach), or_, initial=0))[::-1]
+    suffix = [0] * (len(reach) + 1)  # suffix[j]: all that classes j.. can still cover
+    for j in range(len(reach) - 1, -1, -1):
+        suffix[j] = suffix[j + 1] | reach[j]
 
     def rec(j: int, remaining: int) -> Optional[int]:
         # what is left lies within suffix[j]
         if not remaining:
             return 0
         rest = suffix[j + 1]
-        for u in sorted(bits(classes[j]), key=lambda u: -(closed[u] & remaining).bit_count()):
-            left = remaining & ~closed[u]
+        members = classes[j]
+        while members:
+            low = members & -members
+            members ^= low
+            left = remaining & ~closed[low.bit_length() - 1]
             if not left & ~rest:
                 picked = rec(j + 1, left)
                 if picked is not None:
-                    return picked | 1 << u
+                    return picked | low
         return None
 
     return rec(0, target)
@@ -138,14 +143,14 @@ def _committee_fault(g: Graph):
     cover search runs only when the target lies within the union of those
     classes' ``union`` entries, the search's per-class unions of N[u].
     """
-    n = g.n
+    n, adj = g.n, g.adj
     closed = [g.closed(v) for v in range(n)]
     prefix = list(accumulate(closed, or_, initial=0))  # prefix[v]: N[0..v-1]
     # for each index i, the vertices whose neighborhoods complete at i
     complete_at: list[list[int]] = [[] for _ in range(n)]
     for u in range(n):
-        if g.adj[u]:
-            complete_at[g.adj[u].bit_length() - 1].append(u)
+        if adj[u]:
+            complete_at[adj[u].bit_length() - 1].append(u)
     # victims[i]: (v, the target a cover must reach) for each victim that
     # placing i can hit, i itself first; listed only when the earlier
     # vertices other than v reach the whole target
@@ -164,21 +169,26 @@ def _committee_fault(g: Graph):
               cap: int) -> Optional[tuple[int, VertexSet]]:
         for u in complete_at[i]:
             # every vertex needs two same-colored neighbors
-            if all((g.adj[u] & masks[j]).bit_count() <= 1 for j in range(created)):
+            row = adj[u]
+            for j in range(created):
+                if (row & masks[j]).bit_count() > 1:
+                    break
+            else:
                 return u, closed[u]
         c = colors[i]
         for v, target in victims[i]:
             cv = colors[v]  # c for the victim i, which leaves out class c only
             if cv == c and v != i:
                 continue
-            eligible, reach = [], 0  # reach: all that the eligible classes cover
+            classes, reach, within = [], [], 0  # within: all that the eligible classes cover
             for j in range(created):
                 if j != c and j != cv:
-                    eligible.append(j)
-                    reach |= union[j]
-            if target & ~reach:
+                    classes.append(masks[j])
+                    reach.append(union[j])
+                    within |= union[j]
+            if target & ~within:
                 continue
-            picked = _cover(closed, [masks[j] for j in eligible], [union[j] for j in eligible], target)
+            picked = _cover(closed, classes, reach, target)
             if picked is not None:
                 return v, picked | 1 << v | 1 << i
         return None

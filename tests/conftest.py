@@ -160,6 +160,14 @@ def rainbow_gnp_graphs() -> list:
     return graphs
 
 
+def committee_bipartite_graphs() -> list:
+    """The 15 base graphs of the committee_bipartite benchmark workload:
+    ``random_bipartite`` at p = 0.6, eight with n = 11 and then seven with
+    n = 12, drawn as perfbench/inputs.py draws them."""
+    rng = random.Random("committee_bipartite:base")
+    return [random_bipartite(rng, n, 0.6) for n in (11,) * 8 + (12,) * 7]
+
+
 def walk_nodes(g: Graph, depth=None) -> list:
     """The number of irredundant sets of each size, up to ``depth`` or the
     largest, by a plain depth-first walk that tests each extension with

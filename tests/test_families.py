@@ -35,10 +35,14 @@ from conftest import complete_bipartite, cycle
 ALL_SMALL_INSTANCES = [
     F.gen_complete(4),
     F.gen_complete_bipartite(2, 3),
+    F.gen_complete_bipartite(5, 7),
     F.gen_star(5),
     F.gen_cycle(5),
     F.gen_cycle(6),
+    F.gen_cycle(11),
     F.gen_path(4),
+    F.gen_path(5),
+    F.gen_path(12),
     F.gen_family_a(6, 3),
     F.gen_family_a(8, 4),
     F.gen_block_h(3, 1),
@@ -290,7 +294,7 @@ def test_small_exact_claims_match_oracle():
             continue
         for name, claim in inst.claims.items():
             if claim.exact and name in (
-                "chi", "ir", "gamma", "chi_i", "irc_colorable", "chi_irc",
+                "chi", "ir", "gamma", "chi_i", "chi_gamma", "irc_colorable", "chi_irc",
             ):
                 assert oracle_invariant(g, name).value == claim.value, (
                     inst.source,

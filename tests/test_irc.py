@@ -1,7 +1,8 @@
 import random
 import time
 from collections import Counter
-from itertools import islice
+from itertools import accumulate, islice
+from operator import or_
 
 import pytest
 
@@ -21,7 +22,18 @@ from irrcolor.irc import (
 from irrcolor.irredundance import is_irredundant, private_neighbors
 from irrcolor.oracle import independent_partitions, oracle_invariant
 
-from conftest import Polls, complete, complete_bipartite, cycle, path, random_bipartite, random_connected, tree7
+from conftest import (
+    Polls,
+    committee_bipartite_graphs,
+    complete,
+    complete_bipartite,
+    cycle,
+    path,
+    random_bipartite,
+    random_connected,
+    tree7,
+)
+from walk_reference import relabeled
 
 
 def test_is_irc_coloring_preconditions():
@@ -188,6 +200,120 @@ def test_cover_matches_the_product_over_classes():
             outcomes["found" if target else "empty"] += 1
     assert outcomes["empty"] == 300 and outcomes["outside"] > 20
     assert outcomes["none"] > 50 and outcomes["found"] > 50
+
+
+# --- the check's kernel against the one that ranked each class's members ---
+
+
+def _reference_cover(closed, classes, reach, target):
+    """``irc._cover`` as it was when it tried the members covering more of
+    what is left first, ties toward the lowest index."""
+    suffix = list(accumulate(reversed(reach), or_, initial=0))[::-1]
+
+    def rec(j, remaining):
+        if not remaining:
+            return 0
+        rest = suffix[j + 1]
+        for u in sorted(bits(classes[j]), key=lambda u: -(closed[u] & remaining).bit_count()):
+            left = remaining & ~closed[u]
+            if not left & ~rest:
+                picked = rec(j + 1, left)
+                if picked is not None:
+                    return picked | 1 << u
+        return None
+
+    return rec(0, target)
+
+
+def _reference_committee_fault(g):
+    """``irc._committee_fault`` as it was with ``_reference_cover``: the
+    same tables, the two-neighbor test through ``all`` and the eligible
+    classes as an index list."""
+    n = g.n
+    closed = [g.closed(v) for v in range(n)]
+    prefix = list(accumulate(closed, or_, initial=0))
+    complete_at = [[] for _ in range(n)]
+    for u in range(n):
+        if g.adj[u]:
+            complete_at[g.adj[u].bit_length() - 1].append(u)
+    victims = []
+    for i in range(n):
+        row = [] if closed[i] & ~prefix[i] else [(i, closed[i])]
+        between = 0
+        for v in range(i - 1, -1, -1):
+            target = closed[v] & ~closed[i]
+            if closed[v] & closed[i] and not target & ~(prefix[v] | between):
+                row.append((v, target))
+            between |= closed[v]
+        victims.append(row)
+
+    def fault(i, created, masks, colors, union, inter, cap):
+        for u in complete_at[i]:
+            if all((g.adj[u] & masks[j]).bit_count() <= 1 for j in range(created)):
+                return u, closed[u]
+        c = colors[i]
+        for v, target in victims[i]:
+            cv = colors[v]
+            if cv == c and v != i:
+                continue
+            eligible, reach = [], 0
+            for j in range(created):
+                if j != c and j != cv:
+                    eligible.append(j)
+                    reach |= union[j]
+            if target & ~reach:
+                continue
+            picked = _reference_cover(closed, [masks[j] for j in eligible], [union[j] for j in eligible], target)
+            if picked is not None:
+                return v, picked | 1 << v | 1 << i
+        return None
+
+    return fault
+
+
+def test_check_finds_a_fault_exactly_when_the_reference_does(monkeypatch, connected_le6, bipartite_le7):
+    """Every call of the committee check inside both committee searches
+    against the reference check: a fault at the same placements, with the
+    same victim, and a reported committee that has at most one member per
+    class and silences its victim.  Only the members may differ, since the
+    cover search now tries them in index order."""
+    real = irc._committee_fault
+    kinds = Counter()
+
+    def checked(g):
+        fault, reference = real(g), _reference_committee_fault(g)
+
+        def both(i, created, masks, colors, union, inter, cap):
+            hit = fault(i, created, masks, colors, union, inter, cap)
+            want = reference(i, created, masks, colors, union, inter, cap)
+            assert (hit is None) == (want is None)
+            if hit is None:
+                kinds["none"] += 1
+                return None
+            victim, rc = hit
+            assert victim == want[0]
+            assert private_neighbors(g, victim, rc) == 0
+            assert all((rc & m).bit_count() <= 1 for m in masks[:created])
+            if rc == g.closed(victim):
+                kinds["two neighbors"] += 1
+            else:
+                kinds["victim placed" if victim == i else "earlier victim"] += 1
+                kinds["members differ"] += rc != want[1]
+            return hit
+
+        return both
+
+    monkeypatch.setattr(irc, "_committee_fault", checked)
+    rng = random.Random("kernel-differential")
+    seeded = [random_bipartite(rng, rng.randint(8, 12), rng.choice((0.3, 0.6, 0.9))) for _ in range(40)]
+    relabelled = [relabeled(g, rng) for g in committee_bipartite_graphs() for _ in range(3)]
+    families = [generate(kind, param).graph for kind, param in (("tilde", 3), ("cut_vertex", 3),
+                                                                   ("bipartite_star_of_cycles", 4))]
+    for g in connected_le6 + bipartite_le7 + seeded + relabelled + families:
+        irc_chromatic_number(g)
+        irc_colorability(g)
+    assert min(kinds[kind] for kind in ("none", "two neighbors", "victim placed", "earlier victim")) > 1000
+    assert kinds["members differ"] > 100
 
 
 def test_check_reports_a_victim_whose_cover_is_empty():
@@ -495,6 +621,20 @@ def test_irc_chromatic_number_checks_committees_inside_one_search(monkeypatch):
         assert irc_chromatic_number(random_bipartite(random.Random(seed), 11, 0.6), token) is not None
         assert token.polls <= polls
     assert calls == []
+
+
+def test_committee_bipartite_polls_are_pinned():
+    # the benchmark workload's 15 base graphs in base order, one token per
+    # search: the committee check may get cheaper, but it must decide as it
+    # does now, and so poll as often
+    chi_irc = colorable = 0
+    for g in committee_bipartite_graphs():
+        first, fewest = Polls(), Polls()
+        irc_chromatic_number(g, first)
+        irc_colorability(g, fewest)
+        chi_irc += first.polls
+        colorable += fewest.polls
+    assert (chi_irc, colorable) == (3_372, 187)
 
 
 def test_irc_chromatic_number_polls_the_budget():
