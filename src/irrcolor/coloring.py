@@ -118,11 +118,11 @@ def max_clique(g: Graph) -> VertexSet:
 def chromatic_number(g: Graph, token=None) -> tuple[int, Coloring]:
     """Exact chi(G) and a witness proper coloring, by Brelaz's DSATUR.
 
-    A greedy pass, then a branch and bound from a maximum clique, each color
-    next the uncolored vertex with the most colors on its neighbors, ties to
-    the highest degree and then the lowest index.  Both read ``sat[u]``, the
-    colors on u's colored neighbors, kept as vertices are colored and
-    uncolored."""
+    A greedy pass, then, when it used more than two colors, a branch and
+    bound from a maximum clique, each color next the uncolored vertex with
+    the most colors on its neighbors, ties to the highest degree and then
+    the lowest index.  Both read ``sat[u]``, the colors on u's colored
+    neighbors, kept as vertices are colored and uncolored."""
     n = g.n
     if n == 0:
         return 0, Coloring(())
@@ -153,6 +153,8 @@ def chromatic_number(g: Graph, token=None) -> tuple[int, Coloring]:
             sat[u] |= 1 << c
     best = colors
     best_k = max(colors) + 1
+    if best_k <= 2:  # an edge needs two colors, so the greedy pass is optimal
+        return best_k, Coloring(tuple(best)).canonical()
     clique = max_clique(g)
     if clique.bit_count() < best_k:
         colors = [-1] * n
@@ -291,50 +293,69 @@ def _restricted_growth_search(g: Graph, lo: int, hi: int, fault, token=None, few
     count, or with ``fewest`` lowers the cap below it.  The order does not
     depend on the bounds, so the last partition found is the first in that
     order with its count.
+
+    One loop over per-vertex state, with no recursion and so no depth
+    limit: ``made[i]`` is the class count before vertex i, and ``saved[i]``
+    the ``union`` and ``inter`` entries that i's placement replaced (an
+    intersection cannot be undone from N[i]).  ``token`` is polled once per
+    search node entered, leaves and pruned nodes included, and not on the
+    way back.
     """
     n = g.n
     if not 1 <= lo <= hi <= n:
         return None
-    closed = [g.closed(v) for v in range(n)]
+    closed, adj = [g.closed(v) for v in range(n)], g.adj
     colors = [-1] * n
     masks = [0] * hi
     union, inter = [0] * hi, [g.vertices] * hi
+    made = [0] * (n + 1)
+    saved = [(0, 0)] * n
     best: Optional[Coloring] = None
-
-    def rec(i: int, created: int) -> bool:
-        """Search below the placed prefix 0..i-1; True stops the search."""
-        nonlocal best, lo, hi
-        budget.check(token)
-        if created + n - i < lo:
-            return False
-        if i == n:
-            best = Coloring(tuple(colors))
-            if fewest:
-                hi = created - 1
-            else:
-                lo = created + 1
-            return lo > hi
-        here, neighbors = closed[i], g.adj[i]
-        for c in range(created + 1):
-            nxt = max(created, c + 1)
-            if nxt > hi:  # the cap may fall while the loop runs
-                break
-            if masks[c] & neighbors:
+    # c: the next class to try for vertex i, -1 on entering node i; backing
+    # out of vertex 0 reads colors[-1] for nothing and ends the loop
+    i, c = 0, -1
+    while i >= 0:
+        created = made[i]
+        if c < 0:
+            budget.check(token)
+            if created + n - i < lo:
+                i, c = i - 1, colors[i - 1] + 1
                 continue
-            colors[i] = c
-            masks[c] |= 1 << i
-            # an intersection cannot be undone from N[i], so the old values
-            # are kept for the return
-            was_union, was_inter = union[c], inter[c]
-            union[c], inter[c] = was_union | here, was_inter & here
-            if not fault(i, nxt, masks, colors, union, inter, hi) and rec(i + 1, nxt):
-                return True
+            if i == n:
+                best = Coloring(tuple(colors))
+                if fewest:
+                    hi = created - 1
+                else:
+                    lo = created + 1
+                if lo > hi:
+                    break
+                i, c = i - 1, colors[i - 1] + 1
+                continue
+            c = 0
+        else:  # resuming i: take it out of class c - 1
+            masks[c - 1] ^= 1 << i
+            union[c - 1], inter[c - 1] = saved[i]
+        here, neighbors = closed[i], adj[i]
+        # the classes that keep the count within the cap, which may have
+        # fallen since i was last here
+        top = min(created + 1, hi) if created <= hi else 0
+        while c < top:
+            if not masks[c] & neighbors:
+                colors[i] = c
+                masks[c] |= 1 << i
+                was = saved[i] = union[c], inter[c]
+                union[c], inter[c] = was[0] | here, was[1] & here
+                nxt = created + (c == created)
+                if not fault(i, nxt, masks, colors, union, inter, hi):
+                    made[i + 1] = nxt
+                    i, c = i + 1, -1
+                    break
+                masks[c] ^= 1 << i
+                union[c], inter[c] = was
+            c += 1
+        else:
             colors[i] = -1
-            masks[c] ^= 1 << i
-            union[c], inter[c] = was_union, was_inter
-        return False
-
-    rec(0, 0)
+            i, c = i - 1, colors[i - 1] + 1
     return best
 
 

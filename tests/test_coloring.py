@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from irrcolor import budget, coloring, irredundance
+from irrcolor import budget, coloring, irc, irredundance
 from irrcolor.budget import Deadline
 from irrcolor.coloring import (
     Coloring,
@@ -35,7 +35,25 @@ from irrcolor.irredundance import (
 from irrcolor.oracle import oracle_invariant
 
 from chi_reference import reference_chromatic_number
-from conftest import Polls, assert_frozen_value, complete, complete_bipartite, cycle, path, random_connected, random_graph, spy_walks, tree7, walk_built, walk_depths, walk_nodes
+from conftest import (
+    Polls,
+    assert_frozen_value,
+    committee_bipartite_graphs,
+    complete,
+    complete_bipartite,
+    cycle,
+    path,
+    random_bipartite,
+    random_connected,
+    random_graph,
+    spy,
+    spy_walks,
+    tree7,
+    walk_built,
+    walk_depths,
+    walk_nodes,
+)
+from walk_reference import relabeled
 
 
 def test_coloring_type():
@@ -100,6 +118,18 @@ def test_chromatic_number_matches_the_reference(connected_le6, bipartite_le7):
         fast, slow = Polls(), Polls()
         assert chromatic_number(g, fast) == reference_chromatic_number(g, slow)
         assert fast.polls == slow.polls
+
+
+def test_a_two_colour_greedy_pass_skips_the_clique_search(monkeypatch):
+    """An edge needs two colors and an edgeless graph one, so a greedy pass
+    that uses at most two is optimal and no clique is searched."""
+    cliques = []
+    spy(monkeypatch, coloring, "max_clique", cliques)
+    for g in (from_edge_list(5, []), complete_bipartite(3, 4), cycle(14), tree7(), *committee_bipartite_graphs()):
+        k, col = chromatic_number(g)
+        assert k == col.k == (2 if g.m else 1) and is_proper(g, col)
+    assert cliques == []
+    assert chromatic_number(cycle(5))[0] == 3 and len(cliques) == 1
 
 
 def _seeded_gnp(n, p):
@@ -378,6 +408,153 @@ def test_dominator_search_polls_the_budget():
         with pytest.raises(SearchCancelled):
             solve(g, token)
         assert token.polls == 50
+
+
+# --- the recursive partition search -------------------------------------------
+#
+# ``_restricted_growth_search`` as it was when it made one Python call per
+# search node.  The loop must make the same ``fault`` calls with the same
+# arguments, poll at the same points and return the same partition.
+
+
+def _reference_restricted_growth_search(g, lo, hi, fault, token=None, fewest=False):
+    n = g.n
+    if not 1 <= lo <= hi <= n:
+        return None
+    closed = [g.closed(v) for v in range(n)]
+    colors = [-1] * n
+    masks = [0] * hi
+    union, inter = [0] * hi, [g.vertices] * hi
+    best = None
+
+    def rec(i, created):
+        nonlocal best, lo, hi
+        budget.check(token)
+        if created + n - i < lo:
+            return False
+        if i == n:
+            best = Coloring(tuple(colors))
+            if fewest:
+                hi = created - 1
+            else:
+                lo = created + 1
+            return lo > hi
+        here, neighbors = closed[i], g.adj[i]
+        for c in range(created + 1):
+            nxt = max(created, c + 1)
+            if nxt > hi:
+                break
+            if masks[c] & neighbors:
+                continue
+            colors[i] = c
+            masks[c] |= 1 << i
+            was_union, was_inter = union[c], inter[c]
+            union[c], inter[c] = was_union | here, was_inter & here
+            if not fault(i, nxt, masks, colors, union, inter, hi) and rec(i + 1, nxt):
+                return True
+            colors[i] = -1
+            masks[c] ^= 1 << i
+            union[c], inter[c] = was_union, was_inter
+        return False
+
+    rec(0, 0)
+    return best
+
+
+class _Logged:
+    """A token that logs each poll before it asks the token it wraps."""
+
+    def __init__(self, token, log):
+        self.token, self.log = token, log
+
+    def expired(self):
+        self.log.append("poll")
+        return self.token is not None and self.token.expired()
+
+
+def _logging(search, log):
+    """``search`` with each poll and each ``fault`` call, its arguments
+    copied, logged in order, and each search's result after them."""
+
+    def run(g, lo, hi, fault, token=None, fewest=False):
+        def logged(i, created, masks, colors, union, inter, cap):
+            found = fault(i, created, masks, colors, union, inter, cap)
+            log.append(("fault", i, created, masks[:], colors[:], union[:], inter[:], cap, found))
+            return found
+
+        best = search(g, lo, hi, logged, _Logged(token, log), fewest)
+        log.append(best)
+        return best
+
+    return run
+
+
+def _search_solvers(g):
+    """The five solvers that run the partition search, as (name, call), with
+    irc_with_k_colors at k = chi and chi + 1."""
+    chi = chromatic_number(g)[0]
+    solvers = [("chi_d", dominator_chromatic_number), ("irc_colorability", irc.irc_colorability),
+               ("chi_irc", irc.irc_chromatic_number)]
+    if g.n >= 2:
+        solvers.append(("chi_gd", global_dominator_chromatic_number))
+    for k in range(chi, min(chi + 1, g.n) + 1):
+        solvers.append((f"irc_with_{k}_colors", lambda g, token=None, k=k: irc.irc_with_k_colors(g, k, token)))
+    return solvers
+
+
+def _trace(monkeypatch, search, solve, g, token=None):
+    """The log of ``solve(g, token)`` with ``search`` as the partition search,
+    ending in its answer or in the ``SearchCancelled`` it raised."""
+    log = []
+    spy_search = _logging(search, log)
+    with monkeypatch.context() as patch:
+        patch.setattr(coloring, "_restricted_growth_search", spy_search)
+        patch.setattr(irc, "_restricted_growth_search", spy_search)
+        try:
+            log.append(("answer", solve(g, token)))
+        except SearchCancelled:
+            log.append("cancelled")
+    return log
+
+
+def test_loop_search_matches_the_recursive_one(monkeypatch, connected_le6, bipartite_le7):
+    """Every fault call, poll and answer of chi_d, chi_gd, irc_colorability,
+    chi_irc and irc_with_k_colors, loop against recursion."""
+    rng = random.Random("loop-differential")
+    graphs = [*connected_le6, *bipartite_le7, cycle(14), path(14)]
+    graphs += [random_connected(rng, n, 0.3) for n in range(8, 13) for _ in range(2)]
+    graphs += [random_bipartite(rng, n, 0.6) for n in range(8, 13) for _ in range(2)]
+    graphs += [relabeled(g, rng) for g in committee_bipartite_graphs() for _ in range(3)]
+    graphs += [generate(kind, param).graph for kind, param in (("tilde", 3), ("cut_vertex", 3),
+                                                               ("bipartite_star_of_cycles", 4))]
+    calls = polls = 0
+    for g in graphs:
+        for name, solve in _search_solvers(g):
+            # the dominator searches on the families run for minutes, so
+            # they are compared up to a budget
+            token = (lambda: Polls(1_000)) if g.n > 14 else (lambda: None)
+            loop = _trace(monkeypatch, coloring._restricted_growth_search, solve, g, token())
+            want = _trace(monkeypatch, _reference_restricted_growth_search, solve, g, token())
+            assert loop == want, (name, g)
+            polls += loop.count("poll")
+            calls += sum(entry[0] == "fault" for entry in loop if type(entry) is tuple)
+    assert calls > 30_000 and polls > 20_000
+
+
+def test_loop_search_stops_where_the_recursive_one_does(monkeypatch):
+    """Under ``Polls(k)`` for every k up to a whole solve, both searches
+    raise at the same poll, after the same fault calls."""
+    cancelled_in_search = 0
+    for g in (committee_bipartite_graphs()[0], cycle(9)):
+        for name, solve in _search_solvers(g):
+            whole = Polls()
+            assert _trace(monkeypatch, _reference_restricted_growth_search, solve, g, whole)[-1] != "cancelled"
+            for k in range(1, whole.polls + 2):
+                loop = _trace(monkeypatch, coloring._restricted_growth_search, solve, g, Polls(k))
+                assert loop == _trace(monkeypatch, _reference_restricted_growth_search, solve, g, Polls(k)), (name, k)
+                cancelled_in_search += loop[-1] == "cancelled" and "poll" in loop
+            assert loop[-1] != "cancelled"
+    assert cancelled_in_search > 500
 
 
 def test_rainbow_solvers_match_oracle():

@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 from collections import Counter
 from itertools import accumulate, islice
@@ -132,6 +133,17 @@ def test_irc_chromatic_number_matches_oracle():
         assert (col is not None) == oracle_invariant(g, "irc_colorable").value
         # presence must agree between the two entry points
         assert (res is None) == (col is None)
+
+
+def test_committee_search_has_no_depth_limit():
+    # one search node per placed vertex, far past the interpreter's
+    # recursion limit, which the search leaves as it found it
+    g = cycle(1100)
+    limit = sys.getrecursionlimit()
+    k, col = irc_chromatic_number(g)
+    assert k == 2 and is_irc_coloring(g, col).is_irc
+    assert irc_colorability(g).k == 2
+    assert sys.getrecursionlimit() == limit
 
 
 def test_irc_with_k_colors():

@@ -2,8 +2,11 @@
 shape that tools/bench_trajectory.py writes, so that later readers can put
 their runs side by side."""
 
+import importlib.util
 import json
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_KEYS = {"workload", "seed", "commit", "digests", "host", "result"}
@@ -27,3 +30,16 @@ def test_bench_trajectories_have_the_shape_the_tool_writes():
             assert run["digests"] and all(d.startswith(f"{run['workload']} seed=") for d in run["digests"]), where
             assert set(run["host"]) == {"cpus", "python"}, where
             assert run["result"]["correct"] is True, where
+
+
+def test_an_unknown_workload_is_a_usage_error_before_any_run(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("bench_trajectory", ROOT / "tools" / "bench_trajectory.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    runs = []
+    monkeypatch.setattr(tool, "run_workload", lambda *args: runs.append(args))
+    with pytest.raises(SystemExit) as exit_:
+        tool.main(["probe", "--workload", "scan_n7", "--workload", "no_such_workload"])
+    assert exit_.value.code == 2 and runs == []
+    assert "invalid choice: 'no_such_workload'" in capsys.readouterr().err
+    assert not (ROOT / "BENCH_probe.json").exists()
