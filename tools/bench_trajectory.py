@@ -3,11 +3,12 @@
 
 Runs ``perfbench/run.py --workload W --seed S --trace 0`` in a source
 checkout for every workload that BENCHMARK.json declares, or for each
-``--workload NAME`` given, one after the other, and appends each run's final JSON line to ``BENCH_<tag>.json`` at the
-root of this repository, with the checkout's commit, the seed and the answer
-digests the run printed.  Each run lasts run.py's default time, so one
-file never mixes runs of different lengths.  Run it once per checkout to
-put two commits side by side in one file:
+``--workload NAME`` given, one after the other, and appends each run's
+final JSON line to ``BENCH_<tag>.json`` at the root of this repository,
+with the checkout's commit, the seed and the answer digests the run
+printed.  Each run lasts run.py's default time, so one file never mixes
+runs of different lengths.  Run it once per checkout to put two commits
+side by side in one file:
 
     python3 tools/bench_trajectory.py mytag --checkout ../parent-clone
     python3 tools/bench_trajectory.py mytag
