@@ -472,23 +472,6 @@ class _Logged:
         return self.token is not None and self.token.expired()
 
 
-def _logging(search, log):
-    """``search`` with each poll and each ``fault`` call, its arguments
-    copied, logged in order, and each search's result after them."""
-
-    def run(g, lo, hi, fault, token=None, fewest=False):
-        def logged(i, created, masks, colors, union, inter, cap):
-            found = fault(i, created, masks, colors, union, inter, cap)
-            log.append(("fault", i, created, masks[:], colors[:], union[:], inter[:], cap, found))
-            return found
-
-        best = search(g, lo, hi, logged, _Logged(token, log), fewest)
-        log.append(best)
-        return best
-
-    return run
-
-
 def _search_solvers(g):
     """The five solvers that run the partition search, as (name, call), with
     irc_with_k_colors at k = chi and chi + 1."""
@@ -503,13 +486,25 @@ def _search_solvers(g):
 
 
 def _trace(monkeypatch, search, solve, g, token=None):
-    """The log of ``solve(g, token)`` with ``search`` as the partition search,
-    ending in its answer or in the ``SearchCancelled`` it raised."""
+    """The log of ``solve(g, token)`` with ``search`` as the partition search:
+    each poll, each ``fault`` call with its arguments copied, and each
+    search's result, in order, then the answer or the ``SearchCancelled``
+    raised."""
     log = []
-    spy_search = _logging(search, log)
+
+    def logged_search(g, lo, hi, fault, token=None, fewest=False):
+        def logged(i, created, masks, colors, union, inter, cap):
+            found = fault(i, created, masks, colors, union, inter, cap)
+            log.append(("fault", i, created, masks[:], colors[:], union[:], inter[:], cap, found))
+            return found
+
+        best = search(g, lo, hi, logged, _Logged(token, log), fewest)
+        log.append(best)
+        return best
+
     with monkeypatch.context() as patch:
-        patch.setattr(coloring, "_restricted_growth_search", spy_search)
-        patch.setattr(irc, "_restricted_growth_search", spy_search)
+        patch.setattr(coloring, "_restricted_growth_search", logged_search)
+        patch.setattr(irc, "_restricted_growth_search", logged_search)
         try:
             log.append(("answer", solve(g, token)))
         except SearchCancelled:
