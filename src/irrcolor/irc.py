@@ -45,38 +45,33 @@ class IrcVerdict(NamedTuple):
     violating_vertex: Optional[int] = None
 
 
-def _cover(closed: list[int], classes: list[int], reach: list[int], target: int) -> Optional[int]:
-    """At most one member from each nonempty class mask in ``classes``
-    whose closed neighborhoods together cover ``target``, as one mask (0
-    for an empty target); None when there is none.
+def _cover(closed: list[int], masks: list[int], created: int, used: int, target: int) -> Optional[int]:
+    """At most one member from each class j < ``created`` outside the bit
+    set ``used`` whose closed neighborhoods together cover ``target``, as
+    one mask (0 for an empty target); None when there is none.
 
-    ``closed[u]`` is N[u] and ``reach[j]`` the union of N[u] over class j.
-    The caller has tested that ``target`` lies within the union of
-    ``reach``; no cover exists otherwise.  Each class's members are tried
-    in index order: ranking them by what they cover cost more per call than
-    it saved in calls.
+    ``closed[u]`` is N[u] and ``masks[j]`` class j.  Some member must cover
+    the lowest vertex w of the target, so the search branches only over the
+    members of N[w] in the unused classes, each time on what that member
+    leaves uncovered and with its class used (the branching rule of Knuth's
+    "Dancing Links"): at most |N[w]| branches a level, at most |target|
+    levels.  Whether a cover exists does not depend on the search, so only
+    the members returned depend on this order.
     """
-    suffix = [0] * (len(reach) + 1)  # suffix[j]: all that classes j.. can still cover
-    for j in range(len(reach) - 1, -1, -1):
-        suffix[j] = suffix[j + 1] | reach[j]
-
-    def rec(j: int, remaining: int) -> Optional[int]:
-        # what is left lies within suffix[j]
-        if not remaining:
-            return 0
-        rest = suffix[j + 1]
-        members = classes[j]
+    if not target:
+        return 0
+    near = closed[(target & -target).bit_length() - 1]
+    for j in range(created):
+        if used >> j & 1:
+            continue
+        members = masks[j] & near
         while members:
             low = members & -members
             members ^= low
-            left = remaining & ~closed[low.bit_length() - 1]
-            if not left & ~rest:
-                picked = rec(j + 1, left)
-                if picked is not None:
-                    return picked | low
-        return None
-
-    return rec(0, target)
+            picked = _cover(closed, masks, created, used | 1 << j, target & ~closed[low.bit_length() - 1])
+            if picked is not None:
+                return picked | low
+    return None
 
 
 def _maximal_cliques(g: Graph, pool: int, token=None):
@@ -141,7 +136,8 @@ def _committee_fault(g: Graph):
     when one member from each other class covers N[i]; a victim v when one
     member from each class other than c and v's covers N[v] - N[i].  The
     cover search runs only when the target lies within the union of those
-    classes' ``union`` entries, the search's per-class unions of N[u].
+    classes' ``union`` entries, the search's per-class unions of N[u], and
+    reads the search's class masks in place, with c and v's class used.
     """
     n, adj = g.n, g.adj
     closed = [g.closed(v) for v in range(n)]
@@ -180,15 +176,13 @@ def _committee_fault(g: Graph):
             cv = colors[v]  # c for the victim i, which leaves out class c only
             if cv == c and v != i:
                 continue
-            classes, reach, within = [], [], 0  # within: all that the eligible classes cover
+            within = 0  # all that the classes other than c and cv cover
             for j in range(created):
                 if j != c and j != cv:
-                    classes.append(masks[j])
-                    reach.append(union[j])
                     within |= union[j]
             if target & ~within:
                 continue
-            picked = _cover(closed, classes, reach, target)
+            picked = _cover(closed, masks, created, 1 << c | 1 << cv, target)
             if picked is not None:
                 return v, picked | 1 << v | 1 << i
         return None

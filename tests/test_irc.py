@@ -176,42 +176,48 @@ def test_committee_checker_matches_naive_products():
 
 
 def test_cover_matches_the_product_over_classes():
-    # _cover finds members, at most one per class, whose closed
-    # neighborhoods cover the target exactly when some choice from the
-    # product over the classes does, and returns them as one mask; 0 for an
-    # empty target, which a caller must tell apart from None.  A target
-    # beyond the classes' reach has no cover; the caller tests for it and
-    # _cover is not called
+    # _cover finds members, at most one per class j < created outside the
+    # bit set used, whose closed neighborhoods cover the target exactly when
+    # some choice from the product over those classes does, and returns them
+    # as one mask; 0 for an empty target, which a caller must tell apart
+    # from None.  The classes in used, an empty class and a class at created
+    # supply no member.  A target beyond the eligible classes' reach has no
+    # cover; the caller tests for it and _cover is not called
     from itertools import product
 
     rng = random.Random(67)
-    outcomes = {"empty": 0, "outside": 0, "none": 0, "found": 0}
+    outcomes = Counter()
     for _ in range(300):
         g = random_connected(rng, rng.randint(3, 9), rng.choice((0.25, 0.4, 0.6)))
         closed = [g.closed(v) for v in range(g.n)]
-        labels = [rng.randrange(-1, 4) for _ in range(g.n)]  # -1: in no class
-        classes = [m for c in range(4) if (m := sum(1 << v for v in range(g.n) if labels[v] == c))]
-        reach = [closed_neighborhood_of_set(g, m) for m in classes]
-        within = closed_neighborhood_of_set(g, sum(classes))
+        labels = [rng.randrange(-1, 5) for _ in range(g.n)]  # -1: in no class; 4: at created
+        masks = [sum(1 << v for v in range(g.n) if labels[v] == c) for c in range(5)]
+        excluded = rng.sample(range(4), rng.randrange(3))
+        used = sum(1 << j for j in excluded)
+        eligible = [masks[j] for j in range(4) if j not in excluded]
+        within = closed_neighborhood_of_set(g, sum(eligible))
+        outcomes[f"{len(excluded)} used"] += 1
+        outcomes["a class empty"] += not all(eligible)
         for target in (0, rng.randrange(1, 1 << g.n), g.vertices, within):
-            # each class gives one member or none
-            picks = product(*[[0, *(1 << u for u in bits(m))] for m in classes])
+            # each eligible class gives one member or none
+            picks = product(*[[0, *(1 << u for u in bits(m))] for m in eligible])
             coverable = any(not target & ~closed_neighborhood_of_set(g, sum(p)) for p in picks)
             if target & ~within:
                 assert not coverable
                 outcomes["outside"] += 1
                 continue
-            picked = irc._cover(closed, classes, reach, target)
+            picked = irc._cover(closed, masks, 4, used, target)
             if picked is None:
                 assert not coverable
                 outcomes["none"] += 1
                 continue
-            assert all((picked & m).bit_count() <= 1 for m in classes)
-            assert not picked & ~sum(classes)
+            assert all((picked & m).bit_count() <= 1 for m in eligible)
+            assert not picked & ~sum(eligible)
             assert not target & ~closed_neighborhood_of_set(g, picked)
             outcomes["found" if target else "empty"] += 1
-    assert outcomes["empty"] == 300 and outcomes["outside"] > 20
+    assert outcomes["empty"] >= 300 and outcomes["outside"] > 20  # every empty target gave 0
     assert outcomes["none"] > 50 and outcomes["found"] > 50
+    assert min(outcomes[f"{k} used"] for k in range(3)) > 50 and outcomes["a class empty"] > 50
 
 
 # --- the check's kernel against the one that ranked each class's members ---
@@ -288,7 +294,7 @@ def test_check_finds_a_fault_exactly_when_the_reference_does(monkeypatch, connec
     against the reference check: a fault at the same placements, with the
     same victim, and a reported committee that has at most one member per
     class and silences its victim.  Only the members may differ, since the
-    cover search now tries them in index order."""
+    cover search now branches on the lowest vertex left to cover."""
     real = irc._committee_fault
     kinds = Counter()
 
@@ -557,6 +563,23 @@ def test_committee_search_matches_reference_on_families(kind, param):
     assert is_irc_coloring(g, col).is_irc
     if k == fewest.k:
         assert col == fewest
+
+
+def test_chi_irc_on_cut_vertex_4():
+    # n = 41, past the oracle's cap and the reference search's reach: the
+    # family's claim is a lower bound, both witnesses pass the replayed check
+    # and the old whole-coloring verifier, and the polls are pinned, so a
+    # committee check that decides differently shows here
+    inst = generate("cut_vertex", 4)
+    g = inst.graph
+    first, fewest = Polls(), Polls()
+    k, col = irc_chromatic_number(g, first)
+    least = irc_colorability(g, fewest)
+    assert k >= inst.claims["chi_irc"].value == 3
+    for witness in (col, least):
+        assert is_irc_coloring(g, witness).is_irc
+        assert _reference_violation(g, witness.classes()) is None
+    assert (first.polls, fewest.polls) == (28_562, 55)
 
 
 def test_verdict_matches_the_reference_verifier(connected_le6, bipartite_le7):
