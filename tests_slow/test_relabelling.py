@@ -19,7 +19,8 @@ from irrcolor.invariants import REGISTRY  # noqa: E402
 from test_invariants import _assert_witness  # noqa: E402
 from walk_reference import relabeled  # noqa: E402
 
-FAMILIES = [("Z", (3, 2)), ("tilde", (3,)), ("cut_vertex", (3,)), ("bipartite_star_of_cycles", (4,)), ("bridge", (3, 3))]
+FAMILIES = [("Z", (3, 2)), ("tilde", (3,)), ("cut_vertex", (3,)), ("bipartite_star_of_cycles", (4,)),
+            ("bridge", (3, 3))]
 
 
 def test_values_do_not_depend_on_the_vertex_order_above_the_tier1_sizes():
