@@ -10,7 +10,6 @@ compiling the families, the oracle or ``characterize``.
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import sys
@@ -29,6 +28,7 @@ from .cli import (
     _domination_breaks,
     _emit,
     _record,
+    _to_json,
     _value,
     _violation,
 )
@@ -76,7 +76,7 @@ def cmd_gen(args) -> int:
             payload = to_graph6(inst.graph).decode("ascii") + "\n"
         else:
             payload = format_edge_list(inst.graph)
-        sidecar = json.dumps(_sidecar(inst), indent=2, sort_keys=True) + "\n"
+        sidecar = _to_json(_sidecar(inst)) + "\n"
         if args.out:
             for path, text in ((args.out, payload), (args.out + ".json", sidecar)):
                 with open(path, "w", encoding="ascii") as fh:

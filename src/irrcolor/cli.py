@@ -24,6 +24,7 @@ import os
 import sys
 import time
 from functools import cache, partial
+from json.encoder import encode_basestring_ascii as _escape
 from typing import Optional
 
 from . import budget
@@ -151,9 +152,56 @@ def _read_graphs(path: Optional[str], fmt: str) -> list[Graph]:
     return graphs
 
 
+_INF = float("inf")
+
+
+def _float_text(x: float) -> str:
+    """A float as ``json`` writes it: NaN and the infinities by name."""
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _to_json(value, pad: str = "\n") -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it,
+    byte for byte, with ``pad`` the line break and indent of its own line.
+
+    ``indent`` puts ``json.dumps`` on the stdlib's pure-Python encoder; this
+    writer builds each container with one join instead.  It dispatches on the
+    exact type of a value: str, int, dict, list, tuple, None, bool or float.
+    Any other value, and a dict key that is not a str, raises TypeError."""
+    kind = type(value)
+    if kind is str:
+        return _escape(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        items = [_escape(key) + ": " + _to_json(item, inner) for key, item in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join([_to_json(item, inner) for item in value]) + pad + "]"
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is float:
+        return _float_text(value)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def _emit(report: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(_to_json(report))
         return
     for rec in report.get("graphs", []):
         parts = [f"graph {rec['id']}: n={rec['n']} m={rec['m']}"]

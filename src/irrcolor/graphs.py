@@ -12,6 +12,7 @@ correct by construction, so they skip that check through ``_unchecked``.
 
 from __future__ import annotations
 
+from binascii import a2b_base64
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import FormatError, LoopError, ParameterError, UnsupportedSizeError
@@ -19,6 +20,10 @@ from .errors import FormatError, LoopError, ParameterError, UnsupportedSizeError
 VertexSet = int
 
 _G6_HEADER = b">>graph6<<"
+_G6_DIGITS = bytes(range(63, 127))
+_G6_TO_BASE64 = bytes.maketrans(
+    _G6_DIGITS, b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+)
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -305,6 +310,13 @@ def to_graph6(g: Graph) -> bytes:
 
 
 def parse_graph6(data) -> Graph:
+    """A graph from one graph6 record, with or without the ``>>graph6<<``
+    header and a trailing line break.
+
+    The payload's 6-bit groups are base64 digits in another alphabet, so
+    ``binascii`` reads them as one integer.  Column j of the upper triangle
+    is then one j-bit field of it, with x(0, j) its high bit, and only its
+    set bits are visited: O(n + m) Python steps for the whole record."""
     if isinstance(data, str):
         try:
             data = data.encode("ascii")
@@ -325,22 +337,27 @@ def parse_graph6(data) -> Graph:
     payload = data[1:]
     if len(payload) != need:
         raise FormatError(f"expected {need} payload bytes for n={n}, got {len(payload)}")
-    bitstream = []
-    for b in payload:
-        if not 63 <= b <= 126:
-            raise FormatError(f"payload byte {b} outside the printable range 63..126")
-        group = b - 63
-        bitstream.extend((group >> (5 - i)) & 1 for i in range(6))
-    adj = [0] * n
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bitstream[idx]:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            idx += 1
-    if any(bitstream[idx:]):
+    bad = payload.translate(None, _G6_DIGITS)  # the bytes outside 63..126, in order
+    if bad:
+        raise FormatError(f"payload byte {bad[0]} outside the printable range 63..126")
+    fill = -need % 4  # zero digits that complete base64's 4-digit blocks
+    x = int.from_bytes(a2b_base64(payload.translate(_G6_TO_BASE64) + b"A" * fill), "big") >> 6 * fill
+    left = n * (n - 1) // 2  # the bits of the columns not yet read
+    spare = 6 * need - left
+    if x & ((1 << spare) - 1):
         raise FormatError("nonzero padding bits")
+    x >>= spare
+    adj = [0] * n
+    for j in range(1, n):
+        left -= j
+        column = x >> left & ((1 << j) - 1)
+        row = 0
+        while column:
+            top = column.bit_length()  # the bit of x(j - top, j)
+            column ^= 1 << top - 1
+            adj[j - top] |= 1 << j
+            row |= 1 << j - top
+        adj[j] |= row
     return _unchecked(tuple(adj))
 
 

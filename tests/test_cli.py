@@ -13,7 +13,7 @@ from types import ModuleType
 import pytest
 
 import irrcolor
-from irrcolor.cli import main
+from irrcolor.cli import _to_json, main
 from irrcolor.coloring import Coloring
 from irrcolor.errors import SearchCancelled
 from irrcolor.graphs import parse_graph6, to_graph6
@@ -34,6 +34,31 @@ def strip_timings(report):
     for rec in report.get("graphs", []):
         rec.pop("timings", None)
     return report
+
+
+def test_report_writer_matches_json_dumps_on_edge_values():
+    """Containers empty and nested, tuples, every escape ``json`` writes,
+    non-ASCII text, big ints, the float reprs and the non-finite floats,
+    and True beside 1, are written as ``json.dumps(indent=2, sort_keys=True)``
+    writes them."""
+    nan, inf = float("nan"), float("inf")
+    values = [
+        {}, [], (), {"a": {}}, {"a": []}, [[], {}, [[]], [{}]], {"": {"": {"": []}}},
+        (1, (2, (3,)), []), "", "plain", 'quote " backslash \\ slash /',
+        "".join(map(chr, range(32))) + "\x7f", "caf\u00e9 \u2200x \U0001f600 \ud800",
+        2**64, -(2**64) - 1, 10**100, 0, -1, 0.0, -0.0, 1e-06, 1e16, 1.5, -2.5e-300, 1.7976931348623157e308,
+        nan, inf, -inf, [nan, inf, -inf], True, False, None, [True, 1, False, 0, None, 1.0],
+        {"b": 1, "a": True, "A": None, "aa": [1.0, "x"], "\u00e9": -0.0, "10": 10, "9": 9},
+    ]
+    for value in values:
+        assert _to_json(value) == json.dumps(value, indent=2, sort_keys=True)
+    assert _to_json({"report": values}) == json.dumps({"report": values}, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [{1: "a"}, {"a": {2: "b"}}, [{None: 0}], {1.5: 0}, {True: 0}, {("a",): 0}])
+def test_report_writer_rejects_a_key_that_is_not_a_str(value):
+    with pytest.raises(TypeError):
+        _to_json(value)
 
 
 def test_invariants_edgelist_c4(tmp_path, capsys):

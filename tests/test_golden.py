@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from irrcolor import claims, cli
 from irrcolor.cli import main
 from irrcolor.graphs import to_graph6
 
@@ -83,3 +84,43 @@ def test_rainbow_gnp_witnesses(tmp_path, capsys):
         rec.pop("timings")
     pinned = Path(__file__).parent / "data" / "rainbow_gnp_witnesses.json"
     assert report == json.loads(pinned.read_text(encoding="ascii"))
+
+
+def _written_values(monkeypatch) -> list:
+    """The values that the CLI's report writer will be given: each report
+    passed to ``_emit`` and each ``gen`` sidecar, recorded as built."""
+    seen = []
+    emit_report, sidecar_of = cli._emit, claims._sidecar
+
+    def emit(report, as_json):
+        seen.append(report)
+        return emit_report(report, as_json)
+
+    def sidecar(inst):
+        seen.append(sidecar_of(inst))
+        return seen[-1]
+
+    monkeypatch.setattr(claims, "_emit", emit)
+    monkeypatch.setattr(claims, "_sidecar", sidecar)
+    monkeypatch.setattr(cli, "_emit", emit)
+    return seen
+
+
+@pytest.mark.parametrize("argv", [a for a, _ in GOLDEN], ids=["-".join(a[:2]) for a, _ in GOLDEN])
+def test_report_writer_matches_json_dumps(argv, monkeypatch, capsys):
+    """Each golden command's report or sidecar is written byte for byte as
+    ``json.dumps(value, indent=2, sort_keys=True)`` writes it."""
+    seen = _written_values(monkeypatch)
+    report_digest(argv, capsys)
+    assert len(seen) == 1
+    assert cli._to_json(seen[0]) == json.dumps(seen[0], indent=2, sort_keys=True)
+
+
+def test_report_writer_matches_json_dumps_on_witnesses(tmp_path, monkeypatch, capsys):
+    """``invariants --witnesses --json`` on the rainbow_gnp base graphs
+    prints the bytes that ``json.dumps`` writes for its report."""
+    src = tmp_path / "rainbow_gnp.g6"
+    src.write_text("".join(to_graph6(g).decode() + "\n" for g in rainbow_gnp_graphs()))
+    seen = _written_values(monkeypatch)
+    assert main(["invariants", str(src), "--witnesses", "--json"]) == 0
+    assert capsys.readouterr().out == json.dumps(seen[0], indent=2, sort_keys=True) + "\n"

@@ -1,5 +1,6 @@
 import random
 import sys
+from importlib.resources import as_file, files
 
 import pytest
 
@@ -200,6 +201,83 @@ def test_graph6_errors():
         parse_graph6(b"~??")  # multi-byte size field
     with pytest.raises(UnsupportedSizeError):
         to_graph6(from_edge_list(63, []))
+
+
+def _reference_parse_graph6(data) -> Graph:
+    """The per-bit graph6 reader that ``parse_graph6`` replaced: it unpacks
+    the payload into a list of bits and tests every vertex pair."""
+    if isinstance(data, str):
+        try:
+            data = data.encode("ascii")
+        except UnicodeEncodeError as exc:
+            raise FormatError("graph6 records are ASCII") from exc
+    if data.startswith(b">>graph6<<"):
+        data = data[len(b">>graph6<<"):]
+    data = data.rstrip(b"\r\n")
+    if not data:
+        raise FormatError("empty graph6 record")
+    first = data[0]
+    if first == 126:
+        raise FormatError("multi-byte graph6 size fields (n > 62) not supported")
+    if not 63 <= first <= 126:
+        raise FormatError(f"size byte {first} outside the printable range 63..126")
+    n = first - 63
+    need = (n * (n - 1) // 2 + 5) // 6
+    payload = data[1:]
+    if len(payload) != need:
+        raise FormatError(f"expected {need} payload bytes for n={n}, got {len(payload)}")
+    bitstream = []
+    for b in payload:
+        if not 63 <= b <= 126:
+            raise FormatError(f"payload byte {b} outside the printable range 63..126")
+        group = b - 63
+        bitstream.extend((group >> (5 - i)) & 1 for i in range(6))
+    adj = [0] * n
+    idx = 0
+    for j in range(1, n):
+        for i in range(j):
+            if bitstream[idx]:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+            idx += 1
+    if any(bitstream[idx:]):
+        raise FormatError("nonzero padding bits")
+    return Graph(adj)
+
+
+def _asset_records(name: str) -> list[bytes]:
+    with as_file(files("irrcolor").joinpath("data", name)) as path:
+        return path.read_bytes().splitlines()
+
+
+def test_graph6_reader_matches_the_per_bit_reader():
+    """Every record of both packaged assets, and seeded graphs for each
+    n = 0..62 at three densities, read the same with and without the
+    header and a trailing line break."""
+    records = _asset_records("connected_le6.g6") + _asset_records("bipartite_connected_le7.g6")
+    assert len(records) == 143 + 72
+    rng = random.Random(62)
+    records += [to_graph6(random_graph(rng, n, p)) for n in range(63) for p in (0.1, 0.5, 0.9)]
+    for record in records:
+        for data in (record, b">>graph6<<" + record, record + b"\r\n", b">>graph6<<" + record + b"\r\n"):
+            want = _reference_parse_graph6(data)
+            assert parse_graph6(data).adj == want.adj
+            assert parse_graph6(data.decode("ascii")).adj == want.adj
+
+
+@pytest.mark.parametrize("data", [
+    b"", b"\r\n", b">>graph6<<", "D\u00e9{",
+    b"~??", bytes([62]), bytes([127]), bytes([200, 63]),
+    b"D~", b"D~{?", b"@?", b"A",
+    bytes([63 + 5, 30, 63]), bytes([63 + 5, 126, 127]), bytes([63 + 5, 200, 30]),
+    b"D~~", b"E??@", b"B@", b"A@", b"}" + b"?" * 315 + b"@",
+], ids=repr)
+def test_graph6_reader_errors_match_the_per_bit_reader(data):
+    with pytest.raises(FormatError) as want:
+        _reference_parse_graph6(data)
+    with pytest.raises(FormatError) as got:
+        parse_graph6(data)
+    assert str(got.value) == str(want.value)
 
 
 def test_edge_list_text_roundtrip():
