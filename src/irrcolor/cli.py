@@ -155,17 +155,6 @@ def _read_graphs(path: Optional[str], fmt: str) -> list[Graph]:
 _INF = float("inf")
 
 
-def _float_text(x: float) -> str:
-    """A float as ``json`` writes it: NaN and the infinities by name."""
-    if x != x:
-        return "NaN"
-    if x == _INF:
-        return "Infinity"
-    if x == -_INF:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
 def _to_json(value, pad: str = "\n") -> str:
     """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it,
     byte for byte, with ``pad`` the line break and indent of its own line.
@@ -195,7 +184,11 @@ def _to_json(value, pad: str = "\n") -> str:
     if kind is bool:
         return "true" if value else "false"
     if kind is float:
-        return _float_text(value)
+        if value != value:  # NaN and the infinities by name, as json writes them
+            return "NaN"
+        if value == _INF or value == -_INF:
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
