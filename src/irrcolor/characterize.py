@@ -44,14 +44,9 @@ def _sides(g: Graph) -> tuple[int, int]:
 
 def is_star(g: Graph) -> Optional[int]:
     """Center of a star K_{1,n-1} (n >= 2), else None."""
-    if g.n < 2:
+    if g.n < 2 or g.m != g.n - 1:
         return None
-    for c in range(g.n):
-        if g.degree(c) == g.n - 1 and all(
-            g.degree(v) == 1 for v in range(g.n) if v != c
-        ):
-            return c
-    return None
+    return next((c for c in range(g.n) if g.degree(c) == g.n - 1), None)
 
 
 def _anchor_conditions(g: Graph, side1: int, side2: int, v1: int, v2: int) -> bool:

@@ -27,13 +27,14 @@ from .cli import (
     _chain_breaks,
     _domination_breaks,
     _emit,
+    _read_graphs,
     _record,
     _to_json,
     _value,
     _violation,
 )
 from .errors import ParameterError, SearchCancelled, UnsupportedSizeError
-from .graphs import Graph, bipartition, connectivity_profile, format_edge_list, mask_from, parse_graph6, to_graph6
+from .graphs import Graph, bipartition, connectivity_profile, format_edge_list, mask_from, to_graph6
 from .irc import is_irc_coloring
 from .irredundance import ir_number, is_maximal_irredundant, maximal_irredundant_sets
 from .oracle import oracle_invariants
@@ -43,15 +44,12 @@ from .oracle import oracle_invariants
 
 
 def _build_family(name: str, params: Sequence[str | int]) -> families.FamilyInstance:
-    if name == "fixture":
-        if len(params) != 1:
-            raise ParameterError("fixture expects 1 parameter(s)")
-        return families.fixture(params[0])
-    try:
-        nums = [int(p) for p in params]
-    except ValueError as exc:
-        raise ParameterError(f"{name} parameters must be integers") from exc
-    return families.generate(name, *nums)
+    if name != "fixture":  # a fixture's parameter is its name
+        try:
+            params = [int(p) for p in params]
+        except ValueError as exc:
+            raise ParameterError(f"{name} parameters must be integers") from exc
+    return families.generate(name, *params)
 
 
 def _sidecar(inst: families.FamilyInstance) -> dict:
@@ -97,8 +95,7 @@ def cmd_gen(args) -> int:
 
 
 def _asset_graphs(name: str) -> list[Graph]:
-    with open(os.path.join(os.path.dirname(__file__), "data", name), encoding="ascii") as fh:
-        return [parse_graph6(line) for line in fh if line.strip()]
+    return _read_graphs(os.path.join(os.path.dirname(__file__), "data", name), "graph6")
 
 
 def _asset_row(scan, asset: str, claim: str):
@@ -150,11 +147,11 @@ def _instance_row(label: str, spec, *checks):
     return row
 
 
-def _values(text: str, ids, relation=None, confirm=(), terse=False):
+def _values(text: str, ids, relation=None, confirm=()):
     """The check that the values ``ids`` equal the instance's claims, or hold
     ``relation``, and that the oracle, below its cap, finds the claimed
-    values of ``confirm``.  The detail lists the values, then, unless
-    ``terse``, the claim and the oracle's verdict."""
+    values of ``confirm``.  With ``confirm``, and one claim for all ``ids``,
+    the detail adds that claim and the oracle's verdict to the values."""
 
     def check(inst, scope, oracle_cap):
         got = {name: _value(inst.graph, name, scope) for name in ids}
@@ -165,8 +162,8 @@ def _values(text: str, ids, relation=None, confirm=(), terse=False):
             ok = all(found[name].value == inst.claims[name].value for name in confirm)
             verdict = " oracle=confirmed" if ok else " oracle=DISAGREES"
         detail = " ".join(f"{name}={value}" for name, value in got.items())
-        if confirm and not terse:
-            detail += f" claim={inst.claims[ids[-1]].value}{verdict}"  # family A claims one value for its three ids
+        if confirm and len({inst.claims[name].value for name in ids}) == 1:
+            detail += f" claim={inst.claims[ids[0]].value}{verdict}"
         yield text, ok, detail
 
     return check
@@ -252,7 +249,7 @@ VERIFY_SCOPES = {
         "chi = ir = chi_i = {chi_i}", _CHI_IR_CHI_I, confirm=_CHI_IR_CHI_I)) for params in ((6, 3), (8, 3), (8, 4))),
     "family-z": (
         _instance_row("family {source}", ("Z", (3, 1)),
-                      _values("chi={chi} ir={ir} chi_i={chi_i}", _CHI_IR_CHI_I, confirm=("chi_i",), terse=True)),
+                      _values("chi={chi} ir={ir} chi_i={chi_i}", _CHI_IR_CHI_I, confirm=("chi_i",))),
         _instance_row("family {source}", ("Z", (3, 2)), _vertices(14), _values("chi = {chi}", ("chi",)),
                       # this claim text is pinned by perfbench/golden/scan_n7.json
                       _fact("ir = 2 (size-capped verify mode)", _z_ir_witness), _values("chi_i = {chi_i}", ("chi_i",)),

@@ -439,7 +439,7 @@ class _Names:
 def _family_names() -> list[str]:
     from .families import GENERATORS  # for the help text only
 
-    return [*GENERATORS, "fixture"]
+    return list(GENERATORS)
 
 
 def _scope_names() -> list[str]:

@@ -3,10 +3,10 @@
 Each generator returns a FamilyInstance: the graph, optional vertex labels,
 the invariant values the construction is designed to achieve (flagged exact
 vs lower bound), and the construction's own coloring when it has one.
-``GENERATORS`` names every integer-parameter kind for ``generate`` and the
-CLI's ``gen``; ``gen`` writes the claims to its sidecar.  The CLI's verify
-table builds its instances the same way and reads their expected values
-from ``claims``.
+``GENERATORS`` names every kind for ``generate`` and the CLI's ``gen``;
+``fixture`` takes a fixture name, the others integers.  ``gen`` writes the
+claims to its sidecar.  The CLI's verify table builds its instances the same
+way and reads their expected values from ``claims``.
 
 Fixture graphs are frozen literal edge lists.
 """
@@ -400,35 +400,6 @@ def gen_star_of_cycles(k: int) -> FamilyInstance:
     return _instance(g, labels, claims, col, f"bipartite_star_of_cycles({k})")
 
 
-# kind -> (generator, number of integer parameters)
-GENERATORS = {
-    "complete": (gen_complete, 1),
-    "complete_bipartite": (gen_complete_bipartite, 2),
-    "star": (gen_star, 1),
-    "cycle": (gen_cycle, 1),
-    "path": (gen_path, 1),
-    "A": (gen_family_a, 2),
-    "H": (gen_block_h, 2),
-    "Z": (gen_family_z, 2),
-    "B": (gen_family_b, 2),
-    "cut_vertex": (gen_cut_vertex, 1),
-    "bridge": (gen_bridge, 2),
-    "tilde": (gen_tilde, 1),
-    "bipartite_star_of_cycles": (gen_star_of_cycles, 1),
-}
-
-
-def generate(kind: str, *params: int) -> FamilyInstance:
-    """The ``kind`` instance on ``params``; ParameterError for an unknown
-    kind or the wrong number of parameters."""
-    if kind not in GENERATORS:
-        raise ParameterError(f"unknown family {kind!r}")
-    fn, arity = GENERATORS[kind]
-    if len(params) != arity:
-        raise ParameterError(f"{kind} expects {arity} parameter(s)")
-    return fn(*params)
-
-
 def _prufer_tree(seq: tuple[int, ...], n: int) -> Graph:
     """The labeled tree on n >= 2 vertices with Pruefer sequence ``seq``.
 
@@ -521,3 +492,33 @@ def fixture(fixture_id: str) -> FamilyInstance:
         spec.get("coloring"),
         f"fixture:{fixture_id}",
     )
+
+
+# kind -> (generator, number of parameters); fixture's one parameter is a name
+GENERATORS = {
+    "complete": (gen_complete, 1),
+    "complete_bipartite": (gen_complete_bipartite, 2),
+    "star": (gen_star, 1),
+    "cycle": (gen_cycle, 1),
+    "path": (gen_path, 1),
+    "A": (gen_family_a, 2),
+    "H": (gen_block_h, 2),
+    "Z": (gen_family_z, 2),
+    "B": (gen_family_b, 2),
+    "cut_vertex": (gen_cut_vertex, 1),
+    "bridge": (gen_bridge, 2),
+    "tilde": (gen_tilde, 1),
+    "bipartite_star_of_cycles": (gen_star_of_cycles, 1),
+    "fixture": (fixture, 1),
+}
+
+
+def generate(kind: str, *params: int | str) -> FamilyInstance:
+    """The ``kind`` instance on ``params``; ParameterError for an unknown
+    kind or the wrong number of parameters."""
+    if kind not in GENERATORS:
+        raise ParameterError(f"unknown family {kind!r}")
+    fn, arity = GENERATORS[kind]
+    if len(params) != arity:
+        raise ParameterError(f"{kind} expects {arity} parameter(s)")
+    return fn(*params)

@@ -364,7 +364,9 @@ def parse_graph6(data) -> Graph:
 # --- edge-list text format ---------------------------------------------------
 #
 # First non-comment line "n m", then m lines "u v" (0-based).  Lines starting
-# with '#' are comments.
+# with '#' are comments.  A header above EDGE_LIST_MAX_N vertices, far above
+# every size cap, is a format error before anything of size n is built.
+EDGE_LIST_MAX_N = 10_000
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -382,6 +384,8 @@ def parse_edge_list(text: str) -> Graph:
         except ValueError as exc:
             raise FormatError(f"line {lineno}: expected two integers, got {raw!r}") from exc
         if n is None:
+            if a > EDGE_LIST_MAX_N:
+                raise FormatError(f"line {lineno}: {a} vertices, above the edge-list bound {EDGE_LIST_MAX_N}")
             n, m = a, b
         else:
             edges.append((a, b))

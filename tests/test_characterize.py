@@ -21,6 +21,28 @@ def test_is_star():
     assert is_star(complete(3)) is None
 
 
+def _per_vertex_star_center(g):
+    """The star test as a per-vertex scan: a vertex of degree n - 1 whose
+    other vertices all have degree 1."""
+    if g.n < 2:
+        return None
+    for c in range(g.n):
+        if g.degree(c) == g.n - 1 and all(g.degree(v) == 1 for v in range(g.n) if v != c):
+            return c
+    return None
+
+
+def test_is_star_matches_the_per_vertex_test_on_every_labelled_graph_up_to_six_vertices():
+    checked = 0
+    for n in range(7):
+        pairs = [(u, v) for v in range(n) for u in range(v)]
+        for picks in range(1 << len(pairs)):
+            g = from_edge_list(n, [pair for i, pair in enumerate(pairs) if picks >> i & 1])
+            assert is_star(g) == _per_vertex_star_center(g), (n, picks)
+            checked += 1
+    assert checked == 33868
+
+
 def test_anchor_edge_on_fixture():
     inst = fixture("anchor_sample")
     w = find_anchor_edge(inst.graph)

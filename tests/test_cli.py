@@ -1,5 +1,7 @@
 import argparse
 import ast
+import importlib
+import io
 import json
 import os
 import random
@@ -13,10 +15,11 @@ from types import ModuleType
 import pytest
 
 import irrcolor
+from irrcolor.characterize import PairWitness
 from irrcolor.cli import _to_json, main
 from irrcolor.coloring import Coloring
 from irrcolor.errors import SearchCancelled
-from irrcolor.graphs import parse_graph6, to_graph6
+from irrcolor.graphs import EDGE_LIST_MAX_N, parse_graph6, to_graph6
 
 from conftest import Polls, complete, cycle, random_bipartite, spy, spy_walks, walk_built, walk_depths, walk_nodes
 
@@ -108,6 +111,38 @@ def test_invariants_malformed_graph6_exits_64(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["invariants", str(src)])
     assert code == 64
     assert "line 1" in err
+
+
+def test_invariants_reads_graph6_from_stdin_past_blank_and_comment_lines(monkeypatch, capsys):
+    records = [to_graph6(g).decode() for g in (complete(3), cycle(4))]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(f"# two graphs\n{records[0]}\n\n   \n# the second\n{records[1]}\n\n"))
+    code, out, _ = run_cli(capsys, ["invariants", "-", "--invariants", "chi", "--json"])
+    assert code == 0
+    graphs = json.loads(out)["graphs"]
+    assert [(rec["id"], rec["graph6"], rec["invariants"]["chi"]["value"]) for rec in graphs] == [
+        (0, records[0], 3), (1, records[1], 2)]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("3 1\n0 1 2\n", "line 2: expected two integers, got '0 1 2'"),
+    ("# no header\n\n", "no header line 'n m' found"),
+    ("1000000000 0\n", f"line 1: 1000000000 vertices, above the edge-list bound {EDGE_LIST_MAX_N}"),
+])
+def test_invariants_rejects_a_malformed_edge_list_on_stdin(monkeypatch, capsys, text, message):
+    # the vertex bound is checked on the header, before anything of size n is built
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    t0 = time.monotonic()
+    code, out, err = run_cli(capsys, ["invariants", "-", "--format", "edgelist"])
+    assert time.monotonic() - t0 < 1
+    assert (code, out, err) == (64, "", f"input error: {message}\n")
+
+
+def test_invariants_accepts_an_edge_list_at_the_vertex_bound(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(f"{EDGE_LIST_MAX_N} 1\n0 {EDGE_LIST_MAX_N - 1}\n"))
+    code, out, _ = run_cli(capsys, ["invariants", "-", "--format", "edgelist", "--invariants", "chi", "--json"])
+    assert code == 0
+    [rec] = json.loads(out)["graphs"]
+    assert (rec["n"], rec["m"], rec["invariants"]["chi"]["status"]) == (EDGE_LIST_MAX_N, 1, "skipped(cap)")
 
 
 def test_invariants_unknown_invariant_exits_65(tmp_path, capsys):
@@ -376,6 +411,39 @@ def test_scan_characterization_skips_disconnected_graphs(tmp_path, capsys):
     assert code == 0
     states = [rec["invariants"]["characterization"] for rec in json.loads(out)["graphs"]]
     assert states == [{"status": "skipped", "value": "disconnected"}]
+
+
+# Each scan check against an engine that errs on its last input graph: (mode,
+# module, engine, the wrong result, that graph, the check, its detail).  The
+# registry looks its engines up in ``invariants``; the characterization scan
+# imports ``characterize`` when it runs.
+_BROKEN_ENGINES = [
+    ("chain", "invariants", "global_dominator_chromatic_number", (1, None), complete(3),
+     "chain:chi_d<=chi_gd", "chi_d=3 > chi_gd=1"),
+    ("bounds", "invariants", "irredundance_chromatic_number", (4, None), complete(3),
+     "bounds:max(chi,ir)<=chi_i<=chi+ir-1", "chi=3 ir=1 chi_i=4"),
+    ("chain", "invariants", "ir_number", (2, 0b11), complete(3), "ir<=gamma", "ir=2 > gamma=1"),
+    ("characterization", "characterize", "bipartite_two_family", PairWitness("none"), cycle(4),
+     "two-color-equivalence", '{"chi_i_is_2": true, "family": false, "pair_witness": true}'),
+]
+
+
+@pytest.mark.parametrize("mode, module, engine, wrong, g, check, detail", _BROKEN_ENGINES)
+def test_each_scan_check_reports_its_violation(tmp_path, monkeypatch, capsys, mode, module, engine, wrong, g, check, detail):
+    target = importlib.import_module(f"irrcolor.{module}")
+    real = getattr(target, engine)
+    monkeypatch.setattr(target, engine, lambda h, *token: wrong if h == g else real(h, *token))
+    g6 = to_graph6(g).decode()
+    src = tmp_path / "graphs.g6"
+    src.write_text(f"{to_graph6(complete(2)).decode()}\n{g6}\n")
+    code, out, _ = run_cli(capsys, ["scan", mode, str(src), "--json"])
+    report = json.loads(out)
+    assert code == 2
+    assert report["violations"] == [{"check": check, "graph": 1, "graph6": g6, "detail": detail}]
+    assert report["summary"]["violations"] == 1
+    code, out, _ = run_cli(capsys, ["scan", mode, str(src)])
+    assert code == 2
+    assert f"VIOLATION {check}: {detail}" in out.splitlines()
 
 
 def test_verify_scope(capsys):
@@ -780,7 +848,7 @@ def test_help_is_the_same_after_other_calls(tmp_path, capsys):
     assert [_help(capsys, argv) for argv in helps] == before
     assert before[1].startswith("usage: irrcolor scan ")
     # the family and scope lists, rendered when argparse formats the help
-    assert _listed(before[3]) == [*GENERATORS, "fixture"]
+    assert _listed(before[3]) == list(GENERATORS)
     assert _listed(before[4]) == ["all", *VERIFY_SCOPES]
 
 
