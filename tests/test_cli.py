@@ -1,6 +1,5 @@
 import argparse
 import ast
-import importlib
 import io
 import json
 import os
@@ -15,6 +14,7 @@ from types import ModuleType
 import pytest
 
 import irrcolor
+from irrcolor import characterize, invariants
 from irrcolor.characterize import PairWitness
 from irrcolor.cli import _to_json, main
 from irrcolor.coloring import Coloring
@@ -418,21 +418,20 @@ def test_scan_characterization_skips_disconnected_graphs(tmp_path, capsys):
 # registry looks its engines up in ``invariants``; the characterization scan
 # imports ``characterize`` when it runs.
 _BROKEN_ENGINES = [
-    ("chain", "invariants", "global_dominator_chromatic_number", (1, None), complete(3),
+    ("chain", invariants, "global_dominator_chromatic_number", (1, None), complete(3),
      "chain:chi_d<=chi_gd", "chi_d=3 > chi_gd=1"),
-    ("bounds", "invariants", "irredundance_chromatic_number", (4, None), complete(3),
+    ("bounds", invariants, "irredundance_chromatic_number", (4, None), complete(3),
      "bounds:max(chi,ir)<=chi_i<=chi+ir-1", "chi=3 ir=1 chi_i=4"),
-    ("chain", "invariants", "ir_number", (2, 0b11), complete(3), "ir<=gamma", "ir=2 > gamma=1"),
-    ("characterization", "characterize", "bipartite_two_family", PairWitness("none"), cycle(4),
+    ("chain", invariants, "ir_number", (2, 0b11), complete(3), "ir<=gamma", "ir=2 > gamma=1"),
+    ("characterization", characterize, "bipartite_two_family", PairWitness("none"), cycle(4),
      "two-color-equivalence", '{"chi_i_is_2": true, "family": false, "pair_witness": true}'),
 ]
 
 
 @pytest.mark.parametrize("mode, module, engine, wrong, g, check, detail", _BROKEN_ENGINES)
 def test_each_scan_check_reports_its_violation(tmp_path, monkeypatch, capsys, mode, module, engine, wrong, g, check, detail):
-    target = importlib.import_module(f"irrcolor.{module}")
-    real = getattr(target, engine)
-    monkeypatch.setattr(target, engine, lambda h, *token: wrong if h == g else real(h, *token))
+    real = getattr(module, engine)
+    monkeypatch.setattr(module, engine, lambda h, *token: wrong if h == g else real(h, *token))
     g6 = to_graph6(g).decode()
     src = tmp_path / "graphs.g6"
     src.write_text(f"{to_graph6(complete(2)).decode()}\n{g6}\n")
