@@ -90,25 +90,46 @@ def cmd_gen(args) -> int:
 
 # --- verify command -------------------------------------------------------------
 
-# ``VERIFY_SCOPES`` maps each scope to its rows, functions (token, oracle_cap)
-# -> iterator of (claim text, ok, detail) that ``cmd_verify`` turns into claims.
+# ``VERIFY_SCOPES`` maps each scope to its rows, functions (token, oracle_cap,
+# assets=None) -> iterator of (claim text, ok, detail) that ``cmd_verify``
+# turns into claims.  ``assets`` is the run's ``_Assets``, which only the
+# asset rows read; called without it, an asset row reads a table of its own.
 
 
 def _asset_graphs(name: str) -> list[Graph]:
     return _read_graphs(os.path.join(os.path.dirname(__file__), "data", name), "graph6")
 
 
+class _Assets:
+    """The packaged graphs of one ``verify`` run: each asset file is read
+    once, and each graph gets one Scope on the run's token, which every
+    asset row of the run reads, so that its shared results (chi, the set
+    walk, chi_d, the committee tables) are computed once.  A graph in both
+    assets has one Scope.  The table lives for one run only."""
+
+    def __init__(self, token):
+        self.token = token
+        self.files: dict[str, list[tuple[Graph, budget.Scope]]] = {}
+        self.scopes: dict[Graph, budget.Scope] = {}
+
+    def read(self, name: str) -> list[tuple[Graph, budget.Scope]]:
+        if name not in self.files:
+            scopes, token = self.scopes, self.token
+            self.files[name] = [(g, scopes.setdefault(g, budget.Scope(token))) for g in _asset_graphs(name)]
+        return self.files[name]
+
+
 def _asset_row(scan, asset: str, claim: str):
     """The row claiming that ``scan`` finds nothing on a packaged asset.  Each
-    graph runs under its own scope, as in the scan command; only the number
-    of records with no skipped cell, which ``claim`` formats, and the
-    (graph6, detail) pairs of the violations are kept.  The row polls after
-    each graph, since the scans record an overrun as a skipped cell."""
+    graph runs under its Scope in ``assets``; only the number of records
+    with no skipped cell, which ``claim`` formats, and the (graph6, detail)
+    pairs of the violations are kept.  The row polls after each graph,
+    since the scans record an overrun as a skipped cell."""
 
-    def row(token, oracle_cap):
+    def row(token, oracle_cap, assets=None):
         tested, bad = 0, []
-        for idx, g in enumerate(_asset_graphs(asset)):
-            record, found = scan(idx, g, budget.scope(token), oracle_cap)
+        for idx, (g, scope) in enumerate((assets or _Assets(token)).read(asset)):
+            record, found = scan(idx, g, scope, oracle_cap)
             tested += not any(cell["status"].startswith("skipped") for cell in record["invariants"].values())
             bad += [(violation["graph6"], violation["detail"]) for violation in found]
             budget.check(token)
@@ -136,7 +157,7 @@ def _instance_row(label: str, spec, *checks):
     yields triples; the checks share one scope.  Each claim text, after
     ``label``, is formatted with the instance's source and claimed values."""
 
-    def row(token, oracle_cap):
+    def row(token, oracle_cap, assets=None):
         inst = _build_family(*spec)
         scope = budget.scope(token)
         facts = {"source": inst.source, **{name: claim.value for name, claim in inst.claims.items()}}
@@ -216,7 +237,7 @@ def _epn_hub(inst, scope):
     return star == inst.label_index("v*"), f"found={star}"
 
 
-def _trees_row(token, oracle_cap):
+def _trees_row(token, oracle_cap, assets=None):
     # every labeled tree with n <= 7, then 4,096 seeded Pruefer sequences at n = 8
     rng = random.Random(88)
     seqs = chain(
@@ -283,12 +304,13 @@ def cmd_verify(args) -> int:
         return 65
     token = Deadline(args.budget_seconds) if args.budget_seconds else None
     scopes = list(VERIFY_SCOPES) if args.scope == "all" else [args.scope]
+    assets = _Assets(token)
     claims: list[dict] = []
     for scope in scopes:
         try:
             for row in VERIFY_SCOPES[scope]:
                 budget.check(token)
-                for text, ok, detail in row(token, args.oracle_cap):
+                for text, ok, detail in row(token, args.oracle_cap, assets):
                     claims.append({"claim": text, "status": "pass" if ok else "fail", "detail": detail})
         except SearchCancelled:
             claims.append({"claim": f"{scope} (remaining checks)", "status": "skip", "detail": "budget exhausted"})

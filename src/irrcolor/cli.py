@@ -64,7 +64,9 @@ def _value(g: Graph, name: str, token=None):
 
 
 def _record(idx: int, g: Graph) -> dict:
-    """A report record for graph ``idx`` with no cells yet."""
+    """A report record for graph ``idx`` with no cells yet.  Its graph6
+    echo is the record a graph6 input was read from (``to_graph6`` returns
+    it); an edge-list graph is encoded, and above 62 vertices echoes null."""
     return {
         "id": idx,
         "n": g.n,

@@ -71,17 +71,24 @@ class Coloring(_Frozen):
 
 
 def is_proper(g: Graph, coloring: Coloring) -> bool:
-    return all(coloring.color_of[u] != coloring.color_of[v] for u, v in g.edges())
+    """True when no vertex's row meets its own color class."""
+    masks, color_of = coloring.classes(), coloring.color_of
+    for v, row in enumerate(g.adj):
+        if row & masks[color_of[v]]:
+            return False
+    return True
 
 
 def is_rainbow(coloring: Coloring, s: VertexSet) -> bool:
     """True when the members of ``s`` carry pairwise distinct colors."""
-    seen = 0
-    for v in bits(s):
-        c = coloring.color_of[v]
-        if seen >> c & 1:
+    color_of, seen = coloring.color_of, 0
+    while s:
+        low = s & -s
+        s ^= low
+        c = 1 << color_of[low.bit_length() - 1]
+        if seen & c:
             return False
-        seen |= 1 << c
+        seen |= c
     return True
 
 

@@ -18,6 +18,7 @@ from typing import NamedTuple, Optional
 from .coloring import Coloring, chromatic_number, is_proper
 from .errors import ParameterError
 from .graphs import (
+    EDGE_LIST_MAX_N,
     Graph,
     _unchecked,
     bipartition,
@@ -494,31 +495,44 @@ def fixture(fixture_id: str) -> FamilyInstance:
     )
 
 
-# kind -> (generator, number of parameters); fixture's one parameter is a name
+# ``generate`` refuses an instance above these sizes before it builds
+# anything: the edge-list reader's vertex bound, and an edge bound that keeps
+# an edge list of tuples to a few megabytes
+MAX_EDGES = 100_000
+
+# kind -> (generator, number of parameters, (order, size) on the parameters);
+# fixture's one parameter is a name, and its graphs are literals of at most
+# 11 vertices
 GENERATORS = {
-    "complete": (gen_complete, 1),
-    "complete_bipartite": (gen_complete_bipartite, 2),
-    "star": (gen_star, 1),
-    "cycle": (gen_cycle, 1),
-    "path": (gen_path, 1),
-    "A": (gen_family_a, 2),
-    "H": (gen_block_h, 2),
-    "Z": (gen_family_z, 2),
-    "B": (gen_family_b, 2),
-    "cut_vertex": (gen_cut_vertex, 1),
-    "bridge": (gen_bridge, 2),
-    "tilde": (gen_tilde, 1),
-    "bipartite_star_of_cycles": (gen_star_of_cycles, 1),
-    "fixture": (fixture, 1),
+    "complete": (gen_complete, 1, lambda n: (n, n * (n - 1) // 2)),
+    "complete_bipartite": (gen_complete_bipartite, 2, lambda m, n: (m + n, m * n)),
+    "star": (gen_star, 1, lambda n: (n, n - 1)),
+    "cycle": (gen_cycle, 1, lambda n: (n, n)),
+    "path": (gen_path, 1, lambda n: (n, n - 1)),
+    "A": (gen_family_a, 2, lambda n, k: (n, k * (k - 1) // 2 + n - k)),
+    "H": (gen_block_h, 2, lambda k, l: (2 * k + l, (k - 2) * (k - 3) // 2 + 4 * k + l - 4)),
+    # the clique plus u is shared; each copy adds a, b, v and the pendants
+    "Z": (gen_family_z, 2, lambda k, l: (k - 1 + l * (k + l + 1), (k - 2) * (k - 1) // 2 + l * (3 * k + l - 2))),
+    "B": (gen_family_b, 2, lambda n, k: (n, k * (k - 1) // 2 + n - k)),
+    "cut_vertex": (gen_cut_vertex, 1, lambda k: (10 * k + 1, 15 * k)),
+    "bridge": (gen_bridge, 2, lambda k, l: (10 * (k + l) + 2, 15 * (k + l) + 1)),
+    "tilde": (gen_tilde, 1, lambda k: (9 * k, k * (k - 1) // 2 + 12 * k)),
+    "bipartite_star_of_cycles": (gen_star_of_cycles, 1, lambda k: (9 * k, 13 * k)),
+    "fixture": (fixture, 1, lambda name: (0, 0)),
 }
 
 
 def generate(kind: str, *params: int | str) -> FamilyInstance:
     """The ``kind`` instance on ``params``; ParameterError for an unknown
-    kind or the wrong number of parameters."""
+    kind, the wrong number of parameters, or an instance above
+    ``graphs.EDGE_LIST_MAX_N`` vertices or ``MAX_EDGES`` edges."""
     if kind not in GENERATORS:
         raise ParameterError(f"unknown family {kind!r}")
-    fn, arity = GENERATORS[kind]
+    fn, arity, size = GENERATORS[kind]
     if len(params) != arity:
         raise ParameterError(f"{kind} expects {arity} parameter(s)")
+    n, m = size(*params)
+    if n > EDGE_LIST_MAX_N or m > MAX_EDGES:
+        raise ParameterError(f"{kind} {' '.join(map(str, params))}: {n} vertices and {m} edges, above the "
+                             f"bounds of {EDGE_LIST_MAX_N} vertices and {MAX_EDGES} edges")
     return fn(*params)

@@ -63,11 +63,14 @@ class Graph(_Frozen):
     mask has bits at or beyond index n.  The public constructor
     ``Graph(adj)`` checks them and stores ``adj`` as a tuple, so a graph
     built from a list hashes and compares like one built from a tuple; the
-    package's own constructors build through ``_unchecked`` instead.
+    package's own constructors build through ``_unchecked`` instead.  A
+    graph read by ``parse_graph6`` also keeps its record as ``_graph6``,
+    which ``to_graph6`` returns; every other graph reads the class's None.
     """
 
     n: int
     adj: tuple[int, ...]
+    _graph6: Optional[bytes] = None
 
     def __init__(self, adj: Sequence[int]):
         adj = tuple(adj)
@@ -157,9 +160,11 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 def closed_neighborhood_of_set(g: Graph, s: VertexSet) -> VertexSet:
     """N[S]: the union of closed neighborhoods over the members of ``s``."""
-    out = s
-    for v in bits(s):
-        out |= g.adj[v]
+    adj, out = g.adj, s
+    while s:
+        low = s & -s
+        s ^= low
+        out |= adj[low.bit_length() - 1]
     return out
 
 
@@ -291,6 +296,10 @@ def merge_copies(g: Graph, shared: VertexSet, copies: int) -> Graph:
 
 
 def to_graph6(g: Graph) -> bytes:
+    """The graph6 record of ``g``: the record ``parse_graph6`` read it from,
+    which is its encoding, or else the one built from its rows."""
+    if g._graph6 is not None:
+        return g._graph6
     if g.n > 62:
         raise UnsupportedSizeError(f"graph6 size byte limited to n <= 62, got {g.n}")
     out = bytearray([g.n + 63])
@@ -316,7 +325,11 @@ def parse_graph6(data) -> Graph:
     The payload's 6-bit groups are base64 digits in another alphabet, so
     ``binascii`` reads them as one integer.  Column j of the upper triangle
     is then one j-bit field of it, with x(0, j) its high bit, and only its
-    set bits are visited: O(n + m) Python steps for the whole record."""
+    set bits are visited: O(n + m) Python steps for the whole record.
+
+    The graph keeps the record, header and line break removed, for
+    ``to_graph6``: a record with one size byte, the exact payload length
+    and zero padding is the one encoding of its graph."""
     if isinstance(data, str):
         try:
             data = data.encode("ascii")
@@ -358,7 +371,9 @@ def parse_graph6(data) -> Graph:
             adj[j - top] |= 1 << j
             row |= 1 << j - top
         adj[j] |= row
-    return _unchecked(tuple(adj))
+    g = _unchecked(tuple(adj))
+    object.__setattr__(g, "_graph6", bytes(data))
+    return g
 
 
 # --- edge-list text format ---------------------------------------------------

@@ -34,7 +34,7 @@ from . import budget
 from .coloring import Coloring, _chi, _restricted_growth_search, is_proper
 from .errors import PreconditionError
 from .graphs import Graph, VertexSet, bits
-from .irredundance import private_neighbors
+from .irredundance import is_irredundant, private_neighbors
 
 
 class IrcVerdict(NamedTuple):
@@ -118,7 +118,7 @@ def _obstructed(g: Graph, token=None) -> bool:
     # since each end keeps its other neighbors as private ones; and a clique
     # maximal in the pool is maximal in g, since a vertex extending it would
     # close a triangle, which lies inside the pool
-    return any(any(private_neighbors(g, v, q) == 0 for v in bits(q)) for q in _maximal_cliques(g, triangles, token))
+    return any(not is_irredundant(g, q) for q in _maximal_cliques(g, triangles, token))
 
 
 def _committee_fault(g: Graph):

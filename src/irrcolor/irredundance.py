@@ -38,26 +38,60 @@ def private_neighbors(g: Graph, v: int, s: VertexSet) -> VertexSet:
     return g.closed(v) & ~closed_neighborhood_of_set(g, s & ~(1 << v))
 
 
+def _coverage(adj: tuple[int, ...], s: VertexSet) -> tuple[VertexSet, VertexSet]:
+    """``(covered, once)``: N[S], and the vertices in exactly one N[u] over
+    u in S, in one pass over S, lowest member first.  A member u's private
+    neighbors are N[u] & once."""
+    covered = twice = 0
+    while s:
+        low = s & -s
+        s ^= low
+        row = adj[low.bit_length() - 1] | low
+        twice |= covered & row
+        covered |= row
+    return covered, covered & ~twice
+
+
 def is_irredundant(g: Graph, s: VertexSet) -> bool:
     """True when every member of ``s`` has a private neighbor.
 
     The empty set is vacuously irredundant.
     """
-    for v in bits(s):
-        if not g.closed(v) & ~closed_neighborhood_of_set(g, s & ~(1 << v)):
+    adj = g.adj
+    _, once = _coverage(adj, s)
+    while s:
+        low = s & -s
+        s ^= low
+        if not (adj[low.bit_length() - 1] | low) & once:
             return False
     return True
 
 
 def is_maximal_irredundant(g: Graph, s: VertexSet) -> bool:
-    """Irredundant, and no single-vertex extension stays irredundant.  The
-    joining vertex v is checked first: its private neighbors in S + v are
-    N[v] - N[S]."""
-    if not is_irredundant(g, s):
-        return False
-    covered = closed_neighborhood_of_set(g, s)
-    for v in bits(g.vertices & ~s):
-        if g.closed(v) & ~covered and is_irredundant(g, s | (1 << v)):
+    """Irredundant, and no single-vertex extension stays irredundant.  A
+    vertex v outside S joins when it has a private neighbor in S + v, some
+    vertex of N[v] outside N[S], and leaves every member u one of its own:
+    N[u] & once & ~N[v] is not empty.  The v of the first test are those
+    of N[V - N[S]], which holds no member of S, so only they are tried."""
+    adj = g.adj
+    covered, once = _coverage(adj, s)
+    privates = []
+    while s:
+        low = s & -s
+        s ^= low
+        private = (adj[low.bit_length() - 1] | low) & once
+        if not private:
+            return False
+        privates.append(private)
+    joiners = closed_neighborhood_of_set(g, g.vertices & ~covered)
+    while joiners:
+        low = joiners & -joiners
+        joiners ^= low
+        near = adj[low.bit_length() - 1] | low
+        for private in privates:
+            if not private & ~near:
+                break
+        else:
             return False
     return True
 

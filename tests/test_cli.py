@@ -1,5 +1,6 @@
 import argparse
 import ast
+import hashlib
 import io
 import json
 import os
@@ -8,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 from types import ModuleType
 
@@ -19,7 +21,7 @@ from irrcolor.characterize import PairWitness
 from irrcolor.cli import _to_json, main
 from irrcolor.coloring import Coloring
 from irrcolor.errors import SearchCancelled
-from irrcolor.graphs import EDGE_LIST_MAX_N, parse_graph6, to_graph6
+from irrcolor.graphs import EDGE_LIST_MAX_N, Graph, parse_graph6, to_graph6
 
 from conftest import Polls, complete, cycle, random_bipartite, spy, spy_walks, walk_built, walk_depths, walk_nodes
 
@@ -200,6 +202,43 @@ def test_invariants_parallel_matches_serial(tmp_path, capsys):
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+def _echo_input(tmp_path) -> tuple[Path, list[str]]:
+    """A graph6 file of asset records, a header on the first, the others
+    ending in LF or CRLF in turn, and the records each line holds."""
+    data = Path(irrcolor.__file__).parent / "data"
+    records = [line for name in ("connected_le6.g6", "bipartite_connected_le7.g6")
+               for line in (data / name).read_text(encoding="ascii").splitlines()[::9]]
+    ends = ("\n", "\r\n")
+    text = ">>graph6<<" + "".join(record + ends[i % 2] for i, record in enumerate(records))
+    assert text.startswith(">>graph6<<") and "\r\n" in text
+    src = tmp_path / "echo.g6"
+    src.write_bytes(text.encode("ascii"))
+    return src, records
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("argv", [["invariants"], ["scan", "chain"], ["scan", "bounds"], ["scan", "conjecture"],
+                                  ["scan", "characterization"]], ids=" ".join)
+def test_each_record_echoes_its_input_line(tmp_path, capsys, argv, jobs):
+    src, records = _echo_input(tmp_path)
+    code, out, _ = run_cli(capsys, [*argv, str(src), "--jobs", jobs, "--json"])
+    assert code == 0
+    report = json.loads(out)
+    assert [rec["graph6"] for rec in report["graphs"]] == records
+    # the bytes the encoder writes for the same rows
+    assert records == [to_graph6(Graph(parse_graph6(record).adj)).decode() for record in records]
+
+
+def test_an_edge_list_record_echoes_the_encoding_up_to_62_vertices(monkeypatch, capsys):
+    for n, want in ((4, to_graph6(cycle(4)).decode()), (62, to_graph6(cycle(62)).decode()), (63, None)):
+        text = f"{n} {n}\n" + "".join(f"{i} {(i + 1) % n}\n" for i in range(n))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, _ = run_cli(capsys, ["invariants", "-", "--format", "edgelist", "--invariants", "chi", "--json"])
+        assert code == 0
+        [rec] = json.loads(out)["graphs"]
+        assert rec["graph6"] == want
+
+
 def test_jobs_pool_is_bounded_by_the_input(monkeypatch, tmp_path, capsys):
     # the pool forks all its workers at the first task, so --jobs 5000 on
     # two graphs must ask for two; the fake pool runs the tasks in process
@@ -274,6 +313,19 @@ def test_gen_bad_params_exit_65(capsys):
     assert code == 65
     code, out, err = run_cli(capsys, ["gen", "complete", "63"])  # past graph6's size byte
     assert (code, out) == (65, "") and "n <= 62" in err
+
+
+@pytest.mark.parametrize("argv", [["gen", "path", "100000000"], ["gen", "complete", "20000"]], ids=" ".join)
+def test_gen_refuses_an_instance_above_its_bounds_before_building_it(argv):
+    # each would take gigabytes as an edge list; the refusal comes from the
+    # size table, before any of it is built
+    t0 = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "irrcolor", *argv, "--format", "edgelist"],
+                          capture_output=True, text=True, env=_module_env(), timeout=60)
+    assert time.monotonic() - t0 < 20
+    assert (proc.returncode, proc.stdout) == (65, "")
+    [line] = proc.stderr.splitlines()
+    assert line.startswith(f"parameter error: {argv[1]} {argv[2]}: ") and "above the bounds" in line
 
 
 def test_gen_unwritable_out_exits_65(tmp_path, capsys):
@@ -891,6 +943,71 @@ def test_an_asset_row_stops_after_the_graph_the_budget_ran_out_under():
     with pytest.raises(SearchCancelled):
         list(bounds(token, 8))
     assert 50 < token.polls <= spent + 1  # the rest of that graph's cells, then the row's own poll
+
+
+ASSET_SCOPES = ("bounds", "chain", "dominating-irredundant", "two-color", "dominator-gamma")
+
+
+def test_verify_all_reads_each_asset_once_per_run(monkeypatch, capsys):
+    from irrcolor import claims
+
+    read = []
+    spy(monkeypatch, claims, "_asset_graphs", read)
+    for run in (1, 2):  # the table lives for one run: the second reads the files again
+        code, out, _ = run_cli(capsys, ["verify", "all", "--json"])
+        assert code == 0
+        assert sorted(name for name, in read) == sorted(["connected_le6.g6", "bipartite_connected_le7.g6"] * run)
+    # the output of the runs that gave each row its own scopes, byte for byte
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == \
+        "0a06d2e728482d3a962a397c12012069fe9e1df4eee9133515fa29e43a79d797"
+
+
+def test_the_asset_rows_of_a_run_compute_chi_once_per_asset_graph(monkeypatch):
+    from irrcolor import claims, coloring
+    from irrcolor.claims import VERIFY_SCOPES, _asset_graphs
+
+    chi = []
+    spy(monkeypatch, coloring, "chromatic_number", chi)
+    assets = claims._Assets(None)
+    for scope in ASSET_SCOPES:
+        [row] = VERIFY_SCOPES[scope]
+        assert all(ok for _, ok, _ in row(None, 8, assets))
+    connected, bipartite = _asset_graphs("connected_le6.g6"), _asset_graphs("bipartite_connected_le7.g6")
+    # chi of each asset graph under its own Scope; a clique reduction of
+    # another asset graph may equal it, and is solved under that graph's
+    solved = Counter(g for g, token in chi if token is assets.scopes.get(g))
+    assert all(solved[g] == 1 for g in connected)  # bounds asks for each, and the later rows read it
+    assert all(solved[g] <= 1 for g in bipartite) and any(g not in connected and solved[g] for g in bipartite)
+    assert len(Counter((g, id(token)) for g, token in chi)) == len(chi)  # nothing is solved twice in one Scope
+    # each row alone, with a table of its own, solves the connected graphs again
+    del chi[:]
+    for scope in ("bounds", "chain"):
+        [row] = VERIFY_SCOPES[scope]
+        list(row(None, 8))
+    assert all(Counter(g for g, _ in chi)[g] >= 2 for g in connected)
+
+
+def test_a_budget_cut_inside_an_asset_row_ends_verify_all_with_its_skip_claim(monkeypatch, capsys):
+    from irrcolor import claims
+
+    code, out, _ = run_cli(capsys, ["verify", "all", "--json"])
+    full = json.loads(out)["claims"]
+    counted = Polls()
+    monkeypatch.setattr(claims, "Deadline", lambda seconds: counted)
+    run_cli(capsys, ["verify", "all", "--budget-seconds", "1", "--json"])
+    total = counted.polls
+    cut_in = set()
+    for limit in range(total // 40, total, total // 20):
+        monkeypatch.setattr(claims, "Deadline", lambda seconds: Polls(limit))
+        code, out, _ = run_cli(capsys, ["verify", "all", "--budget-seconds", "1", "--json"])
+        report = json.loads(out)
+        *done, last = report["claims"]
+        assert code == 0 and done == full[:len(done)]
+        assert last["status"] == "skip" and last["detail"] == "budget exhausted"
+        scope = last["claim"].removesuffix(" (remaining checks)")
+        assert report["summary"]["skipped"] == 1
+        cut_in.add(scope)
+    assert cut_in & set(ASSET_SCOPES) and len(cut_in) > 2
 
 
 # engine calls per command on the packaged assets: chi, irredundant-set

@@ -125,6 +125,50 @@ def test_basic_dispatch_and_errors():
         F.gen_star(1)
 
 
+# small valid parameters for each kind of ``GENERATORS``
+_SIZE_GRID = {
+    "complete": [(n,) for n in range(1, 12)],
+    "complete_bipartite": list(product(range(1, 6), repeat=2)),
+    "star": [(n,) for n in range(2, 12)],
+    "cycle": [(n,) for n in range(3, 12)],
+    "path": [(n,) for n in range(1, 12)],
+    "A": [(n, k) for k in range(1, 6) for n in range(2 * k, 2 * k + 5)],
+    "H": list(product(range(3, 8), range(1, 5))),
+    "Z": list(product(range(3, 7), range(1, 5))),
+    "B": [(n, k) for n in range(2, 9) for k in range(2, n + 1)],
+    "cut_vertex": [(3,), (4,), (5,)],
+    "bridge": list(product((3, 4), repeat=2)),
+    "tilde": [(k,) for k in range(3, 7)],
+    "bipartite_star_of_cycles": [(4,), (6,), (8,)],
+    "fixture": [(name,) for name in F._FIXTURES],
+}
+
+
+def test_the_size_table_gives_each_instance_its_order_and_size():
+    assert _SIZE_GRID.keys() == F.GENERATORS.keys()
+    for kind, (build, arity, size) in F.GENERATORS.items():
+        for params in _SIZE_GRID[kind]:
+            g = build(*params).graph
+            if kind == "fixture":  # literals, which the table lets through
+                assert size(*params) == (0, 0) and g.n <= 11
+            else:
+                assert size(*params) == (g.n, g.m), (kind, params)
+
+
+def test_generate_refuses_an_instance_above_its_bounds_before_building_it(monkeypatch):
+    monkeypatch.setattr(F, "from_edge_list", None)  # building anything would raise TypeError
+    for kind, params in (("path", (10_001,)), ("complete", (448,)), ("A", (5, 1000)), ("Z", (3, 400)),
+                         ("tilde", (450,)), ("bridge", (600, 600))):
+        n, m = F.GENERATORS[kind][2](*params)
+        assert n > F.EDGE_LIST_MAX_N or m > F.MAX_EDGES
+        with pytest.raises(ParameterError, match="above the bounds"):
+            F.generate(kind, *params)
+    monkeypatch.undo()
+    # at the bounds
+    assert F.generate("path", F.EDGE_LIST_MAX_N).graph.n == F.EDGE_LIST_MAX_N
+    assert F.generate("complete", 447).graph.m <= F.MAX_EDGES
+
+
 def test_family_a_claims_small():
     for n, k in ((6, 3), (8, 3), (8, 4)):
         inst = F.gen_family_a(n, k)

@@ -1,3 +1,4 @@
+import pickle
 import random
 import sys
 from importlib.resources import as_file, files
@@ -263,6 +264,25 @@ def test_graph6_reader_matches_the_per_bit_reader():
             want = _reference_parse_graph6(data)
             assert parse_graph6(data).adj == want.adj
             assert parse_graph6(data.decode("ascii")).adj == want.adj
+
+
+def test_a_parsed_graph_writes_back_the_record_it_was_read_from():
+    """``to_graph6`` of a parsed graph returns its record, without header
+    and line break, and that is the encoder's output for the same rows; the
+    record survives the pickle that sends graphs to ``--jobs`` workers."""
+    records = _asset_records("connected_le6.g6") + _asset_records("bipartite_connected_le7.g6")
+    rng = random.Random(6)
+    records += [to_graph6(random_graph(rng, n, p)) for n in range(63) for p in (0.1, 0.5, 0.9)]
+    for record in records:
+        encoded = to_graph6(Graph(parse_graph6(record).adj))
+        assert encoded == record
+        for data in (record, b">>graph6<<" + record + b"\r\n", bytearray(record + b"\n"), record.decode("ascii")):
+            g = parse_graph6(data)
+            assert type(to_graph6(g)) is bytes and to_graph6(g) == encoded
+            assert to_graph6(pickle.loads(pickle.dumps(g))) == encoded
+    g = parse_graph6(b"D~{")
+    assert_frozen_value(g, complete(5))  # the record is a field, not part of the value
+    assert to_graph6(corona_k1(g)) == to_graph6(corona_k1(complete(5)))  # a derived graph is encoded
 
 
 @pytest.mark.parametrize("data", [
